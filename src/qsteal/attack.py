@@ -9,7 +9,7 @@ argmax label (top-1, ties to the lowest index).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
@@ -77,6 +77,8 @@ def query_victim(service: QueryService, qs: QuerySet, mode: str, retries: int = 
     persistent failures surface as QueryError with the retry count."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if qs.m < 1:
+        raise ValueError("query set is empty")
     vectors = []
     for i, x in enumerate(qs.features):
         for attempt in range(retries + 1):

@@ -12,7 +12,7 @@ Channel conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -50,10 +50,6 @@ class KrausChannel:
     def is_identity(self) -> bool:
         """True when the channel is exactly the identity map (rate 0)."""
         return self.rate == 0.0
-
-    def stacked(self) -> np.ndarray:
-        """Kraus operators as one (m, dim, dim) array."""
-        return np.stack(self.operators)
 
     @cached_property
     def superop(self) -> np.ndarray:

@@ -10,7 +10,7 @@ of encoded samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -265,60 +265,45 @@ def _batch_size(angle_overrides) -> int:
     return sizes.pop() if sizes else 1
 
 
-def _gate_ops_in_order(circuit: CircuitIR):
-    """Yield ("gate", index, op) and ("channel", point) in execution order."""
-    by_pos = {}
+def _evolve(circuit: CircuitIR, angle_overrides, pure: bool) -> np.ndarray:
+    """Run the gates and channels in order on a batch of statevectors
+    (`pure`) or density matrices, starting from |0...0>.
+
+    An override for op i replaces its angle: a (B,) array gives per-sample
+    matrices, a scalar one shared matrix.  Identity channels are skipped.
+    """
+    overrides = angle_overrides or {}
+    b = _batch_size(overrides)
+    n = circuit.n_qubits
+    state = density.zero_vecs(b, n) if pure else density.zero_states(b, n)
+    channels_after = {}
     for p in circuit.noise_points:
-        by_pos.setdefault(p.after_op, []).append(p)
+        if not p.channel.is_identity:
+            channels_after.setdefault(p.after_op, []).append(p)
     for i, op in enumerate(circuit.ops):
-        yield ("gate", i, op)
-        for p in by_pos.get(i, ()):
-            yield ("channel", p, None)
-
-
-def _gate_mat(op: GateOp, override) -> np.ndarray:
-    """Gate matrix honoring an override: a (B,) array gives per-sample
-    matrices, a scalar rebinds the angle, None uses the op as declared."""
-    if override is None:
-        return gate_matrix(op)
-    if np.ndim(override) == 1:
-        return rotation_batch(op.kind, np.asarray(override, dtype=np.float64))
-    return gate_matrix(replace(op, angle=float(override)))
+        angle = overrides.get(i)
+        mat = gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
+        if pure:
+            state = density.apply_unitary_vec(state, mat, op.qubits, n)
+        else:
+            state = density.apply_superop_batch(state, density.unitary_superop(mat), op.qubits, n)
+        for p in channels_after.get(i, ()):
+            state = density.apply_superop_batch(state, p.channel.superop, p.qubits, n)
+    return state
 
 
 def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Execute the circuit and return exact <Z> per measured qubit, shape (B, m).
 
-    `angle_overrides` maps op indices of single-qubit rotations to per-sample
+    `angle_overrides` maps op indices of parameterized gates to per-sample
     angle arrays (or scalar rebindings); arrays share the batch size B.
     Noise-free circuits run on pure statevectors, noisy ones on density
     matrices; both give identical expectations for the same circuit.
     """
-    overrides = angle_overrides or {}
-    b = _batch_size(overrides)
-    n = circuit.n_qubits
     pure = not circuit.has_noise
-    state = density.zero_vecs(b, n) if pure else density.zero_states(b, n)
-    for item in _gate_ops_in_order(circuit):
-        if item[0] == "gate":
-            _, i, op = item
-            mat = _gate_mat(op, overrides.get(i))
-            if pure:
-                state = density.apply_unitary_vec(state, mat, op.qubits, n)
-            else:
-                state = density.apply_superop_batch(
-                    state, density.unitary_superop(mat), op.qubits, n
-                )
-        else:
-            point = item[1]
-            if point.channel.is_identity:
-                continue
-            state = density.apply_superop_batch(state, point.channel.superop, point.qubits, n)
-    if pure:
-        cols = [density.exp_z_vec(state, q, n) for q in circuit.measured_qubits]
-    else:
-        cols = [density.exp_z_batch(state, q, n) for q in circuit.measured_qubits]
-    return np.stack(cols, axis=1)
+    state = _evolve(circuit, angle_overrides, pure)
+    exp_z = density.exp_z_vec if pure else density.exp_z_batch
+    return np.stack([exp_z(state, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -326,18 +311,4 @@ def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | No
 
     Always evolves density matrices, regardless of noise content.
     """
-    overrides = angle_overrides or {}
-    b = _batch_size(overrides)
-    n = circuit.n_qubits
-    states = density.zero_states(b, n)
-    for item in _gate_ops_in_order(circuit):
-        if item[0] == "gate":
-            _, i, op = item
-            mat = _gate_mat(op, overrides.get(i))
-            states = density.apply_superop_batch(states, density.unitary_superop(mat), op.qubits, n)
-        else:
-            point = item[1]
-            if point.channel.is_identity:
-                continue
-            states = density.apply_superop_batch(states, point.channel.superop, point.qubits, n)
-    return states
+    return _evolve(circuit, angle_overrides, pure=False)

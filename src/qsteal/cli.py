@@ -9,6 +9,7 @@ are written atomically; log lines go to stderr, result paths to stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attack import AttackSpec, run_attack_suite, save_reports
+from .attack import AttackSpec, build_queries, run_attack_suite, save_reports
 from .circuits import TEMPLATE_IDS, PQCTemplate
 from .data import LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split
 from .defense import baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense
@@ -134,6 +135,17 @@ def _task(config: dict) -> tuple[LabeledDataset, LabeledDataset, dict]:
     return train_ds, test_ds, params
 
 
+def _npd_sources(train_ds: LabeledDataset, task_params: dict) -> list[LabeledDataset]:
+    """Non-problem-domain query sources shaped like the task."""
+    return make_npd_sources(
+        task_params.get("k", train_ds.k),
+        train_ds.d,
+        task_params.get("n_per_class", 150),
+        task_params.get("separation", 8.0),
+        task_params.get("seed", 7),
+    )
+
+
 def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default_device):
     entries = doc.get("schedule")
     if not entries:
@@ -229,23 +241,10 @@ def _attack_specs(doc: dict, seeds: list[int]) -> list[AttackSpec]:
     kinds = sweep.get("query_kinds", [base.query_kind])
     widths = sweep.get("widths", [base.clone_qubits])
     modes = sweep.get("modes", [base.mode])
-    specs = []
-    for seed in seeds:
-        for mode in modes:
-            for da_size in da_sizes:
-                for kind in kinds:
-                    for width in widths:
-                        specs.append(
-                            replace(
-                                base,
-                                mode=mode,
-                                da_size=da_size,
-                                query_kind=kind,
-                                clone_qubits=width,
-                                seed=seed,
-                            )
-                        )
-    return specs
+    return [
+        replace(base, mode=mode, da_size=da_size, query_kind=kind, clone_qubits=width, seed=seed)
+        for seed, mode, da_size, kind, width in itertools.product(seeds, modes, da_sizes, kinds, widths)
+    ]
 
 
 def cmd_attack(config: dict, out: Path, seed: int) -> int:
@@ -278,13 +277,7 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
     seeds = doc.get("seeds", [seed])
     specs = _attack_specs(doc, seeds)
     victim_acc = accuracy(victim, test_ds, victim_device, shots, seed=seed)
-    sources = make_npd_sources(
-        task_params.get("k", train_ds.k),
-        train_ds.d,
-        task_params.get("n_per_class", 150),
-        task_params.get("separation", 8.0),
-        task_params.get("seed", 7),
-    )
+    sources = _npd_sources(train_ds, task_params)
     service = no_defense(victim, victim_device, shots, seed=seed)
     reports, errors = run_attack_suite(
         service,
@@ -348,15 +341,7 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
         raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy_kind!r}")
 
     n_queries = _get(doc, "defense", "n_queries", int, 300)
-    sources = make_npd_sources(
-        task_params.get("k", train_ds.k),
-        train_ds.d,
-        task_params.get("n_per_class", 150),
-        task_params.get("separation", 8.0),
-        task_params.get("seed", 7),
-    )
-    from .attack import build_queries
-
+    sources = _npd_sources(train_ds, task_params)
     qs = build_queries(
         AttackSpec(query_kind=_get(doc, "defense", "query_kind", str, "mixed"),
                    da_size=n_queries, seed=seed),

@@ -14,7 +14,7 @@ selection log on its side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,10 +116,6 @@ def havip(
 def baseline_of(service: VictimService) -> VictimService:
     """The undefended reference: the first-listed pair served deterministically."""
     return VictimService([service.pairs[0]], [1.0], service.shots, service.seed, name="none")
-
-
-def serve_query(service: VictimService, x: np.ndarray) -> np.ndarray:
-    return service.predict(x)
 
 
 # ---------------------------------------------------------------------------

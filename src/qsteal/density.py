@@ -62,11 +62,6 @@ def unitary_superop(mat: np.ndarray) -> np.ndarray:
     return out.reshape(b, dk * dk, dk * dk)
 
 
-def kraus_superop(kraus: np.ndarray) -> np.ndarray:
-    """sum_m K_m (x) conj(K_m) for a stack of Kraus operators."""
-    return sum(np.kron(k, k.conj()) for k in kraus)
-
-
 def apply_superop_batch(states: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a (4^k, 4^k) channel superoperator (or a (B, ...) batch of them)
     to the addressed qubits of every state: one GEMM per operation."""
@@ -80,11 +75,6 @@ def apply_unitary_batch(states: np.ndarray, mat: np.ndarray, qubits: tuple[int, 
     `mat` is (2^k, 2^k) shared across the batch, or (B, 2^k, 2^k) per sample.
     """
     return apply_superop_batch(states, unitary_superop(mat), qubits, n)
-
-
-def apply_kraus_batch(states: np.ndarray, kraus: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """rho -> sum_m K_m rho K_m^dag on each state; `kraus` is (m, 2^k, 2^k)."""
-    return apply_superop_batch(states, kraus_superop(kraus), qubits, n)
 
 
 def exp_z_batch(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -111,6 +101,22 @@ def exp_z_vec(vecs: np.ndarray, qubit: int, n: int) -> np.ndarray:
     probs = (vecs.conj() * vecs).real
     signs = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
     return probs @ signs
+
+
+def sample_expectations(
+    exps: np.ndarray, confusion: ReadoutConfusion, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Shot-sampled (n0 - n1) / shots for each exact <Z> in a (B, m) batch,
+    with column q read out through confusion.matrix(q)."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    p1 = np.clip((1.0 - exps) / 2.0, 0.0, 1.0)
+    p_read1 = np.empty_like(p1)
+    for q in range(exps.shape[1]):
+        m = confusion.matrix(q)
+        p_read1[:, q] = (1.0 - p1[:, q]) * m[0, 1] + p1[:, q] * m[1, 1]
+    n1 = rng.binomial(shots, p_read1)
+    return 1.0 - 2.0 * n1 / shots
 
 
 def zero_states(batch: int, n_qubits: int) -> np.ndarray:
@@ -190,7 +196,7 @@ def apply_channel(rho: DensityMatrix, channel: KrausChannel, qubits) -> DensityM
     for q in qubits:
         if not 0 <= q < rho.n_qubits:
             raise ValueError(f"channel qubit {q} out of range for {rho.n_qubits} qubits")
-    out = apply_kraus_batch(rho.data[None], channel.stacked(), qubits, rho.n_qubits)[0]
+    out = apply_superop_batch(rho.data[None], channel.superop, qubits, rho.n_qubits)[0]
     return DensityMatrix(rho.n_qubits, out)
 
 
@@ -201,13 +207,6 @@ def expectation_z(rho: DensityMatrix, qubit: int) -> float:
     return float(exp_z_batch(rho.data[None], qubit, rho.n_qubits)[0])
 
 
-def readout_flip_probability(p1: float, confusion_matrix: np.ndarray) -> float:
-    """P(read 1) given P(true 1) = p1 under a 2x2 confusion matrix."""
-    p1 = min(max(p1, 0.0), 1.0)
-    m = np.asarray(confusion_matrix, dtype=np.float64)
-    return float((1.0 - p1) * m[0, 1] + p1 * m[1, 1])
-
-
 def sample_expectation_z(
     rho: DensityMatrix,
     qubit: int,
@@ -216,9 +215,6 @@ def sample_expectation_z(
     rng: np.random.Generator,
 ) -> float:
     """Shot-sampled <Z_qubit> with readout confusion: (n0 - n1) / shots."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    exact = expectation_z(rho, qubit)
-    p_read1 = readout_flip_probability((1.0 - exact) / 2.0, confusion.matrix(qubit))
-    n1 = rng.binomial(shots, p_read1)
-    return 1.0 - 2.0 * n1 / shots
+    exact = np.array([[expectation_z(rho, qubit)]])
+    single = ReadoutConfusion((confusion.matrix(qubit),))
+    return float(sample_expectations(exact, single, shots, rng)[0, 0])

@@ -142,10 +142,7 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
                 raise RegistryError(f"{path}.{fname}: {value} outside [0, 1]")
             kwargs[fname] = float(value)
     if "readout" in entry:
-        try:
-            kwargs["readout"] = entry["readout"]
-        except (ValueError, TypeError) as exc:
-            raise RegistryError(f"{path}.readout: {exc}") from exc
+        kwargs["readout"] = entry["readout"]
     if "basis_gates" in entry:
         kwargs["basis_gates"] = tuple(str(g) for g in entry["basis_gates"])
     try:

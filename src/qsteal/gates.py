@@ -39,48 +39,43 @@ GATE_KINDS = {
 }
 
 
-def rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
+_CONTROLLED_BASE = {"CRX": "RX", "CRZ": "RZ"}
 
 
-def ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def rotation_batch(kind: str, angles) -> np.ndarray:
+    """Matrices of a parameterized gate kind (RX, RY, RZ, CRX, CRZ).
 
-
-def rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=np.complex128
-    )
-
-
-def rotation_batch(kind: str, angles: np.ndarray) -> np.ndarray:
-    """(B, 2, 2) rotation matrices for a vector of angles."""
+    A scalar angle gives one (d, d) matrix; a (B,) array of angles gives a
+    (B, d, d) stack whose rows each equal the matrix built alone.
+    """
     angles = np.asarray(angles, dtype=np.float64)
-    b = angles.shape[0]
-    out = np.zeros((b, 2, 2), dtype=np.complex128)
-    if kind == "RZ":
-        out[:, 0, 0] = np.exp(-0.5j * angles)
-        out[:, 1, 1] = np.exp(0.5j * angles)
-    elif kind == "RX":
+    if angles.ndim > 1:
+        raise ValueError(f"angles must be a scalar or a 1-d array, got shape {angles.shape}")
+    base = _CONTROLLED_BASE.get(kind, kind)
+    out = np.zeros(angles.shape + (2, 2), dtype=np.complex128)
+    if base == "RZ":
+        out[..., 0, 0] = np.exp(-0.5j * angles)
+        out[..., 1, 1] = np.exp(0.5j * angles)
+    elif base == "RX":
         c, s = np.cos(angles / 2), np.sin(angles / 2)
-        out[:, 0, 0] = out[:, 1, 1] = c
-        out[:, 0, 1] = out[:, 1, 0] = -1j * s
-    elif kind == "RY":
+        out[..., 0, 0] = out[..., 1, 1] = c
+        out[..., 0, 1] = out[..., 1, 0] = -1j * s
+    elif base == "RY":
         c, s = np.cos(angles / 2), np.sin(angles / 2)
-        out[:, 0, 0] = out[:, 1, 1] = c
-        out[:, 0, 1] = -s
-        out[:, 1, 0] = s
+        out[..., 0, 0] = out[..., 1, 1] = c
+        out[..., 0, 1] = -s
+        out[..., 1, 0] = s
     else:
-        raise ValueError(f"{kind} is not a single-qubit rotation")
-    return out
+        raise ValueError(f"{kind} is not a parameterized gate")
+    return out if base == kind else _controlled(out)
 
 
 def _controlled(u: np.ndarray) -> np.ndarray:
-    """4x4 controlled-U with the control on the high bit."""
-    out = np.eye(4, dtype=np.complex128)
-    out[2:, 2:] = u
+    """4x4 controlled-U with the control on the high bit; batched over
+    leading axes of `u`."""
+    out = np.zeros(u.shape[:-2] + (4, 4), dtype=np.complex128)
+    out[..., :2, :2] = I2
+    out[..., 2:, 2:] = u
     return out
 
 CNOT = _controlled(X)
@@ -115,30 +110,13 @@ class GateOp:
         return len(self.qubits)
 
 
+_FIXED_GATES = {"H": H, "X": X, "SX": SX, "CNOT": CNOT, "CZ": CZ}
+
+
 def gate_matrix(op: GateOp) -> np.ndarray:
     """Return the 2x2 or 4x4 unitary for a gate operation."""
-    kind, angle = op.kind, op.angle
-    if kind == "H":
-        return H
-    if kind == "X":
-        return X
-    if kind == "SX":
-        return SX
-    if kind == "RX":
-        return rx(angle)
-    if kind == "RY":
-        return ry(angle)
-    if kind == "RZ":
-        return rz(angle)
-    if kind == "CNOT":
-        return CNOT
-    if kind == "CZ":
-        return CZ
-    if kind == "CRX":
-        return _controlled(rx(angle))
-    if kind == "CRZ":
-        return _controlled(rz(angle))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    fixed = _FIXED_GATES.get(op.kind)
+    return fixed if fixed is not None else rotation_batch(op.kind, op.angle)
 
 
 def validate_gate(op: GateOp, n_qubits: int) -> None:

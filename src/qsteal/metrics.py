@@ -3,7 +3,6 @@ ratio, and the reference-expectations registry that freezes regression bounds.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -14,17 +13,6 @@ from .devices import DeviceProfile
 from .model import HybridModel, forward_batch
 
 _EVAL_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class MetricRecord:
-    name: str
-    value: float
-    context: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError(f"metric {self.name} is not finite: {self.value}")
 
 
 def predict_labels(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channels import ReadoutConfusion
 from .circuits import PQCTemplate, assemble_circuit, encoding_rz_slots, run_circuit, weave_noise
+from .density import sample_expectations
 from .devices import DeviceProfile
 
 LOG_FLOOR = 1e-12
@@ -93,20 +94,6 @@ def init_model(template: PQCTemplate, k: int, seed: int) -> HybridModel:
     return HybridModel(template, theta, weights, bias)
 
 
-def _sample_expectations(
-    exps: np.ndarray, confusion: ReadoutConfusion, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Shot-sample each per-qubit marginal and apply readout confusion."""
-    b, n = exps.shape
-    p1 = np.clip((1.0 - exps) / 2.0, 0.0, 1.0)
-    p_read1 = np.empty_like(p1)
-    for q in range(n):
-        m = confusion.matrix(q)
-        p_read1[:, q] = (1.0 - p1[:, q]) * m[0, 1] + p1[:, q] * m[1, 1]
-    n1 = rng.binomial(shots, p_read1)
-    return 1.0 - 2.0 * n1 / shots
-
-
 @lru_cache(maxsize=128)
 def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | None):
     """Woven circuit skeleton with placeholder angles, plus the override
@@ -139,13 +126,11 @@ def expectations_batch(
     overrides.update({op: model.theta[j] for j, op in enumerate(pqc_slots)})
     exps = run_circuit(circuit, overrides)
     if shots is not None:
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
         if rng is None:
             raise ValueError("shot sampling requires an rng")
         if readout is None:
             readout = ReadoutConfusion.identity(model.n_qubits)
-        exps = _sample_expectations(exps, readout, shots, rng)
+        exps = sample_expectations(exps, readout, shots, rng)
     return exps
 
 

@@ -160,6 +160,8 @@ def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, 
             raise ValueError("nll_top1 expects a 1-d array of class labels")
         if targets.max() >= k:
             raise ValueError(f"label {targets.max()} out of range for {k} classes")
+        if targets.min() < 0:
+            raise ValueError(f"label {targets.min()} is negative")
         return targets.astype(np.int64)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != k:

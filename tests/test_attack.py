@@ -15,7 +15,7 @@ from qsteal.attack import (
     train_clone,
 )
 from qsteal.circuits import PQCTemplate
-from qsteal.data import random_query_set
+from qsteal.data import QuerySet, random_query_set
 from qsteal.defense import no_defense
 from qsteal.devices import IDEAL
 from qsteal.model import init_model
@@ -78,6 +78,12 @@ class TestQueryVictim:
         qs = random_query_set(1, 4, seed=5)
         with pytest.raises(QueryError, match="after 2 retries"):
             query_victim(FlakyStub(fail_times=10), qs, "topk", retries=2)
+
+    def test_empty_query_set_rejected_before_any_predict(self):
+        stub = FlakyStub(fail_times=0)
+        with pytest.raises(ValueError, match="query set is empty"):
+            query_victim(stub, QuerySet(np.zeros((0, 4)), ()), "topk")
+        assert stub.calls == 0
 
     def test_topk_rows_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):

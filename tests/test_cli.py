@@ -1,5 +1,6 @@
 """CLI subcommands: validation errors, output documents, determinism."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -125,14 +126,22 @@ class TestAttack:
         assert "attack.train.loss" in err and "nll_top1" in err
 
     def test_sweep_emits_one_record_per_cell(self, tmp_path):
-        cfg = _write_config(
-            tmp_path,
-            {"attack.sweep": {"da_sizes": [8, 16], "query_kinds": ["random"]}},
-        )
+        axes = {
+            "seeds": [2, 1], "modes": ["topk", "top1"], "da_sizes": [16, 8],
+            "query_kinds": ["random", "mixed"], "widths": [3, 2],
+        }
+        sweep = {key: axes[key] for key in ("modes", "da_sizes", "query_kinds", "widths")}
+        cfg = _write_config(tmp_path, {"attack.sweep": sweep, "attack.seeds": axes["seeds"]})
         out = tmp_path / "out"
         assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "attack_reports.jsonl").read_text().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 32
+        # cells run in the order seed, mode, da_size, kind, width (last varies fastest)
+        cells = [
+            (r["seed"], r["mode"], r["da_size"], r["query_kind"], r["clone_qubits"])
+            for r in map(json.loads, lines)
+        ]
+        assert cells == list(itertools.product(*axes.values()))
 
     def test_rerun_identical_reports(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -17,7 +17,7 @@ from qsteal.density import (
     zero_states,
     zero_vecs,
 )
-from qsteal.gates import GateOp, gate_matrix
+from qsteal.gates import GateOp, gate_matrix, rotation_batch
 
 from helpers import embed_full, random_density, random_gate
 
@@ -194,10 +194,8 @@ class TestBatchedKernels:
         rng = np.random.default_rng(52)
         n = 2
         states = np.stack([random_density(rng, n) for _ in range(4)])
-        from qsteal.gates import rz
-
         angles = rng.uniform(0, 2 * np.pi, 4)
-        mats = np.stack([rz(a) for a in angles])
+        mats = np.stack([rotation_batch("RZ", a) for a in angles])
         batched = apply_unitary_batch(states, mats, (1,), n)
         for i in range(4):
             expected = apply_unitary_batch(states[i][None], mats[i], (1,), n)[0]

@@ -181,6 +181,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="probability targets"):
             train(m, x, y, TrainConfig(epochs=1, loss="kl_topk"), IDEAL, seed=0)
 
+    def test_negative_label_rejected(self):
+        x, y = _tiny_task()
+        y = y.copy()
+        y[0] = -1
+        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
+        with pytest.raises(ValueError, match="label -1"):
+            train(m, x, y, TrainConfig(epochs=1, loss="nll_top1"), IDEAL, seed=0)
+
     def test_empty_dataset_rejected(self):
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
         with pytest.raises(ValueError, match="empty"):
