@@ -9,7 +9,7 @@ argmax label (top-1, ties to the lowest index).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -23,6 +23,11 @@ from .model import HybridModel, init_model
 from .training import TrainConfig, TrainHistory, train
 
 MODES = ("top1", "topk")
+
+
+def loss_for(mode: str) -> str:
+    """The training loss that fits a response mode's targets."""
+    return "kl_topk" if mode == "topk" else "nll_top1"
 
 
 class QueryService(Protocol):
@@ -46,8 +51,6 @@ class AdversarialDataset:
     responses: np.ndarray  # (M,) labels for top1, (M, k) vectors for topk
     mode: str
     k: int
-    #: per query: (query index, victim-side opaque selection id or None)
-    query_log: tuple = ()
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -65,7 +68,6 @@ class AdversarialDataset:
                 raise ValueError("top1 responses must be (M,)")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "query_log", tuple(self.query_log))
 
     @property
     def m(self) -> int:
@@ -89,15 +91,11 @@ def query_victim(service: QueryService, qs: QuerySet, mode: str, retries: int = 
                 if attempt == retries:
                     raise QueryError(i, retries, exc) from exc
     k = vectors[0].shape[0]
-    selection_log = list(getattr(service, "selection_log", []))
-    log = tuple(
-        (i, selection_log[i] if i < len(selection_log) else None) for i in range(qs.m)
-    )
     if mode == "topk":
         responses = np.stack(vectors)
     else:
         responses = np.array([int(np.argmax(v)) for v in vectors], dtype=np.int64)
-    return AdversarialDataset(qs.features, responses, mode, k, log)
+    return AdversarialDataset(qs.features, responses, mode, k)
 
 
 def train_clone(
@@ -115,7 +113,7 @@ def train_clone(
     """
     if da.m < 1:
         raise ValueError("adversarial dataset is empty")
-    expected = "kl_topk" if da.mode == "topk" else "nll_top1"
+    expected = loss_for(da.mode)
     if cfg.loss != expected:
         raise ValueError(f"{da.mode} responses need loss {expected!r}, config has {cfg.loss!r}")
     clone = init_model(template, da.k, seed)
@@ -197,11 +195,9 @@ def run_attack(
     victim_accuracy: float,
 ) -> tuple[HybridModel, AttackReport]:
     """Query -> adversarial dataset -> clone training -> report."""
-    from dataclasses import replace as dc_replace
-
     qs = build_queries(spec, query_sources, d)
     da = query_victim(service, qs, spec.mode)
-    cfg = dc_replace(train_cfg, loss="kl_topk" if spec.mode == "topk" else "nll_top1")
+    cfg = replace(train_cfg, loss=loss_for(spec.mode))
     template = PQCTemplate(spec.clone_template, spec.clone_qubits, spec.clone_layers)
     clone, _ = train_clone(da, template, cfg, clone_profile, spec.seed)
     clone_acc = accuracy(clone, eval_data, clone_profile, cfg.shots, seed=spec.seed)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attack import AttackSpec, build_queries, run_attack_suite, save_reports
+from .attack import MODES, AttackSpec, build_queries, loss_for, run_attack_suite, save_reports
 from .circuits import TEMPLATE_IDS, PQCTemplate
 from .data import LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split
 from .defense import baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense
@@ -48,6 +48,12 @@ def _get(doc: dict, path: str, key: str, kind, default=...):
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(here, f"expected {getattr(kind, '__name__', kind)}, got {value!r}")
     return value
+
+
+def _set_fields(doc: dict, path: str, kinds: dict) -> dict:
+    """The fields of `kinds` that `doc` sets, type-checked; the ones it
+    leaves out are left to the defaults of the dataclass they build."""
+    return {key: _get(doc, path, key, kind) for key, kind in kinds.items() if key in doc}
 
 
 def _template(doc: dict, path: str) -> PQCTemplate:
@@ -88,23 +94,19 @@ def _shots(config: dict):
     raise ConfigError("shots", f"expected 'analytic' or a positive integer, got {value!r}")
 
 
+_TRAIN_FIELDS = {
+    "epochs": int, "learning_rate": float, "batch_size": int, "loss": str, "spsa_c": float, "spsa_draws": int,
+}
+
+
 def _train_cfg(doc: dict | None, path: str, shots) -> TrainConfig:
     doc = doc or {}
-    known = {"epochs", "learning_rate", "batch_size", "loss", "spsa_c", "spsa_draws", "head_mode"}
     for key in doc:
-        if key not in known:
+        if key not in _TRAIN_FIELDS:
             raise ConfigError(f"{path}.{key}", "unknown field")
+    fields = _set_fields(doc, path, _TRAIN_FIELDS)
     try:
-        return TrainConfig(
-            epochs=_get(doc, path, "epochs", int, 25),
-            learning_rate=_get(doc, path, "learning_rate", float, 0.01),
-            batch_size=_get(doc, path, "batch_size", int, 32),
-            loss=_get(doc, path, "loss", str, "nll_top1"),
-            spsa_c=_get(doc, path, "spsa_c", float, 0.1),
-            spsa_draws=_get(doc, path, "spsa_draws", int, 4),
-            head_mode=_get(doc, path, "head_mode", str, "spsa"),
-            shots=shots,
-        )
+        return TrainConfig(shots=shots, **fields)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -223,28 +225,45 @@ def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
 # attack
 # ---------------------------------------------------------------------------
 
-def _attack_specs(doc: dict, seeds: list[int]) -> list[AttackSpec]:
+#: clone section key -> AttackSpec field
+_CLONE_FIELDS = {"template": "clone_template", "n_qubits": "clone_qubits", "layers": "clone_layers"}
+
+
+def _attack_section(doc: dict, path: str, registry, shots, seed: int):
+    """The sweep cells, clone train config and clone device of the attack
+    section at `path`; every error names its field under `path`."""
+    clone_doc = _get(doc, path, "clone", dict, {})
+    clone = _set_fields(clone_doc, f"{path}.clone", {"template": str, "n_qubits": int, "layers": int})
     base = AttackSpec(
-        mode=_get(doc, "attack", "mode", str, "topk"),
-        da_size=_get(doc, "attack", "da_size", int, 700),
-        query_kind=_get(doc, "attack", "query_kind", str, "mixed"),
-        clone_template=_get(doc.get("clone", {}), "attack.clone", "template", str, "PQC19"),
-        clone_qubits=_get(doc.get("clone", {}), "attack.clone", "n_qubits", int, 4),
-        clone_layers=_get(doc.get("clone", {}), "attack.clone", "layers", int, 1),
+        **_set_fields(doc, path, {"mode": str, "da_size": int, "query_kind": str}),
+        **{_CLONE_FIELDS[key]: value for key, value in clone.items()},
     )
-    if base.mode not in ("top1", "topk"):
-        raise ConfigError("attack.mode", f"expected 'top1' or 'topk', got {base.mode!r}")
+    if base.mode not in MODES:
+        raise ConfigError(f"{path}.mode", f"expected 'top1' or 'topk', got {base.mode!r}")
     if base.query_kind not in ("mixed", "random"):
-        raise ConfigError("attack.query_kind", f"expected 'mixed' or 'random', got {base.query_kind!r}")
+        raise ConfigError(f"{path}.query_kind", f"expected 'mixed' or 'random', got {base.query_kind!r}")
+    cfg = _train_cfg(doc.get("train"), f"{path}.train", shots)
     sweep = doc.get("sweep") or {}
-    da_sizes = sweep.get("da_sizes", [base.da_size])
-    kinds = sweep.get("query_kinds", [base.query_kind])
-    widths = sweep.get("widths", [base.clone_qubits])
-    modes = sweep.get("modes", [base.mode])
-    return [
-        replace(base, mode=mode, da_size=da_size, query_kind=kind, clone_qubits=width, seed=seed)
-        for seed, mode, da_size, kind, width in itertools.product(seeds, modes, da_sizes, kinds, widths)
+    # a sweep over modes sets each cell's loss from its mode
+    if "loss" in (doc.get("train") or {}) and not sweep.get("modes") and cfg.loss != loss_for(base.mode):
+        raise ConfigError(
+            f"{path}.train.loss", f"{base.mode} responses need {loss_for(base.mode)!r}, got {cfg.loss!r}"
+        )
+    clone_device = _device(
+        registry, _get(clone_doc, f"{path}.clone", "device", str, "ideal"), f"{path}.clone.device"
+    )
+    axes = (
+        doc.get("seeds", [seed]),
+        sweep.get("modes", [base.mode]),
+        sweep.get("da_sizes", [base.da_size]),
+        sweep.get("query_kinds", [base.query_kind]),
+        sweep.get("widths", [base.clone_qubits]),
+    )
+    specs = [
+        replace(base, mode=mode, da_size=da_size, query_kind=kind, clone_qubits=width, seed=cell_seed)
+        for cell_seed, mode, da_size, kind, width in itertools.product(*axes)
     ]
+    return specs, cfg, clone_device
 
 
 def cmd_attack(config: dict, out: Path, seed: int) -> int:
@@ -252,6 +271,8 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
     shots = _shots(config)
     train_ds, test_ds, task_params = _task(config)
     doc = _get(config, "", "attack", dict)
+    specs, cfg, clone_device = _attack_section(doc, "attack", registry, shots, seed)
+    victim_device = _device(registry, _get(doc, "attack", "victim_device", str, "ideal"), "attack.victim_device")
 
     ckpt_path = doc.get("victim_checkpoint")
     if ckpt_path:
@@ -260,22 +281,6 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
             raise ConfigError("attack.victim_checkpoint", "checkpoint class count does not match the task")
     else:
         victim, _, _, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
-    victim_device = _device(registry, _get(doc, "attack", "victim_device", str, "ideal"), "attack.victim_device")
-    clone_doc = doc.get("clone", {})
-    clone_device = _device(registry, _get(clone_doc, "attack.clone", "device", str, "ideal"), "attack.clone.device")
-    cfg = _train_cfg(doc.get("train"), "attack.train", shots)
-    declared_loss = (doc.get("train") or {}).get("loss")
-    mode = _get(doc, "attack", "mode", str, "topk")
-    sweep_modes = (doc.get("sweep") or {}).get("modes")
-    if declared_loss and not sweep_modes:
-        expected = "kl_topk" if mode == "topk" else "nll_top1"
-        if declared_loss != expected:
-            raise ConfigError(
-                "attack.train.loss", f"{mode} responses need {expected!r}, got {declared_loss!r}"
-            )
-
-    seeds = doc.get("seeds", [seed])
-    specs = _attack_specs(doc, seeds)
     victim_acc = accuracy(victim, test_ds, victim_device, shots, seed=seed)
     sources = _npd_sources(train_ds, task_params)
     service = no_defense(victim, victim_device, shots, seed=seed)
@@ -312,6 +317,8 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     doc = _get(config, "", "defense", dict)
     policy_kind = _get(doc, "defense", "policy", str)
     probs = doc.get("probs")
+    attack_doc = _get(doc, "defense", "attack", dict, None)
+    attack = _attack_section(attack_doc, "defense.attack", registry, shots, seed) if attack_doc else None
 
     if policy_kind == "hvip":
         names = _get(doc, "defense", "devices", list)
@@ -355,15 +362,8 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     _atomic_write(obf_path, json.dumps(obf.to_dict(), indent=1))
     _emit(obf_path)
 
-    attack_doc = doc.get("attack")
-    if attack_doc:
-        cfg = _train_cfg(attack_doc.get("train"), "defense.attack.train", shots)
-        specs = _attack_specs(attack_doc, attack_doc.get("seeds", [seed]))
-        clone_doc = attack_doc.get("clone", {})
-        clone_device = _device(
-            registry, _get(clone_doc, "defense.attack.clone", "device", str, "ideal"),
-            "defense.attack.clone.device",
-        )
+    if attack:
+        specs, cfg, clone_device = attack
         victim_acc = accuracy(service.pairs[0][0], test_ds, service.pairs[0][1], shots, seed=seed)
         results = []
         for spec in specs:

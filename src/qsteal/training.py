@@ -1,8 +1,7 @@
 """SPSA gradient estimation, Adam, and the training loop.
 
 The whole flattened parameter vector (PQC angles plus the classical head)
-is trained with one SPSA draw per batch by default; an analytic-head mode
-computes exact head gradients and reserves SPSA for the circuit angles.
+is trained with SPSA estimates averaged over `spsa_draws` per batch.
 All randomness is derived from a single seed, split per (epoch, batch,
 purpose), so training is bitwise reproducible.
 """
@@ -14,13 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import DeviceProfile
-from .model import HybridModel, expectations_batch, forward_batch, mean_kl, mean_nll, softmax
+from .model import HybridModel, forward_batch, mean_kl, mean_nll
 
 LOSS_KINDS = ("nll_top1", "kl_topk")
-HEAD_MODES = ("spsa", "analytic")
 
 # rng purposes, combined with (seed, epoch, batch) into a stream key
-_SHUFFLE, _DELTA, _PLUS, _MINUS, _EVAL, _HEAD = range(6)
+_SHUFFLE, _DELTA, _PLUS, _MINUS, _EVAL = range(5)
 
 
 def stream(seed: int, *tags: int) -> np.random.Generator:
@@ -42,7 +40,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    head_mode: str = "spsa"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -57,8 +54,6 @@ class TrainConfig:
             raise ValueError("spsa_draws must be >= 1")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.head_mode not in HEAD_MODES:
-            raise ValueError(f"head_mode must be one of {HEAD_MODES}, got {self.head_mode!r}")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 or None")
 
@@ -98,15 +93,20 @@ class TrainHistory:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def spsa_gradient(loss_at, theta: np.ndarray, c: float, rng: np.random.Generator) -> np.ndarray:
+def spsa_gradient(loss_at, theta: np.ndarray, c: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """Simultaneous-perturbation gradient estimate: two loss evaluations
-    under a shared Rademacher sign vector."""
+    under a shared Rademacher sign vector drawn from `rng`.
+
+    `loss_at(probe, side)` is called with `side` +1 for theta + c*delta,
+    then -1 for theta - c*delta.  Returns the estimate and the mean of the
+    two probe losses.
+    """
     if c <= 0:
         raise ValueError("perturbation magnitude c must be positive")
     delta = rng.integers(0, 2, size=theta.shape[0]) * 2.0 - 1.0
-    plus = loss_at(theta + c * delta)
-    minus = loss_at(theta - c * delta)
-    return (plus - minus) / (2.0 * c) * delta
+    plus = loss_at(theta + c * delta, +1)
+    minus = loss_at(theta - c * delta, -1)
+    return (plus - minus) / (2.0 * c) * delta, 0.5 * (plus + minus)
 
 
 @dataclass
@@ -158,6 +158,9 @@ def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, 
         targets = np.asarray(targets)
         if targets.ndim != 1:
             raise ValueError("nll_top1 expects a 1-d array of class labels")
+        fractional = targets[targets != np.round(targets)]
+        if fractional.size:
+            raise ValueError(f"label {fractional[0]} is not a whole number")
         if targets.max() >= k:
             raise ValueError(f"label {targets.max()} out of range for {k} classes")
         if targets.min() < 0:
@@ -166,6 +169,11 @@ def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, 
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != k:
         raise ValueError(f"kl_topk expects (N, {k}) probability targets")
+    # the tolerance AdversarialDataset applies to top-k responses
+    bad = ~np.all(targets >= 0, axis=1) | ~(np.abs(targets.sum(axis=1) - 1.0) <= 1e-9)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"kl_topk target row {row} is not a probability vector: {targets[row]}")
     return targets
 
 
@@ -202,12 +210,6 @@ def _epoch_profile(schedule: list[tuple[DeviceProfile, int]], epoch: int) -> Dev
     return schedule[-1][0]
 
 
-def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], k))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def train(
     model: HybridModel,
     features: np.ndarray,
@@ -233,11 +235,6 @@ def train(
     adam = AdamState.zeros(params.shape[0])
     history = TrainHistory()
 
-    def loss_at(flat, xb, tb, profile, rng):
-        probs = forward_batch(model.with_flat_params(flat), xb, profile, cfg.shots, rng)
-        return _batch_loss(cfg, probs, tb)
-
-    n_theta = model.template.param_count
     for epoch in range(cfg.epochs):
         profile = _epoch_profile(sched, epoch)
         order = stream(seed, epoch, 0, _SHUFFLE).permutation(n)
@@ -245,26 +242,20 @@ def train(
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb, tb = features[idx], targets[idx]
-            # SPSA over the whole flat vector, or over theta only in analytic-head mode
-            active = n_theta if cfg.head_mode == "analytic" else params.shape[0]
             grad = np.zeros_like(params)
             probe_mean = 0.0
             for draw in range(cfg.spsa_draws):
-                delta = stream(seed, epoch, b_idx, _DELTA, draw).integers(0, 2, active) * 2.0 - 1.0
-                bump = np.zeros_like(params)
-                bump[:active] = cfg.spsa_c * delta
-                plus = loss_at(params + bump, xb, tb, profile, stream(seed, epoch, b_idx, _PLUS, draw))
-                minus = loss_at(params - bump, xb, tb, profile, stream(seed, epoch, b_idx, _MINUS, draw))
-                grad[:active] += (plus - minus) / (2.0 * cfg.spsa_c) * delta / cfg.spsa_draws
-                probe_mean += 0.5 * (plus + minus) / cfg.spsa_draws
-            if cfg.head_mode == "analytic":
-                work = model.with_flat_params(params)
-                exps = expectations_batch(work, xb, profile, cfg.shots, stream(seed, epoch, b_idx, _HEAD))
-                probs = softmax(exps @ work.weights.T + work.bias)
-                soft = tb if cfg.loss == "kl_topk" else _one_hot(tb, model.k)
-                dlogits = (probs - soft) / xb.shape[0]
-                grad[n_theta : n_theta + model.weights.size] = (dlogits.T @ exps).ravel()
-                grad[n_theta + model.weights.size :] = dlogits.sum(axis=0)
+
+                def loss_at(flat, side):
+                    rng = stream(seed, epoch, b_idx, _PLUS if side > 0 else _MINUS, draw)
+                    probs = forward_batch(model.with_flat_params(flat), xb, profile, cfg.shots, rng)
+                    return _batch_loss(cfg, probs, tb)
+
+                estimate, mean_loss = spsa_gradient(
+                    loss_at, params, cfg.spsa_c, stream(seed, epoch, b_idx, _DELTA, draw)
+                )
+                grad += estimate / cfg.spsa_draws
+                probe_mean += mean_loss / cfg.spsa_draws
             params, adam = adam_step(params, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
             probe_losses.append(probe_mean)
         test_acc = float("nan")

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from qsteal.cli import main
-from qsteal.devices import DeviceProfile, DeviceRegistry, save_registry
+from qsteal.attack import AttackSpec
+from qsteal.cli import _attack_section, _train_cfg, main
+from qsteal.devices import IDEAL, DeviceProfile, DeviceRegistry, default_registry, save_registry
+from qsteal.training import TrainConfig
 
 TINY = {
     "seed": 1,
@@ -46,6 +48,32 @@ def _write_config(tmp_path, overrides=None, **merge):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+class TestSections:
+    def test_unset_fields_take_the_dataclass_defaults(self):
+        assert _train_cfg({}, "victim.train", None) == TrainConfig()
+        assert _train_cfg(None, "victim.train", 8) == TrainConfig(shots=8)
+        specs, cfg, device = _attack_section({}, "attack", default_registry(), None, 3)
+        assert specs == [AttackSpec(seed=3)]
+        assert cfg == TrainConfig() and device == IDEAL
+
+    def test_set_fields_reach_the_spec(self):
+        doc = {"mode": "top1", "da_size": 9, "query_kind": "random",
+               "clone": {"template": "PQC6", "n_qubits": 3, "layers": 2}}
+        specs, _, _ = _attack_section(doc, "attack", default_registry(), None, 0)
+        assert specs == [AttackSpec("top1", 9, "random", "PQC6", 3, 2, 0)]
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("victim.train.head_mode", "spsa", "victim.train.head_mode"),
+         ("victim.train.epochs", "two", "victim.train.epochs"),
+         ("victim.train.learning_rate", "fast", "victim.train.learning_rate")],
+    )
+    def test_train_field_errors_name_the_field(self, tmp_path, capsys, key, value, field):
+        cfg = _write_config(tmp_path, {key: value})
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestTrainVictim:
@@ -176,6 +204,20 @@ class TestDefendEval:
         cfg = _write_config(tmp_path, {"defense.devices": ["devA", "devNOPE"]})
         assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "devNOPE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("mode", "bogus", "defense.attack.mode"),
+         ("train.loss", "nll_top1", "defense.attack.train.loss"),
+         ("clone.n_qubits", "four", "defense.attack.clone.n_qubits")],
+    )
+    def test_attack_section_checked_at_its_path_before_training(self, tmp_path, capsys, key, value, field):
+        section = json.loads(json.dumps(TINY["attack"]))  # deep copy
+        cfg = _write_config(tmp_path, {"defense.attack": section, f"defense.attack.{key}": value})
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "obfuscation.json").exists()
 
     def test_none_policy_reports_zero_tvd(self, tmp_path):
         cfg = _write_config(tmp_path, {"defense.policy": "none"})

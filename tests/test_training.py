@@ -33,37 +33,49 @@ class TestSpsa:
         assert np.mean(values) == 2.0
 
     def test_estimator_collects_both_values(self):
-        f = lambda t: float(np.sum(t**2))
+        f = lambda t, side: float(np.sum(t**2))
         theta = np.array([1.0, 1.0])
         seen = set()
         for seed in range(40):
-            g = spsa_gradient(f, theta, 0.3, np.random.default_rng(seed))
+            g, _ = spsa_gradient(f, theta, 0.3, np.random.default_rng(seed))
             seen.add(round(float(g[0]), 9))
         assert seen == {0.0, 4.0}
 
     def test_unbiased_on_quadratic(self):
         rng = np.random.default_rng(123)
         coeffs = np.array([2.0, -1.0, 0.5])
-        f = lambda t: float(np.sum(coeffs * t**2))
+        f = lambda t, side: float(np.sum(coeffs * t**2))
         theta = np.array([0.7, -0.2, 1.1])
-        grads = np.stack([spsa_gradient(f, theta, 0.1, rng) for _ in range(10_000)])
+        grads = np.stack([spsa_gradient(f, theta, 0.1, rng)[0] for _ in range(10_000)])
         exact = 2 * coeffs * theta
         se = grads.std(axis=0, ddof=1) / np.sqrt(grads.shape[0])
         assert np.all(np.abs(grads.mean(axis=0) - exact) < 3 * np.maximum(se, 1e-12))
 
     def test_constant_loss_gives_zero_gradient(self):
-        g = spsa_gradient(lambda t: 5.0, np.ones(6), 0.1, np.random.default_rng(0))
+        g, mean = spsa_gradient(lambda t, side: 5.0, np.ones(6), 0.1, np.random.default_rng(0))
         np.testing.assert_array_equal(g, np.zeros(6))
+        assert mean == 5.0
 
     def test_two_evaluations_exactly(self):
         calls = []
-        f = lambda t: (calls.append(1), float(t.sum()))[1]
+        f = lambda t, side: (calls.append(side), float(t.sum()))[1]
         spsa_gradient(f, np.ones(3), 0.1, np.random.default_rng(1))
-        assert len(calls) == 2
+        assert calls == [1, -1]
+
+    def test_probes_straddle_theta_and_mean_is_their_average(self):
+        probes = {}
+        f = lambda t, side: (probes.__setitem__(side, t), float(t.sum()))[1]
+        theta = np.array([0.5, -1.0, 2.0])
+        g, mean = spsa_gradient(f, theta, 0.25, np.random.default_rng(2))
+        delta = (probes[1] - theta) / 0.25
+        np.testing.assert_array_equal(np.abs(delta), np.ones(3))
+        np.testing.assert_array_equal(probes[-1], theta - 0.25 * delta)
+        assert mean == 0.5 * (probes[1].sum() + probes[-1].sum())
+        np.testing.assert_array_equal(g, (probes[1].sum() - probes[-1].sum()) / 0.5 * delta)
 
     def test_positive_c_required(self):
         with pytest.raises(ValueError, match="positive"):
-            spsa_gradient(lambda t: 0.0, np.ones(2), 0.0, np.random.default_rng(0))
+            spsa_gradient(lambda t, side: 0.0, np.ones(2), 0.0, np.random.default_rng(0))
 
 
 class TestAdam:
@@ -144,6 +156,23 @@ class TestTrainLoop:
         train(m, x, y, cfg, IDEAL, seed=0)
         assert counter["n"] == 2  # SPSA plus and minus probes, nothing else
 
+    def test_each_draw_is_one_spsa_gradient_call(self, monkeypatch):
+        import qsteal.training as training_mod
+
+        calls = []
+        original = training_mod.spsa_gradient
+
+        def counting(loss_at, theta, c, rng):
+            calls.append(c)
+            return original(loss_at, theta, c, rng)
+
+        monkeypatch.setattr(training_mod, "spsa_gradient", counting)
+        x, y = _tiny_task(n=10)
+        m = init_model(PQCTemplate("PQC1", 2), k=2, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=4, loss="nll_top1", spsa_draws=3, spsa_c=0.2)
+        train(m, x, y, cfg, IDEAL, seed=0)
+        assert calls == [0.2] * (2 * 3 * 3)  # epochs x batches x draws
+
     def test_history_length_and_finiteness(self):
         x, y = _tiny_task()
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=1)
@@ -189,6 +218,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="label -1"):
             train(m, x, y, TrainConfig(epochs=1, loss="nll_top1"), IDEAL, seed=0)
 
+    def test_fractional_label_rejected(self):
+        x, _ = _tiny_task(n=3)
+        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
+        with pytest.raises(ValueError, match="label 0.5 is not a whole number"):
+            train(m, x, np.array([0.5, 1.7, 0.2]), TrainConfig(epochs=1), IDEAL, seed=0)
+
+    @pytest.mark.parametrize(
+        "targets, row",
+        [([[2.0, -1.0], [0.5, 0.5]], 0), ([[0.5, 0.5], [0.0, 0.0]], 1)],
+        ids=["negative", "unnormalised"],
+    )
+    def test_soft_target_rows_must_be_probability_vectors(self, targets, row):
+        x, _ = _tiny_task(n=2)
+        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
+        with pytest.raises(ValueError, match=f"row {row} is not a probability vector"):
+            train(m, x, np.array(targets), TrainConfig(epochs=1, loss="kl_topk"), IDEAL, seed=0)
+
     def test_empty_dataset_rejected(self):
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -202,10 +248,3 @@ class TestTrainLoop:
             m, x, y, cfg, [(IDEAL, 3), (DEV_A, 1)], seed=4, eval_features=x, eval_labels=y
         )
         assert len(hist) == 4
-
-    def test_analytic_head_mode_trains(self):
-        x, y = _tiny_task(n=20)
-        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=6)
-        cfg = TrainConfig(epochs=2, batch_size=5, loss="nll_top1", head_mode="analytic")
-        trained, _ = train(m, x, y, cfg, IDEAL, seed=6)
-        assert not np.array_equal(trained.flat_params(), m.flat_params())
