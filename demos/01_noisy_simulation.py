@@ -8,32 +8,36 @@ while the state stays a valid density matrix.
 import numpy as np
 
 from qsteal import (
-    DensityMatrix,
+    CircuitIR,
     GateOp,
     PQCTemplate,
     amplitude_damping,
-    apply_channel,
-    apply_gate,
     assemble_circuit,
     bit_flip,
     default_registry,
-    expectation_z,
+    run_circuit,
     weave_noise,
 )
-from qsteal.circuits import final_states, run_circuit
-from qsteal.density import sample_expectation_z
+from qsteal.circuits import NoisePoint, final_states
+from qsteal.density import sample_expectations
 
 rng = np.random.default_rng(0)
 registry = default_registry()
 
+
+def one_qubit(ops, channel=None) -> CircuitIR:
+    """A 1-qubit circuit measuring qubit 0, with `channel` after its last gate."""
+    noise = (NoisePoint(len(ops) - 1, channel, (0,)),) if channel is not None else ()
+    return CircuitIR(n_qubits=1, ops=tuple(ops), measured_qubits=(0,), noise_points=noise)
+
+
 print("== single-qubit channels ==")
-rho = DensityMatrix.zero_state(1)
-rho = apply_gate(rho, GateOp("H", (0,)))
-print(f"after H:                  <Z> = {expectation_z(rho, 0):+.4f}")
-damped = apply_channel(rho, amplitude_damping(0.3), (0,))
-print(f"after damping gamma=0.3:  <Z> = {expectation_z(damped, 0):+.4f}")
-flipped = apply_channel(rho, bit_flip(0.25), (0,))
-print(f"after bit flip p=0.25:    <Z> = {expectation_z(flipped, 0):+.4f}")
+h = [GateOp("H", (0,))]
+print(f"after H:                  <Z> = {run_circuit(one_qubit(h))[0, 0]:+.4f}")
+damped = run_circuit(one_qubit(h, amplitude_damping(0.3)))[0, 0]
+print(f"after damping gamma=0.3:  <Z> = {damped:+.4f}")
+flipped = run_circuit(one_qubit(h, bit_flip(0.25)))[0, 0]
+print(f"after bit flip p=0.25:    <Z> = {flipped:+.4f}")
 
 print("\n== a 4-qubit encoded circuit under device noise ==")
 template = PQCTemplate("PQC19", 4)
@@ -51,13 +55,15 @@ for name in ("devA", "devB"):
 
 print("\n== the noisy state is still a density matrix ==")
 woven = weave_noise(assemble_circuit(features, template, params), registry.get("devB"))
-state = DensityMatrix(4, final_states(woven)[0])
-state.validate()
+state = final_states(woven)[0]
+assert abs(np.trace(state) - 1.0) < 1e-10
+assert np.allclose(state, state.conj().T, atol=1e-10)
+assert np.linalg.eigvalsh(state).min() > -1e-9
 print("trace 1, Hermitian, PSD: ok")
 
 print("\n== shot sampling with readout error ==")
 conf = registry.get("devA").readout_for(1)
-rho0 = DensityMatrix.zero_state(1)
+exact = run_circuit(one_qubit([]))  # |0>: <Z> = +1
 for shots in (100, 1000, 100_000):
-    est = sample_expectation_z(rho0, 0, shots, conf, np.random.default_rng(1))
+    est = sample_expectations(exact, conf, shots, np.random.default_rng(1))[0, 0]
     print(f"shots={shots:>6}: estimate {est:+.4f}  (analytic with confusion: +0.9400)")

@@ -50,19 +50,11 @@ from .defense import (
     measure_obfuscation,
     no_defense,
 )
-from .density import (
-    DensityMatrix,
-    apply_channel,
-    apply_gate,
-    expectation_z,
-    sample_expectation_z,
-)
 from .devices import (
     DeviceProfile,
     DeviceRegistry,
     default_registry,
     load_registry,
-    pick_device,
     save_registry,
 )
 from .gates import GateOp

@@ -23,6 +23,7 @@ from .model import HybridModel, init_model
 from .training import TrainConfig, TrainHistory, train
 
 MODES = ("top1", "topk")
+QUERY_KINDS = ("mixed", "random")
 
 
 def loss_for(mode: str) -> str:
@@ -132,11 +133,20 @@ class AttackSpec:
 
     mode: str = "topk"
     da_size: int = 700
-    query_kind: str = "mixed"  # "mixed" | "random"
+    query_kind: str = "mixed"
     clone_template: str = "PQC19"
     clone_qubits: int = 4
     clone_layers: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.query_kind not in QUERY_KINDS:
+            raise ValueError(f"query_kind must be one of {QUERY_KINDS}, got {self.query_kind!r}")
+        if self.da_size < 1:
+            raise ValueError(f"da_size must be >= 1, got {self.da_size}")
+        PQCTemplate(self.clone_template, self.clone_qubits, self.clone_layers)
 
     def label(self) -> str:
         return (
@@ -178,9 +188,7 @@ class AttackReport:
 def build_queries(spec: AttackSpec, query_sources: list[LabeledDataset], d: int) -> QuerySet:
     if spec.query_kind == "mixed":
         return mixed_query_set(query_sources, spec.da_size, spec.seed)
-    if spec.query_kind == "random":
-        return random_query_set(spec.da_size, d, spec.seed)
-    raise ValueError(f"unknown query kind {spec.query_kind!r}")
+    return random_query_set(spec.da_size, d, spec.seed)
 
 
 def run_attack(

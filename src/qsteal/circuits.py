@@ -29,6 +29,9 @@ from .gates import GateOp, gate_matrix, rotation_batch, validate_gate
 
 TEMPLATE_IDS = ("PQC1", "PQC6", "PQC17", "PQC19")
 
+#: widest register the dense simulator takes: a (B, 2^n, 2^n) state stack grows 4x per qubit
+MAX_QUBITS = 8
+
 
 @dataclass(frozen=True)
 class PQCTemplate:
@@ -46,6 +49,8 @@ class PQCTemplate:
         min_width = 1 if self.id == "PQC1" else 2
         if self.n_qubits < min_width:
             raise ValueError(f"{self.id} needs at least {min_width} qubits")
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"{self.id} on {self.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap")
 
     @property
     def params_per_layer(self) -> int:

@@ -20,9 +20,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attack import MODES, AttackSpec, build_queries, loss_for, run_attack_suite, save_reports
+from .attack import AttackSpec, build_queries, loss_for, run_attack_suite, save_reports
 from .circuits import TEMPLATE_IDS, PQCTemplate
-from .data import LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split
+from .data import (
+    DatasetError, LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split,
+)
 from .defense import baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense
 from .devices import DeviceRegistry, RegistryError, default_registry, load_registry
 from .metrics import accuracy
@@ -36,18 +38,21 @@ class ConfigError(ValueError):
         self.path = path
 
 
+def _check(here: str, value, kind):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if kind is not None and not isinstance(value, kind):
+        raise ConfigError(here, f"expected {getattr(kind, '__name__', kind)}, got {value!r}")
+    return value
+
+
 def _get(doc: dict, path: str, key: str, kind, default=...):
     here = f"{path}.{key}" if path else key
     if key not in doc:
         if default is ...:
             raise ConfigError(here, "missing required field")
         return default
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(here, f"expected {getattr(kind, '__name__', kind)}, got {value!r}")
-    return value
+    return _check(here, doc[key], kind)
 
 
 def _set_fields(doc: dict, path: str, kinds: dict) -> dict:
@@ -66,6 +71,11 @@ def _template(doc: dict, path: str) -> PQCTemplate:
         return PQCTemplate(tid, n_qubits, layers)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def _seeds(doc: dict, path: str, seed: int) -> list[int]:
+    """The integer list `seeds` of the section at `path`; [seed] when unset."""
+    return [_check(f"{path}.seeds[{i}]", s, int) for i, s in enumerate(_get(doc, path, "seeds", list, [seed]))]
 
 
 def _registry(config: dict) -> DeviceRegistry:
@@ -100,7 +110,7 @@ _TRAIN_FIELDS = {
 
 
 def _train_cfg(doc: dict | None, path: str, shots) -> TrainConfig:
-    doc = doc or {}
+    doc = _check(path, doc or {}, dict)
     for key in doc:
         if key not in _TRAIN_FIELDS:
             raise ConfigError(f"{path}.{key}", "unknown field")
@@ -126,7 +136,12 @@ def _task(config: dict) -> tuple[LabeledDataset, LabeledDataset, dict]:
     elif kind == "csv":
         path = _get(doc, "task", "path", str)
         d = _get(doc, "task", "d", int, 8)
-        ds = scale_features(load_csv(path, d))
+        try:
+            ds = scale_features(load_csv(path, d))
+        except OSError as exc:
+            raise ConfigError("task.path", f"data file {path}: cannot be read ({exc.strerror or exc})") from exc
+        except DatasetError as exc:
+            raise ConfigError("task.path", str(exc)) from exc
         params = {"k": ds.k, "d": d, "seed": _get(doc, "task", "seed", int, 7)}
     else:
         raise ConfigError("task.kind", f"expected 'blobs' or 'csv', got {kind!r}")
@@ -227,23 +242,41 @@ def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
 
 #: clone section key -> AttackSpec field
 _CLONE_FIELDS = {"template": "clone_template", "n_qubits": "clone_qubits", "layers": "clone_layers"}
+#: sweep axis -> (AttackSpec field, value type)
+_SWEEP_AXES = {"modes": ("mode", str), "da_sizes": ("da_size", int), "query_kinds": ("query_kind", str),
+               "widths": ("clone_qubits", int)}
+
+
+def _respec(spec: AttackSpec, here: str, **fields) -> AttackSpec:
+    """`spec` with `fields` replaced; a value AttackSpec rejects is a config
+    error at `here`."""
+    try:
+        return replace(spec, **fields)
+    except ValueError as exc:
+        raise ConfigError(here, str(exc)) from exc
 
 
 def _attack_section(doc: dict, path: str, registry, shots, seed: int):
     """The sweep cells, clone train config and clone device of the attack
     section at `path`; every error names its field under `path`."""
     clone_doc = _get(doc, path, "clone", dict, {})
+    # one field at a time, the clone template before its width, so that a
+    # rejection names the field that caused it
+    base = AttackSpec()
     clone = _set_fields(clone_doc, f"{path}.clone", {"template": str, "n_qubits": int, "layers": int})
-    base = AttackSpec(
-        **_set_fields(doc, path, {"mode": str, "da_size": int, "query_kind": str}),
-        **{_CLONE_FIELDS[key]: value for key, value in clone.items()},
-    )
-    if base.mode not in MODES:
-        raise ConfigError(f"{path}.mode", f"expected 'top1' or 'topk', got {base.mode!r}")
-    if base.query_kind not in ("mixed", "random"):
-        raise ConfigError(f"{path}.query_kind", f"expected 'mixed' or 'random', got {base.query_kind!r}")
+    for key, value in clone.items():
+        base = _respec(base, f"{path}.clone.{key}", **{_CLONE_FIELDS[key]: value})
+    for key, value in _set_fields(doc, path, {"mode": str, "da_size": int, "query_kind": str}).items():
+        base = _respec(base, f"{path}.{key}", **{key: value})
     cfg = _train_cfg(doc.get("train"), f"{path}.train", shots)
-    sweep = doc.get("sweep") or {}
+    sweep = _check(f"{path}.sweep", doc.get("sweep") or {}, dict)
+    axes = [_seeds(doc, path, seed)]
+    for axis, (field, kind) in _SWEEP_AXES.items():
+        values = _get(sweep, f"{path}.sweep", axis, list, [getattr(base, field)])
+        for i, value in enumerate(values):
+            here = f"{path}.sweep.{axis}[{i}]"
+            _respec(base, here, **{field: _check(here, value, kind)})
+        axes.append(values)
     # a sweep over modes sets each cell's loss from its mode
     if "loss" in (doc.get("train") or {}) and not sweep.get("modes") and cfg.loss != loss_for(base.mode):
         raise ConfigError(
@@ -251,13 +284,6 @@ def _attack_section(doc: dict, path: str, registry, shots, seed: int):
         )
     clone_device = _device(
         registry, _get(clone_doc, f"{path}.clone", "device", str, "ideal"), f"{path}.clone.device"
-    )
-    axes = (
-        doc.get("seeds", [seed]),
-        sweep.get("modes", [base.mode]),
-        sweep.get("da_sizes", [base.da_size]),
-        sweep.get("query_kinds", [base.query_kind]),
-        sweep.get("widths", [base.clone_qubits]),
     )
     specs = [
         replace(base, mode=mode, da_size=da_size, query_kind=kind, clone_qubits=width, seed=cell_seed)
@@ -317,6 +343,10 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     doc = _get(config, "", "defense", dict)
     policy_kind = _get(doc, "defense", "policy", str)
     probs = doc.get("probs")
+    n_queries = _get(doc, "defense", "n_queries", int, 300)
+    queries = _respec(AttackSpec(seed=seed), "defense.n_queries", da_size=n_queries)
+    queries = _respec(queries, "defense.query_kind", query_kind=_get(doc, "defense", "query_kind", str, "mixed"))
+    service_seeds = _seeds(doc, "defense", seed)
     attack_doc = _get(doc, "defense", "attack", dict, None)
     attack = _attack_section(attack_doc, "defense.attack", registry, shots, seed) if attack_doc else None
 
@@ -347,15 +377,9 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     else:
         raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy_kind!r}")
 
-    n_queries = _get(doc, "defense", "n_queries", int, 300)
     sources = _npd_sources(train_ds, task_params)
-    qs = build_queries(
-        AttackSpec(query_kind=_get(doc, "defense", "query_kind", str, "mixed"),
-                   da_size=n_queries, seed=seed),
-        sources,
-        train_ds.d,
-    )
-    obf = measure_obfuscation(service, baseline_of(service), qs, seeds=doc.get("seeds", [seed]))
+    qs = build_queries(queries, sources, train_ds.d)
+    obf = measure_obfuscation(service, baseline_of(service), qs, seeds=service_seeds)
     _log(f"obfuscation: mean TVD {obf.mean_tvd:.4f}, top-1 mismatch {obf.top1_mismatch_rate:.4f}")
     out.mkdir(parents=True, exist_ok=True)
     obf_path = out / "obfuscation.json"

@@ -62,9 +62,6 @@ class VictimService:
     def reseeded(self, seed: int) -> "VictimService":
         return VictimService(self.pairs, self.probs.tolist(), self.shots, seed, self.name)
 
-    def with_shots(self, shots: int | None) -> "VictimService":
-        return VictimService(self.pairs, self.probs.tolist(), shots, self.seed, self.name)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities for one input; the pair choice stays hidden.
 

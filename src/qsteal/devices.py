@@ -217,23 +217,3 @@ DEV_B = DeviceProfile(
 def default_registry() -> DeviceRegistry:
     """The registry shipped with the package: ideal, devA, devB."""
     return DeviceRegistry([IDEAL, DEV_A, DEV_B])
-
-
-def pick_device(policy: dict[str, float], registry: DeviceRegistry, rng: np.random.Generator) -> DeviceProfile:
-    """Draw a profile according to the policy's weights.
-
-    Deterministic given the generator state; weights must sum to 1.
-    """
-    if not policy:
-        raise RegistryError("selection policy is empty")
-    names = list(policy)
-    weights = np.array([policy[n] for n in names], dtype=np.float64)
-    for n, w in zip(names, weights):
-        if w < 0:
-            raise RegistryError(f"policy weight for {n!r} is negative")
-        if n not in registry:
-            registry.get(n)  # raises with the known-names message
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise RegistryError(f"policy weights sum to {weights.sum()}, expected 1")
-    idx = rng.choice(len(names), p=weights)
-    return registry.get(names[int(idx)])

@@ -48,3 +48,15 @@ def random_density(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def assert_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
+    """Assert that one (dim, dim) state has trace 1, is Hermitian and is PSD.
+
+    Eigenvalue-based, O(dim^3): a check for tests, not for training loops.
+    """
+    tr = np.trace(rho)
+    assert abs(tr - 1.0) <= trace_tol, f"trace {tr} deviates from 1 beyond {trace_tol}"
+    assert np.allclose(rho, rho.conj().T, atol=trace_tol), "state is not Hermitian"
+    eigs = np.linalg.eigvalsh(rho)
+    assert eigs.min() >= eig_floor, f"negative eigenvalue {eigs.min()} below {eig_floor}"

@@ -132,6 +132,18 @@ class TestTrainClone:
         assert clone.n_qubits == 8
 
 
+class TestSpec:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("mode", "bogus", "mode"), ("query_kind", "bogus", "query_kind"), ("da_size", 0, "da_size"),
+         ("clone_template", "PQC99", "unknown template"), ("clone_qubits", 1, "at least 2"),
+         ("clone_qubits", 9, "8-qubit cap"), ("clone_layers", 0, "layers")],
+    )
+    def test_invalid_field_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            AttackSpec(**{field: value})
+
+
 class TestReports:
     def _report(self, seed=0):
         return AttackReport(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsteal.circuits import (
+    MAX_QUBITS,
     CircuitIR,
     PQCTemplate,
     assemble_circuit,
@@ -16,9 +17,10 @@ from qsteal.circuits import (
     run_circuit,
     weave_noise,
 )
-from qsteal.density import DensityMatrix, apply_channel, apply_gate, expectation_z
 from qsteal.devices import DEV_A, DeviceProfile, IDEAL
 from qsteal.gates import GATE_KINDS
+
+from helpers import assert_density_matrix
 
 
 def _encoding_circuit(features, n_qubits):
@@ -125,6 +127,11 @@ class TestTemplates:
         with pytest.raises(ValueError, match="unknown template"):
             PQCTemplate("PQC3", 4)
 
+    def test_width_over_the_qubit_cap_rejected(self):
+        assert PQCTemplate("PQC1", MAX_QUBITS).n_qubits == 8
+        with pytest.raises(ValueError, match="8-qubit cap"):
+            PQCTemplate("PQC1", 9)
+
 
 class TestWeaving:
     def _circuit(self, tid="PQC19", n=4):
@@ -208,8 +215,7 @@ class TestExecutor:
             rng.uniform(0, 2 * np.pi, 8), t, rng.uniform(0, 2 * np.pi, t.param_count)
         )
         woven = weave_noise(circuit, DEV_A)
-        state = final_states(woven)[0]
-        DensityMatrix(4, state).validate()
+        assert_density_matrix(final_states(woven)[0])
 
     def test_noisy_expectations_differ_from_ideal(self):
         rng = np.random.default_rng(14)

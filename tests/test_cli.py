@@ -36,6 +36,15 @@ TINY = {
 }
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if a command starts training a victim."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a victim was trained")
+
+    monkeypatch.setattr("qsteal.cli.train", refuse)
+
+
 def _write_config(tmp_path, overrides=None, **merge):
     doc = json.loads(json.dumps(TINY))  # deep copy
     for key, value in (overrides or {}).items():
@@ -105,6 +114,22 @@ class TestTrainVictim:
         assert main(["train-victim", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "victim.checkpoint.json").is_file()
 
+    def test_width_over_the_qubit_cap_names_field(self, tmp_path, capsys, no_training):
+        cfg = _write_config(tmp_path, {"victim.n_qubits": 9})
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "victim" in err and "8-qubit cap" in err
+
+    @pytest.mark.parametrize("contents", [None, "1.0,2.0\n"], ids=["missing", "malformed"])
+    def test_unreadable_task_csv_names_field(self, tmp_path, capsys, no_training, contents):
+        data = tmp_path / "data.csv"
+        if contents is not None:
+            data.write_text(contents)
+        cfg = _write_config(tmp_path, {"task": {"kind": "csv", "path": str(data), "d": 4}})
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "task.path" in err and str(data) in err
+
     def test_missing_devices_file_names_field(self, tmp_path, capsys):
         devices = tmp_path / "absent.yaml"
         cfg = _write_config(tmp_path, devices_file=str(devices))
@@ -152,6 +177,23 @@ class TestAttack:
         assert code == 2
         err = capsys.readouterr().err
         assert "attack.train.loss" in err and "nll_top1" in err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("train", 5, "attack.train"),
+         ("seeds", 5, "attack.seeds"),
+         ("sweep", {"modes": ["bogus"]}, "attack.sweep.modes"),
+         ("sweep", {"query_kinds": ["bogus"]}, "attack.sweep.query_kinds"),
+         ("clone.template", "PQC99", "attack.clone.template"),
+         ("sweep", {"widths": [1]}, "attack.sweep.widths")],
+        ids=["train", "seeds", "sweep.modes", "sweep.query_kinds", "clone.template", "sweep.widths"],
+    )
+    def test_section_checked_before_training(self, tmp_path, capsys, no_training, key, value, field):
+        cfg = _write_config(tmp_path, {f"attack.{key}": value})
+        out = tmp_path / "out"
+        assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "attack_reports.jsonl").exists()
 
     def test_sweep_emits_one_record_per_cell(self, tmp_path):
         axes = {
@@ -217,6 +259,18 @@ class TestDefendEval:
         out = tmp_path / "out"
         assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not (out / "obfuscation.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("query_kind", "bogus"), ("n_queries", 0), ("seeds", 5)],
+        ids=["query_kind", "n_queries", "seeds"],
+    )
+    def test_measurement_fields_checked_before_training(self, tmp_path, capsys, no_training, key, value):
+        cfg = _write_config(tmp_path, {f"defense.{key}": value})
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"defense.{key}" in capsys.readouterr().err
         assert not (out / "obfuscation.json").exists()
 
     def test_none_policy_reports_zero_tvd(self, tmp_path):

@@ -47,6 +47,14 @@ class TestServiceConstruction:
         with pytest.raises(ValueError, match="sum"):
             hvip(model, [DEV_A, DEV_B], probs=[0.7, 0.7])
 
+    def test_needs_a_pair(self):
+        with pytest.raises(ValueError, match="at least one"):
+            VictimService([])
+
+    def test_negative_probability_rejected(self, model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hvip(model, [DEV_A, DEV_B], probs=[1.5, -0.5])
+
     def test_models_share_class_count(self, model):
         odd = init_model(PQCTemplate("PQC19", 4), k=3, seed=1)
         with pytest.raises(ValueError, match="class count"):
@@ -72,6 +80,13 @@ class TestServing:
             svc.predict(x)
         freq = np.mean(np.array(svc.selection_log) == 0)
         assert abs(freq - 0.5) <= 0.02
+
+    def test_zero_probability_pair_is_never_served(self):
+        small = init_model(PQCTemplate("PQC1", 2), k=2, seed=0)
+        svc = hvip(small, [IDEAL, DEV_A], probs=[1.0, 0.0], seed=3)
+        for _ in range(50):
+            svc.predict(np.zeros(4))
+        assert svc.selection_log == [0] * 50
 
     def test_selection_is_not_leaked(self, model):
         svc = hvip(model, [DEV_A, DEV_B], seed=3)

@@ -1,18 +1,14 @@
-"""Device registry loading, validation, and randomized selection."""
+"""Device registry loading and validation."""
 
-import numpy as np
 import pytest
 
 from qsteal.devices import (
     DEV_A,
     DEV_B,
     IDEAL,
-    DeviceProfile,
-    DeviceRegistry,
     RegistryError,
     default_registry,
     load_registry,
-    pick_device,
     save_registry,
 )
 
@@ -116,51 +112,3 @@ class TestLoading:
         assert set(reg.names()) == {"ideal", "devA", "devB"}
         assert IDEAL.is_noiseless
         assert DEV_A.p2 == 0.01 and DEV_B.p2 == 0.05
-
-
-class TestSelection:
-    def test_even_policy_frequencies(self):
-        reg = DeviceRegistry([DeviceProfile(name="A"), DeviceProfile(name="B")])
-        rng = np.random.default_rng(17)
-        draws = 10_000
-        hits = sum(pick_device({"A": 0.5, "B": 0.5}, reg, rng).name == "A" for _ in range(draws))
-        assert abs(hits / draws - 0.5) <= 0.02
-
-    def test_degenerate_policy(self):
-        reg = default_registry()
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            assert pick_device({"devA": 1.0}, reg, rng).name == "devA"
-
-    def test_empty_policy_rejected(self):
-        with pytest.raises(RegistryError, match="empty"):
-            pick_device({}, default_registry(), np.random.default_rng(0))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(RegistryError, match="unknown device"):
-            pick_device({"devZ": 1.0}, default_registry(), np.random.default_rng(0))
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(RegistryError, match="sum"):
-            pick_device({"devA": 0.5, "devB": 0.6}, default_registry(), np.random.default_rng(0))
-
-    def test_chi_square_convergence(self):
-        # chi^2 with df=2 at significance 0.001 -> critical value 13.816
-        reg = default_registry()
-        policy = {"ideal": 0.2, "devA": 0.5, "devB": 0.3}
-        rng = np.random.default_rng(29)
-        draws = 100_000
-        counts = {name: 0 for name in policy}
-        for _ in range(draws):
-            counts[pick_device(policy, reg, rng).name] += 1
-        stat = sum(
-            (counts[n] - draws * w) ** 2 / (draws * w) for n, w in policy.items()
-        )
-        assert stat < 13.816
-
-    def test_deterministic_given_seed(self):
-        reg = default_registry()
-        policy = {"devA": 0.5, "devB": 0.5}
-        a = [pick_device(policy, reg, np.random.default_rng(5)).name for _ in range(1)]
-        b = [pick_device(policy, reg, np.random.default_rng(5)).name for _ in range(1)]
-        assert a == b
