@@ -63,10 +63,9 @@ from .model import (
     HybridModel,
     forward,
     forward_batch,
+    forward_probes,
     init_model,
     load_checkpoint,
-    loss_kl,
-    loss_nll,
     save_checkpoint,
     softmax,
 )

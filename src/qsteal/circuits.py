@@ -2,15 +2,16 @@
 
 A :class:`CircuitIR` is an ordered gate list plus interleaved noise points
 and a measurement spec.  Circuits are immutable values; the batched
-executor :func:`run_circuit` evolves many input states at once and takes
-per-sample angle overrides so one circuit skeleton serves a whole batch
-of encoded samples.
+executor :func:`run_circuit` evaluates many rows at once and takes
+per-row angle overrides so one circuit skeleton serves a whole batch
+of encoded samples (and of parameter vectors).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -102,10 +103,40 @@ class CircuitIR:
                 raise ValueError(f"measured qubit {q} out of range")
         for op in self.ops:
             validate_gate(op, self.n_qubits)
+        for i, p in enumerate(self.noise_points):
+            where = f"noise point {i} ({p.channel.name} after op {p.after_op})"
+            if not 0 <= p.after_op < len(self.ops):
+                raise ValueError(f"{where}: after_op out of range for {len(self.ops)} ops")
+            if len(p.qubits) != p.channel.n_qubits_acted:
+                raise ValueError(f"{where}: acts on {p.channel.n_qubits_acted} qubit(s), got qubits {p.qubits}")
+            if len(set(p.qubits)) != len(p.qubits):
+                raise ValueError(f"{where}: qubits must be distinct, got {p.qubits}")
+            for q in p.qubits:
+                if not 0 <= q < self.n_qubits:
+                    raise ValueError(f"{where}: qubit {q} out of range for {self.n_qubits} qubits")
 
     @property
     def has_noise(self) -> bool:
-        return any(not p.channel.is_identity for p in self.noise_points)
+        return bool(self.channels_after)
+
+    @cached_property
+    def channels_after(self) -> dict[int, list[NoisePoint]]:
+        """Non-identity noise points by the op they follow, in circuit order."""
+        after = {}
+        for p in self.noise_points:
+            if not p.channel.is_identity:
+                after.setdefault(p.after_op, []).append(p)
+        return after
+
+    @cached_property
+    def product_prefix_end(self) -> int:
+        """Length of the leading run of ops that, with the channels after
+        them, each act on one qubit: the part of the circuit that keeps
+        |0...0> a product state."""
+        for i, op in enumerate(self.ops):
+            if op.n_qubits_acted > 1 or any(len(p.qubits) > 1 for p in self.channels_after.get(i, ())):
+                return i
+        return len(self.ops)
 
 
 # ---------------------------------------------------------------------------
@@ -270,45 +301,153 @@ def _batch_size(angle_overrides) -> int:
     return sizes.pop() if sizes else 1
 
 
-def _evolve(circuit: CircuitIR, angle_overrides, pure: bool) -> np.ndarray:
-    """Run the gates and channels in order on a batch of statevectors
+def _matrix(op: GateOp, angle) -> np.ndarray:
+    return gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
+
+
+def _evolve(circuit: CircuitIR, overrides: dict, b: int, pure: bool) -> np.ndarray:
+    """Run the gates and channels in order on a batch of B statevectors
     (`pure`) or density matrices, starting from |0...0>.
 
     An override for op i replaces its angle: a (B,) array gives per-sample
     matrices, a scalar one shared matrix.  Identity channels are skipped.
     """
-    overrides = angle_overrides or {}
-    b = _batch_size(overrides)
     n = circuit.n_qubits
     state = density.zero_vecs(b, n) if pure else density.zero_states(b, n)
-    channels_after = {}
-    for p in circuit.noise_points:
-        if not p.channel.is_identity:
-            channels_after.setdefault(p.after_op, []).append(p)
     for i, op in enumerate(circuit.ops):
-        angle = overrides.get(i)
-        mat = gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
+        mat = _matrix(op, overrides.get(i))
         if pure:
             state = density.apply_unitary_vec(state, mat, op.qubits, n)
         else:
             state = density.apply_superop_batch(state, density.unitary_superop(mat), op.qubits, n)
-        for p in channels_after.get(i, ()):
+        for p in circuit.channels_after.get(i, ()):
             state = density.apply_superop_batch(state, p.channel.superop, p.qubits, n)
     return state
+
+
+def _suffix_rows(overrides: dict, start: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the B rows by their angles at ops >= `start`.
+
+    Returns each row's group index and one representative row per group.
+    """
+    columns = [np.asarray(v) for i, v in sorted(overrides.items()) if i >= start and np.ndim(v) == 1]
+    if not columns:
+        return np.zeros(b, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    _, first, group = np.unique(np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True)
+    return group.reshape(-1), first
+
+
+def _pulled_back_z(circuit, overrides, start, rows) -> np.ndarray:
+    """Phi^dag(Z_q) for each representative row and measured qubit q, where
+    Phi is the circuit from op `start` on: (len(rows) * m, dim, dim), row-major.
+
+    The adjoint of a superoperator S is its conjugate transpose, so the
+    observables run backwards through the same kernel the states use.
+    """
+    n = circuit.n_qubits
+    m = len(circuit.measured_qubits)
+    dim = 2**n
+    signs = 1.0 - 2.0 * ((np.arange(dim)[None, :] >> np.array(circuit.measured_qubits)[:, None]) & 1)
+    obs = np.zeros((len(rows) * m, dim, dim), dtype=np.complex128)
+    obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (len(rows), 1))
+    for i in range(len(circuit.ops) - 1, start - 1, -1):
+        for p in reversed(circuit.channels_after.get(i, ())):
+            obs = density.apply_superop_batch(obs, p.channel.superop.conj().T, p.qubits, n)
+        angle = overrides.get(i)
+        if np.ndim(angle) == 1:
+            angle = np.repeat(np.asarray(angle)[rows], m)
+        superop = density.unitary_superop(_matrix(circuit.ops[i], angle))
+        obs = density.apply_superop_batch(obs, superop.conj().swapaxes(-1, -2), circuit.ops[i].qubits, n)
+    return obs
+
+
+def _heisenberg(circuit, overrides, group, first) -> np.ndarray:
+    """<Z> per measured qubit as Tr(Phi^dag(Z_q) rho_prefix) for every row.
+
+    The product-state prefix runs as one 2x2 state per row and qubit; the
+    rest of the circuit is applied to the observables, once per group
+    of rows sharing its angles.  Groups are pulled back a chunk at a time,
+    so the observable stack holds fewer matrices than a group has rows on
+    average: never more memory than the Schroedinger picture of one group.
+    """
+    n = circuit.n_qubits
+    b = group.shape[0]
+    start = circuit.product_prefix_end
+    # vecs[q] holds the row-major vec of each row's 2x2 state of qubit q,
+    # which a 1-qubit superoperator multiplies directly
+    vecs = np.zeros((n, b, 4), dtype=np.complex128)
+    vecs[:, :, 0] = 1.0
+    for i in range(start):
+        op = circuit.ops[i]
+        steps = [(density.unitary_superop(_matrix(op, overrides.get(i))), op.qubits[0])]
+        steps += [(p.channel.superop, p.qubits[0]) for p in circuit.channels_after.get(i, ())]
+        for superop, q in steps:
+            vecs[q] = np.matmul(superop, vecs[q][..., None])[..., 0]
+    # Tr(O rho) = sum_xy O[x, y] rho^T[x, y], and rho^T is the product of the factors' transposes
+    transposed = [v.reshape(b, 2, 2).transpose(0, 2, 1) for v in vecs]
+    m = len(circuit.measured_qubits)
+    exps = np.empty((b, m))
+    chunk = max(1, (b - 1) // (len(first) * m))
+    for lo in range(0, len(first), chunk):
+        obs = _pulled_back_z(circuit, overrides, start, first[lo : lo + chunk])
+        obs = obs.reshape(-1, m, 4**n)
+        for j, g in enumerate(range(lo, lo + obs.shape[0])):
+            sel = np.flatnonzero(group == g)
+            exps[sel] = (_product_state(transposed, sel).reshape(sel.size, -1) @ obs[j].T).real
+        del obs  # the next chunk's pull-back must not overlap this one's observables
+    return exps
+
+
+def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The selected rows of the product of per-qubit (B, 2, 2) factors,
+    qubit 0 the least significant bit: (len(rows), dim, dim)."""
+    out = factors[-1][rows]
+    for f in reversed(factors[:-1]):
+        out = np.einsum("rab,rcd->racbd", out, f[rows]).reshape(rows.size, 2 * out.shape[1], -1)
+    return out
+
+
+def _schroedinger(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
+    pure = not circuit.has_noise
+    state = _evolve(circuit, overrides, b, pure)
+    exp_z = density.exp_z_vec if pure else density.exp_z_batch
+    return np.stack([exp_z(state, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
 
 
 def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Execute the circuit and return exact <Z> per measured qubit, shape (B, m).
 
-    `angle_overrides` maps op indices of parameterized gates to per-sample
+    `angle_overrides` maps op indices of parameterized gates to per-row
     angle arrays (or scalar rebindings); arrays share the batch size B.
-    Noise-free circuits run on pure statevectors, noisy ones on density
-    matrices; both give identical expectations for the same circuit.
+    Noise-free circuits run on pure statevectors.  Noisy ones run on
+    density matrices in one of two pictures that give the same
+    expectations.  The rows are grouped by their angles after the circuit's
+    product-state prefix (its leading 1-qubit ops and channels).  With G
+    groups and m measured qubits:
+
+    * G * m < B: Heisenberg.  The prefix runs per qubit and each Z_q is
+      pulled back through the rest of the circuit once per group.
+    * otherwise Schroedinger: the B states are evolved, a group at a time
+      (its angles as shared matrices) when groups hold several rows.
     """
-    pure = not circuit.has_noise
-    state = _evolve(circuit, angle_overrides, pure)
-    exp_z = density.exp_z_vec if pure else density.exp_z_batch
-    return np.stack([exp_z(state, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
+    overrides = angle_overrides or {}
+    b = _batch_size(overrides)
+    # a single row is a single group: neither alternative to the plain loop applies
+    if not circuit.has_noise or b == 1:
+        return _schroedinger(circuit, overrides, b)
+    start = circuit.product_prefix_end
+    group, first = _suffix_rows(overrides, start, b)
+    if len(first) * len(circuit.measured_qubits) < b:
+        return _heisenberg(circuit, overrides, group, first)
+    if not 1 < len(first) < b:
+        return _schroedinger(circuit, overrides, b)
+    exps = np.empty((b, len(circuit.measured_qubits)))
+    for g, row in enumerate(first):
+        sel = np.flatnonzero(group == g)
+        exps[sel] = _schroedinger(circuit, {
+            i: v if np.ndim(v) == 0 else np.asarray(v)[row if i >= start else sel] for i, v in overrides.items()
+        }, sel.size)
+    return exps
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -316,4 +455,5 @@ def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | No
 
     Always evolves density matrices, regardless of noise content.
     """
-    return _evolve(circuit, angle_overrides, pure=False)
+    overrides = angle_overrides or {}
+    return _evolve(circuit, overrides, _batch_size(overrides), pure=False)

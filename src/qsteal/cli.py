@@ -4,6 +4,10 @@ Whole experiments are described by one YAML config; flags only choose the
 subcommand, config path, output directory, and an optional seed override.
 Subcommands: train-victim, attack, defend-eval, report.  Result documents
 are written atomically; log lines go to stderr, result paths to stdout.
+
+Exit codes: 0 success; 1 an internal error (or, for attack, a failed
+sweep cell; for report, no documents); 2 a config or device-registry
+error, naming the offending field; 3 a config file that cannot be read.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +30,9 @@ from .circuits import TEMPLATE_IDS, PQCTemplate
 from .data import (
     DatasetError, LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split,
 )
-from .defense import baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense
+from .defense import (
+    baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense, selection_probs,
+)
 from .devices import DeviceRegistry, RegistryError, default_registry, load_registry
 from .metrics import accuracy
 from .model import init_model, load_checkpoint, save_checkpoint
@@ -36,6 +43,10 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class InputError(Exception):
+    """An input file that cannot be read."""
 
 
 def _check(here: str, value, kind):
@@ -74,8 +85,11 @@ def _template(doc: dict, path: str) -> PQCTemplate:
 
 
 def _seeds(doc: dict, path: str, seed: int) -> list[int]:
-    """The integer list `seeds` of the section at `path`; [seed] when unset."""
-    return [_check(f"{path}.seeds[{i}]", s, int) for i, s in enumerate(_get(doc, path, "seeds", list, [seed]))]
+    """The nonempty integer list `seeds` of the section at `path`; [seed] when unset."""
+    seeds = _get(doc, path, "seeds", list, [seed])
+    if not seeds:
+        raise ConfigError(f"{path}.seeds", "needs at least one seed")
+    return [_check(f"{path}.seeds[{i}]", s, int) for i, s in enumerate(seeds)]
 
 
 def _registry(config: dict) -> DeviceRegistry:
@@ -132,7 +146,10 @@ def _task(config: dict) -> tuple[LabeledDataset, LabeledDataset, dict]:
             "separation": _get(doc, "task", "separation", float, 8.0),
             "seed": _get(doc, "task", "seed", int, 7),
         }
-        ds = make_blobs(**params)
+        try:
+            ds = make_blobs(**params)
+        except DatasetError as exc:
+            raise ConfigError("task", str(exc)) from exc
     elif kind == "csv":
         path = _get(doc, "task", "path", str)
         d = _get(doc, "task", "d", int, 8)
@@ -148,7 +165,10 @@ def _task(config: dict) -> tuple[LabeledDataset, LabeledDataset, dict]:
     split_seed = _get(doc, "task", "seed", int, 7)
     train_size = _get(doc, "task", "train_size", int, None)
     fraction = _get(doc, "task", "train_fraction", float, 0.7)
-    train_ds, test_ds = train_test_split(ds, split_seed, fraction, train_size)
+    try:
+        train_ds, test_ds = train_test_split(ds, split_seed, fraction, train_size)
+    except DatasetError as exc:
+        raise ConfigError("task", str(exc)) from exc
     return train_ds, test_ds, params
 
 
@@ -164,11 +184,12 @@ def _npd_sources(train_ds: LabeledDataset, task_params: dict) -> list[LabeledDat
 
 
 def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default_device):
-    entries = doc.get("schedule")
+    entries = _get(doc, path, "schedule", list, None)
     if not entries:
         return default_device
     sched = []
     for i, entry in enumerate(entries):
+        _check(f"{path}.schedule[{i}]", entry, dict)
         device = _device(registry, _get(entry, f"{path}.schedule[{i}]", "device", str), f"{path}.schedule[{i}].device")
         epochs = _get(entry, f"{path}.schedule[{i}]", "epochs", int)
         sched.append((device, epochs))
@@ -302,7 +323,14 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
 
     ckpt_path = doc.get("victim_checkpoint")
     if ckpt_path:
-        victim, _ = load_checkpoint(ckpt_path)
+        try:
+            victim, _ = load_checkpoint(ckpt_path)
+        except OSError as exc:
+            raise ConfigError(
+                "attack.victim_checkpoint", f"checkpoint file {ckpt_path}: cannot be read ({exc.strerror or exc})"
+            ) from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError("attack.victim_checkpoint", f"checkpoint file {ckpt_path}: malformed ({exc})") from exc
         if victim.k != train_ds.k:
             raise ConfigError("attack.victim_checkpoint", "checkpoint class count does not match the task")
     else:
@@ -336,13 +364,23 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
 # defense evaluation
 # ---------------------------------------------------------------------------
 
+def _check_probs(probs, n_pairs: int) -> None:
+    if probs is not None:
+        try:
+            selection_probs(probs, n_pairs)
+        except ValueError as exc:
+            raise ConfigError("defense.probs", str(exc)) from exc
+
+
 def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     registry = _registry(config)
     shots = _shots(config)
     train_ds, test_ds, task_params = _task(config)
     doc = _get(config, "", "defense", dict)
     policy_kind = _get(doc, "defense", "policy", str)
-    probs = doc.get("probs")
+    probs = _get(doc, "defense", "probs", list, None)
+    if probs is not None:
+        probs = [_check(f"defense.probs[{i}]", p, float) for i, p in enumerate(probs)]
     n_queries = _get(doc, "defense", "n_queries", int, 300)
     queries = _respec(AttackSpec(seed=seed), "defense.n_queries", da_size=n_queries)
     queries = _respec(queries, "defense.query_kind", query_kind=_get(doc, "defense", "query_kind", str, "mixed"))
@@ -353,6 +391,11 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     if policy_kind == "hvip":
         names = _get(doc, "defense", "devices", list)
         devices = [_device(registry, n, f"defense.devices[{i}]") for i, n in enumerate(names)]
+        if len(devices) < 2 or len({d.name for d in devices}) != len(devices):
+            raise ConfigError("defense.devices", "hvip needs at least two distinct devices")
+        if len(devices) > 2 and not _get(config, "", "victim", dict).get("schedule"):
+            raise ConfigError("defense.devices", "more than two devices need an explicit victim.schedule")
+        _check_probs(probs, len(devices))
         # without an explicit schedule, train mostly on the first device with
         # a short tail on the second so the victim tolerates both
         victim, history, _, _ = _train_victim_model(
@@ -363,6 +406,9 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
         victim_docs = _get(doc, "defense", "victims", list)
         if len(victim_docs) < 2:
             raise ConfigError("defense.victims", "havip needs at least two victim specs")
+        for i, vdoc in enumerate(victim_docs):
+            _check(f"defense.victims[{i}]", vdoc, dict)
+        _check_probs(probs, len(victim_docs))
         pairs = []
         for i, vdoc in enumerate(victim_docs):
             path = f"defense.victims[{i}]"
@@ -461,14 +507,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise InputError(f"config file {path}: cannot be read ({exc.strerror or exc})") from exc
+    try:
+        config = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError("<root>", f"{path} is not valid YAML ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("<root>", "config must be a mapping")
+    return config
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "report":
         return cmd_report(Path(args.out))
     try:
-        config = yaml.safe_load(Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise ConfigError("<root>", "config must be a mapping")
+        config = _read_config(Path(args.config))
         seed = args.seed_override if args.seed_override is not None else _get(config, "", "seed", int, 0)
         out = Path(args.out)
         if args.command == "train-victim":
@@ -476,9 +534,15 @@ def main(argv=None) -> int:
         if args.command == "attack":
             return cmd_attack(config, out, seed)
         return cmd_defend_eval(config, out, seed)
-    except (ConfigError, RegistryError, ValueError) as exc:
+    except (ConfigError, RegistryError) as exc:
         _log(f"config error: {exc}")
         return 2
+    except InputError as exc:
+        _log(f"input error: {exc}")
+        return 3
+    except Exception:
+        _log(f"internal error:\n{traceback.format_exc()}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,6 +25,19 @@ from .metrics import tvd
 from .model import HybridModel, forward
 
 
+def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
+    """Checked selection probabilities for `n_pairs` served pairs: one
+    nonnegative entry per pair, summing to 1.  None means uniform."""
+    probs = [1.0 / n_pairs] * n_pairs if probs is None else list(probs)
+    if len(probs) != n_pairs:
+        raise ValueError(f"{len(probs)} selection probabilities for {n_pairs} served pairs; they must match")
+    if any(p < 0 for p in probs):
+        raise ValueError(f"selection probabilities must be nonnegative, got {probs}")
+    if abs(sum(probs) - 1.0) > 1e-9:
+        raise ValueError(f"selection probabilities sum to {sum(probs)}, expected 1")
+    return np.array(probs, dtype=np.float64)
+
+
 class VictimService:
     """In-process victim endpoint: exactly one operation, predict."""
 
@@ -38,18 +51,11 @@ class VictimService:
     ):
         if not pairs:
             raise ValueError("a victim service needs at least one (model, device) pair")
-        probs = [1.0 / len(pairs)] * len(pairs) if probs is None else list(probs)
-        if len(probs) != len(pairs):
-            raise ValueError("selection probabilities must match the pair count")
-        if any(p < 0 for p in probs):
-            raise ValueError("selection probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"selection probabilities sum to {sum(probs)}, expected 1")
         ks = {m.k for m, _ in pairs}
         if len(ks) != 1:
             raise ValueError("all served models must share the class count")
         self.pairs = list(pairs)
-        self.probs = np.array(probs, dtype=np.float64)
+        self.probs = selection_probs(probs, len(pairs))
         self.shots = shots
         self.seed = seed
         self.name = name

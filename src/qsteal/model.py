@@ -1,7 +1,9 @@
 """The hybrid model: angle encoding -> PQC -> per-qubit <Z> -> linear head -> softmax.
 
 Forward passes are batched; a whole batch shares one circuit skeleton with
-per-sample encoding angles.  Checkpoints round-trip bitwise through JSON.
+per-sample encoding angles, and several parameter vectors (a training
+step's SPSA probes) run as one batch of rows.  Checkpoints round-trip
+bitwise through JSON.
 """
 
 from __future__ import annotations
@@ -110,6 +112,31 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, enc_slots, pqc_slots
 
 
+def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
+    """Exact <Z> per qubit for P PQC parameter vectors over one batch of
+    inputs, from one run_circuit call over the P * B rows: shape (P, B, n),
+    plus the circuit's readout confusion."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    b, d = x.shape
+    n_probes = thetas.shape[0]
+    circuit, enc_slots, pqc_slots = _prepared_circuit(template, d, profile)
+    rows = np.tile(x, (n_probes, 1))
+    overrides = {op: rows[:, feat] for op, feat in enc_slots}
+    # a single probe's angles are shared by every row, so they stay scalars
+    overrides.update({
+        op: thetas[0, j] if n_probes == 1 else np.repeat(thetas[:, j], b) for j, op in enumerate(pqc_slots)
+    })
+    return run_circuit(circuit, overrides).reshape(n_probes, b, -1), circuit.readout
+
+
+def _sampled(exps: np.ndarray, readout: ReadoutConfusion | None, shots: int, rng) -> np.ndarray:
+    if rng is None:
+        raise ValueError("shot sampling requires an rng")
+    if readout is None:
+        readout = ReadoutConfusion.identity(exps.shape[1])
+    return sample_expectations(exps, readout, shots, rng)
+
+
 def expectations_batch(
     model: HybridModel,
     x: np.ndarray,
@@ -118,20 +145,39 @@ def expectations_batch(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-qubit <Z> features for a batch of inputs, shape (B, n_qubits)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    b, d = x.shape
-    circuit, enc_slots, pqc_slots = _prepared_circuit(model.template, d, profile)
-    readout = circuit.readout
-    overrides = {op: x[:, feat] for op, feat in enc_slots}
-    overrides.update({op: model.theta[j] for j, op in enumerate(pqc_slots)})
-    exps = run_circuit(circuit, overrides)
-    if shots is not None:
-        if rng is None:
-            raise ValueError("shot sampling requires an rng")
-        if readout is None:
-            readout = ReadoutConfusion.identity(model.n_qubits)
-        exps = sample_expectations(exps, readout, shots, rng)
-    return exps
+    exps, readout = _probe_expectations(model.template, model.theta[None], x, profile)
+    return exps[0] if shots is None else _sampled(exps[0], readout, shots, rng)
+
+
+def forward_probes(
+    model: HybridModel,
+    flats: np.ndarray,
+    x: np.ndarray,
+    profile: DeviceProfile | None = None,
+    shots: int | None = None,
+    rngs=None,
+) -> np.ndarray:
+    """Class probabilities of P flat parameter vectors (shaped like
+    ``model.flat_params()``) on one batch of inputs, shape (P, B, k).
+
+    All P * B circuits run in one run_circuit call; probe p draws its shot
+    noise from ``rngs[p]`` and applies its own head.
+    """
+    flats = np.asarray(flats, dtype=np.float64)
+    if flats.ndim != 2 or flats.shape[1] != model.n_params:
+        raise ValueError(f"expected (P, {model.n_params}) parameter vectors, got {flats.shape}")
+    if rngs is None:
+        rngs = [None] * flats.shape[0]
+    t = model.template.param_count
+    w = model.weights.size
+    exps, readout = _probe_expectations(model.template, flats[:, :t], x, profile)
+    probs = []
+    for flat, e, rng in zip(flats, exps, rngs, strict=True):
+        if shots is not None:
+            e = _sampled(e, readout, shots, rng)
+        logits = e @ flat[t : t + w].reshape(model.weights.shape).T + flat[t + w :]
+        probs.append(softmax(logits))
+    return np.stack(probs)
 
 
 def forward_batch(
@@ -141,10 +187,9 @@ def forward_batch(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Class probabilities for a batch of inputs, shape (B, k)."""
-    exps = expectations_batch(model, x, profile, shots, rng)
-    logits = exps @ model.weights.T + model.bias
-    return softmax(logits)
+    """Class probabilities for a batch of inputs, shape (B, k): the
+    one-probe case of :func:`forward_probes`."""
+    return forward_probes(model, model.flat_params()[None], x, profile, shots, [rng])[0]
 
 
 def forward(
@@ -161,20 +206,6 @@ def forward(
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-def loss_nll(probs: np.ndarray, label: int) -> float:
-    """Negative log likelihood of the true class."""
-    return float(-np.log(max(float(probs[label]), LOG_FLOOR)))
-
-
-def loss_kl(probs: np.ndarray, target: np.ndarray) -> float:
-    """KL(target || probs) with 0 log 0 = 0."""
-    target = np.asarray(target, dtype=np.float64)
-    mask = target > 0
-    p = np.maximum(np.asarray(probs, dtype=np.float64)[mask], LOG_FLOOR)
-    t = target[mask]
-    return float(np.sum(t * (np.log(t) - np.log(p))))
-
 
 def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean NLL over a batch; probs (B, k), labels (B,)."""

@@ -1,7 +1,8 @@
 """SPSA gradient estimation, Adam, and the training loop.
 
 The whole flattened parameter vector (PQC angles plus the classical head)
-is trained with SPSA estimates averaged over `spsa_draws` per batch.
+is trained with SPSA estimates averaged over `spsa_draws` per batch; a
+batch's 2 * `spsa_draws` probes are evaluated in one forward_probes call.
 All randomness is derived from a single seed, split per (epoch, batch,
 purpose), so training is bitwise reproducible.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import DeviceProfile
-from .model import HybridModel, forward_batch, mean_kl, mean_nll
+from .model import HybridModel, forward_batch, forward_probes, mean_kl, mean_nll
 
 LOSS_KINDS = ("nll_top1", "kl_topk")
 
@@ -93,19 +94,26 @@ class TrainHistory:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def spsa_gradient(loss_at, theta: np.ndarray, c: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """Simultaneous-perturbation gradient estimate: two loss evaluations
-    under a shared Rademacher sign vector drawn from `rng`.
+def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random +-1 sign vector of length n."""
+    return rng.integers(0, 2, size=n) * 2.0 - 1.0
 
-    `loss_at(probe, side)` is called with `side` +1 for theta + c*delta,
-    then -1 for theta - c*delta.  Returns the estimate and the mean of the
-    two probe losses.
+
+def spsa_probes(theta: np.ndarray, deltas: np.ndarray, c: float) -> np.ndarray:
+    """The SPSA probe points for D sign vectors, shape (2D, n): for each
+    draw, theta + c*delta then theta - c*delta."""
+    steps = c * deltas
+    return np.stack([theta + steps, theta - steps], axis=1).reshape(-1, theta.shape[0])
+
+
+def spsa_gradient(plus: float, minus: float, delta: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+    """Simultaneous-perturbation gradient estimate from the losses at
+    theta + c*delta (`plus`) and theta - c*delta (`minus`).
+
+    Returns the estimate and the mean of the two probe losses.
     """
     if c <= 0:
         raise ValueError("perturbation magnitude c must be positive")
-    delta = rng.integers(0, 2, size=theta.shape[0]) * 2.0 - 1.0
-    plus = loss_at(theta + c * delta, +1)
-    minus = loss_at(theta - c * delta, -1)
     return (plus - minus) / (2.0 * c) * delta, 0.5 * (plus + minus)
 
 
@@ -242,18 +250,19 @@ def train(
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb, tb = features[idx], targets[idx]
+            deltas = np.stack([
+                rademacher(stream(seed, epoch, b_idx, _DELTA, draw), params.shape[0])
+                for draw in range(cfg.spsa_draws)
+            ])
+            rngs = [
+                stream(seed, epoch, b_idx, side, draw) for draw in range(cfg.spsa_draws) for side in (_PLUS, _MINUS)
+            ]
+            probs = forward_probes(model, spsa_probes(params, deltas, cfg.spsa_c), xb, profile, cfg.shots, rngs)
+            losses = [_batch_loss(cfg, p, tb) for p in probs]
             grad = np.zeros_like(params)
             probe_mean = 0.0
-            for draw in range(cfg.spsa_draws):
-
-                def loss_at(flat, side):
-                    rng = stream(seed, epoch, b_idx, _PLUS if side > 0 else _MINUS, draw)
-                    probs = forward_batch(model.with_flat_params(flat), xb, profile, cfg.shots, rng)
-                    return _batch_loss(cfg, probs, tb)
-
-                estimate, mean_loss = spsa_gradient(
-                    loss_at, params, cfg.spsa_c, stream(seed, epoch, b_idx, _DELTA, draw)
-                )
+            for draw, delta in enumerate(deltas):
+                estimate, mean_loss = spsa_gradient(losses[2 * draw], losses[2 * draw + 1], delta, cfg.spsa_c)
                 grad += estimate / cfg.spsa_draws
                 probe_mean += mean_loss / cfg.spsa_draws
             params, adam = adam_step(params, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from qsteal.channels import bit_flip, depolarizing_2q
 from qsteal.circuits import (
     MAX_QUBITS,
     CircuitIR,
+    NoisePoint,
     PQCTemplate,
     assemble_circuit,
     build_pqc,
@@ -17,8 +19,8 @@ from qsteal.circuits import (
     run_circuit,
     weave_noise,
 )
-from qsteal.devices import DEV_A, DeviceProfile, IDEAL
-from qsteal.gates import GATE_KINDS
+from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
+from qsteal.gates import GATE_KINDS, GateOp
 
 from helpers import assert_density_matrix
 
@@ -178,6 +180,25 @@ class TestWeaving:
         np.testing.assert_allclose(woven.readout.matrix(0), [[0.97, 0.03], [0.05, 0.95]])
 
 
+class TestNoisePointValidation:
+    @pytest.mark.parametrize(
+        "point, message",
+        [(NoisePoint(2, bit_flip(0.1), (0,)), "after_op out of range for 2 ops"),
+         (NoisePoint(-1, bit_flip(0.1), (0,)), "after_op out of range"),
+         (NoisePoint(0, bit_flip(0.1), (2,)), "qubit 2 out of range for 2 qubits"),
+         (NoisePoint(0, bit_flip(0.1), (-1,)), "qubit -1 out of range"),
+         (NoisePoint(1, depolarizing_2q(0.1), (1, 1)), "qubits must be distinct"),
+         (NoisePoint(0, bit_flip(0.1), (0, 1)), "acts on 1 qubit"),
+         (NoisePoint(1, depolarizing_2q(0.1), (0,)), "acts on 2 qubit")],
+        ids=["after-end", "after-negative", "qubit-high", "qubit-negative", "repeated", "arity-1q", "arity-2q"],
+    )
+    def test_bad_point_names_itself(self, point, message):
+        ops = (GateOp("H", (0,)), GateOp("CNOT", (0, 1)))
+        good = NoisePoint(0, bit_flip(0.2), (0,))
+        with pytest.raises(ValueError, match=rf"noise point 1 \({point.channel.name} after op {point.after_op}\): {message}"):
+            CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=(good, point))
+
+
 class TestExecutor:
     def test_statevector_and_density_paths_agree(self):
         rng = np.random.default_rng(77)
@@ -227,3 +248,68 @@ class TestExecutor:
         ideal_exps = run_circuit(circuit)
         noisy_exps = run_circuit(weave_noise(circuit, loud))
         assert np.max(np.abs(ideal_exps - noisy_exps)) > 1e-3
+
+
+def _model_circuit(tid, n, profile, b, n_probes=1, seed=0):
+    """A woven model circuit with per-row encoding angles for b samples and,
+    with several probes, per-row PQC angles repeated over each probe's rows."""
+    rng = np.random.default_rng(seed)
+    t = PQCTemplate(tid, n)
+    circuit = assemble_circuit(np.zeros(8), t, np.zeros(t.param_count))
+    if profile is not None:
+        circuit = weave_noise(circuit, profile)
+    overrides = {op: np.tile(rng.uniform(0, 2 * np.pi, b), n_probes) for op, _ in encoding_rz_slots(8, n)}
+    thetas = rng.uniform(0, 2 * np.pi, (n_probes, t.param_count))
+    slots = [i for i, op in enumerate(circuit.ops) if op.angle is not None and i >= 16]
+    for j, op in enumerate(slots):
+        overrides[op] = thetas[0, j] if n_probes == 1 else np.repeat(thetas[:, j], b)
+    return circuit, overrides
+
+
+def _schroedinger_reference(circuit, overrides):
+    from qsteal.density import exp_z_batch
+
+    states = final_states(circuit, overrides)
+    return np.stack([exp_z_batch(states, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
+
+
+class TestPictures:
+    @pytest.mark.parametrize("tid, n", [(t, n) for t in ("PQC1", "PQC6", "PQC17", "PQC19") for n in range(2, 7)])
+    def test_run_circuit_matches_evolved_density_matrices(self, tid, n):
+        for profile in (None, IDEAL, DEV_A, DEV_B):
+            for b in (1, 2, 7, 32):
+                circuit, overrides = _model_circuit(tid, n, profile, b, seed=n * b)
+                got = run_circuit(circuit, overrides)
+                np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 7])
+    def test_probe_rows_match_evolved_density_matrices(self, b):
+        # 5 probes x b rows: Schroedinger group by group for b <= 3 qubits, Heisenberg above
+        circuit, overrides = _model_circuit("PQC19", 3, DEV_A, b, n_probes=5, seed=b)
+        got = run_circuit(circuit, overrides)
+        np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("b, n_probes, heisenberg", [(1, 1, False), (4, 1, False), (5, 1, True),
+                                                          (4, 3, False), (5, 3, True), (32, 16, True)])
+    def test_heisenberg_only_when_groups_times_measured_are_fewer_than_rows(self, monkeypatch, b, n_probes, heisenberg):
+        import qsteal.circuits as circuits_mod
+
+        used = []
+        original = circuits_mod._heisenberg
+        monkeypatch.setattr(circuits_mod, "_heisenberg", lambda *a: used.append(1) or original(*a))
+        circuit, overrides = _model_circuit("PQC19", 4, DEV_A, b, n_probes=n_probes)
+        run_circuit(circuit, overrides)
+        assert bool(used) == heisenberg
+
+    def test_single_row_stays_on_the_evolved_states_bitwise(self):
+        circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
+        np.testing.assert_array_equal(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides))
+
+    def test_wide_channel_ends_the_product_prefix(self):
+        # a 2-qubit channel after a 1-qubit gate keeps the gate out of the prefix
+        ops = (GateOp("H", (0,)), GateOp("RX", (1,), 0.3), GateOp("RZ", (0,), 0.0))
+        points = (NoisePoint(0, depolarizing_2q(0.2), (0, 1)), NoisePoint(2, bit_flip(0.1), (0,)))
+        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+        overrides = {2: np.linspace(0, 3, 9)}
+        np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+                                   rtol=0, atol=1e-12)

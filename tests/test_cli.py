@@ -182,11 +182,12 @@ class TestAttack:
         "key, value, field",
         [("train", 5, "attack.train"),
          ("seeds", 5, "attack.seeds"),
+         ("seeds", [], "attack.seeds"),
          ("sweep", {"modes": ["bogus"]}, "attack.sweep.modes"),
          ("sweep", {"query_kinds": ["bogus"]}, "attack.sweep.query_kinds"),
          ("clone.template", "PQC99", "attack.clone.template"),
          ("sweep", {"widths": [1]}, "attack.sweep.widths")],
-        ids=["train", "seeds", "sweep.modes", "sweep.query_kinds", "clone.template", "sweep.widths"],
+        ids=["train", "seeds", "no-seeds", "sweep.modes", "sweep.query_kinds", "clone.template", "sweep.widths"],
     )
     def test_section_checked_before_training(self, tmp_path, capsys, no_training, key, value, field):
         cfg = _write_config(tmp_path, {f"attack.{key}": value})
@@ -263,8 +264,8 @@ class TestDefendEval:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("query_kind", "bogus"), ("n_queries", 0), ("seeds", 5)],
-        ids=["query_kind", "n_queries", "seeds"],
+        [("query_kind", "bogus"), ("n_queries", 0), ("seeds", 5), ("seeds", [])],
+        ids=["query_kind", "n_queries", "seeds", "no-seeds"],
     )
     def test_measurement_fields_checked_before_training(self, tmp_path, capsys, no_training, key, value):
         cfg = _write_config(tmp_path, {f"defense.{key}": value})
@@ -273,12 +274,79 @@ class TestDefendEval:
         assert f"defense.{key}" in capsys.readouterr().err
         assert not (out / "obfuscation.json").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"defense.probs": [0.7, 0.7]}, "defense.probs"),
+         ({"defense.probs": [1.0]}, "defense.probs"),
+         ({"defense.probs": [1.5, -0.5]}, "defense.probs"),
+         ({"defense.probs": ["half", 0.5]}, "defense.probs[0]"),
+         ({"defense.policy": "havip", "defense.probs": [0.2, 0.2, 0.6], "defense.victims": [
+             {"template": "PQC1", "n_qubits": 2, "device": "devA"},
+             {"template": "PQC19", "n_qubits": 2, "device": "devB"}]}, "defense.probs"),
+         ({"defense.devices": ["devA", "devA"]}, "defense.devices"),
+         ({"defense.devices": ["devA", "devB", "ideal"], "defense.probs": [0.4, 0.3, 0.3]}, "defense.devices")],
+        ids=["sum", "length", "negative", "type", "havip-length", "repeated-device", "three-devices-unscheduled"],
+    )
+    def test_serving_fields_checked_before_training(self, tmp_path, capsys, no_training, overrides, field):
+        cfg = _write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (out / "obfuscation.json").exists()
+
     def test_none_policy_reports_zero_tvd(self, tmp_path):
         cfg = _write_config(tmp_path, {"defense.policy": "none"})
         out = tmp_path / "out"
         assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "obfuscation.json").read_text())
         assert doc["mean_tvd"] == 0.0
+
+
+class TestExitCodes:
+    def test_unreadable_config_exits_3_naming_path(self, tmp_path, capsys):
+        missing = tmp_path / "absent.yaml"
+        assert main(["train-victim", "--config", str(missing), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and str(missing) in err
+
+    def test_invalid_yaml_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("seed: [1,\n")
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
+
+    def test_unexpected_exception_exits_1_as_internal_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("numerical trouble")
+
+        monkeypatch.setattr("qsteal.cli.train", broken)
+        cfg = _write_config(tmp_path)
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "numerical trouble" in err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"task.k": 0}, "task"),
+         ({"task.train_fraction": 1.0}, "task"),
+         ({"victim.schedule": [5]}, "victim.schedule[0]"),
+         ({"victim.schedule": "devA"}, "victim.schedule")],
+        ids=["blobs", "split", "schedule-entry", "schedule"],
+    )
+    def test_config_value_errors_name_their_field(self, tmp_path, capsys, no_training, overrides, field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contents", [None, "{}"], ids=["missing", "malformed"])
+    def test_victim_checkpoint_errors_name_the_field(self, tmp_path, capsys, no_training, contents):
+        ckpt = tmp_path / "victim.json"
+        if contents is not None:
+            ckpt.write_text(contents)
+        cfg = _write_config(tmp_path, {"attack.victim_checkpoint": str(ckpt)})
+        assert main(["attack", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "attack.victim_checkpoint" in err and str(ckpt) in err
 
 
 class TestReport:

@@ -9,10 +9,9 @@ from qsteal.model import (
     HybridModel,
     forward,
     forward_batch,
+    forward_probes,
     init_model,
     load_checkpoint,
-    loss_kl,
-    loss_nll,
     mean_kl,
     mean_nll,
     save_checkpoint,
@@ -82,6 +81,40 @@ class TestForward:
             assert p.shape == (4,)
 
 
+class TestForwardProbes:
+    def _probes(self, model, n_probes=6):
+        rng = np.random.default_rng(11)
+        return model.flat_params()[None] + 0.2 * rng.normal(size=(n_probes, model.n_params))
+
+    @pytest.mark.parametrize("shots", [None, 64], ids=["analytic", "shots"])
+    @pytest.mark.parametrize("profile, atol", [(None, 0.0), (IDEAL, 0.0), (DEV_A, 1e-12)], ids=["none", "ideal", "devA"])
+    def test_rows_equal_forward_batch_of_each_probe(self, model, profile, atol, shots):
+        flats = self._probes(model)
+        x = _inputs(7)
+        got = forward_probes(model, flats, x, profile, shots, [np.random.default_rng(p) for p in range(6)])
+        assert got.shape == (6, 7, 4)
+        for p, flat in enumerate(flats):
+            alone = forward_batch(model.with_flat_params(flat), x, profile, shots, np.random.default_rng(p))
+            if atol == 0.0:
+                np.testing.assert_array_equal(got[p], alone)
+            else:
+                np.testing.assert_allclose(got[p], alone, rtol=0, atol=atol)
+
+    def test_one_run_circuit_call_for_all_probes(self, model, monkeypatch):
+        import qsteal.model as model_mod
+
+        rows = []
+        original = model_mod.run_circuit
+        monkeypatch.setattr(model_mod, "run_circuit", lambda c, o: rows.append(o) or original(c, o))
+        forward_probes(model, self._probes(model), _inputs(5), DEV_A)
+        assert len(rows) == 1
+        assert all(np.shape(v) == (30,) for v in rows[0].values())
+
+    def test_probe_vectors_must_match_the_model(self, model):
+        with pytest.raises(ValueError, match="parameter vectors"):
+            forward_probes(model, np.zeros((2, model.n_params + 1)), _inputs(2))
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -95,42 +128,54 @@ class TestSoftmax:
         np.testing.assert_allclose(softmax(z), softmax(z + 100.0), atol=1e-12)
 
 
+def _nll(probs, label):
+    return mean_nll(np.asarray(probs, dtype=np.float64)[None], np.array([label]))
+
+
+def _kl(probs, target):
+    return mean_kl(np.asarray(probs, dtype=np.float64)[None], np.asarray(target, dtype=np.float64)[None])
+
+
 class TestLosses:
     def test_nll_uniform(self):
-        assert abs(loss_nll(np.full(4, 0.25), 2) - np.log(4)) < 1e-12
+        assert abs(_nll(np.full(4, 0.25), 2) - np.log(4)) < 1e-12
 
     def test_nll_confident(self):
-        assert loss_nll(np.array([0.0, 1.0]), 1) == 0.0
+        assert _nll(np.array([0.0, 1.0]), 1) == 0.0
 
     def test_nll_direct_value(self):
         probs = np.array([0.7, 0.1, 0.1, 0.1])
-        assert abs(loss_nll(probs, 0) + np.log(0.7)) < 1e-12
+        assert abs(_nll(probs, 0) + np.log(0.7)) < 1e-12
 
     def test_nll_zero_probability_is_floored(self):
-        val = loss_nll(np.array([0.0, 1.0]), 0)
+        val = _nll(np.array([0.0, 1.0]), 0)
         assert np.isfinite(val) and val > 20
 
     def test_kl_identical_is_zero(self):
         p = np.array([0.4, 0.3, 0.2, 0.1])
-        assert loss_kl(p, p) == 0.0
+        assert _kl(p, p) == 0.0
 
     def test_kl_point_mass(self):
-        assert abs(loss_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0])) - np.log(2)) < 1e-12
+        assert abs(_kl(np.array([0.5, 0.5]), np.array([1.0, 0.0])) - np.log(2)) < 1e-12
 
     def test_kl_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             p = rng.dirichlet(np.ones(5))
             q = rng.dirichlet(np.ones(5))
-            assert loss_kl(p, q) >= 0.0
+            assert _kl(p, q) >= 0.0
 
     def test_batch_means_match_loops(self):
         rng = np.random.default_rng(6)
         probs = rng.dirichlet(np.ones(4), size=10)
         labels = rng.integers(0, 4, 10)
         targets = rng.dirichlet(np.ones(4), size=10)
-        assert abs(mean_nll(probs, labels) - np.mean([loss_nll(p, l) for p, l in zip(probs, labels)])) < 1e-12
-        assert abs(mean_kl(probs, targets) - np.mean([loss_kl(p, t) for p, t in zip(probs, targets)])) < 1e-12
+        nll = [-np.log(p[l]) for p, l in zip(probs, labels)]
+        kl = [np.sum(t * (np.log(t) - np.log(p))) for p, t in zip(probs, targets)]
+        assert abs(mean_nll(probs, labels) - np.mean(nll)) < 1e-12
+        assert abs(mean_kl(probs, targets) - np.mean(kl)) < 1e-12
+        assert abs(mean_nll(probs, labels) - np.mean([_nll(p, l) for p, l in zip(probs, labels)])) < 1e-12
+        assert abs(mean_kl(probs, targets) - np.mean([_kl(p, t) for p, t in zip(probs, targets)])) < 1e-12
 
 
 class TestCheckpoints:

@@ -11,9 +11,19 @@ from qsteal.training import (
     TrainConfig,
     adam_step,
     normalize_schedule,
+    rademacher,
     spsa_gradient,
+    spsa_probes,
     train,
 )
+
+
+def _spsa(f, theta, c, rng):
+    """One SPSA estimate of f at theta: a sign vector from rng, then f at
+    the two probes."""
+    delta = rademacher(rng, theta.shape[0])
+    plus, minus = spsa_probes(theta, delta[None], c)
+    return spsa_gradient(f(plus), f(minus), delta, c)
 
 
 class TestSpsa:
@@ -33,49 +43,50 @@ class TestSpsa:
         assert np.mean(values) == 2.0
 
     def test_estimator_collects_both_values(self):
-        f = lambda t, side: float(np.sum(t**2))
+        f = lambda t: float(np.sum(t**2))
         theta = np.array([1.0, 1.0])
         seen = set()
         for seed in range(40):
-            g, _ = spsa_gradient(f, theta, 0.3, np.random.default_rng(seed))
+            g, _ = _spsa(f, theta, 0.3, np.random.default_rng(seed))
             seen.add(round(float(g[0]), 9))
         assert seen == {0.0, 4.0}
 
     def test_unbiased_on_quadratic(self):
         rng = np.random.default_rng(123)
         coeffs = np.array([2.0, -1.0, 0.5])
-        f = lambda t, side: float(np.sum(coeffs * t**2))
+        f = lambda t: float(np.sum(coeffs * t**2))
         theta = np.array([0.7, -0.2, 1.1])
-        grads = np.stack([spsa_gradient(f, theta, 0.1, rng)[0] for _ in range(10_000)])
+        grads = np.stack([_spsa(f, theta, 0.1, rng)[0] for _ in range(10_000)])
         exact = 2 * coeffs * theta
         se = grads.std(axis=0, ddof=1) / np.sqrt(grads.shape[0])
         assert np.all(np.abs(grads.mean(axis=0) - exact) < 3 * np.maximum(se, 1e-12))
 
     def test_constant_loss_gives_zero_gradient(self):
-        g, mean = spsa_gradient(lambda t, side: 5.0, np.ones(6), 0.1, np.random.default_rng(0))
+        g, mean = _spsa(lambda t: 5.0, np.ones(6), 0.1, np.random.default_rng(0))
         np.testing.assert_array_equal(g, np.zeros(6))
         assert mean == 5.0
 
     def test_two_evaluations_exactly(self):
-        calls = []
-        f = lambda t, side: (calls.append(side), float(t.sum()))[1]
-        spsa_gradient(f, np.ones(3), 0.1, np.random.default_rng(1))
-        assert calls == [1, -1]
+        # two probes per sign vector, plus then minus, draw by draw
+        deltas = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+        probes = spsa_probes(np.ones(3), deltas, 0.5)
+        assert probes.shape == (4, 3)
+        np.testing.assert_array_equal(probes, [[1.5, 0.5, 1.5], [0.5, 1.5, 0.5], [0.5, 0.5, 1.5], [1.5, 1.5, 0.5]])
 
     def test_probes_straddle_theta_and_mean_is_their_average(self):
-        probes = {}
-        f = lambda t, side: (probes.__setitem__(side, t), float(t.sum()))[1]
         theta = np.array([0.5, -1.0, 2.0])
-        g, mean = spsa_gradient(f, theta, 0.25, np.random.default_rng(2))
-        delta = (probes[1] - theta) / 0.25
+        delta = rademacher(np.random.default_rng(2), 3)
+        plus, minus = spsa_probes(theta, delta[None], 0.25)
         np.testing.assert_array_equal(np.abs(delta), np.ones(3))
-        np.testing.assert_array_equal(probes[-1], theta - 0.25 * delta)
-        assert mean == 0.5 * (probes[1].sum() + probes[-1].sum())
-        np.testing.assert_array_equal(g, (probes[1].sum() - probes[-1].sum()) / 0.5 * delta)
+        np.testing.assert_array_equal(plus, theta + 0.25 * delta)
+        np.testing.assert_array_equal(minus, theta - 0.25 * delta)
+        g, mean = spsa_gradient(plus.sum(), minus.sum(), delta, 0.25)
+        assert mean == 0.5 * (plus.sum() + minus.sum())
+        np.testing.assert_array_equal(g, (plus.sum() - minus.sum()) / 0.5 * delta)
 
     def test_positive_c_required(self):
         with pytest.raises(ValueError, match="positive"):
-            spsa_gradient(lambda t, side: 0.0, np.ones(2), 0.0, np.random.default_rng(0))
+            spsa_gradient(0.0, 0.0, np.ones(2), 0.0)
 
 
 class TestAdam:
@@ -138,23 +149,28 @@ def _tiny_task(n=12, d=4, k=2, seed=0):
 
 
 class TestTrainLoop:
-    def test_single_sample_epoch_runs_two_forward_sweeps(self, monkeypatch):
+    def test_each_step_is_one_forward_probes_call(self, monkeypatch):
         import qsteal.model as model_mod
         import qsteal.training as training_mod
 
-        counter = {"n": 0}
-        original = model_mod.forward_batch
+        calls = []
+        original = model_mod.forward_probes
 
-        def counting(*args, **kwargs):
-            counter["n"] += 1
-            return original(*args, **kwargs)
+        def counting(model, flats, x, *args, **kwargs):
+            calls.append((flats.shape[0], x.shape[0]))
+            return original(model, flats, x, *args, **kwargs)
 
-        monkeypatch.setattr(training_mod, "forward_batch", counting)
-        x, y = _tiny_task(n=1)
+        def no_forward_batch(*args, **kwargs):
+            raise AssertionError("training steps must not call forward_batch")
+
+        monkeypatch.setattr(training_mod, "forward_probes", counting)
+        monkeypatch.setattr(training_mod, "forward_batch", no_forward_batch)
+        x, y = _tiny_task(n=10)
         m = init_model(PQCTemplate("PQC1", 2), k=2, seed=0)
-        cfg = TrainConfig(epochs=1, batch_size=4, loss="nll_top1", spsa_draws=1)
-        train(m, x, y, cfg, IDEAL, seed=0)
-        assert counter["n"] == 2  # SPSA plus and minus probes, nothing else
+        cfg = TrainConfig(epochs=2, batch_size=4, loss="nll_top1", spsa_draws=3)
+        train(m, x, y, cfg, DEV_A, seed=0)
+        # epochs x batches calls, each with 2 x spsa_draws probes of one batch
+        assert calls == [(6, 4), (6, 4), (6, 2)] * 2
 
     def test_each_draw_is_one_spsa_gradient_call(self, monkeypatch):
         import qsteal.training as training_mod
@@ -162,9 +178,9 @@ class TestTrainLoop:
         calls = []
         original = training_mod.spsa_gradient
 
-        def counting(loss_at, theta, c, rng):
+        def counting(plus, minus, delta, c):
             calls.append(c)
-            return original(loss_at, theta, c, rng)
+            return original(plus, minus, delta, c)
 
         monkeypatch.setattr(training_mod, "spsa_gradient", counting)
         x, y = _tiny_task(n=10)
