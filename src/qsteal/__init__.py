@@ -61,7 +61,6 @@ from .gates import GateOp
 from .metrics import Expectations, accuracy, clone_ratio, mismatch_rate, tvd
 from .model import (
     HybridModel,
-    forward,
     forward_batch,
     forward_probes,
     init_model,

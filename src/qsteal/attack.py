@@ -32,15 +32,16 @@ def loss_for(mode: str) -> str:
 
 
 class QueryService(Protocol):
-    """The only victim surface the attacker sees."""
+    """The only victim surface the attacker sees: class probabilities for
+    one input (d,) -> (k,) or a batch (B, d) -> (B, k)."""
 
     def predict(self, x: np.ndarray) -> np.ndarray: ...
 
 
 class QueryError(RuntimeError):
-    def __init__(self, index: int, retries: int, cause: Exception):
-        super().__init__(f"query {index} failed after {retries} retries: {cause}")
-        self.index = index
+    def __init__(self, n_queries: int, retries: int, cause: Exception):
+        super().__init__(f"predict over {n_queries} queries failed after {retries} retries: {cause}")
+        self.n_queries = n_queries
         self.retries = retries
 
 
@@ -76,27 +77,27 @@ class AdversarialDataset:
 
 
 def query_victim(service: QueryService, qs: QuerySet, mode: str, retries: int = 2) -> AdversarialDataset:
-    """One response per query, in order.  Per-query failures are retried;
-    persistent failures surface as QueryError with the retry count."""
+    """One response per query, in order, from one predict call over the
+    whole query set.  A failed call is retried as a unit; persistent
+    failure surfaces as QueryError with the retry count."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if qs.m < 1:
         raise ValueError("query set is empty")
-    vectors = []
-    for i, x in enumerate(qs.features):
-        for attempt in range(retries + 1):
-            try:
-                vectors.append(np.asarray(service.predict(x), dtype=np.float64))
-                break
-            except Exception as exc:  # noqa: BLE001 - endpoint errors are data here
-                if attempt == retries:
-                    raise QueryError(i, retries, exc) from exc
-    k = vectors[0].shape[0]
+    for attempt in range(retries + 1):
+        try:
+            vectors = np.asarray(service.predict(qs.features), dtype=np.float64)
+            break
+        except Exception as exc:  # noqa: BLE001 - endpoint errors are data here
+            if attempt == retries:
+                raise QueryError(qs.m, retries, exc) from exc
+    if vectors.ndim != 2 or vectors.shape[0] != qs.m:
+        raise ValueError(f"the service answered {qs.m} queries with an array of shape {vectors.shape}")
     if mode == "topk":
-        responses = np.stack(vectors)
+        responses = vectors
     else:
-        responses = np.array([int(np.argmax(v)) for v in vectors], dtype=np.int64)
-    return AdversarialDataset(qs.features, responses, mode, k)
+        responses = vectors.argmax(axis=1)
+    return AdversarialDataset(qs.features, responses, mode, vectors.shape[1])
 
 
 def train_clone(

@@ -33,6 +33,10 @@ TEMPLATE_IDS = ("PQC1", "PQC6", "PQC17", "PQC19")
 #: widest register the dense simulator takes: a (B, 2^n, 2^n) state stack grows 4x per qubit
 MAX_QUBITS = 8
 
+#: rows per product-state contraction; a chunk's (rows, 4^n) product states
+#: take 32 MB at the 8-qubit cap
+CONTRACT_ROWS = 32
+
 
 @dataclass(frozen=True)
 class PQCTemplate:
@@ -337,9 +341,28 @@ def _suffix_rows(overrides: dict, start: int, b: int) -> tuple[np.ndarray, np.nd
     return group.reshape(-1), first
 
 
-def _pulled_back_z(circuit, overrides, start, rows) -> np.ndarray:
+def product_prefix(circuit: CircuitIR, overrides: dict, b: int) -> list[np.ndarray]:
+    """Each row's state after the circuit's product-state prefix (the ops
+    before `product_prefix_end`), as one transposed (B, 2, 2) factor per
+    qubit: the 2x2 evolutions of a product state, row by row."""
+    n = circuit.n_qubits
+    # vecs[q] holds the row-major vec of each row's 2x2 state of qubit q,
+    # which a 1-qubit superoperator multiplies directly
+    vecs = np.zeros((n, b, 4), dtype=np.complex128)
+    vecs[:, :, 0] = 1.0
+    for i in range(circuit.product_prefix_end):
+        op = circuit.ops[i]
+        steps = [(density.unitary_superop(_matrix(op, overrides.get(i))), op.qubits[0])]
+        steps += [(p.channel.superop, p.qubits[0]) for p in circuit.channels_after.get(i, ())]
+        for superop, q in steps:
+            vecs[q] = np.matmul(superop, vecs[q][..., None])[..., 0]
+    return [v.reshape(b, 2, 2).transpose(0, 2, 1) for v in vecs]
+
+
+def pulled_back_z(circuit: CircuitIR, overrides: dict, rows: np.ndarray) -> np.ndarray:
     """Phi^dag(Z_q) for each representative row and measured qubit q, where
-    Phi is the circuit from op `start` on: (len(rows) * m, dim, dim), row-major.
+    Phi is the circuit after its product-state prefix: (len(rows) * m, dim,
+    dim), row-major.
 
     The adjoint of a superoperator S is its conjugate transpose, so the
     observables run backwards through the same kernel the states use.
@@ -350,7 +373,7 @@ def _pulled_back_z(circuit, overrides, start, rows) -> np.ndarray:
     signs = 1.0 - 2.0 * ((np.arange(dim)[None, :] >> np.array(circuit.measured_qubits)[:, None]) & 1)
     obs = np.zeros((len(rows) * m, dim, dim), dtype=np.complex128)
     obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (len(rows), 1))
-    for i in range(len(circuit.ops) - 1, start - 1, -1):
+    for i in range(len(circuit.ops) - 1, circuit.product_prefix_end - 1, -1):
         for p in reversed(circuit.channels_after.get(i, ())):
             obs = density.apply_superop_batch(obs, p.channel.superop.conj().T, p.qubits, n)
         angle = overrides.get(i)
@@ -359,6 +382,24 @@ def _pulled_back_z(circuit, overrides, start, rows) -> np.ndarray:
         superop = density.unitary_superop(_matrix(circuit.ops[i], angle))
         obs = density.apply_superop_batch(obs, superop.conj().swapaxes(-1, -2), circuit.ops[i].qubits, n)
     return obs
+
+
+def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """<Z_q> = Tr(O_q rho) for the selected rows: (len(rows), m).
+
+    `factors` come from :func:`product_prefix` and `obs` holds the m
+    pulled-back observables as (m, 4^n) row-major matrices.  Since
+    Tr(O rho) = sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the
+    transposed factors, each row is one product state against `obs`.  The
+    rows go CONTRACT_ROWS at a time, and each row's result does not depend
+    on the rows contracted beside it.
+    """
+    out = np.empty((rows.size, obs.shape[0]))
+    for lo in range(0, rows.size, CONTRACT_ROWS):
+        sel = rows[lo : lo + CONTRACT_ROWS]
+        states = _product_state(factors, sel).reshape(sel.size, -1)
+        out[lo : lo + sel.size] = density.matmul_rows(states, obs.T).real
+    return out
 
 
 def _heisenberg(circuit, overrides, group, first) -> np.ndarray:
@@ -370,30 +411,17 @@ def _heisenberg(circuit, overrides, group, first) -> np.ndarray:
     so the observable stack holds fewer matrices than a group has rows on
     average: never more memory than the Schroedinger picture of one group.
     """
-    n = circuit.n_qubits
     b = group.shape[0]
-    start = circuit.product_prefix_end
-    # vecs[q] holds the row-major vec of each row's 2x2 state of qubit q,
-    # which a 1-qubit superoperator multiplies directly
-    vecs = np.zeros((n, b, 4), dtype=np.complex128)
-    vecs[:, :, 0] = 1.0
-    for i in range(start):
-        op = circuit.ops[i]
-        steps = [(density.unitary_superop(_matrix(op, overrides.get(i))), op.qubits[0])]
-        steps += [(p.channel.superop, p.qubits[0]) for p in circuit.channels_after.get(i, ())]
-        for superop, q in steps:
-            vecs[q] = np.matmul(superop, vecs[q][..., None])[..., 0]
-    # Tr(O rho) = sum_xy O[x, y] rho^T[x, y], and rho^T is the product of the factors' transposes
-    transposed = [v.reshape(b, 2, 2).transpose(0, 2, 1) for v in vecs]
     m = len(circuit.measured_qubits)
+    factors = product_prefix(circuit, overrides, b)
     exps = np.empty((b, m))
     chunk = max(1, (b - 1) // (len(first) * m))
     for lo in range(0, len(first), chunk):
-        obs = _pulled_back_z(circuit, overrides, start, first[lo : lo + chunk])
-        obs = obs.reshape(-1, m, 4**n)
+        obs = pulled_back_z(circuit, overrides, first[lo : lo + chunk])
+        obs = obs.reshape(-1, m, 4**circuit.n_qubits)
         for j, g in enumerate(range(lo, lo + obs.shape[0])):
             sel = np.flatnonzero(group == g)
-            exps[sel] = (_product_state(transposed, sel).reshape(sel.size, -1) @ obs[j].T).real
+            exps[sel] = contract_rows(factors, sel, obs[j])
         del obs  # the next chunk's pull-back must not overlap this one's observables
     return exps
 

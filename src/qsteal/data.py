@@ -121,16 +121,6 @@ def save_csv(ds: LabeledDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_query_csv(path, d: int) -> QuerySet:
-    rows = _parse_rows(path, d)
-    return QuerySet(np.array(rows, dtype=np.float64), ("csv", Path(path).stem))
-
-
-def save_query_csv(qs: QuerySet, path) -> None:
-    lines = [",".join(repr(float(x)) for x in row) for row in qs.features]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # scaling and splitting
 # ---------------------------------------------------------------------------

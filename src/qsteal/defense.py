@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .attack import AttackReport, AttackSpec, run_attack
 from .data import QuerySet
 from .devices import DeviceProfile
-from .metrics import tvd
-from .model import HybridModel, forward
+from .metrics import mismatch_rate, tvd
+from .model import HybridModel
 
 
 def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
@@ -69,19 +70,39 @@ class VictimService:
         return VictimService(self.pairs, self.probs.tolist(), self.shots, seed, self.name)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities for one input; the pair choice stays hidden.
+        """Class probabilities for one input (d,) -> (k,) or a batch
+        (B, d) -> (B, k); the pair choice stays hidden.
 
-        Selection and shot noise draw from streams keyed by the query
-        ordinal, so serving is deterministic per (seed, query order).
+        The service numbers every query row it answers.  Query i draws its
+        pair from the stream [seed, i, 0] and its shot noise from
+        [seed, i, 1], so serving is deterministic per (seed, query order)
+        and a batch answers exactly as its rows sent one at a time.  The
+        rows that drew the same pair go through one forward_batch call.
+        The selection log grows only once the whole call has succeeded.
         """
-        ordinal = len(self.selection_log)
-        pick_rng = np.random.default_rng([self.seed, ordinal, 0])
-        idx = int(pick_rng.choice(len(self.pairs), p=self.probs))
-        model, profile = self.pairs[idx]
-        shot_rng = np.random.default_rng([self.seed, ordinal, 1])
-        probs = forward(model, x, profile, self.shots, shot_rng)
-        self.selection_log.append(idx)
-        return probs
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"predict takes one input (d,) or a batch (B, d), got shape {x.shape}")
+        rows = np.atleast_2d(x)
+        first = len(self.selection_log)
+        if len(self.pairs) == 1:
+            # a draw over a single pair always returns it
+            picks = np.zeros(rows.shape[0], dtype=np.intp)
+        else:
+            picks = np.array([
+                np.random.default_rng([self.seed, first + i, 0]).choice(len(self.pairs), p=self.probs)
+                for i in range(rows.shape[0])
+            ], dtype=np.intp)
+        out = np.empty((rows.shape[0], self.k))
+        for idx, (served, profile) in enumerate(self.pairs):
+            sel = np.flatnonzero(picks == idx)
+            if sel.size == 0:
+                continue
+            rngs = None if self.shots is None else [np.random.default_rng([self.seed, first + i, 1]) for i in sel]
+            # through the module, so that a patched model.forward_batch also sees serving
+            out[sel] = model.forward_batch(served, rows[sel], profile, self.shots, rngs)
+        self.selection_log.extend(picks.tolist())
+        return out[0] if x.ndim == 1 else out
 
 
 def no_defense(model: HybridModel, device: DeviceProfile, shots: int | None = None, seed: int = 0) -> VictimService:
@@ -155,21 +176,24 @@ def measure_obfuscation(
     seeds: list[int],
 ) -> ObfuscationReport:
     """Per-query TVD and argmax mismatch between defended and baseline
-    responses, pooled over the given service seeds."""
+    responses, pooled over the given service seeds.  Each service answers
+    the whole query set in one predict call per seed."""
     if policy.k != baseline.k:
         raise ValueError("policy and baseline disagree on class count")
+    if qs.m < 1:
+        raise ValueError("query set is empty")
+    if not seeds:
+        raise ValueError("obfuscation needs at least one service seed")
     tvds = []
-    mismatches = []
+    defended_top1, reference_top1 = [], []
     for seed in seeds:
-        defended = policy.reseeded(seed)
-        reference = baseline.reseeded(seed)
-        for x in qs.features:
-            p = defended.predict(x)
-            q = reference.predict(x)
-            tvds.append(tvd(p, q))
-            mismatches.append(int(np.argmax(p)) != int(np.argmax(q)))
+        defended = policy.reseeded(seed).predict(qs.features)
+        reference = baseline.reseeded(seed).predict(qs.features)
+        tvds += [tvd(p, q) for p, q in zip(defended, reference)]
+        defended_top1.append(defended.argmax(axis=1))
+        reference_top1.append(reference.argmax(axis=1))
     return ObfuscationReport(
-        top1_mismatch_rate=float(np.mean(mismatches)),
+        top1_mismatch_rate=mismatch_rate(np.concatenate(defended_top1), np.concatenate(reference_top1)),
         mean_tvd=float(np.mean(tvds)),
         per_query_tvd=tuple(tvds),
         n_queries=qs.m,

@@ -60,6 +60,18 @@ def apply_superop_batch(states: np.ndarray, superop: np.ndarray, qubits: tuple[i
     return _from_super_layout(np.matmul(superop, t), perm, n)
 
 
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (R, K) stack of rows, each result row independent of R.
+
+    BLAS computes a one-row product as a matrix-vector product, whose
+    rounding differs from that of the same row inside a matrix product, so
+    a lone row is multiplied beside a zero row.
+    """
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
+
+
 def exp_z_batch(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """<Z_qubit> for each state in the batch."""
     diag = np.einsum("bii->bi", states).real

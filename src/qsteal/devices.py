@@ -74,12 +74,6 @@ class DeviceProfile:
             )
         return ReadoutConfusion(tuple(np.array(m) for m in self.readout))
 
-    @property
-    def is_noiseless(self) -> bool:
-        rates_zero = all(getattr(self, f) == 0.0 for f in _RATE_FIELDS)
-        identity = ((1.0, 0.0), (0.0, 1.0))
-        return rates_zero and all(m == identity for m in self.readout)
-
     def to_dict(self) -> dict:
         out = {"name": self.name}
         for fname in _RATE_FIELDS:

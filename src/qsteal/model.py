@@ -1,9 +1,10 @@
 """The hybrid model: angle encoding -> PQC -> per-qubit <Z> -> linear head -> softmax.
 
 Forward passes are batched; a whole batch shares one circuit skeleton with
-per-sample encoding angles, and several parameter vectors (a training
-step's SPSA probes) run as one batch of rows.  Checkpoints round-trip
-bitwise through JSON.
+per-sample encoding angles.  At fixed parameters (evaluation, serving) the
+circuit after the encoding's product state is pulled back once and cached;
+several parameter vectors (a training step's SPSA probes) run as one batch
+of rows through run_circuit.  Checkpoints round-trip bitwise through JSON.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -18,8 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ReadoutConfusion
-from .circuits import PQCTemplate, assemble_circuit, encoding_rz_slots, run_circuit, weave_noise
-from .density import sample_expectations
+from .circuits import (
+    PQCTemplate,
+    assemble_circuit,
+    contract_rows,
+    encoding_rz_slots,
+    product_prefix,
+    pulled_back_z,
+    run_circuit,
+    weave_noise,
+)
+from .density import matmul_rows, sample_expectations
 from .devices import DeviceProfile
 
 LOG_FLOOR = 1e-12
@@ -112,6 +123,42 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, enc_slots, pqc_slots
 
 
+#: an entry holds m <= 8 pulled-back observables of 4^n complex entries, at
+#: most 8 MB at the 8-qubit cap, so the cache holds at most 128 MB
+_READOUT_ENTRIES = 16
+
+
+@lru_cache(maxsize=_READOUT_ENTRIES)
+def _readout(template: PQCTemplate, d: int, profile: DeviceProfile | None, theta: bytes) -> np.ndarray:
+    """Phi^dag(Z_q) for each measured qubit q, where Phi is the circuit
+    after its product-state prefix at the PQC parameters `theta` (float64
+    bytes): read-only (m, 4^n).  Cached per fixed parameter vector."""
+    circuit, _, pqc_slots = _prepared_circuit(template, d, profile)
+    angles = np.frombuffer(theta)
+    overrides = {op: angles[j] for j, op in enumerate(pqc_slots)}
+    obs = pulled_back_z(circuit, overrides, np.zeros(1, dtype=np.intp))
+    obs = obs.reshape(len(circuit.measured_qubits), -1)
+    obs.flags.writeable = False
+    return obs
+
+
+def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfile | None):
+    """Exact <Z> per qubit for a batch of inputs at the model's parameters,
+    shape (B, n), plus the circuit's readout confusion.
+
+    Each row costs its product-state prefix and one contraction against the
+    cached pulled-back observables; its result does not depend on the rest
+    of the batch.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    b, d = x.shape
+    circuit, enc_slots, pqc_slots = _prepared_circuit(model.template, d, profile)
+    obs = _readout(model.template, d, profile, model.theta.tobytes())
+    overrides = {op: x[:, feat] for op, feat in enc_slots}
+    overrides.update({op: model.theta[j] for j, op in enumerate(pqc_slots)})
+    return contract_rows(product_prefix(circuit, overrides, b), np.arange(b), obs), circuit.readout
+
+
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
     """Exact <Z> per qubit for P PQC parameter vectors over one batch of
     inputs, from one run_circuit call over the P * B rows: shape (P, B, n),
@@ -122,19 +169,31 @@ def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray
     circuit, enc_slots, pqc_slots = _prepared_circuit(template, d, profile)
     rows = np.tile(x, (n_probes, 1))
     overrides = {op: rows[:, feat] for op, feat in enc_slots}
-    # a single probe's angles are shared by every row, so they stay scalars
-    overrides.update({
-        op: thetas[0, j] if n_probes == 1 else np.repeat(thetas[:, j], b) for j, op in enumerate(pqc_slots)
-    })
+    overrides.update({op: np.repeat(thetas[:, j], b) for j, op in enumerate(pqc_slots)})
     return run_circuit(circuit, overrides).reshape(n_probes, b, -1), circuit.readout
 
 
 def _sampled(exps: np.ndarray, readout: ReadoutConfusion | None, shots: int, rng) -> np.ndarray:
+    """Shot-sampled features: `rng` is one generator for the whole batch,
+    or a sequence of one generator per row."""
     if rng is None:
         raise ValueError("shot sampling requires an rng")
     if readout is None:
         readout = ReadoutConfusion.identity(exps.shape[1])
-    return sample_expectations(exps, readout, shots, rng)
+    if isinstance(rng, np.random.Generator):
+        return sample_expectations(exps, readout, shots, rng)
+    rngs = list(rng)
+    if len(rngs) != exps.shape[0]:
+        raise ValueError(f"{len(rngs)} rngs for {exps.shape[0]} rows; give one per row")
+    return np.concatenate([sample_expectations(e[None], readout, shots, r) for e, r in zip(exps, rngs)])
+
+
+def _outputs(exps, weights, bias, readout, shots, rng) -> np.ndarray:
+    """Class probabilities from exact <Z> features: shot noise if `shots`,
+    then the linear head and softmax, each row on its own."""
+    if shots is not None:
+        exps = _sampled(exps, readout, shots, rng)
+    return softmax(matmul_rows(exps, weights.T) + bias)
 
 
 def expectations_batch(
@@ -145,8 +204,8 @@ def expectations_batch(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-qubit <Z> features for a batch of inputs, shape (B, n_qubits)."""
-    exps, readout = _probe_expectations(model.template, model.theta[None], x, profile)
-    return exps[0] if shots is None else _sampled(exps[0], readout, shots, rng)
+    exps, readout = _fixed_expectations(model, x, profile)
+    return exps if shots is None else _sampled(exps, readout, shots, rng)
 
 
 def forward_probes(
@@ -171,13 +230,10 @@ def forward_probes(
     t = model.template.param_count
     w = model.weights.size
     exps, readout = _probe_expectations(model.template, flats[:, :t], x, profile)
-    probs = []
-    for flat, e, rng in zip(flats, exps, rngs, strict=True):
-        if shots is not None:
-            e = _sampled(e, readout, shots, rng)
-        logits = e @ flat[t : t + w].reshape(model.weights.shape).T + flat[t + w :]
-        probs.append(softmax(logits))
-    return np.stack(probs)
+    return np.stack([
+        _outputs(e, flat[t : t + w].reshape(model.weights.shape), flat[t + w :], readout, shots, rng)
+        for flat, e, rng in zip(flats, exps, rngs, strict=True)
+    ])
 
 
 def forward_batch(
@@ -185,22 +241,19 @@ def forward_batch(
     x: np.ndarray,
     profile: DeviceProfile | None = None,
     shots: int | None = None,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
 ) -> np.ndarray:
-    """Class probabilities for a batch of inputs, shape (B, k): the
-    one-probe case of :func:`forward_probes`."""
-    return forward_probes(model, model.flat_params()[None], x, profile, shots, [rng])[0]
+    """Class probabilities for a batch of inputs (B, d) at the model's
+    parameters, shape (B, k).
 
-
-def forward(
-    model: HybridModel,
-    x: np.ndarray,
-    profile: DeviceProfile | None = None,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities for a single input, shape (k,)."""
-    return forward_batch(model, np.asarray(x)[None, :], profile, shots, rng)[0]
+    The circuit after its product-state prefix is pulled back once per
+    (template, d, profile, theta) and cached, so each row costs its prefix
+    and one contraction, and its result does not depend on the rest of the
+    batch.  `rng` draws the shot noise: one generator for the batch, or a
+    sequence of one generator per row.
+    """
+    exps, readout = _fixed_expectations(model, x, profile)
+    return _outputs(exps, model.weights, model.bias, readout, shots, rng)
 
 
 # ---------------------------------------------------------------------------

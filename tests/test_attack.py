@@ -26,7 +26,7 @@ class UniformStub:
     """A black-box service exposing only predict; always uniform over 4."""
 
     def predict(self, x):
-        return np.full(4, 0.25)
+        return np.full((len(x), 4), 0.25)
 
 
 class FlakyStub:
@@ -38,7 +38,7 @@ class FlakyStub:
         self.calls += 1
         if self.calls <= self.fail_times:
             raise RuntimeError("transient")
-        return np.array([0.7, 0.3])
+        return np.tile([0.7, 0.3], (len(x), 1))
 
 
 class TestQueryVictim:
@@ -80,6 +80,27 @@ class TestQueryVictim:
         qs = random_query_set(1, 4, seed=5)
         da = query_victim(FlakyStub(fail_times=2), qs, "topk", retries=2)
         assert da.m == 1
+
+    def test_whole_query_set_is_one_predict_call_retried_as_a_unit(self):
+        stub = FlakyStub(fail_times=2)
+        da = query_victim(stub, random_query_set(9, 4, seed=5), "top1", retries=2)
+        assert stub.calls == 3
+        np.testing.assert_array_equal(da.responses, np.zeros(9, dtype=int))
+
+    def test_batched_responses_equal_one_query_at_a_time(self):
+        m = init_model(PQCTemplate("PQC19", 2), k=3, seed=1)
+        qs = random_query_set(8, 4, seed=4)
+        da = query_victim(no_defense(m, IDEAL, seed=9), qs, "topk")
+        svc = no_defense(m, IDEAL, seed=9)
+        np.testing.assert_array_equal(da.responses, np.stack([svc.predict(x) for x in qs.features]))
+
+    def test_misshapen_response_rejected(self):
+        class OneRowStub:
+            def predict(self, x):
+                return np.full((1, 4), 0.25)
+
+        with pytest.raises(ValueError, match="answered 3 queries"):
+            query_victim(OneRowStub(), random_query_set(3, 4, seed=1), "topk")
 
     def test_persistent_failure_surfaces_with_count(self):
         qs = random_query_set(1, 4, seed=5)

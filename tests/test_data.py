@@ -7,13 +7,11 @@ from qsteal.data import (
     DatasetError,
     LabeledDataset,
     load_csv,
-    load_query_csv,
     make_blobs,
     make_npd_sources,
     mixed_query_set,
     random_query_set,
     save_csv,
-    save_query_csv,
     scale_features,
     train_test_split,
 )
@@ -64,13 +62,6 @@ class TestCsv:
         third = tmp_path / "rt3.csv"
         save_csv(twice, third)
         assert third.read_bytes() == second.read_bytes()
-
-    def test_query_roundtrip_bitwise(self, tmp_path):
-        qs = random_query_set(15, 4, seed=3)
-        path = tmp_path / "q.csv"
-        save_query_csv(qs, path)
-        again = load_query_csv(path, d=4)
-        np.testing.assert_array_equal(again.features, qs.features)
 
 
 class TestScaling:

@@ -104,6 +104,64 @@ class TestServing:
         assert a.selection_log == b.selection_log
 
 
+def _services(model, other_model, shots, seed):
+    return {
+        "none": no_defense(model, DEV_A, shots, seed),
+        "hvip": hvip(model, [DEV_A, DEV_B], shots=shots, seed=seed),
+        "havip": havip([(other_model, DEV_A), (model, DEV_B)], shots=shots, seed=seed),
+    }
+
+
+class TestBatchedServing:
+    @pytest.mark.parametrize("shots", [None, 100], ids=["analytic", "shots"])
+    @pytest.mark.parametrize("policy", ["none", "hvip", "havip"])
+    def test_batch_equals_the_per_query_loop(self, model, other_model, policy, shots):
+        x = np.random.default_rng(2).uniform(0, 2 * np.pi, (23, 8))
+        batched = _services(model, other_model, shots, 4)[policy]
+        looped = _services(model, other_model, shots, 4)[policy]
+        got = batched.predict(x)
+        assert got.shape == (23, 4)
+        np.testing.assert_array_equal(got, np.stack([looped.predict(r) for r in x]))
+        assert batched.selection_log == looped.selection_log
+
+    def test_consecutive_batches_equal_their_concatenation(self, model, other_model):
+        x = np.random.default_rng(3).uniform(0, 2 * np.pi, (17, 8))
+        split = _services(model, other_model, 100, 6)["havip"]
+        whole = _services(model, other_model, 100, 6)["havip"]
+        parts = np.concatenate([split.predict(x[:5]), split.predict(x[5:])])
+        np.testing.assert_array_equal(parts, whole.predict(x))
+        assert split.selection_log == whole.selection_log
+
+    def test_failed_predict_leaves_the_log_unchanged(self, model, other_model, monkeypatch):
+        import qsteal.model as model_mod
+
+        x = np.random.default_rng(4).uniform(0, 2 * np.pi, (12, 8))
+        svc = _services(model, other_model, None, 1)["havip"]
+        svc.predict(x[:3])
+        before = list(svc.selection_log)
+        original = model_mod.forward_batch
+        calls = []
+
+        def fail_second_pair(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("device lost")
+            return original(*args)
+
+        monkeypatch.setattr(model_mod, "forward_batch", fail_second_pair)
+        with pytest.raises(RuntimeError, match="device lost"):
+            svc.predict(x[3:])
+        monkeypatch.undo()
+        assert svc.selection_log == before
+        fresh = _services(model, other_model, None, 1)["havip"]
+        fresh.predict(x[:3])
+        np.testing.assert_array_equal(svc.predict(x[3:]), fresh.predict(x[3:]))
+
+    def test_input_shape_checked(self, model):
+        with pytest.raises(ValueError, match=r"\(B, d\)"):
+            no_defense(model, IDEAL).predict(np.zeros((2, 3, 8)))
+
+
 class TestObfuscation:
     def test_same_config_measures_zero(self, model):
         svc = no_defense(model, DEV_A, seed=1)

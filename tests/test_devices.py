@@ -1,7 +1,9 @@
 """Device registry loading and validation."""
 
+import numpy as np
 import pytest
 
+from qsteal.circuits import PQCTemplate, assemble_circuit, weave_noise
 from qsteal.devices import (
     DEV_A,
     DEV_B,
@@ -31,12 +33,16 @@ devices:
 """
 
 
+def _woven(profile):
+    template = PQCTemplate("PQC19", 2)
+    return weave_noise(assemble_circuit(np.zeros(2), template, np.zeros(template.param_count)), profile)
+
+
 class TestLoading:
     def test_zero_rate_profile_is_noiseless(self):
         reg = load_registry(GOOD_DOC)
-        quiet = reg.get("quiet")
-        assert quiet.is_noiseless
-        assert not reg.get("loud").is_noiseless
+        assert not _woven(reg.get("quiet")).has_noise
+        assert _woven(reg.get("loud")).has_noise
 
     def test_duplicate_name_rejected(self):
         doc = {"devices": [{"name": "a"}, {"name": "a"}]}
@@ -110,5 +116,5 @@ class TestLoading:
     def test_defaults_present(self):
         reg = default_registry()
         assert set(reg.names()) == {"ideal", "devA", "devB"}
-        assert IDEAL.is_noiseless
+        assert not _woven(IDEAL).has_noise
         assert DEV_A.p2 == 0.01 and DEV_B.p2 == 0.05

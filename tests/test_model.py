@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from qsteal.circuits import PQCTemplate
+from qsteal import model as model_mod
+from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, final_states
+from qsteal.density import exp_z_batch
 from qsteal.devices import DEV_A, DEV_B, IDEAL, DeviceProfile
 from qsteal.model import (
     HybridModel,
-    forward,
+    expectations_batch,
     forward_batch,
     forward_probes,
     init_model,
@@ -33,13 +35,13 @@ class TestForward:
         from dataclasses import replace
 
         flat = replace(model, weights=np.zeros((4, 4)), bias=np.zeros(4))
-        probs = forward(flat, _inputs(1)[0])
-        np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-12)
+        probs = forward_batch(flat, _inputs(1))
+        np.testing.assert_allclose(probs, np.full((1, 4), 0.25), atol=1e-12)
 
     def test_analytic_forward_is_deterministic(self, model):
-        x = _inputs(1)[0]
-        a = forward(model, x, IDEAL)
-        b = forward(model, x, IDEAL)
+        x = _inputs(1)
+        a = forward_batch(model, x, IDEAL)
+        b = forward_batch(model, x, IDEAL)
         np.testing.assert_array_equal(a, b)
 
     def test_output_is_distribution_across_profiles(self, model):
@@ -50,16 +52,20 @@ class TestForward:
             x = rng.uniform(0, 2 * np.pi, 8)
             profile = profiles[i % len(profiles)]
             shots = None if i % 2 == 0 else 500
-            p = forward(model, x, profile, shots, np.random.default_rng(i))
+            p = forward_batch(model, x[None], profile, shots, np.random.default_rng(i))[0]
             assert p.shape == (4,)
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p > 0) and np.all(p < 1)
 
     def test_batch_rows_equal_single_calls(self, model):
+        # with one generator per row, row i of a batch is bitwise row i alone
         x = _inputs(7)
-        batched = forward_batch(model, x)
-        for i in range(7):
-            np.testing.assert_allclose(batched[i], forward(model, x[i]), atol=1e-12)
+        for profile in (None, IDEAL, DEV_A, DEV_B):
+            for shots in (None, 100):
+                batched = forward_batch(model, x, profile, shots, [np.random.default_rng(i) for i in range(7)])
+                for i in range(7):
+                    alone = forward_batch(model, x[i : i + 1], profile, shots, np.random.default_rng(i))
+                    np.testing.assert_array_equal(batched[i], alone[0])
 
     def test_shots_track_analytic_within_sampling_noise(self, model):
         # 1000 shots puts ~1/sqrt(1000) noise on each expectation; through the
@@ -71,14 +77,75 @@ class TestForward:
 
     def test_shots_require_rng(self, model):
         with pytest.raises(ValueError, match="rng"):
-            forward(model, _inputs(1)[0], IDEAL, shots=100)
+            forward_batch(model, _inputs(1), IDEAL, shots=100)
+
+    def test_per_row_rngs_must_cover_the_rows(self, model):
+        with pytest.raises(ValueError, match="one per row"):
+            forward_batch(model, _inputs(3), IDEAL, shots=100, rng=[np.random.default_rng(0)] * 2)
 
     def test_clone_width_reblocks_features(self):
         # 8 features on 2 qubits: blocks of 4; on 8 qubits: 1 each
         for n in (2, 8):
             m = init_model(PQCTemplate("PQC19", n), k=4, seed=0)
-            p = forward(m, _inputs(1)[0])
-            assert p.shape == (4,)
+            p = forward_batch(m, _inputs(1))
+            assert p.shape == (1, 4)
+
+
+class TestReadoutCache:
+    @staticmethod
+    def _evolved(m, x, profile):
+        """<Z> per qubit from the density matrices of the whole circuit."""
+        circuit, enc_slots, pqc_slots = model_mod._prepared_circuit(m.template, x.shape[1], profile)
+        overrides = {op: x[:, feat] for op, feat in enc_slots}
+        overrides.update({op: m.theta[j] for j, op in enumerate(pqc_slots)})
+        states = final_states(circuit, overrides)
+        return np.stack([exp_z_batch(states, q, m.n_qubits) for q in circuit.measured_qubits], axis=1)
+
+    @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    def test_cached_readout_matches_evolved_density_matrices(self, tid):
+        for n in range(2, 6):
+            m = init_model(PQCTemplate(tid, n), k=3, seed=n)
+            x = _inputs(5, seed=n)
+            for profile in (IDEAL, DEV_A):
+                got = expectations_batch(m, x, profile)
+                np.testing.assert_allclose(got, self._evolved(m, x, profile), rtol=0, atol=1e-12)
+
+    def test_eight_qubit_readout_matches_and_the_cache_stays_under_128_mb(self):
+        m = init_model(PQCTemplate("PQC19", 8), k=4, seed=2)
+        x = _inputs(2, seed=3)
+        model_mod._readout.cache_clear()
+        got = expectations_batch(m, x, DEV_A)
+        np.testing.assert_allclose(got, self._evolved(m, x, DEV_A), rtol=0, atol=1e-12)
+        entry = model_mod._readout(m.template, 8, DEV_A, m.theta.tobytes())
+        assert entry.shape == (8, 4**8)
+        assert entry.nbytes * model_mod._readout.cache_info().maxsize <= 128 * 2**20
+
+    def test_models_differing_only_in_theta_never_share_an_entry(self, model):
+        from dataclasses import replace
+
+        nudged = replace(model, theta=np.nextafter(model.theta, np.inf))
+        x = _inputs(3)
+        model_mod._readout.cache_clear()
+        a = expectations_batch(model, x, DEV_A)
+        b = expectations_batch(nudged, x, DEV_A)
+        info = model_mod._readout.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert not np.array_equal(a, b)
+        np.testing.assert_array_equal(expectations_batch(model, x, DEV_A), a)
+        assert model_mod._readout.cache_info().hits == 1
+
+    def test_entries_are_read_only(self, model):
+        forward_batch(model, _inputs(1), DEV_A)
+        entry = model_mod._readout(model.template, 8, DEV_A, model.theta.tobytes())
+        with pytest.raises(ValueError, match="read-only"):
+            entry[0, 0] = 0.0
+
+    def test_rows_across_a_contraction_chunk_equal_single_rows(self, model):
+        x = _inputs(CONTRACT_ROWS + 3, seed=4)
+        for profile in (IDEAL, DEV_A):
+            batched = forward_batch(model, x, profile)
+            for i in (0, CONTRACT_ROWS - 1, CONTRACT_ROWS, CONTRACT_ROWS + 2):
+                np.testing.assert_array_equal(batched[i], forward_batch(model, x[i : i + 1], profile)[0])
 
 
 class TestForwardProbes:
@@ -87,18 +154,17 @@ class TestForwardProbes:
         return model.flat_params()[None] + 0.2 * rng.normal(size=(n_probes, model.n_params))
 
     @pytest.mark.parametrize("shots", [None, 64], ids=["analytic", "shots"])
-    @pytest.mark.parametrize("profile, atol", [(None, 0.0), (IDEAL, 0.0), (DEV_A, 1e-12)], ids=["none", "ideal", "devA"])
-    def test_rows_equal_forward_batch_of_each_probe(self, model, profile, atol, shots):
+    @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
+    def test_rows_equal_forward_batch_of_each_probe(self, model, profile, shots):
+        # probes run through run_circuit, forward_batch through the cached
+        # pulled-back readout: the same expectations in another order of operations
         flats = self._probes(model)
         x = _inputs(7)
         got = forward_probes(model, flats, x, profile, shots, [np.random.default_rng(p) for p in range(6)])
         assert got.shape == (6, 7, 4)
         for p, flat in enumerate(flats):
             alone = forward_batch(model.with_flat_params(flat), x, profile, shots, np.random.default_rng(p))
-            if atol == 0.0:
-                np.testing.assert_array_equal(got[p], alone)
-            else:
-                np.testing.assert_allclose(got[p], alone, rtol=0, atol=atol)
+            np.testing.assert_allclose(got[p], alone, rtol=0, atol=1e-12)
 
     def test_one_run_circuit_call_for_all_probes(self, model, monkeypatch):
         import qsteal.model as model_mod
