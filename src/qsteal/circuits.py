@@ -2,9 +2,9 @@
 
 A :class:`CircuitIR` is an ordered gate list plus interleaved noise points
 and a measurement spec.  Circuits are immutable values; the batched
-executor :func:`run_circuit` evaluates many rows at once and takes
-per-row angle overrides so one circuit skeleton serves a whole batch
-of encoded samples (and of parameter vectors).
+executor :func:`run_circuit` evaluates a grid of probes x samples at once
+from angle overrides, so one circuit skeleton serves a whole batch of
+encoded samples under several parameter vectors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .channels import (
     phase_flip,
 )
 from .devices import DeviceProfile
-from .gates import GateOp, gate_matrix, rotation_batch, validate_gate
+from .gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch, validate_gate
 
 TEMPLATE_IDS = ("PQC1", "PQC6", "PQC17", "PQC19")
 
@@ -294,75 +294,132 @@ def weave_noise(circuit: CircuitIR, profile: DeviceProfile) -> CircuitIR:
 # execution
 # ---------------------------------------------------------------------------
 
-def _batch_size(angle_overrides) -> int:
-    sizes = {
-        np.asarray(v).shape[0]
-        for v in (angle_overrides or {}).values()
-        if np.ndim(v) == 1
-    }
-    if len(sizes) > 1:
-        raise ValueError(f"override arrays disagree on batch size: {sorted(sizes)}")
-    return sizes.pop() if sizes else 1
+@dataclass(frozen=True)
+class _Grid:
+    """Angle overrides on a grid of P probes x B samples, rows probe-major.
+
+    Each angle is a 0-d array (one angle for every row) or a 2-D array that
+    broadcasts to (P, B): (P, 1) per probe, (1, B) per sample, (P, B) per row.
+    """
+
+    p: int
+    b: int
+    angles: dict
+
+    @classmethod
+    def of(cls, overrides: dict | None) -> "_Grid":
+        angles = {}
+        for i, v in (overrides or {}).items():
+            a = np.asarray(v, dtype=np.float64)
+            if a.ndim > 2:
+                raise ValueError(f"override for op {i} has shape {a.shape}; "
+                                 "expected a scalar, (B,), (1, B), (P, 1) or (P, B)")
+            angles[i] = a[None] if a.ndim == 1 else a
+        shapes = {a.shape for a in angles.values() if a.ndim == 2}
+        try:
+            p, b = np.broadcast_shapes((1, 1), *shapes)
+        except ValueError:
+            shapes = sorted(shapes)
+            raise ValueError(f"override arrays do not broadcast to one (probes, samples) grid: {shapes}") from None
+        return cls(p, b, angles)
+
+    @property
+    def rows(self) -> int:
+        return self.p * self.b
+
+    def spread(self, shape: tuple[int, int], start: int = 0) -> dict:
+        """The overrides of ops >= `start`, each as one angle or a flat
+        array over `shape`, a part of the grid they broadcast to."""
+        return {
+            i: a if a.ndim == 0 else np.broadcast_to(a, shape).ravel() for i, a in self.angles.items() if i >= start
+        }
+
+    def groups(self, start: int) -> tuple[int, dict]:
+        """The rows grouped by their angles at ops >= `start`: the P probes
+        when every such override is per probe or one angle, a single group
+        when all are one angle, every row otherwise.  Returns the group
+        count G and each such override as one angle or a (G,) per-group
+        array; group g holds rows g * R to (g + 1) * R - 1, R = P * B / G.
+        """
+        shape = np.broadcast_shapes((1, 1), *(a.shape for i, a in self.angles.items() if i >= start and a.ndim == 2))
+        if shape[1] != 1:
+            shape = (self.p, self.b)
+        return shape[0] * shape[1], self.spread(shape, start)
 
 
 def _matrix(op: GateOp, angle) -> np.ndarray:
     return gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
 
 
-def _evolve(circuit: CircuitIR, overrides: dict, b: int, pure: bool) -> np.ndarray:
-    """Run the gates and channels in order on a batch of B statevectors
-    (`pure`) or density matrices, starting from |0...0>.
+#: superoperators of the gates that take no angle, built once
+_FIXED_SUPEROPS = {
+    kind: density.unitary_superop(gate_matrix(GateOp(kind, tuple(range(arity)))))
+    for kind, (arity, parameterized) in GATE_KINDS.items()
+    if not parameterized
+}
 
-    An override for op i replaces its angle: a (B,) array gives per-sample
-    matrices, a scalar one shared matrix.  Identity channels are skipped.
+
+def _superop(op: GateOp, angle) -> np.ndarray:
+    """The superoperator of `op`, at `angle` when it is overridden."""
+    if angle is None and op.kind in _FIXED_SUPEROPS:
+        return _FIXED_SUPEROPS[op.kind]
+    return density.unitary_superop(_matrix(op, angle))
+
+
+def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
+    """Run the gates and channels in order on a batch of B density
+    matrices, starting from |0...0>.
+
+    An override for op i replaces its angle: a (B,) array gives per-row
+    matrices, one angle a shared matrix.  Identity channels are skipped.
     """
     n = circuit.n_qubits
-    state = density.zero_vecs(b, n) if pure else density.zero_states(b, n)
+    state = density.zero_states(b, n)
     for i, op in enumerate(circuit.ops):
-        mat = _matrix(op, overrides.get(i))
-        if pure:
-            state = density.apply_unitary_vec(state, mat, op.qubits, n)
-        else:
-            state = density.apply_superop_batch(state, density.unitary_superop(mat), op.qubits, n)
+        state = density.apply_superop_batch(state, _superop(op, overrides.get(i)), op.qubits, n)
         for p in circuit.channels_after.get(i, ()):
             state = density.apply_superop_batch(state, p.channel.superop, p.qubits, n)
     return state
 
 
-def _suffix_rows(overrides: dict, start: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group the B rows by their angles at ops >= `start`.
+def _prefix(circuit: CircuitIR, grid: _Grid, pure: bool) -> list[np.ndarray]:
+    """Each row's state of each qubit after the product-state prefix (the
+    ops before `product_prefix_end`): per qubit a (rows, 2) statevector
+    (`pure`) or the row-major vec of its 2x2 density matrix, (rows, 4).
 
-    Returns each row's group index and one representative row per group.
+    A qubit's state spans only the grid axes its ops vary over, so a prefix
+    of per-sample encodings and per-probe rotations builds B per-sample and
+    P per-probe factors, not P * B; rows are formed at the end.
     """
-    columns = [np.asarray(v) for i, v in sorted(overrides.items()) if i >= start and np.ndim(v) == 1]
-    if not columns:
-        return np.zeros(b, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    _, first, group = np.unique(np.stack(columns, axis=1), axis=0, return_index=True, return_inverse=True)
-    return group.reshape(-1), first
-
-
-def product_prefix(circuit: CircuitIR, overrides: dict, b: int) -> list[np.ndarray]:
-    """Each row's state after the circuit's product-state prefix (the ops
-    before `product_prefix_end`), as one transposed (B, 2, 2) factor per
-    qubit: the 2x2 evolutions of a product state, row by row."""
     n = circuit.n_qubits
-    # vecs[q] holds the row-major vec of each row's 2x2 state of qubit q,
-    # which a 1-qubit superoperator multiplies directly
-    vecs = np.zeros((n, b, 4), dtype=np.complex128)
-    vecs[:, :, 0] = 1.0
+    size = 2 if pure else 4
+    # e_0 is both |0> and the row-major vec of |0><0|
+    states = [np.eye(1, size, dtype=np.complex128)[None]] * n
     for i in range(circuit.product_prefix_end):
         op = circuit.ops[i]
-        steps = [(density.unitary_superop(_matrix(op, overrides.get(i))), op.qubits[0])]
+        angle = grid.angles.get(i)
+        steps = [(_matrix(op, angle) if pure else _superop(op, angle), op.qubits[0])]
         steps += [(p.channel.superop, p.qubits[0]) for p in circuit.channels_after.get(i, ())]
-        for superop, q in steps:
-            vecs[q] = np.matmul(superop, vecs[q][..., None])[..., 0]
-    return [v.reshape(b, 2, 2).transpose(0, 2, 1) for v in vecs]
+        for mat, q in steps:
+            states[q] = np.matmul(mat, states[q][..., None])[..., 0]
+    rows = np.empty((n, grid.p, grid.b, size), dtype=np.complex128)
+    for q, s in enumerate(states):
+        rows[q] = s
+    return list(rows.reshape(n, grid.rows, size))
 
 
-def pulled_back_z(circuit: CircuitIR, overrides: dict, rows: np.ndarray) -> np.ndarray:
-    """Phi^dag(Z_q) for each representative row and measured qubit q, where
-    Phi is the circuit after its product-state prefix: (len(rows) * m, dim,
-    dim), row-major.
+def product_prefix(circuit: CircuitIR, overrides: dict) -> list[np.ndarray]:
+    """Each row's state after the circuit's product-state prefix, as one
+    transposed (rows, 2, 2) density factor per qubit; `overrides` lay the
+    rows out as :func:`run_circuit` does."""
+    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in _prefix(circuit, _Grid.of(overrides), pure=False)]
+
+
+def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
+    """Phi^dag(Z_q) for each group of rows and measured qubit q, where Phi is
+    the circuit after its product-state prefix: (G * m, dim, dim),
+    group-major.  An override is one angle for every group or a (G,) array
+    of per-group angles.
 
     The adjoint of a superoperator S is its conjugate transpose, so the
     observables run backwards through the same kernel the states use.
@@ -370,17 +427,18 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict, rows: np.ndarray) -> np.n
     n = circuit.n_qubits
     m = len(circuit.measured_qubits)
     dim = 2**n
+    g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
     signs = 1.0 - 2.0 * ((np.arange(dim)[None, :] >> np.array(circuit.measured_qubits)[:, None]) & 1)
-    obs = np.zeros((len(rows) * m, dim, dim), dtype=np.complex128)
-    obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (len(rows), 1))
+    obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
+    obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (g, 1))
     for i in range(len(circuit.ops) - 1, circuit.product_prefix_end - 1, -1):
         for p in reversed(circuit.channels_after.get(i, ())):
             obs = density.apply_superop_batch(obs, p.channel.superop.conj().T, p.qubits, n)
         angle = overrides.get(i)
         if np.ndim(angle) == 1:
-            angle = np.repeat(np.asarray(angle)[rows], m)
-        superop = density.unitary_superop(_matrix(circuit.ops[i], angle))
-        obs = density.apply_superop_batch(obs, superop.conj().swapaxes(-1, -2), circuit.ops[i].qubits, n)
+            angle = np.repeat(angle, m)
+        adjoint = _superop(circuit.ops[i], angle).conj().swapaxes(-1, -2)
+        obs = density.apply_superop_batch(obs, adjoint, circuit.ops[i].qubits, n)
     return obs
 
 
@@ -402,25 +460,27 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
     return out
 
 
-def _heisenberg(circuit, overrides, group, first) -> np.ndarray:
+def _heisenberg(circuit: CircuitIR, overrides: dict, g: int, angles: dict) -> np.ndarray:
     """<Z> per measured qubit as Tr(Phi^dag(Z_q) rho_prefix) for every row.
 
     The product-state prefix runs as one 2x2 state per row and qubit; the
-    rest of the circuit is applied to the observables, once per group
-    of rows sharing its angles.  Groups are pulled back a chunk at a time,
-    so the observable stack holds fewer matrices than a group has rows on
-    average: never more memory than the Schroedinger picture of one group.
+    rest of the circuit is applied to the observables, once per group of
+    rows (`angles` from :meth:`_Grid.groups`).  Groups are pulled back a
+    chunk at a time, so the observable stack holds fewer matrices than a
+    group has rows on average: never more memory than the Schroedinger
+    picture of one group.
     """
-    b = group.shape[0]
+    factors = product_prefix(circuit, overrides)
+    rows = factors[0].shape[0]
+    r = rows // g
     m = len(circuit.measured_qubits)
-    factors = product_prefix(circuit, overrides, b)
-    exps = np.empty((b, m))
-    chunk = max(1, (b - 1) // (len(first) * m))
-    for lo in range(0, len(first), chunk):
-        obs = pulled_back_z(circuit, overrides, first[lo : lo + chunk])
-        obs = obs.reshape(-1, m, 4**circuit.n_qubits)
-        for j, g in enumerate(range(lo, lo + obs.shape[0])):
-            sel = np.flatnonzero(group == g)
+    exps = np.empty((rows, m))
+    chunk = max(1, (rows - 1) // (g * m))
+    for lo in range(0, g, chunk):
+        part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
+        obs = pulled_back_z(circuit, part).reshape(-1, m, 4**circuit.n_qubits)
+        for j in range(obs.shape[0]):
+            sel = np.arange((lo + j) * r, (lo + j + 1) * r)
             exps[sel] = contract_rows(factors, sel, obs[j])
         del obs  # the next chunk's pull-back must not overlap this one's observables
     return exps
@@ -435,53 +495,62 @@ def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _schroedinger(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
-    pure = not circuit.has_noise
-    state = _evolve(circuit, overrides, b, pure)
-    exp_z = density.exp_z_vec if pure else density.exp_z_batch
-    return np.stack([exp_z(state, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
+def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
+    """Each row's statevector after a noise-free circuit, (rows, dim): the
+    product of the prefix's per-qubit 2-vectors, then each later gate
+    applied once per group of rows, its matrices a (G, dk, dk) stack."""
+    n = circuit.n_qubits
+    start = circuit.product_prefix_end
+    qubits = _prefix(circuit, grid, pure=True)
+    vecs = qubits[-1]
+    for v in reversed(qubits[:-1]):
+        vecs = (vecs[:, :, None] * v[:, None, :]).reshape(grid.rows, -1)
+    g, angles = grid.groups(start)
+    vecs = vecs.reshape(g, -1, 2**n)
+    for i in range(start, len(circuit.ops)):
+        op = circuit.ops[i]
+        vecs = density.apply_unitary_vec(vecs, _matrix(op, angles.get(i)), op.qubits, n)
+    return vecs.reshape(grid.rows, -1)
 
 
 def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Execute the circuit and return exact <Z> per measured qubit, shape (B, m).
+    """Execute the circuit and return exact <Z> per measured qubit, shape
+    (P * B, m), rows probe-major.
 
-    `angle_overrides` maps op indices of parameterized gates to per-row
-    angle arrays (or scalar rebindings); arrays share the batch size B.
-    Noise-free circuits run on pure statevectors.  Noisy ones run on
-    density matrices in one of two pictures that give the same
-    expectations.  The rows are grouped by their angles after the circuit's
-    product-state prefix (its leading 1-qubit ops and channels).  With G
-    groups and m measured qubits:
+    `angle_overrides` maps op indices of parameterized gates to angles laid
+    out on a grid of P probes x B samples: one angle for every row, a (B,)
+    or (1, B) array per sample, a (P, 1) array per probe or a (P, B) array
+    per row; they broadcast.  Every circuit starts with its product-state
+    prefix (the leading 1-qubit ops and channels), run per qubit on the
+    grid.  The rows are then grouped by their angles after the prefix: the
+    P probes when those angles are per probe or shared, one group when all
+    are shared, every row otherwise.  With G groups and m measured qubits:
 
-    * G * m < B: Heisenberg.  The prefix runs per qubit and each Z_q is
-      pulled back through the rest of the circuit once per group.
-    * otherwise Schroedinger: the B states are evolved, a group at a time
-      (its angles as shared matrices) when groups hold several rows.
+    * noise-free: the prefix's 2-vectors form each row's statevector, and
+      each later gate is applied once per group.
+    * noisy, G * m < P * B: Heisenberg.  The prefix gives each row 2x2
+      density factors and each Z_q is pulled back through the rest of the
+      circuit once per group.
+    * noisy otherwise: Schroedinger, every row's density matrix evolved
+      through the whole circuit.
     """
-    overrides = angle_overrides or {}
-    b = _batch_size(overrides)
-    # a single row is a single group: neither alternative to the plain loop applies
-    if not circuit.has_noise or b == 1:
-        return _schroedinger(circuit, overrides, b)
-    start = circuit.product_prefix_end
-    group, first = _suffix_rows(overrides, start, b)
-    if len(first) * len(circuit.measured_qubits) < b:
-        return _heisenberg(circuit, overrides, group, first)
-    if not 1 < len(first) < b:
-        return _schroedinger(circuit, overrides, b)
-    exps = np.empty((b, len(circuit.measured_qubits)))
-    for g, row in enumerate(first):
-        sel = np.flatnonzero(group == g)
-        exps[sel] = _schroedinger(circuit, {
-            i: v if np.ndim(v) == 0 else np.asarray(v)[row if i >= start else sel] for i, v in overrides.items()
-        }, sel.size)
-    return exps
+    grid = _Grid.of(angle_overrides)
+    n = circuit.n_qubits
+    if not circuit.has_noise:
+        vecs = _statevectors(circuit, grid)
+        return np.stack([density.exp_z_vec(vecs, q, n) for q in circuit.measured_qubits], axis=1)
+    g, angles = grid.groups(circuit.product_prefix_end)
+    if g * len(circuit.measured_qubits) < grid.rows:
+        return _heisenberg(circuit, grid.angles, g, angles)
+    states = _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)
+    return np.stack([density.exp_z_batch(states, q, n) for q in circuit.measured_qubits], axis=1)
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Density matrices after the full circuit, shape (B, dim, dim).
+    """Density matrices after the full circuit, shape (P * B, dim, dim), for
+    overrides laid out as :func:`run_circuit` takes them.
 
     Always evolves density matrices, regardless of noise content.
     """
-    overrides = angle_overrides or {}
-    return _evolve(circuit, overrides, _batch_size(overrides), pure=False)
+    grid = _Grid.of(angle_overrides)
+    return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)

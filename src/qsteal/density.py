@@ -42,15 +42,14 @@ def _from_super_layout(t: np.ndarray, perm: list[int], n: int) -> np.ndarray:
 def unitary_superop(mat: np.ndarray) -> np.ndarray:
     """U (x) conj(U): the superoperator of rho -> U rho U^dag.
 
-    Batched input (B, dk, dk) gives (B, dk^2, dk^2).
+    A stack (..., dk, dk) gives (..., dk^2, dk^2).
     """
+    dk = mat.shape[-1]
     if mat.ndim == 2:
         # the products np.kron forms, without its per-call overhead
-        dk = mat.shape[0]
         return (mat[:, None, :, None] * mat.conj()[None, :, None, :]).reshape(dk * dk, dk * dk)
-    b, dk, _ = mat.shape
-    out = np.einsum("bxa,byc->bxyac", mat, mat.conj())
-    return out.reshape(b, dk * dk, dk * dk)
+    out = np.einsum("...xa,...yc->...xyac", mat, mat.conj())
+    return out.reshape(mat.shape[:-2] + (dk * dk, dk * dk))
 
 
 def apply_superop_batch(states: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -80,19 +79,21 @@ def exp_z_batch(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
 
 
 def apply_unitary_vec(vecs: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """psi -> U psi on each statevector of the batch; vecs is (B, dim).
+    """psi -> U psi on a batch of statevectors: (B, dim), or (G, R, dim) for
+    G groups of R rows.
 
-    `mat` is (2^k, 2^k) shared across the batch, or (B, 2^k, 2^k) per sample.
+    `mat` is (2^k, 2^k) shared by every row, or one matrix per leading
+    entry: (B, 2^k, 2^k) per statevector, (G, 2^k, 2^k) per group.  A group
+    is one matrix product against all of its rows.
     """
-    b = vecs.shape[0]
+    g = vecs.shape[0]
     k = len(qubits)
-    dk, rest = 2**k, 2 ** (n - k)
-    axes = [1 + (n - 1 - q) for q in qubits]
-    axes_rest = [ax for ax in range(1, n + 1) if ax not in axes]
-    perm = [0] + axes + axes_rest
-    t = vecs.reshape((b,) + (2,) * n).transpose(perm).reshape(b, dk, rest)
-    out = np.matmul(mat, t)
-    return out.reshape((b,) + (2,) * n).transpose(np.argsort(perm)).reshape(b, 2**n)
+    axes = [2 + (n - 1 - q) for q in qubits]
+    axes_rest = [ax for ax in range(2, n + 2) if ax not in axes]
+    perm = [0] + axes + [1] + axes_rest
+    t = vecs.reshape((g, -1) + (2,) * n).transpose(perm)
+    out = np.matmul(mat, t.reshape(g, 2**k, -1))
+    return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(vecs.shape)
 
 
 def exp_z_vec(vecs: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -123,9 +124,3 @@ def zero_states(batch: int, n_qubits: int) -> np.ndarray:
     states = np.zeros((batch, dim, dim), dtype=np.complex128)
     states[:, 0, 0] = 1.0
     return states
-
-
-def zero_vecs(batch: int, n_qubits: int) -> np.ndarray:
-    vecs = np.zeros((batch, 2**n_qubits), dtype=np.complex128)
-    vecs[:, 0] = 1.0
-    return vecs

@@ -45,12 +45,11 @@ _CONTROLLED_BASE = {"CRX": "RX", "CRZ": "RZ"}
 def rotation_batch(kind: str, angles) -> np.ndarray:
     """Matrices of a parameterized gate kind (RX, RY, RZ, CRX, CRZ).
 
-    A scalar angle gives one (d, d) matrix; a (B,) array of angles gives a
-    (B, d, d) stack whose rows each equal the matrix built alone.
+    A scalar angle gives one (d, d) matrix; an array of angles gives a
+    stack of shape angles.shape + (d, d) whose entries each equal the
+    matrix built alone.
     """
     angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim > 1:
-        raise ValueError(f"angles must be a scalar or a 1-d array, got shape {angles.shape}")
     base = _CONTROLLED_BASE.get(kind, kind)
     out = np.zeros(angles.shape + (2, 2), dtype=np.complex128)
     if base == "RZ":

@@ -2,9 +2,10 @@
 
 Forward passes are batched; a whole batch shares one circuit skeleton with
 per-sample encoding angles.  At fixed parameters (evaluation, serving) the
-circuit after the encoding's product state is pulled back once and cached;
-several parameter vectors (a training step's SPSA probes) run as one batch
-of rows through run_circuit.  Checkpoints round-trip bitwise through JSON.
+circuit after the encoding's product state is pulled back once and held on
+the model; several parameter vectors (a training step's SPSA probes) run as
+one probes x samples grid through run_circuit.  Checkpoints round-trip
+bitwise through JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import tempfile
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -51,9 +52,14 @@ class HybridModel:
     theta: np.ndarray
     weights: np.ndarray  # (k, n_qubits)
     bias: np.ndarray  # (k,)
+    #: pulled-back readouts Phi^dag(Z_q) at this model's theta, by (d, profile);
+    #: filled by forward_batch, so a replaced or discarded model takes its own
+    _readouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
+        # a private read-only copy: the readouts held on the model are valid for this theta only
+        theta = np.array(self.theta, dtype=np.float64)
+        theta.flags.writeable = False
         weights = np.asarray(self.weights, dtype=np.float64)
         bias = np.asarray(self.bias, dtype=np.float64)
         if theta.shape != (self.template.param_count,):
@@ -123,22 +129,18 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, enc_slots, pqc_slots
 
 
-#: an entry holds m <= 8 pulled-back observables of 4^n complex entries, at
-#: most 8 MB at the 8-qubit cap, so the cache holds at most 128 MB
-_READOUT_ENTRIES = 16
-
-
-@lru_cache(maxsize=_READOUT_ENTRIES)
-def _readout(template: PQCTemplate, d: int, profile: DeviceProfile | None, theta: bytes) -> np.ndarray:
+def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> np.ndarray:
     """Phi^dag(Z_q) for each measured qubit q, where Phi is the circuit
-    after its product-state prefix at the PQC parameters `theta` (float64
-    bytes): read-only (m, 4^n).  Cached per fixed parameter vector."""
-    circuit, _, pqc_slots = _prepared_circuit(template, d, profile)
-    angles = np.frombuffer(theta)
-    overrides = {op: angles[j] for j, op in enumerate(pqc_slots)}
-    obs = pulled_back_z(circuit, overrides, np.zeros(1, dtype=np.intp))
-    obs = obs.reshape(len(circuit.measured_qubits), -1)
-    obs.flags.writeable = False
+    after its product-state prefix at the model's PQC parameters:
+    read-only (m, 4^n), at most 8 MB at the 8-qubit cap.  Computed on first
+    use and held on the model."""
+    obs = model._readouts.get((d, profile))
+    if obs is None:
+        circuit, _, pqc_slots = _prepared_circuit(model.template, d, profile)
+        obs = pulled_back_z(circuit, {op: model.theta[j] for j, op in enumerate(pqc_slots)})
+        obs = obs.reshape(len(circuit.measured_qubits), -1)
+        obs.flags.writeable = False
+        model._readouts[(d, profile)] = obs
     return obs
 
 
@@ -153,24 +155,22 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
     circuit, enc_slots, pqc_slots = _prepared_circuit(model.template, d, profile)
-    obs = _readout(model.template, d, profile, model.theta.tobytes())
+    obs = _readout(model, d, profile)
     overrides = {op: x[:, feat] for op, feat in enc_slots}
     overrides.update({op: model.theta[j] for j, op in enumerate(pqc_slots)})
-    return contract_rows(product_prefix(circuit, overrides, b), np.arange(b), obs), circuit.readout
+    return contract_rows(product_prefix(circuit, overrides), np.arange(b), obs), circuit.readout
 
 
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
     """Exact <Z> per qubit for P PQC parameter vectors over one batch of
-    inputs, from one run_circuit call over the P * B rows: shape (P, B, n),
-    plus the circuit's readout confusion."""
+    inputs, from one run_circuit call on the P probes x B samples grid:
+    shape (P, B, n), plus the circuit's readout confusion."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
-    n_probes = thetas.shape[0]
     circuit, enc_slots, pqc_slots = _prepared_circuit(template, d, profile)
-    rows = np.tile(x, (n_probes, 1))
-    overrides = {op: rows[:, feat] for op, feat in enc_slots}
-    overrides.update({op: np.repeat(thetas[:, j], b) for j, op in enumerate(pqc_slots)})
-    return run_circuit(circuit, overrides).reshape(n_probes, b, -1), circuit.readout
+    overrides = {op: x[:, feat] for op, feat in enc_slots}
+    overrides.update({op: thetas[:, j, None] for j, op in enumerate(pqc_slots)})
+    return run_circuit(circuit, overrides).reshape(thetas.shape[0], b, -1), circuit.readout
 
 
 def _sampled(exps: np.ndarray, readout: ReadoutConfusion | None, shots: int, rng) -> np.ndarray:
@@ -219,8 +219,9 @@ def forward_probes(
     """Class probabilities of P flat parameter vectors (shaped like
     ``model.flat_params()``) on one batch of inputs, shape (P, B, k).
 
-    All P * B circuits run in one run_circuit call; probe p draws its shot
-    noise from ``rngs[p]`` and applies its own head.
+    All P * B circuits run in one run_circuit call on the probes x samples
+    grid; probe p draws its shot noise from ``rngs[p]`` and applies its own
+    head.
     """
     flats = np.asarray(flats, dtype=np.float64)
     if flats.ndim != 2 or flats.shape[1] != model.n_params:
@@ -247,7 +248,7 @@ def forward_batch(
     parameters, shape (B, k).
 
     The circuit after its product-state prefix is pulled back once per
-    (template, d, profile, theta) and cached, so each row costs its prefix
+    (d, profile) and held on the model, so each row costs its prefix
     and one contraction, and its result does not depend on the rest of the
     batch.  `rng` draws the shot noise: one generator for the batch, or a
     sequence of one generator per row.

@@ -254,7 +254,7 @@ def train(
                 rademacher(stream(seed, epoch, b_idx, _DELTA, draw), params.shape[0])
                 for draw in range(cfg.spsa_draws)
             ])
-            rngs = [
+            rngs = None if cfg.shots is None else [
                 stream(seed, epoch, b_idx, side, draw) for draw in range(cfg.spsa_draws) for side in (_PLUS, _MINUS)
             ]
             probs = forward_probes(model, spsa_probes(params, deltas, cfg.spsa_c), xb, profile, cfg.shots, rngs)

@@ -39,3 +39,42 @@ def test_required_binding_is_the_hooked_function(site):
     hook = next(h for h in layers.HOOKS if site.endswith("." + h.name))
     module = site[: -len(hook.name) - 1]
     assert _lookup(module, hook.name) is _lookup(hook.module, hook.name)
+
+
+#: bindings a workload requires, and the training step that must call each
+STEP_BINDINGS = [
+    ("steal_ideal", "ideal", False, ("qsteal.model.run_circuit", "qsteal.density.apply_unitary_vec")),
+    ("train_noisy", "devA", True,
+     ("qsteal.model.run_circuit", "qsteal.training.forward_batch", "qsteal.density.apply_superop_batch")),
+]
+
+
+@pytest.mark.parametrize("workload, device, with_eval, sites", STEP_BINDINGS, ids=[s[0] for s in STEP_BINDINGS])
+def test_one_training_step_calls_the_required_bindings(monkeypatch, workload, device, with_eval, sites):
+    # a change that routes around a required binding would otherwise fail only in a traced run
+    import numpy as np
+
+    from qsteal.circuits import PQCTemplate
+    from qsteal.devices import default_registry
+    from qsteal.model import init_model
+    from qsteal.training import TrainConfig, train
+
+    assert set(sites) <= set(workloads.WORKLOADS[workload].required)
+    calls = dict.fromkeys(sites, 0)
+    for site in sites:
+        module, _, name = site.rpartition(".")
+        owner = importlib.import_module(module)
+        original = getattr(owner, name)
+
+        def counted(*args, _site=site, _original=original, **kwargs):
+            calls[_site] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    x = np.random.default_rng(0).uniform(0, 2 * np.pi, (8, 8))
+    labels = np.arange(8) % 4
+    held_out = (x, labels) if with_eval else (None, None)
+    model = init_model(PQCTemplate("PQC19", 4), 4, 0)
+    train(model, x, labels, TrainConfig(epochs=1, batch_size=8, spsa_draws=1), default_registry().get(device), 0,
+          *held_out)
+    assert all(calls[site] > 0 for site in sites), calls

@@ -251,19 +251,34 @@ class TestExecutor:
 
 
 def _model_circuit(tid, n, profile, b, n_probes=1, seed=0):
-    """A woven model circuit with per-row encoding angles for b samples and,
-    with several probes, per-row PQC angles repeated over each probe's rows."""
+    """A woven model circuit with per-sample encoding angles for b samples
+    and, with several probes, per-probe (P, 1) PQC angles: a probes x
+    samples grid."""
     rng = np.random.default_rng(seed)
     t = PQCTemplate(tid, n)
     circuit = assemble_circuit(np.zeros(8), t, np.zeros(t.param_count))
     if profile is not None:
         circuit = weave_noise(circuit, profile)
-    overrides = {op: np.tile(rng.uniform(0, 2 * np.pi, b), n_probes) for op, _ in encoding_rz_slots(8, n)}
+    overrides = {op: rng.uniform(0, 2 * np.pi, b) for op, _ in encoding_rz_slots(8, n)}
     thetas = rng.uniform(0, 2 * np.pi, (n_probes, t.param_count))
     slots = [i for i, op in enumerate(circuit.ops) if op.angle is not None and i >= 16]
     for j, op in enumerate(slots):
-        overrides[op] = thetas[0, j] if n_probes == 1 else np.repeat(thetas[:, j], b)
+        overrides[op] = thetas[0, j] if n_probes == 1 else thetas[:, j, None]
     return circuit, overrides
+
+
+def _flat(overrides, n_probes, b):
+    """The grid's overrides as P * B probe-major rows: samples tiled, probes repeated."""
+    flat = {}
+    for op, v in overrides.items():
+        v = np.asarray(v)
+        if v.ndim == 0:
+            flat[op] = v
+        elif v.ndim == 1:
+            flat[op] = np.tile(v, n_probes)
+        else:
+            flat[op] = np.broadcast_to(v, (n_probes, b)).ravel()
+    return flat
 
 
 def _schroedinger_reference(circuit, overrides):
@@ -313,3 +328,80 @@ class TestPictures:
         overrides = {2: np.linspace(0, 3, 9)}
         np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
                                    rtol=0, atol=1e-12)
+
+
+def _demo_circuit():
+    """The demo-01 shape: H and an RZ per qubit, a CNOT chain, then a rotation."""
+    ops = (GateOp("H", (0,)), GateOp("H", (1,)), GateOp("RZ", (0,), 0.4), GateOp("RZ", (1,), 1.1),
+           GateOp("CNOT", (0, 1)), GateOp("CNOT", (1, 2)), GateOp("RX", (2,), 0.7))
+    return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), layer_breaks=(4, len(ops)))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    def test_grid_equals_the_same_rows_laid_out_flat(self, tid):
+        for n in range(2, 6):
+            for profile in (None, IDEAL, DEV_A, DEV_B):
+                for n_probes, b in ((1, 1), (1, 6), (5, 1), (4, 6), (3, 9)):
+                    circuit, overrides = _model_circuit(tid, n, profile, b, n_probes, seed=10 * n + b)
+                    got = run_circuit(circuit, overrides)
+                    assert got.shape == (n_probes * b, n)
+                    flat = run_circuit(circuit, _flat(overrides, n_probes, b))
+                    np.testing.assert_allclose(got, flat, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A, DEV_B], ids=["none", "ideal", "devA", "devB"])
+    def test_scalar_only_suffix_is_one_group(self, profile):
+        # per-sample encodings, every PQC angle shared: the whole grid is one group
+        circuit, overrides = _model_circuit("PQC19", 4, profile, 9)
+        assert all(np.ndim(v) == 0 for op, v in overrides.items() if op >= circuit.product_prefix_end)
+        np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
+    def test_per_row_and_per_sample_suffix_angles(self, profile):
+        # a suffix angle that varies by sample (or by row) makes every row its own group
+        circuit, overrides = _model_circuit("PQC19", 3, profile, 4, n_probes=3, seed=7)
+        rng = np.random.default_rng(8)
+        last = max(overrides)
+        for angle in (rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, (3, 4))):
+            overrides[last] = angle
+            np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    def test_noise_free_prefix_path_matches_final_states(self, tid):
+        for n in range(2, 6):
+            circuit, overrides = _model_circuit(tid, n, None, 5, n_probes=3, seed=n)
+            np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+                                       rtol=0, atol=1e-12)
+
+    def test_empty_prefix_matches_final_states(self):
+        # the first op is 2-qubit, so every op runs on the statevectors
+        ops = (GateOp("CRX", (0, 1), 0.0), GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("RY", (1,), 0.2))
+        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1))
+        assert circuit.product_prefix_end == 0
+        overrides = {0: np.linspace(0.1, 3.0, 4)[:, None], 3: np.linspace(-1.0, 2.0, 5)}
+        got = run_circuit(circuit, overrides)
+        assert got.shape == (20, 2)
+        np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+
+    def test_demo_circuit_matches_final_states(self):
+        circuit = _demo_circuit()
+        assert circuit.product_prefix_end == 4
+        for c in (circuit, weave_noise(circuit, DEV_A)):
+            np.testing.assert_allclose(run_circuit(c), _schroedinger_reference(c, {}), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
+    def test_reruns_are_bitwise_identical(self, profile):
+        circuit, overrides = _model_circuit("PQC6", 3, profile, 8, n_probes=4, seed=3)
+        np.testing.assert_array_equal(run_circuit(circuit, overrides), run_circuit(circuit, overrides))
+
+    def test_overrides_must_share_one_grid(self):
+        circuit, overrides = _model_circuit("PQC19", 3, None, 4, n_probes=3)
+        overrides[max(overrides)] = np.zeros(5)
+        with pytest.raises(ValueError, match="one \\(probes, samples\\) grid"):
+            run_circuit(circuit, overrides)
+        overrides[max(overrides)] = np.zeros((3, 4, 1))
+        with pytest.raises(ValueError, match="override for op"):
+            run_circuit(circuit, overrides)
+

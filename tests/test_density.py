@@ -12,7 +12,6 @@ from qsteal.density import (
     sample_expectations,
     unitary_superop,
     zero_states,
-    zero_vecs,
 )
 from qsteal.gates import GateOp, gate_matrix, rotation_batch
 
@@ -199,10 +198,26 @@ class TestBatchedKernels:
             expected = apply_superop_batch(states[i][None], unitary_superop(mats[i]), (1,), n)[0]
             np.testing.assert_allclose(batched[i], expected, atol=1e-15)
 
+    @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
+    def test_grouped_statevectors_match_per_row_matrices(self, qubits):
+        # (G, R, dim) with one matrix per group equals every row with its group's matrix
+        rng = np.random.default_rng(54)
+        n, g, r = 4, 3, 5
+        vecs = rng.normal(size=(g, r, 2**n)) + 1j * rng.normal(size=(g, r, 2**n))
+        kind = "RX" if len(qubits) == 1 else "CRX"
+        mats = rotation_batch(kind, rng.uniform(0, 2 * np.pi, g))
+        grouped = apply_unitary_vec(vecs, mats, qubits, n)
+        per_row = apply_unitary_vec(vecs.reshape(g * r, -1), np.repeat(mats, r, axis=0), qubits, n)
+        np.testing.assert_allclose(grouped.reshape(g * r, -1), per_row, rtol=0, atol=1e-14)
+        shared = apply_unitary_vec(vecs.reshape(1, g * r, -1), mats[0], qubits, n)
+        np.testing.assert_allclose(shared[0], apply_unitary_vec(vecs.reshape(g * r, -1), mats[0], qubits, n),
+                                   rtol=0, atol=1e-14)
+
     def test_statevector_matches_density_route(self):
         rng = np.random.default_rng(53)
         n = 3
-        vecs = zero_vecs(2, n)
+        vecs = np.zeros((2, 2**n), dtype=np.complex128)
+        vecs[:, 0] = 1.0
         states = zero_states(2, n)
         for _ in range(15):
             op = random_gate(rng, n)

@@ -110,33 +110,71 @@ class TestReadoutCache:
                 got = expectations_batch(m, x, profile)
                 np.testing.assert_allclose(got, self._evolved(m, x, profile), rtol=0, atol=1e-12)
 
-    def test_eight_qubit_readout_matches_and_the_cache_stays_under_128_mb(self):
+    def test_eight_qubit_readout_matches_and_an_entry_stays_under_8_mb(self):
         m = init_model(PQCTemplate("PQC19", 8), k=4, seed=2)
         x = _inputs(2, seed=3)
-        model_mod._readout.cache_clear()
         got = expectations_batch(m, x, DEV_A)
         np.testing.assert_allclose(got, self._evolved(m, x, DEV_A), rtol=0, atol=1e-12)
-        entry = model_mod._readout(m.template, 8, DEV_A, m.theta.tobytes())
+        assert list(m._readouts) == [(8, DEV_A)]
+        entry = m._readouts[(8, DEV_A)]
         assert entry.shape == (8, 4**8)
-        assert entry.nbytes * model_mod._readout.cache_info().maxsize <= 128 * 2**20
+        assert entry.nbytes <= 8 * 2**20
 
-    def test_models_differing_only_in_theta_never_share_an_entry(self, model):
+    @staticmethod
+    def _count_pull_backs(monkeypatch):
+        """Record the PQC angles of every readout pull-back."""
+        pulled = []
+        original = model_mod.pulled_back_z
+        monkeypatch.setattr(model_mod, "pulled_back_z",
+                            lambda c, o: pulled.append(np.array(list(o.values()))) or original(c, o))
+        return pulled
+
+    def test_models_differing_only_in_theta_never_share_an_entry(self, model, monkeypatch):
         from dataclasses import replace
 
+        pulled = self._count_pull_backs(monkeypatch)
         nudged = replace(model, theta=np.nextafter(model.theta, np.inf))
         x = _inputs(3)
-        model_mod._readout.cache_clear()
         a = expectations_batch(model, x, DEV_A)
         b = expectations_batch(nudged, x, DEV_A)
-        info = model_mod._readout.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert len(pulled) == 2
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(expectations_batch(model, x, DEV_A), a)
-        assert model_mod._readout.cache_info().hits == 1
+        assert len(pulled) == 2
+        assert model._readouts[(8, DEV_A)] is not nudged._readouts[(8, DEV_A)]
+
+    def test_readout_is_held_on_the_model_only(self, model):
+        forward_batch(model, _inputs(1), DEV_A)
+        forward_batch(model, _inputs(1), IDEAL)
+        assert set(model._readouts) == {(8, DEV_A), (8, IDEAL)}
+        assert "_readouts" not in repr(model)
+        assert model.with_flat_params(model.flat_params())._readouts == {}
+        with pytest.raises(ValueError, match="read-only"):
+            model.theta[0] = 0.0
+        theta = model.theta.copy()
+        HybridModel(model.template, theta, model.weights, model.bias)
+        theta[0] = 0.0  # the caller's array stays writable
+        with pytest.raises(TypeError):
+            HybridModel(model.template, model.theta, model.weights, model.bias, _readouts={})
+
+    def test_training_between_two_serves_pulls_the_served_pair_back_once(self, model, monkeypatch):
+        from qsteal.training import TrainConfig, train
+
+        pulled = self._count_pull_backs(monkeypatch)
+        served = lambda: [np.array_equal(p, model.theta) for p in pulled].count(True)  # noqa: E731
+        x = _inputs(4, seed=6)
+        first = forward_batch(model, x, DEV_A)
+        trainee = init_model(PQCTemplate("PQC19", 4), k=4, seed=9)
+        xs, labels = _inputs(8, seed=7), np.arange(8) % 4
+        train(trainee, xs, labels, TrainConfig(epochs=20, batch_size=8, spsa_draws=1), DEV_A, 1, xs, labels)
+        assert len(pulled) == 21  # the served pair, then one throwaway readout per epoch's evaluation
+        np.testing.assert_array_equal(forward_batch(model, x, DEV_A), first)
+        assert served() == 1
+        assert len(pulled) == 21
 
     def test_entries_are_read_only(self, model):
         forward_batch(model, _inputs(1), DEV_A)
-        entry = model_mod._readout(model.template, 8, DEV_A, model.theta.tobytes())
+        entry = model._readouts[(8, DEV_A)]
         with pytest.raises(ValueError, match="read-only"):
             entry[0, 0] = 0.0
 
@@ -156,7 +194,7 @@ class TestForwardProbes:
     @pytest.mark.parametrize("shots", [None, 64], ids=["analytic", "shots"])
     @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
     def test_rows_equal_forward_batch_of_each_probe(self, model, profile, shots):
-        # probes run through run_circuit, forward_batch through the cached
+        # probes run through run_circuit, forward_batch through the held
         # pulled-back readout: the same expectations in another order of operations
         flats = self._probes(model)
         x = _inputs(7)
@@ -173,8 +211,11 @@ class TestForwardProbes:
         original = model_mod.run_circuit
         monkeypatch.setattr(model_mod, "run_circuit", lambda c, o: rows.append(o) or original(c, o))
         forward_probes(model, self._probes(model), _inputs(5), DEV_A)
+        # one probes x samples grid: (5,) per-sample features, (6, 1) per-probe angles
         assert len(rows) == 1
-        assert all(np.shape(v) == (30,) for v in rows[0].values())
+        shapes = [np.shape(v) for v in rows[0].values()]
+        assert set(shapes) == {(5,), (6, 1)}
+        assert shapes.count((6, 1)) == model.template.param_count
 
     def test_probe_vectors_must_match_the_model(self, model):
         with pytest.raises(ValueError, match="parameter vectors"):
