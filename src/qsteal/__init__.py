@@ -58,7 +58,7 @@ from .devices import (
     save_registry,
 )
 from .gates import GateOp
-from .metrics import Expectations, accuracy, clone_ratio, mismatch_rate, tvd
+from .metrics import accuracy, clone_ratio, mismatch_rate, tvd
 from .model import (
     HybridModel,
     forward_batch,

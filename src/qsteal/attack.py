@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -19,7 +18,7 @@ from .circuits import PQCTemplate
 from .data import LabeledDataset, QuerySet, mixed_query_set, random_query_set
 from .devices import DeviceProfile
 from .metrics import accuracy, clone_ratio
-from .model import HybridModel, init_model
+from .model import HybridModel, atomic_write, init_model
 from .training import TrainConfig, TrainHistory, train
 
 MODES = ("top1", "topk")
@@ -181,10 +180,6 @@ class AttackReport:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AttackReport":
-        return cls(**doc)
-
 
 def build_queries(spec: AttackSpec, query_sources: list[LabeledDataset], d: int) -> QuerySet:
     if spec.query_kind == "mixed":
@@ -241,14 +236,5 @@ def run_attack_suite(
 
 
 def save_reports(reports: list[AttackReport], path) -> None:
-    """One JSON record per line, append-friendly for sweep aggregation."""
-    lines = [json.dumps(r.to_dict()) for r in reports]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_reports(path) -> list[AttackReport]:
-    reports = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            reports.append(AttackReport.from_dict(json.loads(line)))
-    return reports
+    """One JSON record per line, written atomically."""
+    atomic_write(path, "\n".join(json.dumps(r.to_dict()) for r in reports) + "\n")

@@ -168,17 +168,6 @@ def encode_angles(features, n_qubits: int) -> list[GateOp]:
     return ops
 
 
-def encoding_rz_slots(d: int, n_qubits: int) -> list[tuple[int, int]]:
-    """(op index, feature index) for every RZ in the encoding gate list."""
-    slots = []
-    pos = 0
-    for feats in encode_layout(d, n_qubits):
-        for f in feats:
-            slots.append((pos + 1, f))
-            pos += 2
-    return slots
-
-
 # ---------------------------------------------------------------------------
 # PQC templates
 # ---------------------------------------------------------------------------

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-import tempfile
 import traceback
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +33,7 @@ from .defense import (
 )
 from .devices import DeviceRegistry, RegistryError, default_registry, load_registry
 from .metrics import accuracy
-from .model import init_model, load_checkpoint, save_checkpoint
+from .model import atomic_write, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
 
@@ -183,10 +181,10 @@ def _npd_sources(train_ds: LabeledDataset, task_params: dict) -> list[LabeledDat
     )
 
 
-def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default_device):
+def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default):
     entries = _get(doc, path, "schedule", list, None)
     if not entries:
-        return default_device
+        return default
     sched = []
     for i, entry in enumerate(entries):
         _check(f"{path}.schedule[{i}]", entry, dict)
@@ -197,19 +195,6 @@ def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default_device):
     if total != cfg.epochs:
         raise ConfigError(f"{path}.schedule", f"covers {total} epochs, train.epochs is {cfg.epochs}")
     return sched
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _log(msg: str) -> None:
@@ -224,34 +209,42 @@ def _emit(path: Path) -> None:
 # victim training shared by subcommands
 # ---------------------------------------------------------------------------
 
+def _hvip_schedule(devices, epochs: int) -> list:
+    """Most epochs on the first device and the last 5 on the second, so the
+    victim tolerates both; every epoch on the first when there are 5 or fewer."""
+    if epochs > 5:
+        return [(devices[0], epochs - 5), (devices[1], 5)]
+    return [(devices[0], epochs)]
+
+
 def _train_victim_model(
     config, registry, train_ds, test_ds, seed, shots, victim_doc=None, path="victim",
-    default_schedule=None,
+    hvip_devices=None,
 ):
     doc = victim_doc if victim_doc is not None else _get(config, "", "victim", dict)
     template = _template(doc, path)
     cfg = _train_cfg(doc.get("train"), f"{path}.train", shots)
     device = _device(registry, _get(doc, path, "device", str, "ideal"), f"{path}.device")
-    fallback = default_schedule if default_schedule is not None else device
+    fallback = _hvip_schedule(hvip_devices, cfg.epochs) if hvip_devices else device
     schedule = _schedule(doc, path, registry, cfg, fallback)
     model = init_model(template, train_ds.k, seed)
     trained, history = train(
         model, train_ds.features, train_ds.labels, cfg, schedule, seed,
         test_ds.features, test_ds.labels,
     )
-    return trained, history, device, cfg
+    return trained, history, device
 
 
 def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
     registry = _registry(config)
     shots = _shots(config)
     train_ds, test_ds, _ = _task(config)
-    trained, history, device, _cfg = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
+    trained, history, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
     _log(f"trained victim on {train_ds.n} samples; final test accuracy {history.final.test_accuracy:.3f}")
     ckpt = out / "victim.checkpoint.json"
     save_checkpoint(trained, ckpt, seed=seed)
     hist_path = out / "victim.history.json"
-    _atomic_write(hist_path, json.dumps(history.to_dict(), indent=1))
+    atomic_write(hist_path, json.dumps(history.to_dict(), indent=1))
     _emit(ckpt)
     _emit(hist_path)
     return 0
@@ -334,7 +327,7 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
         if victim.k != train_ds.k:
             raise ConfigError("attack.victim_checkpoint", "checkpoint class count does not match the task")
     else:
-        victim, _, _, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
+        victim, _, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
     victim_acc = accuracy(victim, test_ds, victim_device, shots, seed=seed)
     sources = _npd_sources(train_ds, task_params)
     service = no_defense(victim, victim_device, shots, seed=seed)
@@ -354,7 +347,6 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
         _log(f"cell done: mode={r.mode} kind={r.query_kind} |D_A|={r.da_size} "
              f"width={r.clone_qubits} seed={r.seed} ratio={r.ratio:.3f}")
     path = out / "attack_reports.jsonl"
-    out.mkdir(parents=True, exist_ok=True)
     save_reports(reports, path)
     _emit(path)
     return 0 if not errors else 1
@@ -396,10 +388,8 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
         if len(devices) > 2 and not _get(config, "", "victim", dict).get("schedule"):
             raise ConfigError("defense.devices", "more than two devices need an explicit victim.schedule")
         _check_probs(probs, len(devices))
-        # without an explicit schedule, train mostly on the first device with
-        # a short tail on the second so the victim tolerates both
-        victim, history, _, _ = _train_victim_model(
-            config, registry, train_ds, test_ds, seed, shots, default_schedule=list(devices)
+        victim, _, _ = _train_victim_model(
+            config, registry, train_ds, test_ds, seed, shots, hvip_devices=devices
         )
         service = hvip(victim, devices, probs, shots, seed=seed)
     elif policy_kind == "havip":
@@ -412,13 +402,13 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
         pairs = []
         for i, vdoc in enumerate(victim_docs):
             path = f"defense.victims[{i}]"
-            model, _, device, _ = _train_victim_model(
+            model, _, device = _train_victim_model(
                 config, registry, train_ds, test_ds, seed + i, shots, victim_doc=vdoc, path=path
             )
             pairs.append((model, device))
         service = havip(pairs, probs, shots, seed=seed)
     elif policy_kind == "none":
-        victim, _, device, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
+        victim, _, device = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
         service = no_defense(victim, device, shots, seed=seed)
     else:
         raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy_kind!r}")
@@ -427,9 +417,8 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     qs = build_queries(queries, sources, train_ds.d)
     obf = measure_obfuscation(service, baseline_of(service), qs, seeds=service_seeds)
     _log(f"obfuscation: mean TVD {obf.mean_tvd:.4f}, top-1 mismatch {obf.top1_mismatch_rate:.4f}")
-    out.mkdir(parents=True, exist_ok=True)
     obf_path = out / "obfuscation.json"
-    _atomic_write(obf_path, json.dumps(obf.to_dict(), indent=1))
+    atomic_write(obf_path, json.dumps(obf.to_dict(), indent=1))
     _emit(obf_path)
 
     if attack:
@@ -450,7 +439,7 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
             _log(f"defended attack seed {spec.seed}: gap {result.accuracy_gap:+.3f}")
             results.append(result)
         eval_path = out / "defense_eval.jsonl"
-        _atomic_write(eval_path, "\n".join(json.dumps(r.to_dict()) for r in results) + "\n")
+        atomic_write(eval_path, "\n".join(json.dumps(r.to_dict()) for r in results) + "\n")
         _emit(eval_path)
     return 0
 

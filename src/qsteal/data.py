@@ -1,9 +1,8 @@
 """Datasets: CSV loading, feature scaling, synthetic blobs, and query sets.
 
 The CSV format is one sample per line: d comma-separated features then one
-integer label; a non-numeric header line is ignored.  Query sets use the
-same format minus the label column.  Features are min-max scaled to
-[0, 2pi] per column before encoding.
+integer label; a non-numeric header line is ignored.  Features are
+min-max scaled to [0, 2pi] per column before encoding.
 """
 
 from __future__ import annotations

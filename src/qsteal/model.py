@@ -25,7 +25,6 @@ from .circuits import (
     PQCTemplate,
     assemble_circuit,
     contract_rows,
-    encoding_rz_slots,
     product_prefix,
     pulled_back_z,
     run_circuit,
@@ -115,18 +114,15 @@ def init_model(template: PQCTemplate, k: int, seed: int) -> HybridModel:
 
 @lru_cache(maxsize=128)
 def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | None):
-    """Woven circuit skeleton with placeholder angles, plus the override
-    slots for encoding features and PQC parameters.  Cached per shape."""
+    """Woven circuit skeleton with placeholder angles, plus its angle slots:
+    the indices of the ops that carry an angle, in order, the first d for
+    features 0..d-1 and the rest for the PQC parameters.  Cached per shape."""
     circuit = assemble_circuit(np.zeros(d), template, np.zeros(template.param_count))
     if profile is not None:
         circuit = weave_noise(circuit, profile)
-    enc_slots = tuple(encoding_rz_slots(d, template.n_qubits))
-    n_enc = 2 * len(enc_slots)
-    pqc_slots = tuple(
-        n_enc + j for j, op in enumerate(circuit.ops[n_enc:]) if op.angle is not None
-    )
-    assert len(pqc_slots) == template.param_count
-    return circuit, enc_slots, pqc_slots
+    slots = tuple(i for i, op in enumerate(circuit.ops) if op.angle is not None)
+    assert len(slots) == d + template.param_count
+    return circuit, slots
 
 
 def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> np.ndarray:
@@ -136,8 +132,8 @@ def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> np.nd
     use and held on the model."""
     obs = model._readouts.get((d, profile))
     if obs is None:
-        circuit, _, pqc_slots = _prepared_circuit(model.template, d, profile)
-        obs = pulled_back_z(circuit, {op: model.theta[j] for j, op in enumerate(pqc_slots)})
+        circuit, slots = _prepared_circuit(model.template, d, profile)
+        obs = pulled_back_z(circuit, dict(zip(slots[d:], model.theta, strict=True)))
         obs = obs.reshape(len(circuit.measured_qubits), -1)
         obs.flags.writeable = False
         model._readouts[(d, profile)] = obs
@@ -154,10 +150,9 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
-    circuit, enc_slots, pqc_slots = _prepared_circuit(model.template, d, profile)
+    circuit, slots = _prepared_circuit(model.template, d, profile)
     obs = _readout(model, d, profile)
-    overrides = {op: x[:, feat] for op, feat in enc_slots}
-    overrides.update({op: model.theta[j] for j, op in enumerate(pqc_slots)})
+    overrides = dict(zip(slots, [*x.T, *model.theta], strict=True))
     return contract_rows(product_prefix(circuit, overrides), np.arange(b), obs), circuit.readout
 
 
@@ -167,9 +162,9 @@ def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray
     shape (P, B, n), plus the circuit's readout confusion."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
-    circuit, enc_slots, pqc_slots = _prepared_circuit(template, d, profile)
-    overrides = {op: x[:, feat] for op, feat in enc_slots}
-    overrides.update({op: thetas[:, j, None] for j, op in enumerate(pqc_slots)})
+    circuit, slots = _prepared_circuit(template, d, profile)
+    # features vary by sample (B,), parameters by probe (P, 1)
+    overrides = dict(zip(slots, [*x.T, *thetas.T[:, :, None]], strict=True))
     return run_circuit(circuit, overrides).reshape(thetas.shape[0], b, -1), circuit.readout
 
 
@@ -296,12 +291,19 @@ def save_checkpoint(model: HybridModel, path, seed: int | None = None) -> None:
         "bias": model.bias.tolist(),
         "seed": seed,
     }
+    atomic_write(path, json.dumps(doc, indent=1))
+
+
+def atomic_write(path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same
+    directory: readers see the old document or the new one, never part of
+    one, and a failed write leaves no temporary file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(doc, indent=1))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

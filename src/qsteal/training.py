@@ -38,9 +38,6 @@ class TrainConfig:
     #: for the 25-epoch budget on the reference task
     spsa_draws: int = 4
     shots: int | None = None  # None = analytic expectations
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -186,27 +183,15 @@ def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, 
 
 
 def normalize_schedule(schedule, epochs: int) -> list[tuple[DeviceProfile, int]]:
-    """Accept a single profile, a bare profile list, or (profile, epochs) pairs.
-
-    Two bare profiles split as most-epochs-first: all but 5 epochs on the
-    first device, the remaining 5 on the second.
-    """
+    """Accept a single profile or a list of (profile, epochs) pairs that
+    covers `epochs`."""
     if isinstance(schedule, DeviceProfile):
         return [(schedule, epochs)]
-    schedule = list(schedule)
-    if schedule and all(isinstance(item, DeviceProfile) for item in schedule):
-        if len(schedule) == 1:
-            return [(schedule[0], epochs)]
-        if len(schedule) == 2:
-            tail = 5 if epochs > 5 else 0
-            if tail == 0:
-                return [(schedule[0], epochs)]
-            return [(schedule[0], epochs - tail), (schedule[1], tail)]
-        raise ValueError("bare profile lists support at most two devices")
+    schedule = [(p, e) for p, e in schedule]
     total = sum(e for _, e in schedule)
     if total != epochs:
         raise ValueError(f"schedule covers {total} epochs, config asks for {epochs}")
-    return [(p, e) for p, e in schedule]
+    return schedule
 
 
 def _epoch_profile(schedule: list[tuple[DeviceProfile, int]], epoch: int) -> DeviceProfile:
@@ -265,7 +250,7 @@ def train(
                 estimate, mean_loss = spsa_gradient(losses[2 * draw], losses[2 * draw + 1], delta, cfg.spsa_c)
                 grad += estimate / cfg.spsa_draws
                 probe_mean += mean_loss / cfg.spsa_draws
-            params, adam = adam_step(params, grad, adam, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+            params, adam = adam_step(params, grad, adam, cfg.learning_rate)
             probe_losses.append(probe_mean)
         test_acc = float("nan")
         test_loss = float("nan")

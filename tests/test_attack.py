@@ -1,5 +1,8 @@
 """Victim querying, adversarial datasets, and clone training plumbing."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from qsteal.attack import (
     AttackReport,
     AttackSpec,
     QueryError,
-    load_reports,
     query_victim,
     run_attack_suite,
     save_reports,
@@ -187,8 +189,37 @@ class TestReports:
         reports = [self._report(s) for s in range(3)]
         path = tmp_path / "reports.jsonl"
         save_reports(reports, path)
-        again = load_reports(path)
-        assert again == reports
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [r.to_dict() for r in reports]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "reports.jsonl"
+        save_reports([self._report(1)], path)
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class HalfWritten:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWritten(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="No space"):
+            save_reports([self._report(s) for s in range(3)], path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_suite_isolates_cell_failures(self):
         class ExplodingService:

@@ -13,7 +13,6 @@ from qsteal.circuits import (
     build_pqc,
     encode_angles,
     encode_layout,
-    encoding_rz_slots,
     final_states,
     pqc_gates_per_layer,
     run_circuit,
@@ -23,6 +22,12 @@ from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.gates import GATE_KINDS, GateOp
 
 from helpers import assert_density_matrix
+
+
+def _rz_slots(d):
+    """(op index, feature index) of each encoding RZ: features go to qubits
+    in consecutive blocks, each as H then RZ, so feature f sits at 2f + 1."""
+    return [(2 * f + 1, f) for f in range(d)]
 
 
 def _encoding_circuit(features, n_qubits):
@@ -49,7 +54,7 @@ class TestEncoding:
     def test_rz_slots_align_with_ops(self):
         features = np.linspace(0.1, 2.0, 8)
         ops = encode_angles(features, 4)
-        for op_idx, feat_idx in encoding_rz_slots(8, 4):
+        for op_idx, feat_idx in _rz_slots(8):
             assert ops[op_idx].kind == "RZ"
             assert ops[op_idx].angle == features[feat_idx]
 
@@ -222,7 +227,7 @@ class TestExecutor:
         circuit = assemble_circuit(base_features, t, params)
         batch = rng.uniform(0, 2 * np.pi, (6, 4))
         overrides = {
-            op_idx: batch[:, feat_idx] for op_idx, feat_idx in encoding_rz_slots(4, 2)
+            op_idx: batch[:, feat_idx] for op_idx, feat_idx in _rz_slots(4)
         }
         batched = run_circuit(circuit, overrides)
         for i in range(6):
@@ -259,7 +264,7 @@ def _model_circuit(tid, n, profile, b, n_probes=1, seed=0):
     circuit = assemble_circuit(np.zeros(8), t, np.zeros(t.param_count))
     if profile is not None:
         circuit = weave_noise(circuit, profile)
-    overrides = {op: rng.uniform(0, 2 * np.pi, b) for op, _ in encoding_rz_slots(8, n)}
+    overrides = {op: rng.uniform(0, 2 * np.pi, b) for op, _ in _rz_slots(8)}
     thetas = rng.uniform(0, 2 * np.pi, (n_probes, t.param_count))
     slots = [i for i, op in enumerate(circuit.ops) if op.angle is not None and i >= 16]
     for j, op in enumerate(slots):

@@ -232,6 +232,31 @@ class TestDefendEval:
         assert doc["n_queries"] == 6
         assert doc["mean_tvd"] >= 0.0
 
+    @pytest.mark.parametrize(
+        "devices, epochs, expected",
+        [(["devA", "devB"], 7, ["devA"] * 2 + ["devB"] * 5),
+         (["devB", "devA"], 6, ["devB"] + ["devA"] * 5),
+         (["devA", "devB"], 5, ["devA"] * 5),
+         (["devB", "devA"], 2, ["devB"] * 2)],
+    )
+    def test_hvip_default_schedule_ends_with_five_epochs_on_the_second_device(
+        self, tmp_path, monkeypatch, devices, epochs, expected
+    ):
+        # train evaluates the held-out split once per epoch, on that epoch's device
+        import qsteal.training
+
+        seen = []
+        original = qsteal.training.forward_batch
+
+        def recording(model, x, profile, *args, **kwargs):
+            seen.append(profile.name)
+            return original(model, x, profile, *args, **kwargs)
+
+        monkeypatch.setattr(qsteal.training, "forward_batch", recording)
+        cfg = _write_config(tmp_path, {"defense.devices": devices, "victim.train.epochs": epochs})
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert seen == expected
+
     def test_havip_requires_two_victims(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,

@@ -1,12 +1,15 @@
-"""Metric primitives and the frozen-expectations registry."""
+"""Metric primitives."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qsteal.circuits import PQCTemplate
 from qsteal.data import LabeledDataset
-from qsteal.metrics import Expectations, accuracy, clone_ratio, mismatch_rate, tvd
-from qsteal.model import init_model
+from qsteal.devices import DEV_A, IDEAL
+from qsteal.metrics import accuracy, clone_ratio, mismatch_rate, tvd
+from qsteal.model import forward_batch, init_model
 
 
 class TestTvd:
@@ -76,8 +79,6 @@ class TestAccuracy:
         )
 
     def test_uniform_model_predicts_class_zero(self):
-        from dataclasses import replace
-
         ds = self._dataset()
         m = init_model(PQCTemplate("PQC19", 2), k=3, seed=1)
         flat = replace(m, weights=np.zeros((3, 2)), bias=np.zeros(3))
@@ -98,18 +99,17 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="nonempty"):
             accuracy(m, empty)
 
-
-class TestExpectations:
-    def test_roundtrip(self, tmp_path):
-        exp = Expectations()
-        exp.record("victim_accuracy", 0.87, tolerance=0.08)
-        path = tmp_path / "expect.yaml"
-        exp.save(path)
-        again = Expectations.load(path)
-        assert again.get("victim_accuracy") == (0.87, 0.08)
-        assert "victim_accuracy" in again
-
-    def test_check_within_tolerance(self):
-        exp = Expectations({"x": {"value": 1.0, "tolerance": 0.1}})
-        assert exp.check("x", 1.05)
-        assert not exp.check("x", 1.2)
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=lambda p: p.name)
+    @pytest.mark.parametrize("shots", [None, 64], ids=["analytic", "64-shots"])
+    def test_equals_one_forward_batch_over_all_rows(self, profile, shots):
+        # 700 rows, more than one evaluation chunk: the rows' shot draws must
+        # follow one another in a single default_rng(seed) stream.  Labelled
+        # with that call's predictions, any row predicted otherwise drops
+        # the accuracy below 1.
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 2 * np.pi, (700, 4))
+        # a head wide enough that every class wins somewhere
+        m = replace(init_model(PQCTemplate("PQC19", 2), k=3, seed=4), weights=rng.normal(0, 3, (3, 2)))
+        predicted = forward_batch(m, x, profile, shots, np.random.default_rng(6)).argmax(axis=1)
+        assert len(set(predicted)) > 1
+        assert accuracy(m, LabeledDataset(x, predicted, k=3), profile, shots, seed=6) == 1.0

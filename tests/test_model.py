@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsteal import model as model_mod
-from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, final_states
+from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, assemble_circuit, final_states
 from qsteal.density import exp_z_batch
 from qsteal.devices import DEV_A, DEV_B, IDEAL, DeviceProfile
 from qsteal.model import (
@@ -91,13 +91,26 @@ class TestForward:
             assert p.shape == (1, 4)
 
 
+@pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+def test_prepared_slots_are_features_then_parameters(tid):
+    # _prepared_circuit's slots are the angle-carrying ops; forward passes
+    # zip them with the features, then the PQC parameters
+    for n in range(1 if tid == "PQC1" else 2, 9):
+        for layers in (1, 2):
+            t = PQCTemplate(tid, n, layers)
+            for d in (1, 2, 3, 5, 8, 13):
+                _, slots = model_mod._prepared_circuit(t, d, None)
+                angles = np.arange(1.0, d + t.param_count + 1)
+                ops = assemble_circuit(angles[:d], t, angles[d:]).ops
+                assert [ops[i].angle for i in slots] == angles.tolist()
+
+
 class TestReadoutCache:
     @staticmethod
     def _evolved(m, x, profile):
         """<Z> per qubit from the density matrices of the whole circuit."""
-        circuit, enc_slots, pqc_slots = model_mod._prepared_circuit(m.template, x.shape[1], profile)
-        overrides = {op: x[:, feat] for op, feat in enc_slots}
-        overrides.update({op: m.theta[j] for j, op in enumerate(pqc_slots)})
+        circuit, slots = model_mod._prepared_circuit(m.template, x.shape[1], profile)
+        overrides = dict(zip(slots, [*x.T, *m.theta], strict=True))
         states = final_states(circuit, overrides)
         return np.stack([exp_z_batch(states, q, m.n_qubits) for q in circuit.measured_qubits], axis=1)
 
