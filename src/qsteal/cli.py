@@ -13,6 +13,7 @@ error, naming the offending field; 3 a config file that cannot be read.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -47,6 +48,43 @@ class InputError(Exception):
     """An input file that cannot be read."""
 
 
+#: the default of a field that every section of its kind sets
+_REQUIRED = object()
+
+# Each config section is read through one table, key -> (type, default); a
+# default of None is "unset", and the code that reads the field says what
+# that means.
+_ROOT = {"seed": (int, 0), "shots": (None, "analytic"), "devices_file": (str, None), "task": (dict, _REQUIRED),
+         "victim": (dict, None), "attack": (dict, None), "defense": (dict, None)}
+_TASK = {"kind": (str, "blobs"), "k": (int, 4), "d": (int, 8), "n_per_class": (int, 150), "separation": (float, 8.0),
+         "seed": (int, 7), "path": (str, None), "train_size": (int, None), "train_fraction": (float, 0.7)}
+_VICTIM = {"template": (str, _REQUIRED), "n_qubits": (int, _REQUIRED), "layers": (int, 1), "device": (str, "ideal"),
+           "schedule": (list, None), "train": (dict, None)}
+#: TrainConfig's fields but `shots`, which the root section sets, with its defaults
+_TRAIN = {key: (kind, getattr(TrainConfig, key)) for key, kind in (
+    ("epochs", int), ("learning_rate", float), ("batch_size", int), ("loss", str), ("spsa_c", float),
+    ("spsa_draws", int))}
+_SCHEDULE_ENTRY = {"device": (str, _REQUIRED), "epochs": (int, _REQUIRED)}
+_ATTACK = {"mode": (str, AttackSpec.mode), "da_size": (int, AttackSpec.da_size),
+           "query_kind": (str, AttackSpec.query_kind), "clone": (dict, None), "train": (dict, None),
+           "sweep": (dict, None), "seeds": (list, None), "victim_device": (str, "ideal"),
+           "victim_checkpoint": (str, None)}
+#: a defense's attack runs against the defended service, never a victim of its own
+_DEFENSE_ATTACK = {key: entry for key, entry in _ATTACK.items() if key not in ("victim_device", "victim_checkpoint")}
+_CLONE = {"template": (str, AttackSpec.clone_template), "n_qubits": (int, AttackSpec.clone_qubits),
+          "layers": (int, AttackSpec.clone_layers), "device": (str, "ideal")}
+#: sweep axis -> (AttackSpec field, value type); an unset axis holds the section's own value
+_SWEEP_AXES = {"modes": ("mode", str), "da_sizes": ("da_size", int), "query_kinds": ("query_kind", str),
+               "widths": ("clone_qubits", int)}
+_SWEEP = {axis: (list, None) for axis in _SWEEP_AXES}
+_DEFENSE = {"policy": (str, _REQUIRED), "devices": (list, None), "victims": (list, None), "probs": (list, None),
+            "n_queries": (int, 300), "query_kind": (str, "mixed"), "seeds": (list, None), "attack": (dict, None)}
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
 def _check(here: str, value, kind):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
@@ -55,49 +93,40 @@ def _check(here: str, value, kind):
     return value
 
 
-def _get(doc: dict, path: str, key: str, kind, default=...):
-    here = f"{path}.{key}" if path else key
-    if key not in doc:
-        if default is ...:
-            raise ConfigError(here, "missing required field")
-        return default
-    return _check(here, doc[key], kind)
+def _section(doc, path: str, table: dict) -> dict:
+    """The fields of the section `doc` at `path`, read through `table`: a set
+    field is type-checked, an unset one (or a null where the default is None)
+    takes its default, and a key the table does not list is an error."""
+    if doc is None:
+        raise ConfigError(path, "missing required field")
+    for key in _check(path, doc, dict):
+        if key not in table:
+            raise ConfigError(_at(path, key), f"unknown field; known: {', '.join(table)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = doc.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(_at(path, key), "missing required field")
+        values[key] = value if value is default else _check(_at(path, key), value, kind)
+    return values
 
 
-def _set_fields(doc: dict, path: str, kinds: dict) -> dict:
-    """The fields of `kinds` that `doc` sets, type-checked; the ones it
-    leaves out are left to the defaults of the dataclass they build."""
-    return {key: _get(doc, path, key, kind) for key, kind in kinds.items() if key in doc}
-
-
-def _template(doc: dict, path: str) -> PQCTemplate:
-    tid = _get(doc, path, "template", str)
-    if tid not in TEMPLATE_IDS:
-        raise ConfigError(f"{path}.template", f"unknown template {tid!r}; known: {list(TEMPLATE_IDS)}")
-    n_qubits = _get(doc, path, "n_qubits", int)
-    layers = _get(doc, path, "layers", int, 1)
-    try:
-        return PQCTemplate(tid, n_qubits, layers)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _seeds(doc: dict, path: str, seed: int) -> list[int]:
+def _seeds(seeds, path: str, seed: int) -> list[int]:
     """The nonempty integer list `seeds` of the section at `path`; [seed] when unset."""
-    seeds = _get(doc, path, "seeds", list, [seed])
+    if seeds is None:
+        return [seed]
     if not seeds:
         raise ConfigError(f"{path}.seeds", "needs at least one seed")
     return [_check(f"{path}.seeds[{i}]", s, int) for i, s in enumerate(seeds)]
 
 
-def _registry(config: dict) -> DeviceRegistry:
-    path = _get(config, "", "devices_file", str, None)
-    if path:
-        try:
-            return load_registry(Path(path))
-        except RegistryError as exc:
-            raise ConfigError("devices_file", str(exc)) from exc
-    return default_registry()
+def _registry(path) -> DeviceRegistry:
+    if not path:
+        return default_registry()
+    try:
+        return load_registry(Path(path))
+    except RegistryError as exc:
+        raise ConfigError("devices_file", str(exc)) from exc
 
 
 def _device(registry: DeviceRegistry, name: str, path: str):
@@ -107,8 +136,7 @@ def _device(registry: DeviceRegistry, name: str, path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _shots(config: dict):
-    value = config.get("shots", "analytic")
+def _shots(value):
     if value in ("analytic", None):
         return None
     if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
@@ -116,81 +144,52 @@ def _shots(config: dict):
     raise ConfigError("shots", f"expected 'analytic' or a positive integer, got {value!r}")
 
 
-_TRAIN_FIELDS = {
-    "epochs": int, "learning_rate": float, "batch_size": int, "loss": str, "spsa_c": float, "spsa_draws": int,
-}
-
-
 def _train_cfg(doc: dict | None, path: str, shots) -> TrainConfig:
-    doc = _check(path, doc or {}, dict)
-    for key in doc:
-        if key not in _TRAIN_FIELDS:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-    fields = _set_fields(doc, path, _TRAIN_FIELDS)
+    values = _section(doc or {}, path, _TRAIN)
     try:
-        return TrainConfig(shots=shots, **fields)
+        return TrainConfig(shots=shots, **values)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def _task(config: dict) -> tuple[LabeledDataset, LabeledDataset, dict]:
-    doc = _get(config, "", "task", dict)
-    kind = _get(doc, "task", "kind", str, "blobs")
-    if kind == "blobs":
-        params = {
-            "k": _get(doc, "task", "k", int, 4),
-            "d": _get(doc, "task", "d", int, 8),
-            "n_per_class": _get(doc, "task", "n_per_class", int, 150),
-            "separation": _get(doc, "task", "separation", float, 8.0),
-            "seed": _get(doc, "task", "seed", int, 7),
-        }
+def _task(doc) -> tuple[LabeledDataset, LabeledDataset, functools.partial]:
+    """The train and test splits of the task section, and a maker of the
+    non-problem-domain query sources shaped like it."""
+    task = _section(doc, "task", _TASK)
+    if task["kind"] == "blobs":
         try:
-            ds = make_blobs(**params)
+            ds = make_blobs(task["k"], task["d"], task["n_per_class"], task["separation"], task["seed"])
         except DatasetError as exc:
             raise ConfigError("task", str(exc)) from exc
-    elif kind == "csv":
-        path = _get(doc, "task", "path", str)
-        d = _get(doc, "task", "d", int, 8)
+    elif task["kind"] == "csv":
+        path = task["path"]
+        if path is None:
+            raise ConfigError("task.path", "missing required field")
         try:
-            ds = scale_features(load_csv(path, d))
+            ds = scale_features(load_csv(path, task["d"]))
         except OSError as exc:
             raise ConfigError("task.path", f"data file {path}: cannot be read ({exc.strerror or exc})") from exc
         except DatasetError as exc:
             raise ConfigError("task.path", str(exc)) from exc
-        params = {"k": ds.k, "d": d, "seed": _get(doc, "task", "seed", int, 7)}
     else:
-        raise ConfigError("task.kind", f"expected 'blobs' or 'csv', got {kind!r}")
-    split_seed = _get(doc, "task", "seed", int, 7)
-    train_size = _get(doc, "task", "train_size", int, None)
-    fraction = _get(doc, "task", "train_fraction", float, 0.7)
+        raise ConfigError("task.kind", f"expected 'blobs' or 'csv', got {task['kind']!r}")
     try:
-        train_ds, test_ds = train_test_split(ds, split_seed, fraction, train_size)
+        train_ds, test_ds = train_test_split(ds, task["seed"], task["train_fraction"], task["train_size"])
     except DatasetError as exc:
         raise ConfigError("task", str(exc)) from exc
-    return train_ds, test_ds, params
+    return train_ds, test_ds, functools.partial(
+        make_npd_sources, train_ds.k, train_ds.d, task["n_per_class"], task["separation"], task["seed"])
 
 
-def _npd_sources(train_ds: LabeledDataset, task_params: dict) -> list[LabeledDataset]:
-    """Non-problem-domain query sources shaped like the task."""
-    return make_npd_sources(
-        task_params.get("k", train_ds.k),
-        train_ds.d,
-        task_params.get("n_per_class", 150),
-        task_params.get("separation", 8.0),
-        task_params.get("seed", 7),
-    )
-
-
-def _schedule(doc: dict, path: str, registry, cfg: TrainConfig, default):
-    entries = _get(doc, path, "schedule", list, None)
+def _schedule(entries, path: str, registry, cfg: TrainConfig):
+    """The (device, epochs) list of `path.schedule`; None when unset or empty."""
     if not entries:
-        return default
+        return None
     sched = []
     for i, entry in enumerate(entries):
-        _check(f"{path}.schedule[{i}]", entry, dict)
-        device = _device(registry, _get(entry, f"{path}.schedule[{i}]", "device", str), f"{path}.schedule[{i}].device")
-        epochs = _get(entry, f"{path}.schedule[{i}]", "epochs", int)
-        sched.append((device, epochs))
+        here = f"{path}.schedule[{i}]"
+        values = _section(entry, here, _SCHEDULE_ENTRY)
+        sched.append((_device(registry, values["device"], f"{here}.device"), values["epochs"]))
     total = sum(e for _, e in sched)
     if total != cfg.epochs:
         raise ConfigError(f"{path}.schedule", f"covers {total} epochs, train.epochs is {cfg.epochs}")
@@ -201,52 +200,65 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(path: Path) -> None:
-    print(str(path))
-
-
 # ---------------------------------------------------------------------------
-# victim training shared by subcommands
+# victims: every section is read before the first one trains
 # ---------------------------------------------------------------------------
 
 def _hvip_schedule(devices, epochs: int) -> list:
     """Most epochs on the first device and the last 5 on the second, so the
     victim tolerates both; every epoch on the first when there are 5 or fewer."""
+    if len(devices) > 2:
+        raise ConfigError("defense.devices", "more than two devices need an explicit victim.schedule")
     if epochs > 5:
         return [(devices[0], epochs - 5), (devices[1], 5)]
     return [(devices[0], epochs)]
 
 
-def _train_victim_model(
-    config, registry, train_ds, test_ds, seed, shots, victim_doc=None, path="victim",
-    hvip_devices=None,
-):
-    doc = victim_doc if victim_doc is not None else _get(config, "", "victim", dict)
-    template = _template(doc, path)
-    cfg = _train_cfg(doc.get("train"), f"{path}.train", shots)
-    device = _device(registry, _get(doc, path, "device", str, "ideal"), f"{path}.device")
-    fallback = _hvip_schedule(hvip_devices, cfg.epochs) if hvip_devices else device
-    schedule = _schedule(doc, path, registry, cfg, fallback)
+def _victim(doc, path: str, registry, shots, hvip_devices=None) -> tuple:
+    """The template, train config, schedule and serving device of the victim
+    at `path`: its own schedule, else HVIP's over `hvip_devices`, else its device."""
+    values = _section(doc, path, _VICTIM)
+    tid = values["template"]
+    if tid not in TEMPLATE_IDS:
+        raise ConfigError(f"{path}.template", f"unknown template {tid!r}; known: {list(TEMPLATE_IDS)}")
+    try:
+        template = PQCTemplate(tid, values["n_qubits"], values["layers"])
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    cfg = _train_cfg(values["train"], f"{path}.train", shots)
+    if cfg.loss != "nll_top1":
+        raise ConfigError(f"{path}.train.loss", f"a victim learns class labels with 'nll_top1', got {cfg.loss!r}")
+    device = _device(registry, values["device"], f"{path}.device")
+    schedule = _schedule(values["schedule"], path, registry, cfg)
+    if schedule is None and hvip_devices:
+        schedule = _hvip_schedule(hvip_devices, cfg.epochs)
+    if schedule is None:
+        return template, cfg, device, device
+    # a device the config sets is served, so the victim must have trained on it
+    if "device" in doc and device.name not in {profile.name for profile, _ in schedule}:
+        raise ConfigError(f"{path}.device", f"the schedule never trains on {device.name!r}")
+    return template, cfg, schedule, device
+
+
+def _train_victim(victim: tuple, train_ds: LabeledDataset, test_ds: LabeledDataset, seed: int):
+    template, cfg, schedule, _ = victim
     model = init_model(template, train_ds.k, seed)
-    trained, history = train(
-        model, train_ds.features, train_ds.labels, cfg, schedule, seed,
-        test_ds.features, test_ds.labels,
-    )
-    return trained, history, device
+    return train(model, train_ds.features, train_ds.labels, cfg, schedule, seed, test_ds.features, test_ds.labels)
 
 
 def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
-    registry = _registry(config)
-    shots = _shots(config)
-    train_ds, test_ds, _ = _task(config)
-    trained, history, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
+    registry = _registry(config["devices_file"])
+    shots = _shots(config["shots"])
+    train_ds, test_ds, _ = _task(config["task"])
+    victim = _victim(config["victim"], "victim", registry, shots)
+    trained, history = _train_victim(victim, train_ds, test_ds, seed)
     _log(f"trained victim on {train_ds.n} samples; final test accuracy {history.final.test_accuracy:.3f}")
     ckpt = out / "victim.checkpoint.json"
     save_checkpoint(trained, ckpt, seed=seed)
     hist_path = out / "victim.history.json"
     atomic_write(hist_path, json.dumps(history.to_dict(), indent=1))
-    _emit(ckpt)
-    _emit(hist_path)
+    print(ckpt)
+    print(hist_path)
     return 0
 
 
@@ -256,49 +268,41 @@ def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
 
 #: clone section key -> AttackSpec field
 _CLONE_FIELDS = {"template": "clone_template", "n_qubits": "clone_qubits", "layers": "clone_layers"}
-#: sweep axis -> (AttackSpec field, value type)
-_SWEEP_AXES = {"modes": ("mode", str), "da_sizes": ("da_size", int), "query_kinds": ("query_kind", str),
-               "widths": ("clone_qubits", int)}
 
 
 def _respec(spec: AttackSpec, here: str, **fields) -> AttackSpec:
-    """`spec` with `fields` replaced; a value AttackSpec rejects is a config
-    error at `here`."""
+    """`spec` with `fields` replaced; a value AttackSpec rejects is a config error at `here`."""
     try:
         return replace(spec, **fields)
     except ValueError as exc:
         raise ConfigError(here, str(exc)) from exc
 
 
-def _attack_section(doc: dict, path: str, registry, shots, seed: int):
+def _attack_section(values: dict, path: str, registry, shots, seed: int):
     """The sweep cells, clone train config and clone device of the attack
-    section at `path`; every error names its field under `path`."""
-    clone_doc = _get(doc, path, "clone", dict, {})
+    section read into `values` at `path`; every error names its field."""
+    clone = _section(values["clone"] or {}, f"{path}.clone", _CLONE)
     # one field at a time, the clone template before its width, so that a
     # rejection names the field that caused it
     base = AttackSpec()
-    clone = _set_fields(clone_doc, f"{path}.clone", {"template": str, "n_qubits": int, "layers": int})
-    for key, value in clone.items():
-        base = _respec(base, f"{path}.clone.{key}", **{_CLONE_FIELDS[key]: value})
-    for key, value in _set_fields(doc, path, {"mode": str, "da_size": int, "query_kind": str}).items():
-        base = _respec(base, f"{path}.{key}", **{key: value})
-    cfg = _train_cfg(doc.get("train"), f"{path}.train", shots)
-    sweep = _check(f"{path}.sweep", doc.get("sweep") or {}, dict)
-    axes = [_seeds(doc, path, seed)]
+    for key, field in _CLONE_FIELDS.items():
+        base = _respec(base, f"{path}.clone.{key}", **{field: clone[key]})
+    for key in ("mode", "da_size", "query_kind"):
+        base = _respec(base, f"{path}.{key}", **{key: values[key]})
+    cfg = _train_cfg(values["train"], f"{path}.train", shots)
+    sweep = _section(values["sweep"] or {}, f"{path}.sweep", _SWEEP)
+    axes = [_seeds(values["seeds"], path, seed)]
     for axis, (field, kind) in _SWEEP_AXES.items():
-        values = _get(sweep, f"{path}.sweep", axis, list, [getattr(base, field)])
-        for i, value in enumerate(values):
+        points = [getattr(base, field)] if sweep[axis] is None else sweep[axis]
+        for i, value in enumerate(points):
             here = f"{path}.sweep.{axis}[{i}]"
             _respec(base, here, **{field: _check(here, value, kind)})
-        axes.append(values)
+        axes.append(points)
     # a sweep over modes sets each cell's loss from its mode
-    if "loss" in (doc.get("train") or {}) and not sweep.get("modes") and cfg.loss != loss_for(base.mode):
-        raise ConfigError(
-            f"{path}.train.loss", f"{base.mode} responses need {loss_for(base.mode)!r}, got {cfg.loss!r}"
-        )
-    clone_device = _device(
-        registry, _get(clone_doc, f"{path}.clone", "device", str, "ideal"), f"{path}.clone.device"
-    )
+    if "loss" in (values["train"] or {}) and not sweep["modes"] and cfg.loss != loss_for(base.mode):
+        raise ConfigError(f"{path}.train.loss",
+                          f"{base.mode} responses need {loss_for(base.mode)!r}, got {cfg.loss!r}")
+    clone_device = _device(registry, clone["device"], f"{path}.clone.device")
     specs = [
         replace(base, mode=mode, da_size=da_size, query_kind=kind, clone_qubits=width, seed=cell_seed)
         for cell_seed, mode, da_size, kind, width in itertools.product(*axes)
@@ -307,14 +311,13 @@ def _attack_section(doc: dict, path: str, registry, shots, seed: int):
 
 
 def cmd_attack(config: dict, out: Path, seed: int) -> int:
-    registry = _registry(config)
-    shots = _shots(config)
-    train_ds, test_ds, task_params = _task(config)
-    doc = _get(config, "", "attack", dict)
-    specs, cfg, clone_device = _attack_section(doc, "attack", registry, shots, seed)
-    victim_device = _device(registry, _get(doc, "attack", "victim_device", str, "ideal"), "attack.victim_device")
-
-    ckpt_path = doc.get("victim_checkpoint")
+    registry = _registry(config["devices_file"])
+    shots = _shots(config["shots"])
+    train_ds, test_ds, sources = _task(config["task"])
+    values = _section(config["attack"], "attack", _ATTACK)
+    specs, cfg, clone_device = _attack_section(values, "attack", registry, shots, seed)
+    victim_device = _device(registry, values["victim_device"], "attack.victim_device")
+    ckpt_path = values["victim_checkpoint"]
     if ckpt_path:
         try:
             victim, _ = load_checkpoint(ckpt_path)
@@ -327,14 +330,13 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
         if victim.k != train_ds.k:
             raise ConfigError("attack.victim_checkpoint", "checkpoint class count does not match the task")
     else:
-        victim, _, _ = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
+        victim, _ = _train_victim(_victim(config["victim"], "victim", registry, shots), train_ds, test_ds, seed)
     victim_acc = accuracy(victim, test_ds, victim_device, shots, seed=seed)
-    sources = _npd_sources(train_ds, task_params)
     service = no_defense(victim, victim_device, shots, seed=seed)
     reports, errors = run_attack_suite(
         service,
         specs,
-        query_sources=sources,
+        query_sources=sources(),
         d=train_ds.d,
         train_cfg=cfg,
         clone_profile=clone_device,
@@ -348,7 +350,7 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
              f"width={r.clone_qubits} seed={r.seed} ratio={r.ratio:.3f}")
     path = out / "attack_reports.jsonl"
     save_reports(reports, path)
-    _emit(path)
+    print(path)
     return 0 if not errors else 1
 
 
@@ -356,70 +358,54 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
 # defense evaluation
 # ---------------------------------------------------------------------------
 
-def _check_probs(probs, n_pairs: int) -> None:
-    if probs is not None:
+def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
+    registry = _registry(config["devices_file"])
+    shots = _shots(config["shots"])
+    train_ds, test_ds, sources = _task(config["task"])
+    doc = _section(config["defense"], "defense", _DEFENSE)
+    probs = doc["probs"] and [_check(f"defense.probs[{i}]", p, float) for i, p in enumerate(doc["probs"])]
+    queries = _respec(AttackSpec(seed=seed), "defense.n_queries", da_size=doc["n_queries"])
+    queries = _respec(queries, "defense.query_kind", query_kind=doc["query_kind"])
+    service_seeds = _seeds(doc["seeds"], "defense", seed)
+    attack_values = doc["attack"] and _section(doc["attack"], "defense.attack", _DEFENSE_ATTACK)
+    attack = attack_values and _attack_section(attack_values, "defense.attack", registry, shots, seed)
+
+    policy = doc["policy"]
+    if policy == "hvip":
+        devices = [_device(registry, n, f"defense.devices[{i}]") for i, n in enumerate(doc["devices"] or [])]
+        if len(devices) < 2 or len({d.name for d in devices}) != len(devices):
+            raise ConfigError("defense.devices", "hvip needs at least two distinct devices")
+        victims = [_victim(config["victim"], "victim", registry, shots, hvip_devices=devices)]
+    elif policy == "havip":
+        docs = doc["victims"] or []
+        if len(docs) < 2:
+            raise ConfigError("defense.victims", "havip needs at least two victim specs")
+        victims = [_victim(vdoc, f"defense.victims[{i}]", registry, shots) for i, vdoc in enumerate(docs)]
+    elif policy == "none":
+        victims = [_victim(config["victim"], "victim", registry, shots)]
+    else:
+        raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy!r}")
+    if probs is not None and policy != "none":
         try:
-            selection_probs(probs, n_pairs)
+            selection_probs(probs, len(devices) if policy == "hvip" else len(victims))
         except ValueError as exc:
             raise ConfigError("defense.probs", str(exc)) from exc
 
-
-def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
-    registry = _registry(config)
-    shots = _shots(config)
-    train_ds, test_ds, task_params = _task(config)
-    doc = _get(config, "", "defense", dict)
-    policy_kind = _get(doc, "defense", "policy", str)
-    probs = _get(doc, "defense", "probs", list, None)
-    if probs is not None:
-        probs = [_check(f"defense.probs[{i}]", p, float) for i, p in enumerate(probs)]
-    n_queries = _get(doc, "defense", "n_queries", int, 300)
-    queries = _respec(AttackSpec(seed=seed), "defense.n_queries", da_size=n_queries)
-    queries = _respec(queries, "defense.query_kind", query_kind=_get(doc, "defense", "query_kind", str, "mixed"))
-    service_seeds = _seeds(doc, "defense", seed)
-    attack_doc = _get(doc, "defense", "attack", dict, None)
-    attack = _attack_section(attack_doc, "defense.attack", registry, shots, seed) if attack_doc else None
-
-    if policy_kind == "hvip":
-        names = _get(doc, "defense", "devices", list)
-        devices = [_device(registry, n, f"defense.devices[{i}]") for i, n in enumerate(names)]
-        if len(devices) < 2 or len({d.name for d in devices}) != len(devices):
-            raise ConfigError("defense.devices", "hvip needs at least two distinct devices")
-        if len(devices) > 2 and not _get(config, "", "victim", dict).get("schedule"):
-            raise ConfigError("defense.devices", "more than two devices need an explicit victim.schedule")
-        _check_probs(probs, len(devices))
-        victim, _, _ = _train_victim_model(
-            config, registry, train_ds, test_ds, seed, shots, hvip_devices=devices
-        )
-        service = hvip(victim, devices, probs, shots, seed=seed)
-    elif policy_kind == "havip":
-        victim_docs = _get(doc, "defense", "victims", list)
-        if len(victim_docs) < 2:
-            raise ConfigError("defense.victims", "havip needs at least two victim specs")
-        for i, vdoc in enumerate(victim_docs):
-            _check(f"defense.victims[{i}]", vdoc, dict)
-        _check_probs(probs, len(victim_docs))
-        pairs = []
-        for i, vdoc in enumerate(victim_docs):
-            path = f"defense.victims[{i}]"
-            model, _, device = _train_victim_model(
-                config, registry, train_ds, test_ds, seed + i, shots, victim_doc=vdoc, path=path
-            )
-            pairs.append((model, device))
-        service = havip(pairs, probs, shots, seed=seed)
-    elif policy_kind == "none":
-        victim, _, device = _train_victim_model(config, registry, train_ds, test_ds, seed, shots)
-        service = no_defense(victim, device, shots, seed=seed)
+    # havip's i-th victim trains on seed + i
+    models = [_train_victim(victim, train_ds, test_ds, seed + i)[0] for i, victim in enumerate(victims)]
+    if policy == "hvip":
+        service = hvip(models[0], devices, probs, shots, seed=seed)
     else:
-        raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy_kind!r}")
+        pairs = [(model, device) for model, (*_, device) in zip(models, victims)]
+        service = havip(pairs, probs, shots, seed) if policy == "havip" else no_defense(*pairs[0], shots, seed)
 
-    sources = _npd_sources(train_ds, task_params)
-    qs = build_queries(queries, sources, train_ds.d)
+    query_sources = sources()
+    qs = build_queries(queries, query_sources, train_ds.d)
     obf = measure_obfuscation(service, baseline_of(service), qs, seeds=service_seeds)
     _log(f"obfuscation: mean TVD {obf.mean_tvd:.4f}, top-1 mismatch {obf.top1_mismatch_rate:.4f}")
     obf_path = out / "obfuscation.json"
     atomic_write(obf_path, json.dumps(obf.to_dict(), indent=1))
-    _emit(obf_path)
+    print(obf_path)
 
     if attack:
         specs, cfg, clone_device = attack
@@ -429,7 +415,7 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
             result = evaluate_defended_attack(
                 service,
                 spec,
-                query_sources=sources,
+                query_sources=query_sources,
                 d=train_ds.d,
                 train_cfg=cfg,
                 clone_profile=clone_device,
@@ -440,7 +426,7 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
             results.append(result)
         eval_path = out / "defense_eval.jsonl"
         atomic_write(eval_path, "\n".join(json.dumps(r.to_dict()) for r in results) + "\n")
-        _emit(eval_path)
+        print(eval_path)
     return 0
 
 
@@ -515,8 +501,8 @@ def main(argv=None) -> int:
     if args.command == "report":
         return cmd_report(Path(args.out))
     try:
-        config = _read_config(Path(args.config))
-        seed = args.seed_override if args.seed_override is not None else _get(config, "", "seed", int, 0)
+        config = _section(_read_config(Path(args.config)), "", _ROOT)
+        seed = args.seed_override if args.seed_override is not None else config["seed"]
         out = Path(args.out)
         if args.command == "train-victim":
             return cmd_train_victim(config, out, seed)

@@ -182,10 +182,10 @@ def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, 
     return targets
 
 
-def normalize_schedule(schedule, epochs: int) -> list[tuple[DeviceProfile, int]]:
-    """Accept a single profile or a list of (profile, epochs) pairs that
-    covers `epochs`."""
-    if isinstance(schedule, DeviceProfile):
+def normalize_schedule(schedule, epochs: int) -> list[tuple[DeviceProfile | None, int]]:
+    """Accept a single profile (None is the noise-free circuit) or a list of
+    (profile, epochs) pairs that covers `epochs`."""
+    if schedule is None or isinstance(schedule, DeviceProfile):
         return [(schedule, epochs)]
     schedule = [(p, e) for p, e in schedule]
     total = sum(e for _, e in schedule)
@@ -194,7 +194,7 @@ def normalize_schedule(schedule, epochs: int) -> list[tuple[DeviceProfile, int]]
     return schedule
 
 
-def _epoch_profile(schedule: list[tuple[DeviceProfile, int]], epoch: int) -> DeviceProfile:
+def _epoch_profile(schedule: list[tuple[DeviceProfile | None, int]], epoch: int) -> DeviceProfile | None:
     seen = 0
     for profile, count in schedule:
         seen += count

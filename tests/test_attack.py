@@ -17,7 +17,7 @@ from qsteal.attack import (
     train_clone,
 )
 from qsteal.circuits import PQCTemplate
-from qsteal.data import QuerySet, random_query_set
+from qsteal.data import LabeledDataset, QuerySet, random_query_set
 from qsteal.defense import no_defense
 from qsteal.devices import IDEAL
 from qsteal.model import init_model
@@ -153,6 +153,18 @@ class TestTrainClone:
         cfg = TrainConfig(epochs=1, batch_size=5, loss="kl_topk", spsa_draws=1)
         clone, _ = train_clone(da, PQCTemplate("PQC19", 8), cfg, IDEAL, seed=0)
         assert clone.n_qubits == 8
+
+    @pytest.mark.parametrize("shots", [None, 64], ids=["analytic", "shots"])
+    def test_no_profile_trains_as_the_ideal_device(self, shots):
+        # forward_batch runs profile None as the noise-free circuit; training must too
+        rng = np.random.default_rng(4)
+        da = AdversarialDataset(rng.uniform(0, 2 * np.pi, (12, 4)), rng.dirichlet(np.ones(3), size=12), "topk", k=3)
+        cfg = TrainConfig(epochs=2, batch_size=6, loss="kl_topk", spsa_draws=2, shots=shots)
+        held_out = LabeledDataset(rng.uniform(0, 2 * np.pi, (6, 4)), np.arange(6) % 3, k=3)
+        runs = [train_clone(da, PQCTemplate("PQC19", 2), cfg, profile, 5, held_out) for profile in (None, IDEAL)]
+        (plain, plain_hist), (ideal, ideal_hist) = runs
+        assert np.array_equal(plain.flat_params(), ideal.flat_params())
+        assert plain_hist.to_dict() == ideal_hist.to_dict()
 
 
 class TestSpec:

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from qsteal.attack import AttackSpec
-from qsteal.cli import _attack_section, _train_cfg, main
+from qsteal.cli import _ATTACK, _attack_section, _section, _train_cfg, main
 from qsteal.devices import IDEAL, DeviceProfile, DeviceRegistry, default_registry, save_registry
 from qsteal.training import TrainConfig
 
@@ -20,7 +20,7 @@ TINY = {
         "seed": 5, "train_fraction": 0.7,
     },
     "victim": {
-        "template": "PQC19", "n_qubits": 2, "layers": 1, "device": "ideal",
+        "template": "PQC19", "n_qubits": 2, "layers": 1,
         "train": {"epochs": 2, "batch_size": 8, "loss": "nll_top1", "spsa_draws": 1},
     },
     "attack": {
@@ -63,14 +63,14 @@ class TestSections:
     def test_unset_fields_take_the_dataclass_defaults(self):
         assert _train_cfg({}, "victim.train", None) == TrainConfig()
         assert _train_cfg(None, "victim.train", 8) == TrainConfig(shots=8)
-        specs, cfg, device = _attack_section({}, "attack", default_registry(), None, 3)
+        specs, cfg, device = _attack_section(_section({}, "attack", _ATTACK), "attack", default_registry(), None, 3)
         assert specs == [AttackSpec(seed=3)]
         assert cfg == TrainConfig() and device == IDEAL
 
     def test_set_fields_reach_the_spec(self):
         doc = {"mode": "top1", "da_size": 9, "query_kind": "random",
                "clone": {"template": "PQC6", "n_qubits": 3, "layers": 2}}
-        specs, _, _ = _attack_section(doc, "attack", default_registry(), None, 0)
+        specs, _, _ = _attack_section(_section(doc, "attack", _ATTACK), "attack", default_registry(), None, 0)
         assert specs == [AttackSpec("top1", 9, "random", "PQC6", 3, 2, 0)]
 
     @pytest.mark.parametrize(
@@ -83,6 +83,82 @@ class TestSections:
         cfg = _write_config(tmp_path, {key: value})
         assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+
+#: havip victims for TINY, each with its own device
+HAVIP = [
+    {"template": "PQC1", "n_qubits": 2, "device": "devA", "train": {"epochs": 1, "spsa_draws": 1, "batch_size": 8}},
+    {"template": "PQC19", "n_qubits": 2, "device": "devB", "train": {"epochs": 1, "spsa_draws": 1, "batch_size": 8}},
+]
+
+
+def _havip(index=1, **fields):
+    """A havip defense whose victim `index` has `fields` set."""
+    victims = json.loads(json.dumps(HAVIP))  # deep copy
+    victims[index].update(fields)
+    return {"defense.policy": "havip", "defense.victims": victims}
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [("train-victim", {"sede": 3}, "sede"),
+         ("train-victim", {"task.n_per_clas": 12}, "task.n_per_clas"),
+         ("train-victim", {"victim.devcie": "devA"}, "victim.devcie"),
+         ("train-victim", {"victim.schedule": [{"device": "devA", "epochs": 2, "epoch": 2}]},
+          "victim.schedule[0].epoch"),
+         ("attack", {"attack.victim_devcie": "devA"}, "attack.victim_devcie"),
+         ("attack", {"attack.clone.qubits": 3}, "attack.clone.qubits"),
+         ("attack", {"attack.sweep": {"width": [3]}}, "attack.sweep.width"),
+         ("defend-eval", {"defense.device": ["devA"]}, "defense.device"),
+         ("defend-eval", {"defense.attack": {"mde": "top1"}}, "defense.attack.mde"),
+         ("defend-eval", {"defense.attack": {"victim_device": "devA"}}, "defense.attack.victim_device"),
+         ("defend-eval", _havip(devcie="devB"), "defense.victims[1].devcie")],
+        ids=["root", "task", "victim", "schedule-entry", "attack", "clone", "sweep", "defense",
+             "defense-attack", "defense-attack-victim-device", "havip-victim"],
+    )
+    def test_unknown_key_names_its_path(self, tmp_path, capsys, no_training, command, overrides, field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_havip_checks_every_victim_before_the_first_trains(self, tmp_path, capsys, no_training):
+        cfg = _write_config(tmp_path, _havip(template="PQC99"))
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: defense.victims[1].template:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [("train-victim", {"victim.train.loss": "kl_topk"}, "victim.train.loss"),
+         ("attack", {"victim.train.loss": "kl_topk"}, "victim.train.loss"),
+         ("defend-eval", _havip(index=0, train={"loss": "kl_topk"}), "defense.victims[0].train.loss")],
+        ids=["train-victim", "attack", "havip"],
+    )
+    def test_victim_loss_other_than_nll_top1_rejected(self, tmp_path, capsys, no_training, command, overrides, field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}:" in err and "nll_top1" in err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [({"victim.device": "ideal"}, "victim.device"),
+         ({"victim.device": "devB", "victim.train.epochs": 2}, "victim.device"),
+         ({"defense.policy": "none", "victim.device": "devB",
+           "victim.schedule": [{"device": "devA", "epochs": 2}]}, "victim.device"),
+         (_havip(schedule=[{"device": "devA", "epochs": 1}]), "defense.victims[1].device")],
+        ids=["hvip-default", "hvip-short", "explicit-schedule", "havip"],
+    )
+    def test_set_device_the_schedule_never_trains_on_rejected(self, tmp_path, capsys, no_training, overrides, field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_set_device_the_schedule_trains_on_accepted(self, tmp_path):
+        # two epochs: the default hvip schedule trains both on devA
+        cfg = _write_config(tmp_path, {"victim.device": "devA", "victim.train.epochs": 2})
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestTrainVictim:
