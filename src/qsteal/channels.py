@@ -54,7 +54,9 @@ class KrausChannel:
     @cached_property
     def superop(self) -> np.ndarray:
         """sum_m K_m (x) conj(K_m), the (dim^2, dim^2) superoperator."""
-        return sum(np.kron(k, k.conj()) for k in self.operators)
+        k = np.stack(self.operators)
+        # the products np.kron forms, summed over m in order
+        return (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4**self.n_qubits_acted, -1)
 
 
 def _check_rate(name: str, p: float) -> None:

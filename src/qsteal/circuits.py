@@ -142,6 +142,43 @@ class CircuitIR:
                 return i
         return len(self.ops)
 
+    @cached_property
+    def plan(self) -> tuple[tuple, tuple]:
+        """Fused steps (op index or None, qubits, after) before and after
+        `product_prefix_end`: the op's gate, then `after`, a fixed superop or
+        None.  A channel folds into its part's latest step on its qubits when
+        that step covers them all (channels on other qubits commute past it),
+        else starts a standalone step with op index None."""
+        parts, latest = ([], []), ({}, {})  # per part: its steps, and the latest step on each qubit
+        for i, op in enumerate(self.ops):
+            steps, last = parts[i >= self.product_prefix_end], latest[i >= self.product_prefix_end]
+            step = [i, op.qubits, None]
+            steps.append(step)
+            last.update(dict.fromkeys(op.qubits, step))
+            for p in self.channels_after.get(i, ()):
+                step = last.get(p.qubits[0])
+                if step is None or any(last.get(q) is not step for q in p.qubits):
+                    step = [None, p.qubits, None]
+                    steps.append(step)
+                    last.update(dict.fromkeys(p.qubits, step))
+                superop = _embed(p.channel.superop, p.qubits, step[1])
+                step[2] = superop if step[2] is None else superop @ step[2]
+        return tuple(tuple(map(tuple, steps)) for steps in parts)
+
+
+def _embed(superop: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
+    """A superoperator on `qubits` as one on `into`, which holds them all:
+    identity on the other qubits, indices ordered as `into` lists them."""
+    if qubits == into:
+        return superop
+    k, j = len(into), len(qubits)
+    rest = [q for q in into if q not in qubits]
+    # kron(superop, identity): output axes are the rows of `qubits`, their columns, then those of `rest`
+    full = superop[:, None, :, None] * np.eye(4 ** (k - j))[None, :, None, :]
+    rows = [t if t < j else t + j for t in map([*qubits, *rest].index, into)]
+    out = rows + [a + (j if a < j else k - j) for a in rows]
+    return full.reshape((2,) * 4 * k).transpose(out + [a + 2 * k for a in out]).reshape(4**k, 4**k)
+
 
 # ---------------------------------------------------------------------------
 # encoding
@@ -355,19 +392,27 @@ def _superop(op: GateOp, angle) -> np.ndarray:
     return density.unitary_superop(_matrix(op, angle))
 
 
+def _fused(circuit: CircuitIR, step: tuple, angle) -> np.ndarray:
+    """The superoperator of one plan step: its gate at `angle` (a stack for
+    an array of angles), then its fixed channels."""
+    i, _, after = step
+    if i is None:
+        return after
+    gate = _superop(circuit.ops[i], angle)
+    return gate if after is None else after @ gate
+
+
 def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
-    """Run the gates and channels in order on a batch of B density
+    """Run the circuit's plan steps in order on a batch of B density
     matrices, starting from |0...0>.
 
     An override for op i replaces its angle: a (B,) array gives per-row
-    matrices, one angle a shared matrix.  Identity channels are skipped.
+    matrices, one angle a shared matrix.
     """
     n = circuit.n_qubits
     state = density.zero_states(b, n)
-    for i, op in enumerate(circuit.ops):
-        state = density.apply_superop_batch(state, _superop(op, overrides.get(i)), op.qubits, n)
-        for p in circuit.channels_after.get(i, ()):
-            state = density.apply_superop_batch(state, p.channel.superop, p.qubits, n)
+    for step in circuit.plan[0] + circuit.plan[1]:
+        state = density.apply_superop_batch(state, _fused(circuit, step, overrides.get(step[0])), step[1], n)
     return state
 
 
@@ -384,13 +429,11 @@ def _prefix(circuit: CircuitIR, grid: _Grid, pure: bool) -> list[np.ndarray]:
     size = 2 if pure else 4
     # e_0 is both |0> and the row-major vec of |0><0|
     states = [np.eye(1, size, dtype=np.complex128)[None]] * n
-    for i in range(circuit.product_prefix_end):
-        op = circuit.ops[i]
+    for step in circuit.plan[0]:
+        i, (q,), _ = step
         angle = grid.angles.get(i)
-        steps = [(_matrix(op, angle) if pure else _superop(op, angle), op.qubits[0])]
-        steps += [(p.channel.superop, p.qubits[0]) for p in circuit.channels_after.get(i, ())]
-        for mat, q in steps:
-            states[q] = np.matmul(mat, states[q][..., None])[..., 0]
+        mat = _matrix(circuit.ops[i], angle) if pure else _fused(circuit, step, angle)
+        states[q] = np.matmul(mat, states[q][..., None])[..., 0]
     rows = np.empty((n, grid.p, grid.b, size), dtype=np.complex128)
     for q, s in enumerate(states):
         rows[q] = s
@@ -411,7 +454,8 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
     of per-group angles.
 
     The adjoint of a superoperator S is its conjugate transpose, so the
-    observables run backwards through the same kernel the states use.
+    observables run backwards through the later plan steps, each one fused
+    superoperator, with the same kernel the states use.
     """
     n = circuit.n_qubits
     m = len(circuit.measured_qubits)
@@ -420,14 +464,11 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
     signs = 1.0 - 2.0 * ((np.arange(dim)[None, :] >> np.array(circuit.measured_qubits)[:, None]) & 1)
     obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
     obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (g, 1))
-    for i in range(len(circuit.ops) - 1, circuit.product_prefix_end - 1, -1):
-        for p in reversed(circuit.channels_after.get(i, ())):
-            obs = density.apply_superop_batch(obs, p.channel.superop.conj().T, p.qubits, n)
-        angle = overrides.get(i)
-        if np.ndim(angle) == 1:
-            angle = np.repeat(angle, m)
-        adjoint = _superop(circuit.ops[i], angle).conj().swapaxes(-1, -2)
-        obs = density.apply_superop_batch(obs, adjoint, circuit.ops[i].qubits, n)
+    for step in reversed(circuit.plan[1]):
+        adjoint = _fused(circuit, step, overrides.get(step[0])).conj().swapaxes(-1, -2)
+        if adjoint.ndim == 3:
+            adjoint = np.repeat(adjoint, m, axis=0)
+        obs = density.apply_superop_batch(obs, adjoint, step[1], n)
     return obs
 
 

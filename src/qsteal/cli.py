@@ -111,6 +111,13 @@ def _section(doc, path: str, table: dict) -> dict:
     return values
 
 
+def _unread(doc: dict, path: str, keys, reason: str) -> None:
+    """Reject each of `keys` that `doc` sets: under `reason` nothing reads it."""
+    for key in keys:
+        if doc.get(key) is not None:
+            raise ConfigError(_at(path, key), f"set, but never read {reason}")
+
+
 def _seeds(seeds, path: str, seed: int) -> list[int]:
     """The nonempty integer list `seeds` of the section at `path`; [seed] when unset."""
     if seeds is None:
@@ -156,6 +163,7 @@ def _task(doc) -> tuple[LabeledDataset, LabeledDataset, functools.partial]:
     """The train and test splits of the task section, and a maker of the
     non-problem-domain query sources shaped like it."""
     task = _section(doc, "task", _TASK)
+    _unread(doc, "task", {"blobs": ("path",), "csv": ("k",)}.get(task["kind"], ()), f"for kind {task['kind']!r}")
     if task["kind"] == "blobs":
         try:
             ds = make_blobs(task["k"], task["d"], task["n_per_class"], task["separation"], task["seed"])
@@ -363,6 +371,11 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     shots = _shots(config["shots"])
     train_ds, test_ds, sources = _task(config["task"])
     doc = _section(config["defense"], "defense", _DEFENSE)
+    policy = doc["policy"]
+    unread = {"none": ("probs", "devices", "victims"), "hvip": ("victims",), "havip": ("devices",)}
+    _unread(doc, "defense", unread.get(policy, ()), f"under policy {policy!r}")
+    if policy == "havip":
+        _unread(config, "", ("victim",), "under policy 'havip', whose victims are defense.victims")
     probs = doc["probs"] and [_check(f"defense.probs[{i}]", p, float) for i, p in enumerate(doc["probs"])]
     queries = _respec(AttackSpec(seed=seed), "defense.n_queries", da_size=doc["n_queries"])
     queries = _respec(queries, "defense.query_kind", query_kind=doc["query_kind"])
@@ -370,7 +383,6 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
     attack_values = doc["attack"] and _section(doc["attack"], "defense.attack", _DEFENSE_ATTACK)
     attack = attack_values and _attack_section(attack_values, "defense.attack", registry, shots, seed)
 
-    policy = doc["policy"]
     if policy == "hvip":
         devices = [_device(registry, n, f"defense.devices[{i}]") for i, n in enumerate(doc["devices"] or [])]
         if len(devices) < 2 or len({d.name for d in devices}) != len(devices):
@@ -385,7 +397,7 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
         victims = [_victim(config["victim"], "victim", registry, shots)]
     else:
         raise ConfigError("defense.policy", f"expected none|hvip|havip, got {policy!r}")
-    if probs is not None and policy != "none":
+    if probs is not None:
         try:
             selection_probs(probs, len(devices) if policy == "hvip" else len(victims))
         except ValueError as exc:

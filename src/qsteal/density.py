@@ -12,32 +12,6 @@ import numpy as np
 
 from .channels import ReadoutConfusion
 
-def _super_perm(qubits: tuple[int, ...], n: int) -> list[int]:
-    """Axis permutation pulling the row and column bits of `qubits` to the
-    front of the (B, 2, ..., 2) view, rows first then columns."""
-    row = [1 + (n - 1 - q) for q in qubits]
-    col = [1 + n + (n - 1 - q) for q in qubits]
-    row_rest = [ax for ax in range(1, n + 1) if ax not in row]
-    col_rest = [ax for ax in range(n + 1, 2 * n + 1) if ax not in col]
-    return [0] + row + col + row_rest + col_rest
-
-
-def _to_super_layout(states: np.ndarray, qubits: tuple[int, ...], n: int):
-    """(B, dim, dim) -> (B, 4^k, rest): the addressed qubits' (row, col) bit
-    pairs become one leading block index that a superoperator acts on."""
-    b = states.shape[0]
-    k = len(qubits)
-    perm = _super_perm(qubits, n)
-    t = states.reshape((b,) + (2,) * (2 * n)).transpose(perm)
-    return t.reshape(b, 4**k, -1), perm
-
-
-def _from_super_layout(t: np.ndarray, perm: list[int], n: int) -> np.ndarray:
-    b = t.shape[0]
-    dim = 2**n
-    back = t.reshape((b,) + (2,) * (2 * n)).transpose(np.argsort(perm))
-    return back.reshape(b, dim, dim)
-
 
 def unitary_superop(mat: np.ndarray) -> np.ndarray:
     """U (x) conj(U): the superoperator of rho -> U rho U^dag.
@@ -54,9 +28,17 @@ def unitary_superop(mat: np.ndarray) -> np.ndarray:
 
 def apply_superop_batch(states: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Apply a (4^k, 4^k) channel superoperator (or a (B, ...) batch of them)
-    to the addressed qubits of every state: one GEMM per operation."""
-    t, perm = _to_super_layout(states, qubits, n)
-    return _from_super_layout(np.matmul(superop, t), perm, n)
+    to the addressed qubits of every state: one GEMM per operation.
+
+    The row and column bits of `qubits` (rows first, each in the listed
+    order) move to the front of the (B, 2, ..., 2) view and form the
+    4^k block index that the superoperator acts on."""
+    b = states.shape[0]
+    addressed = [1 + (n - 1 - q) for q in qubits] + [1 + n + (n - 1 - q) for q in qubits]
+    perm = [0] + addressed + [ax for ax in range(1, 2 * n + 1) if ax not in addressed]
+    t = states.reshape((b,) + (2,) * (2 * n)).transpose(perm)
+    out = np.matmul(superop, t.reshape(b, 4 ** len(qubits), -1))
+    return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(states.shape)
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -132,8 +132,6 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
             value = entry[fname]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise RegistryError(f"{path}.{fname}: expected a number, got {value!r}")
-            if not 0.0 <= float(value) <= 1.0:
-                raise RegistryError(f"{path}.{fname}: {value} outside [0, 1]")
             kwargs[fname] = float(value)
     if "readout" in entry:
         kwargs["readout"] = entry["readout"]
@@ -142,7 +140,11 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
     try:
         return DeviceProfile(**kwargs)
     except (RegistryError, ValueError) as exc:
-        raise RegistryError(f"{path}: {exc}") from exc
+        message = str(exc)
+        if message.startswith(kwargs["name"] + "."):
+            # DeviceProfile names a bad field <name>.<field>; here it is <path>.<field>
+            raise RegistryError(path + message[len(kwargs["name"]) :]) from exc
+        raise RegistryError(f"{path}: {message}") from exc
 
 
 def load_registry(source) -> DeviceRegistry:

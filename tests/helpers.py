@@ -1,13 +1,17 @@
-"""Shared test utilities: an independent full-register embedding oracle.
+"""Shared test utilities: an independent full-register embedding oracle,
+and an unfused circuit reference.
 
 The simulator applies 2x2/4x4 operators by tensor contraction; these
 helpers build explicit 2^n x 2^n matrices by brute-force index arithmetic
-so the two routes share no code.
+so the two routes share no code.  The circuit executor runs each circuit's
+compiled plan of fused steps; `unfused_states` runs every gate and every
+noise point on its own instead.
 """
 
 import numpy as np
 
-from qsteal.gates import GATE_KINDS, GateOp
+from qsteal.density import apply_superop_batch, unitary_superop, zero_states
+from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
 
 
 def embed_full(mat: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -60,3 +64,22 @@ def assert_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10, eig_floor: 
     assert np.allclose(rho, rho.conj().T, atol=trace_tol), "state is not Hermitian"
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= eig_floor, f"negative eigenvalue {eigs.min()} below {eig_floor}"
+
+
+def unfused_states(circuit, overrides=None) -> np.ndarray:
+    """Density matrices after `circuit`, one per row of the probes x samples
+    grid that `overrides` span, laid out as `run_circuit` lays out rows: each
+    op, then each of its noise points in the listed order, applied one at a
+    time with no compiled plan."""
+    angles = {i: np.asarray(v, dtype=np.float64) for i, v in (overrides or {}).items()}
+    angles = {i: a[None] if a.ndim == 1 else a for i, a in angles.items()}
+    grid = np.broadcast_shapes((1, 1), *(a.shape for a in angles.values()))
+    n = circuit.n_qubits
+    states = zero_states(grid[0] * grid[1], n)
+    for i, op in enumerate(circuit.ops):
+        mat = rotation_batch(op.kind, np.broadcast_to(angles[i], grid).ravel()) if i in angles else gate_matrix(op)
+        states = apply_superop_batch(states, unitary_superop(mat), op.qubits, n)
+        for p in circuit.noise_points:
+            if p.after_op == i:
+                states = apply_superop_batch(states, p.channel.superop, p.qubits, n)
+    return states

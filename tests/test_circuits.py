@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsteal.channels import bit_flip, depolarizing_2q
+from qsteal.channels import KrausChannel, amplitude_damping, bit_flip, depolarizing_2q, phase_flip
 from qsteal.circuits import (
     MAX_QUBITS,
     CircuitIR,
@@ -21,7 +21,7 @@ from qsteal.circuits import (
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.gates import GATE_KINDS, GateOp
 
-from helpers import assert_density_matrix
+from helpers import assert_density_matrix, unfused_states
 
 
 def _rz_slots(d):
@@ -255,12 +255,12 @@ class TestExecutor:
         assert np.max(np.abs(ideal_exps - noisy_exps)) > 1e-3
 
 
-def _model_circuit(tid, n, profile, b, n_probes=1, seed=0):
+def _model_circuit(tid, n, profile, b, n_probes=1, seed=0, layers=1):
     """A woven model circuit with per-sample encoding angles for b samples
     and, with several probes, per-probe (P, 1) PQC angles: a probes x
     samples grid."""
     rng = np.random.default_rng(seed)
-    t = PQCTemplate(tid, n)
+    t = PQCTemplate(tid, n, layers)
     circuit = assemble_circuit(np.zeros(8), t, np.zeros(t.param_count))
     if profile is not None:
         circuit = weave_noise(circuit, profile)
@@ -286,11 +286,16 @@ def _flat(overrides, n_probes, b):
     return flat
 
 
-def _schroedinger_reference(circuit, overrides):
+def _z(states, circuit):
     from qsteal.density import exp_z_batch
 
-    states = final_states(circuit, overrides)
     return np.stack([exp_z_batch(states, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
+
+
+def _unfused_reference(circuit, overrides):
+    """<Z> per measured qubit from density matrices evolved gate by gate and
+    channel by channel, without the circuit's compiled plan."""
+    return _z(unfused_states(circuit, overrides), circuit)
 
 
 class TestPictures:
@@ -300,14 +305,14 @@ class TestPictures:
             for b in (1, 2, 7, 32):
                 circuit, overrides = _model_circuit(tid, n, profile, b, seed=n * b)
                 got = run_circuit(circuit, overrides)
-                np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("b", [1, 2, 3, 7])
     def test_probe_rows_match_evolved_density_matrices(self, b):
         # 5 probes x b rows: Schroedinger group by group for b <= 3 qubits, Heisenberg above
         circuit, overrides = _model_circuit("PQC19", 3, DEV_A, b, n_probes=5, seed=b)
         got = run_circuit(circuit, overrides)
-        np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("b, n_probes, heisenberg", [(1, 1, False), (4, 1, False), (5, 1, True),
                                                           (4, 3, False), (5, 3, True), (32, 16, True)])
@@ -323,7 +328,7 @@ class TestPictures:
 
     def test_single_row_stays_on_the_evolved_states_bitwise(self):
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
-        np.testing.assert_array_equal(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides))
+        np.testing.assert_array_equal(run_circuit(circuit, overrides), _z(final_states(circuit, overrides), circuit))
 
     def test_wide_channel_ends_the_product_prefix(self):
         # a 2-qubit channel after a 1-qubit gate keeps the gate out of the prefix
@@ -331,8 +336,95 @@ class TestPictures:
         points = (NoisePoint(0, depolarizing_2q(0.2), (0, 1)), NoisePoint(2, bit_flip(0.1), (0,)))
         circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
         overrides = {2: np.linspace(0, 3, 9)}
-        np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+        np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                    rtol=0, atol=1e-12)
+
+
+def _product_channel():
+    """An asymmetric 2-qubit channel: amplitude damping on its first qubit,
+    phase flip on its second."""
+    kraus = [np.kron(a, b) for a in amplitude_damping(0.3).operators for b in phase_flip(0.2).operators]
+    return KrausChannel("DampingPhase", 0.3, tuple(kraus), n_qubits_acted=2)
+
+
+def _hand_built(case):
+    """Circuits whose channels fold into a step other than the op they follow."""
+    if case == "damping_on_crx_target":
+        # damping of qubit 1 after the RZ on qubit 0 moves back into the CRX
+        ops = (GateOp("H", (0,)), GateOp("RY", (1,), 0.4), GateOp("CRX", (0, 1), 1.1), GateOp("RZ", (0,), 0.3),
+               GateOp("RX", (1,), 0.8))
+        points = (NoisePoint(2, amplitude_damping(0.4), (1,)), NoisePoint(3, amplitude_damping(0.25), (1,)),
+                  NoisePoint(3, bit_flip(0.1), (0,)))
+        return CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+    if case == "reversed_two_qubit_channel":
+        ops = (GateOp("H", (0,)), GateOp("RY", (2,), 0.2), GateOp("RX", (1,), 0.7), GateOp("CRX", (0, 2), 1.3),
+               GateOp("CNOT", (2, 1)), GateOp("RY", (0,), 0.5))
+        points = (NoisePoint(3, _product_channel(), (2, 0)), NoisePoint(4, _product_channel(), (1, 2)),
+                  NoisePoint(5, _product_channel(), (2, 1)))
+        return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), noise_points=points)
+    assert case == "standalone_steps"
+    # qubit 2 has no op in the prefix before its first channel, and none after the prefix
+    ops = (GateOp("H", (0,)), GateOp("RX", (2,), 0.6), GateOp("H", (1,)), GateOp("CNOT", (0, 1)),
+           GateOp("RZ", (1,), 0.9))
+    points = (NoisePoint(0, amplitude_damping(0.3), (2,)), NoisePoint(3, amplitude_damping(0.35), (2,)),
+              NoisePoint(4, bit_flip(0.15), (2,)), NoisePoint(4, phase_flip(0.05), (0,)))
+    return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), noise_points=points)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
+    def test_folded_channels_match_the_unfused_reference(self, case):
+        circuit = _hand_built(case)
+        for b in (1, 9):  # Schroedinger at one row, Heisenberg at nine
+            overrides = {1: np.linspace(-1.0, 2.5, b)}
+            want = _unfused_reference(circuit, overrides)
+            np.testing.assert_allclose(run_circuit(circuit, overrides), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_z(final_states(circuit, overrides), circuit), want, rtol=0, atol=1e-12)
+
+    def test_channels_fold_into_the_latest_step_on_their_qubits(self):
+        prefix, rest = _hand_built("damping_on_crx_target").plan
+        assert [(i, q, after is not None) for i, q, after in rest] == [(2, (0, 1), True), (3, (0,), True),
+                                                                        (4, (1,), False)]
+        assert len(prefix) == 2
+
+    def test_a_channel_on_an_untouched_qubit_starts_a_standalone_step(self):
+        circuit = _hand_built("standalone_steps")
+        prefix, rest = circuit.plan
+        assert circuit.product_prefix_end == 3
+        assert [(i, q) for i, q, _ in prefix] == [(0, (0,)), (None, (2,)), (1, (2,)), (2, (1,))]
+        assert [(i, q) for i, q, _ in rest] == [(3, (0, 1)), (None, (2,)), (4, (1,))]
+        assert rest[2][2] is None and rest[0][2] is not None
+
+    def test_a_channel_wider_than_the_latest_step_starts_a_standalone_step(self):
+        ops = (GateOp("H", (0,)), GateOp("RX", (1,), 0.3), GateOp("RZ", (0,), 0.0))
+        points = (NoisePoint(0, depolarizing_2q(0.2), (0, 1)), NoisePoint(2, bit_flip(0.1), (0,)))
+        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+        prefix, rest = circuit.plan
+        assert prefix == ()
+        assert [(i, q, after is not None) for i, q, after in rest] == [(0, (0,), False), (None, (0, 1), True),
+                                                                        (1, (1,), False), (2, (0,), True)]
+
+    @pytest.mark.parametrize("tid", ["PQC6", "PQC19"])
+    @pytest.mark.parametrize("profile", [DEV_A, DEV_B], ids=["devA", "devB"])
+    def test_two_layers_match_the_unfused_reference(self, tid, profile):
+        # the second layer's rotations are 1-qubit gates after the prefix
+        for n in (2, 3, 4):
+            for n_probes, b in ((1, 1), (1, 7), (3, 5)):
+                circuit, overrides = _model_circuit(tid, n, profile, b, n_probes, seed=n + b, layers=2)
+                np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+    def test_pqc19_on_dev_a_has_one_later_step_per_crx(self, n):
+        circuit, _ = _model_circuit("PQC19", n, DEV_A, 1)
+        prefix, rest = circuit.plan
+        assert [i for i, _, _ in rest] == list(range(circuit.product_prefix_end, len(circuit.ops)))
+        assert len(rest) == n
+        # one step per prefix op, plus one standalone step for the layer-break
+        # channels of each qubit that 8 features leave without an encoding
+        unencoded = [q for q, feats in enumerate(encode_layout(8, n)) if not feats]
+        assert [i for i, _, _ in prefix if i is not None] == list(range(circuit.product_prefix_end))
+        assert sorted(q for i, (q,), _ in prefix if i is None) == unencoded
 
 
 def _demo_circuit():
@@ -359,7 +451,7 @@ class TestGrid:
         # per-sample encodings, every PQC angle shared: the whole grid is one group
         circuit, overrides = _model_circuit("PQC19", 4, profile, 9)
         assert all(np.ndim(v) == 0 for op, v in overrides.items() if op >= circuit.product_prefix_end)
-        np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+        np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
@@ -370,14 +462,14 @@ class TestGrid:
         last = max(overrides)
         for angle in (rng.uniform(0, 2 * np.pi, 4), rng.uniform(0, 2 * np.pi, (3, 4))):
             overrides[last] = angle
-            np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+            np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
     def test_noise_free_prefix_path_matches_final_states(self, tid):
         for n in range(2, 6):
             circuit, overrides = _model_circuit(tid, n, None, 5, n_probes=3, seed=n)
-            np.testing.assert_allclose(run_circuit(circuit, overrides), _schroedinger_reference(circuit, overrides),
+            np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                        rtol=0, atol=1e-12)
 
     def test_empty_prefix_matches_final_states(self):
@@ -388,13 +480,13 @@ class TestGrid:
         overrides = {0: np.linspace(0.1, 3.0, 4)[:, None], 3: np.linspace(-1.0, 2.0, 5)}
         got = run_circuit(circuit, overrides)
         assert got.shape == (20, 2)
-        np.testing.assert_allclose(got, _schroedinger_reference(circuit, overrides), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
     def test_demo_circuit_matches_final_states(self):
         circuit = _demo_circuit()
         assert circuit.product_prefix_end == 4
         for c in (circuit, weave_noise(circuit, DEV_A)):
-            np.testing.assert_allclose(run_circuit(c), _schroedinger_reference(c, {}), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(run_circuit(c), _unfused_reference(c, {}), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
     def test_reruns_are_bitwise_identical(self, profile):

@@ -92,11 +92,18 @@ HAVIP = [
 ]
 
 
+def _policy(name):
+    """Overrides that switch TINY's defense to policy `name`, unsetting (as
+    explicit nulls) the hvip fields that policy never reads."""
+    unset = {"none": ("defense.devices", "defense.probs"), "havip": ("defense.devices", "victim")}[name]
+    return {"defense.policy": name, **dict.fromkeys(unset)}
+
+
 def _havip(index=1, **fields):
     """A havip defense whose victim `index` has `fields` set."""
     victims = json.loads(json.dumps(HAVIP))  # deep copy
     victims[index].update(fields)
-    return {"defense.policy": "havip", "defense.victims": victims}
+    return {**_policy("havip"), "defense.victims": victims}
 
 
 class TestFieldTables:
@@ -145,7 +152,7 @@ class TestFieldTables:
         "overrides, field",
         [({"victim.device": "ideal"}, "victim.device"),
          ({"victim.device": "devB", "victim.train.epochs": 2}, "victim.device"),
-         ({"defense.policy": "none", "victim.device": "devB",
+         ({**_policy("none"), "victim.device": "devB",
            "victim.schedule": [{"device": "devA", "epochs": 2}]}, "victim.device"),
          (_havip(schedule=[{"device": "devA", "epochs": 1}]), "defense.victims[1].device")],
         ids=["hvip-default", "hvip-short", "explicit-schedule", "havip"],
@@ -159,6 +166,26 @@ class TestFieldTables:
         # two epochs: the default hvip schedule trains both on devA
         cfg = _write_config(tmp_path, {"victim.device": "devA", "victim.train.epochs": 2})
         assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [("defend-eval", {**_policy("none"), "defense.probs": [0.5, 0.5]}, "defense.probs"),
+         ("defend-eval", {**_policy("none"), "defense.devices": ["devA", "devB"]}, "defense.devices"),
+         ("defend-eval", {**_havip(), "defense.devices": ["devA", "devB"]}, "defense.devices"),
+         ("defend-eval", {**_policy("none"), "defense.victims": HAVIP}, "defense.victims"),
+         ("defend-eval", {"defense.victims": HAVIP}, "defense.victims"),
+         ("defend-eval", {**_havip(), "victim": TINY["victim"]}, "victim"),
+         ("train-victim", {"task.path": "data.csv"}, "task.path"),
+         ("train-victim", {"task.kind": "csv", "task.path": "data.csv", "task.k": 3}, "task.k")],
+        ids=["probs-none", "devices-none", "devices-havip", "victims-none", "victims-hvip", "victim-havip",
+             "path-blobs", "k-csv"],
+    )
+    def test_field_the_policy_or_kind_never_reads_rejected(self, tmp_path, capsys, no_training, command, overrides,
+                                                           field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {field}: set, but never read" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrainVictim:
@@ -334,13 +361,7 @@ class TestDefendEval:
         assert seen == expected
 
     def test_havip_requires_two_victims(self, tmp_path, capsys):
-        cfg = _write_config(
-            tmp_path,
-            {"defense.policy": "havip", "defense.victims": [
-                {"template": "PQC1", "n_qubits": 2, "device": "devA",
-                 "train": {"epochs": 1, "spsa_draws": 1, "batch_size": 8}},
-            ]},
-        )
+        cfg = _write_config(tmp_path, {**_havip(), "defense.victims": HAVIP[:1]})
         assert main(["defend-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "defense.victims" in capsys.readouterr().err
 
@@ -381,9 +402,7 @@ class TestDefendEval:
          ({"defense.probs": [1.0]}, "defense.probs"),
          ({"defense.probs": [1.5, -0.5]}, "defense.probs"),
          ({"defense.probs": ["half", 0.5]}, "defense.probs[0]"),
-         ({"defense.policy": "havip", "defense.probs": [0.2, 0.2, 0.6], "defense.victims": [
-             {"template": "PQC1", "n_qubits": 2, "device": "devA"},
-             {"template": "PQC19", "n_qubits": 2, "device": "devB"}]}, "defense.probs"),
+         ({**_havip(), "defense.probs": [0.2, 0.2, 0.6]}, "defense.probs"),
          ({"defense.devices": ["devA", "devA"]}, "defense.devices"),
          ({"defense.devices": ["devA", "devB", "ideal"], "defense.probs": [0.4, 0.3, 0.3]}, "defense.devices")],
         ids=["sum", "length", "negative", "type", "havip-length", "repeated-device", "three-devices-unscheduled"],
@@ -395,8 +414,14 @@ class TestDefendEval:
         assert f"{field}:" in capsys.readouterr().err
         assert not (out / "obfuscation.json").exists()
 
+    def test_havip_writes_obfuscation(self, tmp_path):
+        cfg = _write_config(tmp_path, _havip())
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "obfuscation.json").read_text())["policy"] == "havip"
+
     def test_none_policy_reports_zero_tvd(self, tmp_path):
-        cfg = _write_config(tmp_path, {"defense.policy": "none"})
+        cfg = _write_config(tmp_path, _policy("none"))
         out = tmp_path / "out"
         assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
         doc = json.loads((out / "obfuscation.json").read_text())

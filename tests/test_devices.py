@@ -54,6 +54,17 @@ class TestLoading:
         with pytest.raises(RegistryError, match=r"devices\[0\].p2"):
             load_registry(doc)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [({"name": "bad", "gamma": -0.1}, r"devices\[1\]\.gamma: -0.1 outside \[0, 1\]"),
+         ({"name": "d.v", "p_bit": 2}, r"devices\[1\]\.p_bit: 2.0 outside \[0, 1\]"),
+         ({"name": "x", "readout": [[0.9, 0.1]]}, r"devices\[1\]\.readout: expected a 2x2 matrix")],
+        ids=["rate", "dotted-name", "readout"],
+    )
+    def test_profile_errors_name_the_entry_field(self, entry, message):
+        with pytest.raises(RegistryError, match=f"^{message}"):
+            load_registry({"devices": [{"name": "ok"}, entry]})
+
     def test_unknown_field_rejected(self):
         doc = {"devices": [{"name": "x", "p9": 0.1}]}
         with pytest.raises(RegistryError, match=r"devices\[0\].p9"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsteal import model as model_mod
-from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, assemble_circuit, final_states
+from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, assemble_circuit
 from qsteal.density import exp_z_batch
 from qsteal.devices import DEV_A, DEV_B, IDEAL, DeviceProfile
 from qsteal.model import (
@@ -19,6 +19,8 @@ from qsteal.model import (
     save_checkpoint,
     softmax,
 )
+
+from helpers import unfused_states
 
 
 @pytest.fixture
@@ -108,10 +110,11 @@ def test_prepared_slots_are_features_then_parameters(tid):
 class TestReadoutCache:
     @staticmethod
     def _evolved(m, x, profile):
-        """<Z> per qubit from the density matrices of the whole circuit."""
+        """<Z> per qubit from the density matrices of the whole circuit,
+        evolved gate by gate and channel by channel."""
         circuit, slots = model_mod._prepared_circuit(m.template, x.shape[1], profile)
         overrides = dict(zip(slots, [*x.T, *m.theta], strict=True))
-        states = final_states(circuit, overrides)
+        states = unfused_states(circuit, overrides)
         return np.stack([exp_z_batch(states, q, m.n_qubits) for q in circuit.measured_qubits], axis=1)
 
     @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
