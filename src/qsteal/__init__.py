@@ -35,7 +35,6 @@ from .data import (
     make_npd_sources,
     mixed_query_set,
     random_query_set,
-    save_csv,
     scale_features,
     train_test_split,
 )
@@ -55,7 +54,6 @@ from .devices import (
     DeviceRegistry,
     default_registry,
     load_registry,
-    save_registry,
 )
 from .gates import GateOp
 from .metrics import accuracy, clone_ratio, mismatch_rate, tvd

@@ -9,7 +9,7 @@ argmax label (top-1, ties to the lowest index).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -167,19 +167,6 @@ class AttackReport:
     clone_qubits: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "victim_accuracy": self.victim_accuracy,
-            "clone_accuracy": self.clone_accuracy,
-            "ratio": self.ratio,
-            "mode": self.mode,
-            "da_size": self.da_size,
-            "query_kind": self.query_kind,
-            "clone_template": self.clone_template,
-            "clone_qubits": self.clone_qubits,
-            "seed": self.seed,
-        }
-
 
 def build_queries(spec: AttackSpec, query_sources: list[LabeledDataset], d: int) -> QuerySet:
     if spec.query_kind == "mixed":
@@ -237,4 +224,4 @@ def run_attack_suite(
 
 def save_reports(reports: list[AttackReport], path) -> None:
     """One JSON record per line, written atomically."""
-    atomic_write(path, "\n".join(json.dumps(r.to_dict()) for r in reports) + "\n")
+    atomic_write(path, "\n".join(json.dumps(asdict(r)) for r in reports) + "\n")

@@ -108,14 +108,6 @@ def depolarizing_2q(p: float) -> KrausChannel:
     return KrausChannel("Depolarizing2Q", p, tuple(ops), n_qubits_acted=2)
 
 
-CHANNEL_BUILDERS = {
-    "BitFlip": bit_flip,
-    "PhaseFlip": phase_flip,
-    "Depolarizing": depolarizing,
-    "AmplitudeDamping": amplitude_damping,
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ReadoutConfusion:
     """Per-qubit 2x2 row-stochastic matrices; entry [i][j] = P(read j | true i)."""
@@ -144,10 +136,3 @@ class ReadoutConfusion:
 
     def matrix(self, qubit: int) -> np.ndarray:
         return self.matrices[qubit]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(np.array_equal(m, np.eye(2)) for m in self.matrices)
-
-    def __len__(self) -> int:
-        return len(self.matrices)

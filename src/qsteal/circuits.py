@@ -185,7 +185,12 @@ def _embed(superop: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) 
 # ---------------------------------------------------------------------------
 
 def encode_layout(d: int, n_qubits: int) -> list[list[int]]:
-    """Feature indices per qubit: consecutive blocks of ceil(d / n_qubits)."""
+    """Feature indices per qubit: consecutive blocks of ceil(d / n_qubits).
+
+    Qubits past the last block get no feature and no encoding gate: at
+    d = 8, widths 5, 6 and 7 encode on the first 4 qubits and leave 1, 2
+    and 3 qubits in |0> until the PQC.
+    """
     if d < 1:
         raise ValueError("need at least one feature")
     if n_qubits < 1:
@@ -264,18 +269,17 @@ def pqc_gates_per_layer(template: PQCTemplate) -> int:
     return len(dummy)
 
 
-def assemble_circuit(features, template: PQCTemplate, params, measured_qubits=None) -> CircuitIR:
+def assemble_circuit(features, template: PQCTemplate, params) -> CircuitIR:
     """Encoding followed by the PQC, with layer breaks at the encoding end
     and at each PQC layer end."""
     enc = encode_angles(features, template.n_qubits)
     pqc = build_pqc(template, params)
     per_layer = pqc_gates_per_layer(template)
     breaks = [len(enc)] + [len(enc) + (l + 1) * per_layer for l in range(template.layers)]
-    measured = tuple(measured_qubits) if measured_qubits is not None else tuple(range(template.n_qubits))
     return CircuitIR(
         n_qubits=template.n_qubits,
         ops=tuple(enc + pqc),
-        measured_qubits=measured,
+        measured_qubits=tuple(range(template.n_qubits)),
         layer_breaks=tuple(breaks),
     )
 

@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +197,8 @@ def _schedule(entries, path: str, registry, cfg: TrainConfig):
     for i, entry in enumerate(entries):
         here = f"{path}.schedule[{i}]"
         values = _section(entry, here, _SCHEDULE_ENTRY)
+        if values["epochs"] < 0:
+            raise ConfigError(f"{here}.epochs", f"negative epoch count {values['epochs']}")
         sched.append((_device(registry, values["device"], f"{here}.device"), values["epochs"]))
     total = sum(e for _, e in sched)
     if total != cfg.epochs:
@@ -264,7 +266,7 @@ def cmd_train_victim(config: dict, out: Path, seed: int) -> int:
     ckpt = out / "victim.checkpoint.json"
     save_checkpoint(trained, ckpt, seed=seed)
     hist_path = out / "victim.history.json"
-    atomic_write(hist_path, json.dumps(history.to_dict(), indent=1))
+    atomic_write(hist_path, json.dumps(asdict(history), indent=1))
     print(ckpt)
     print(hist_path)
     return 0
@@ -307,7 +309,9 @@ def _attack_section(values: dict, path: str, registry, shots, seed: int):
             _respec(base, here, **{field: _check(here, value, kind)})
         axes.append(points)
     # a sweep over modes sets each cell's loss from its mode
-    if "loss" in (values["train"] or {}) and not sweep["modes"] and cfg.loss != loss_for(base.mode):
+    if sweep["modes"]:
+        _unread(values["train"] or {}, f"{path}.train", ("loss",), "under a sweep over modes")
+    elif "loss" in (values["train"] or {}) and cfg.loss != loss_for(base.mode):
         raise ConfigError(f"{path}.train.loss",
                           f"{base.mode} responses need {loss_for(base.mode)!r}, got {cfg.loss!r}")
     clone_device = _device(registry, clone["device"], f"{path}.clone.device")

@@ -112,14 +112,6 @@ def load_csv(path, d: int) -> LabeledDataset:
     return LabeledDataset(features, labels, k=len(mapping), name=Path(path).stem)
 
 
-def save_csv(ds: LabeledDataset, path) -> None:
-    lines = [
-        ",".join(repr(float(x)) for x in row) + f",{int(label)}"
-        for row, label in zip(ds.features, ds.labels)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # scaling and splitting
 # ---------------------------------------------------------------------------
@@ -194,22 +186,16 @@ def make_blobs(k: int, d: int, n_per_class: int, separation: float, seed: int) -
     return scale_features(ds)
 
 
-def make_npd_sources(
-    k: int, d: int, n_per_class: int, separation: float, base_seed: int, count: int = 3
-) -> list[LabeledDataset]:
-    """Non-problem-domain stand-ins: blob datasets of genuinely different
-    tasks, with unrelated seeds and neighboring class counts.
+def make_npd_sources(k: int, d: int, n_per_class: int, separation: float, base_seed: int) -> list[LabeledDataset]:
+    """Non-problem-domain stand-ins: three blob datasets of genuinely
+    different tasks, with unrelated seeds and neighboring class counts.
 
     Varying the class count moves each source's angle bands to different
     positions, so the mixed query pool covers the feature space much more
     densely than any single task's clusters would.
     """
-    ks = [kk for kk in (k - 1, k + 1, k + 2, k - 2, k + 3) if kk >= 2]
-    ks = (ks * ((count // len(ks)) + 1))[:count]
-    return [
-        make_blobs(ks[i], d, n_per_class, separation, base_seed + 1001 + i)
-        for i in range(count)
-    ]
+    ks = [kk for kk in (k - 1, k + 1, k + 2, k - 2, k + 3) if kk >= 2][:3]
+    return [make_blobs(kk, d, n_per_class, separation, base_seed + 1001 + i) for i, kk in enumerate(ks)]
 
 
 # ---------------------------------------------------------------------------

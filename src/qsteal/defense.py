@@ -14,7 +14,7 @@ selection log on its side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -217,11 +217,7 @@ class DefenseEvalResult:
         return self.undefended.clone_accuracy - self.defended.clone_accuracy
 
     def to_dict(self) -> dict:
-        return {
-            "defended": self.defended.to_dict(),
-            "undefended": self.undefended.to_dict(),
-            "accuracy_gap": self.accuracy_gap,
-        }
+        return {**asdict(self), "accuracy_gap": self.accuracy_gap}
 
 
 def evaluate_defended_attack(

@@ -8,7 +8,7 @@ document and are looked up by name in a read-only registry.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,18 +74,6 @@ class DeviceProfile:
             )
         return ReadoutConfusion(tuple(np.array(m) for m in self.readout))
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name}
-        for fname in _RATE_FIELDS:
-            out[fname] = float(getattr(self, fname))
-        if len(self.readout) == 1:
-            out["readout"] = [list(row) for row in self.readout[0]]
-        elif len(self.readout) > 1:
-            out["readout"] = [[list(row) for row in m] for m in self.readout]
-        if self.basis_gates:
-            out["basis_gates"] = list(self.basis_gates)
-        return out
-
 
 class DeviceRegistry:
     """Read-only name -> DeviceProfile mapping; lookups fail closed."""
@@ -103,18 +91,6 @@ class DeviceRegistry:
         except KeyError:
             known = ", ".join(sorted(self._profiles)) or "<empty>"
             raise RegistryError(f"unknown device {name!r}; registered: {known}") from None
-
-    def names(self) -> list[str]:
-        return list(self._profiles)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._profiles
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def to_dict(self) -> dict:
-        return {"devices": [p.to_dict() for p in self._profiles.values()]}
 
 
 def _parse_profile(entry: dict, path: str) -> DeviceProfile:
@@ -179,10 +155,6 @@ def load_registry(source) -> DeviceRegistry:
         raise RegistryError("devices: expected a list")
     profiles = [_parse_profile(e, f"devices[{i}]") for i, e in enumerate(entries)]
     return DeviceRegistry(profiles)
-
-
-def save_registry(registry: DeviceRegistry, path) -> None:
-    Path(path).write_text(yaml.safe_dump(registry.to_dict(), sort_keys=False))
 
 
 IDEAL = DeviceProfile(name="ideal")

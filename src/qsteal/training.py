@@ -67,21 +67,6 @@ class EpochStats:
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.epochs)
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": [
-                {
-                    "train_loss": e.train_loss,
-                    "test_accuracy": e.test_accuracy,
-                    "test_loss": e.test_loss,
-                }
-                for e in self.epochs
-            ]
-        }
-
     @property
     def final(self) -> EpochStats:
         return self.epochs[-1]
@@ -188,19 +173,13 @@ def normalize_schedule(schedule, epochs: int) -> list[tuple[DeviceProfile | None
     if schedule is None or isinstance(schedule, DeviceProfile):
         return [(schedule, epochs)]
     schedule = [(p, e) for p, e in schedule]
+    for i, (_, e) in enumerate(schedule):
+        if e < 0:
+            raise ValueError(f"schedule entry {i} has a negative epoch count {e}")
     total = sum(e for _, e in schedule)
     if total != epochs:
         raise ValueError(f"schedule covers {total} epochs, config asks for {epochs}")
     return schedule
-
-
-def _epoch_profile(schedule: list[tuple[DeviceProfile | None, int]], epoch: int) -> DeviceProfile | None:
-    seen = 0
-    for profile, count in schedule:
-        seen += count
-        if epoch < seen:
-            return profile
-    return schedule[-1][0]
 
 
 def train(
@@ -222,14 +201,13 @@ def train(
     """
     features = np.asarray(features, dtype=np.float64)
     targets = _check_targets(cfg, features, targets, model.k)
-    sched = normalize_schedule(schedule, cfg.epochs)
+    profiles = [profile for profile, count in normalize_schedule(schedule, cfg.epochs) for _ in range(count)]
     n = features.shape[0]
     params = model.flat_params()
     adam = AdamState.zeros(params.shape[0])
     history = TrainHistory()
 
-    for epoch in range(cfg.epochs):
-        profile = _epoch_profile(sched, epoch)
+    for epoch, profile in enumerate(profiles):
         order = stream(seed, epoch, 0, _SHUFFLE).permutation(n)
         probe_losses = []
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):

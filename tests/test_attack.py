@@ -144,7 +144,7 @@ class TestTrainClone:
         cfg = TrainConfig(epochs=1, batch_size=6, loss="kl_topk", spsa_draws=1)
         clone, hist = train_clone(da, PQCTemplate("PQC19", 2), cfg, IDEAL, seed=3)
         assert clone.k == 3
-        assert len(hist) == 1
+        assert len(hist.epochs) == 1
 
     def test_clone_width_independent_of_victim(self):
         rng = np.random.default_rng(2)
@@ -164,7 +164,7 @@ class TestTrainClone:
         runs = [train_clone(da, PQCTemplate("PQC19", 2), cfg, profile, 5, held_out) for profile in (None, IDEAL)]
         (plain, plain_hist), (ideal, ideal_hist) = runs
         assert np.array_equal(plain.flat_params(), ideal.flat_params())
-        assert plain_hist.to_dict() == ideal_hist.to_dict()
+        assert plain_hist == ideal_hist
 
 
 class TestSpec:
@@ -202,7 +202,11 @@ class TestReports:
         path = tmp_path / "reports.jsonl"
         save_reports(reports, path)
         lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [r.to_dict() for r in reports]
+        assert [json.loads(line) for line in lines] == [
+            {"victim_accuracy": 0.9, "clone_accuracy": 0.81, "ratio": 0.81 / 0.9, "mode": "topk", "da_size": 700,
+             "query_kind": "mixed", "clone_template": "PQC19", "clone_qubits": 4, "seed": s}
+            for s in range(3)
+        ]
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "reports.jsonl"

@@ -3,7 +3,9 @@
 `benchmarks/layers.py` names the functions its tracer hooks, and each
 workload in `benchmarks/workloads.py` names the bindings it must see
 calls through.  A renamed or deleted function would otherwise only show
-up as "absent" in a traced benchmark run.  Both files are only imported.
+up as "absent" in a traced benchmark run.  Each workload also runs one
+set-up, two passes and its check in-process.  The benchmark's files are
+only imported.
 """
 
 import importlib
@@ -78,3 +80,18 @@ def test_one_training_step_calls_the_required_bindings(monkeypatch, workload, de
     train(model, x, labels, TrainConfig(epochs=1, batch_size=8, spsa_draws=1), default_registry().get(device), 0,
           *held_out)
     assert all(calls[site] > 0 for site in sites), calls
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_correct_and_repeatable(tmp_path, name):
+    # a deleted call the benchmark makes outside its hooked functions would
+    # otherwise fail only in a benchmark run
+    from checks import Tally
+
+    wl = workloads.WORKLOADS[name]
+    tally = Tally()
+    state = wl.setup(1, tmp_path)
+    results = [wl.run_pass(state, tally, workloads.Calls()) for _ in range(2)]
+    wl.check(state, results, tally)
+    assert tally.correct and tally.failed == 0, tally.errors
+    assert results[0].fingerprint == results[1].fingerprint

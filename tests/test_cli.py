@@ -9,7 +9,7 @@ import yaml
 
 from qsteal.attack import AttackSpec
 from qsteal.cli import _ATTACK, _attack_section, _section, _train_cfg, main
-from qsteal.devices import IDEAL, DeviceProfile, DeviceRegistry, default_registry, save_registry
+from qsteal.devices import IDEAL, default_registry
 from qsteal.training import TrainConfig
 
 TINY = {
@@ -176,9 +176,12 @@ class TestFieldTables:
          ("defend-eval", {"defense.victims": HAVIP}, "defense.victims"),
          ("defend-eval", {**_havip(), "victim": TINY["victim"]}, "victim"),
          ("train-victim", {"task.path": "data.csv"}, "task.path"),
-         ("train-victim", {"task.kind": "csv", "task.path": "data.csv", "task.k": 3}, "task.k")],
+         ("train-victim", {"task.kind": "csv", "task.path": "data.csv", "task.k": 3}, "task.k"),
+         ("attack", {"attack.sweep": {"modes": ["top1", "topk"]}}, "attack.train.loss"),
+         ("defend-eval", {"defense.attack": {**TINY["attack"], "sweep": {"modes": ["topk"]}}},
+          "defense.attack.train.loss")],
         ids=["probs-none", "devices-none", "devices-havip", "victims-none", "victims-hvip", "victim-havip",
-             "path-blobs", "k-csv"],
+             "path-blobs", "k-csv", "loss-attack-modes-sweep", "loss-defense-attack-modes-sweep"],
     )
     def test_field_the_policy_or_kind_never_reads_rejected(self, tmp_path, capsys, no_training, command, overrides,
                                                            field):
@@ -211,7 +214,7 @@ class TestTrainVictim:
 
     def test_devices_file_resolves_custom_device(self, tmp_path):
         devices = tmp_path / "devices.yaml"
-        save_registry(DeviceRegistry([DeviceProfile(name="devCustom", p1=0.001)]), devices)
+        devices.write_text("devices:\n  - {name: devCustom, p1: 0.001}\n")
         cfg = _write_config(tmp_path, {"victim.device": "devCustom"}, devices_file=str(devices))
         out = tmp_path / "out"
         assert main(["train-victim", "--config", str(cfg), "--out", str(out)]) == 0
@@ -305,7 +308,9 @@ class TestAttack:
             "query_kinds": ["random", "mixed"], "widths": [3, 2],
         }
         sweep = {key: axes[key] for key in ("modes", "da_sizes", "query_kinds", "widths")}
-        cfg = _write_config(tmp_path, {"attack.sweep": sweep, "attack.seeds": axes["seeds"]})
+        # under a sweep over modes each cell takes its mode's loss, so train.loss stays unset
+        train = {"epochs": 1, "batch_size": 8, "spsa_draws": 1}
+        cfg = _write_config(tmp_path, {"attack.sweep": sweep, "attack.seeds": axes["seeds"], "attack.train": train})
         out = tmp_path / "out"
         assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "attack_reports.jsonl").read_text().splitlines()
@@ -420,6 +425,16 @@ class TestDefendEval:
         assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "obfuscation.json").read_text())["policy"] == "havip"
 
+    @pytest.mark.parametrize("policy", ["hvip", "havip"])
+    def test_rerun_identical_documents(self, tmp_path, policy):
+        overrides = _havip() if policy == "havip" else {}
+        cfg = _write_config(tmp_path, {**overrides, "defense.attack": TINY["attack"]})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("obfuscation.json", "defense_eval.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_none_policy_reports_zero_tvd(self, tmp_path):
         cfg = _write_config(tmp_path, _policy("none"))
         out = tmp_path / "out"
@@ -456,8 +471,10 @@ class TestExitCodes:
         [({"task.k": 0}, "task"),
          ({"task.train_fraction": 1.0}, "task"),
          ({"victim.schedule": [5]}, "victim.schedule[0]"),
-         ({"victim.schedule": "devA"}, "victim.schedule")],
-        ids=["blobs", "split", "schedule-entry", "schedule"],
+         ({"victim.schedule": "devA"}, "victim.schedule"),
+         ({"victim.schedule": [{"device": "devA", "epochs": -1}, {"device": "devB", "epochs": 3}]},
+          "victim.schedule[0].epochs")],
+        ids=["blobs", "split", "schedule-entry", "schedule", "negative-epochs"],
     )
     def test_config_value_errors_name_their_field(self, tmp_path, capsys, no_training, overrides, field):
         cfg = _write_config(tmp_path, overrides)

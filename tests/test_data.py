@@ -11,7 +11,6 @@ from qsteal.data import (
     make_npd_sources,
     mixed_query_set,
     random_query_set,
-    save_csv,
     scale_features,
     train_test_split,
 )
@@ -46,22 +45,18 @@ class TestCsv:
         with pytest.raises(DatasetError, match="no data rows"):
             load_csv(path, d=2)
 
-    def test_roundtrip_bitwise(self, tmp_path):
-        # features round-trip bitwise; labels stabilize after one remap pass
+    def test_repr_text_loads_bitwise(self, tmp_path):
+        # features written with repr load bitwise; labels remap in order of first appearance
         rng = np.random.default_rng(2)
         ds = LabeledDataset(rng.uniform(0, TWO_PI, (20, 5)), rng.integers(0, 3, 20), k=3)
-        first = tmp_path / "rt1.csv"
-        save_csv(ds, first)
-        once = load_csv(first, d=5)
-        np.testing.assert_array_equal(once.features, ds.features)
-        second = tmp_path / "rt2.csv"
-        save_csv(once, second)
-        twice = load_csv(second, d=5)
-        np.testing.assert_array_equal(twice.features, once.features)
-        np.testing.assert_array_equal(twice.labels, once.labels)
-        third = tmp_path / "rt3.csv"
-        save_csv(twice, third)
-        assert third.read_bytes() == second.read_bytes()
+        path = tmp_path / "ds.csv"
+        path.write_text("".join(
+            ",".join(repr(x) for x in row) + f",{label}\n" for row, label in zip(ds.features.tolist(), ds.labels)
+        ))
+        loaded = load_csv(path, d=5)
+        np.testing.assert_array_equal(loaded.features, ds.features)
+        first_seen = list(dict.fromkeys(ds.labels.tolist()))
+        np.testing.assert_array_equal(loaded.labels, [first_seen.index(label) for label in ds.labels])
 
 
 class TestScaling:
@@ -171,7 +166,7 @@ class TestQuerySets:
         assert np.all(np.isfinite(qs.features))
 
     def test_provenance_recorded(self):
-        sources = make_npd_sources(2, 4, 20, 4.0, base_seed=8, count=2)
+        sources = make_npd_sources(2, 4, 20, 4.0, base_seed=8)
         assert mixed_query_set(sources, 10, seed=0).provenance[0] == "mixed"
         assert random_query_set(10, 4, seed=0).provenance == ("random",)
 

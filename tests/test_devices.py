@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from qsteal.circuits import PQCTemplate, assemble_circuit, weave_noise
 from qsteal.devices import (
@@ -11,7 +12,6 @@ from qsteal.devices import (
     RegistryError,
     default_registry,
     load_registry,
-    save_registry,
 )
 
 GOOD_DOC = """
@@ -79,12 +79,15 @@ class TestLoading:
         with pytest.raises(RegistryError, match="readout"):
             load_registry(doc)
 
-    def test_roundtrip_is_lossless(self, tmp_path):
-        reg = load_registry(GOOD_DOC)
+    def test_file_dict_and_text_load_equal_profiles(self, tmp_path):
         path = tmp_path / "devices.yaml"
-        save_registry(reg, path)
-        reloaded = load_registry(path)
-        assert reg.to_dict() == reloaded.to_dict()
+        path.write_text(GOOD_DOC)
+        loaded = [load_registry(source) for source in (path, yaml.safe_load(GOOD_DOC), GOOD_DOC)]
+        for name in ("quiet", "loud"):
+            assert loaded[0].get(name) == loaded[1].get(name) == loaded[2].get(name)
+        loud = loaded[0].get("loud")
+        assert (loud.p1, loud.p2, loud.gamma, loud.p_phase, loud.p_bit) == (0.01, 0.05, 0.02, 0.01, 0.01)
+        assert loud.readout == (((0.9, 0.1), (0.2, 0.8)),) and loud.basis_gates == ("rz", "sx", "cx")
 
     @pytest.mark.parametrize("name", ["absent.yaml", ""], ids=["missing", "directory"])
     def test_unreadable_path_names_path(self, tmp_path, name):
@@ -95,7 +98,7 @@ class TestLoading:
         assert "missing top-level list" not in str(info.value)
 
     def test_str_naming_a_file_is_yaml_text(self, tmp_path, monkeypatch):
-        save_registry(load_registry(GOOD_DOC), tmp_path / "devices.yaml")
+        (tmp_path / "devices.yaml").write_text(GOOD_DOC)
         monkeypatch.chdir(tmp_path)
         # parsed as the YAML scalar "devices.yaml", which has no devices list
         with pytest.raises(RegistryError, match="missing top-level list"):
@@ -121,11 +124,11 @@ class TestLoading:
 
     def test_lookup_fails_closed(self):
         reg = default_registry()
-        with pytest.raises(RegistryError, match="unknown device 'devC'"):
+        with pytest.raises(RegistryError, match="unknown device 'devC'; registered: devA, devB, ideal$"):
             reg.get("devC")
 
     def test_defaults_present(self):
         reg = default_registry()
-        assert set(reg.names()) == {"ideal", "devA", "devB"}
+        assert [reg.get(name) for name in ("ideal", "devA", "devB")] == [IDEAL, DEV_A, DEV_B]
         assert not _woven(IDEAL).has_noise
         assert DEV_A.p2 == 0.01 and DEV_B.p2 == 0.05

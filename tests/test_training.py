@@ -135,6 +135,9 @@ class TestTrainConfig:
     def test_schedule_total_checked(self):
         with pytest.raises(ValueError, match="schedule covers"):
             normalize_schedule([(IDEAL, 3), (DEV_A, 3)], epochs=5)
+        # a negative entry would otherwise make the total match a longer run
+        with pytest.raises(ValueError, match="schedule entry 0 has a negative epoch count -1"):
+            normalize_schedule([(IDEAL, -1), (DEV_A, 3)], epochs=2)
 
     def test_single_profile_expands(self):
         sched = normalize_schedule(IDEAL, epochs=7)
@@ -194,7 +197,7 @@ class TestTrainLoop:
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=1)
         cfg = TrainConfig(epochs=3, batch_size=4, loss="nll_top1")
         trained, hist = train(m, x, y, cfg, IDEAL, seed=1, eval_features=x, eval_labels=y)
-        assert len(hist) == 3
+        assert len(hist.epochs) == 3
         for e in hist.epochs:
             assert np.isfinite(e.train_loss)
             assert np.isfinite(e.test_accuracy)
@@ -217,7 +220,7 @@ class TestTrainLoop:
         m = init_model(PQCTemplate("PQC19", 2), k=3, seed=2)
         cfg = TrainConfig(epochs=2, batch_size=5, loss="kl_topk")
         trained, hist = train(m, x, targets, cfg, IDEAL, seed=2)
-        assert len(hist) == 2
+        assert len(hist.epochs) == 2
         assert not np.array_equal(trained.flat_params(), m.flat_params())
 
     def test_target_kind_mismatch_rejected(self):
@@ -263,4 +266,4 @@ class TestTrainLoop:
         trained, hist = train(
             m, x, y, cfg, [(IDEAL, 3), (DEV_A, 1)], seed=4, eval_features=x, eval_labels=y
         )
-        assert len(hist) == 4
+        assert len(hist.epochs) == 4
