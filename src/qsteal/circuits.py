@@ -165,6 +165,12 @@ class CircuitIR:
                 step[2] = superop if step[2] is None else superop @ step[2]
         return tuple(tuple(map(tuple, steps)) for steps in parts)
 
+    @cached_property
+    def prefix(self) -> tuple[np.ndarray, tuple]:
+        """`plan[0]` compiled with no angle pinned, in the form run_circuit
+        runs it: 2x2 unitaries when noise-free, else superoperators."""
+        return compile_prefix(self, {}, pure=not self.has_noise)
+
 
 def _embed(superop: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
     """A superoperator on `qubits` as one on `into`, which holds them all:
@@ -396,14 +402,42 @@ def _superop(op: GateOp, angle) -> np.ndarray:
     return density.unitary_superop(_matrix(op, angle))
 
 
-def _fused(circuit: CircuitIR, step: tuple, angle) -> np.ndarray:
-    """The superoperator of one plan step: its gate at `angle` (a stack for
-    an array of angles), then its fixed channels."""
+def _fused(circuit: CircuitIR, step: tuple, angle, pure: bool = False) -> np.ndarray:
+    """The superoperator of one plan step, or its unitary when `pure`: its
+    gate at `angle` (a stack for an array of angles), then `after`."""
     i, _, after = step
     if i is None:
         return after
-    gate = _superop(circuit.ops[i], angle)
+    gate = _matrix(circuit.ops[i], angle) if pure else _superop(circuit.ops[i], angle)
     return gate if after is None else after @ gate
+
+
+def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.ndarray, tuple]:
+    """The product-state prefix, `plan[0]`, with its fixed steps folded away.
+
+    A step is fixed when it has no angle or `pinned` (op index -> angle)
+    holds its angle.  On each qubit a run of fixed steps folds into the
+    `after` of the variable-angle step before it, or else into the qubit's
+    start state.  Returns the read-only start states, (n, 2) statevectors
+    (`pure`, `after` then 2x2) or (n, 4) density vecs, and the variable
+    steps (op index, qubits, after) in plan order."""
+    starts = np.zeros((circuit.n_qubits, 2 if pure else 4), dtype=np.complex128)
+    starts[:, 0] = 1.0  # e_0 is both |0> and the row-major vec of |0><0|
+    steps, last = [], {}
+    for step in circuit.plan[0]:
+        i, (q,), after = step
+        if i is not None and circuit.ops[i].angle is not None and i not in pinned:
+            last[q] = [i, (q,), after]
+            steps.append(last[q])
+            continue
+        mat = _fused(circuit, step, pinned.get(i), pure)
+        if q in last:
+            last[q][2] = mat if last[q][2] is None else mat @ last[q][2]
+        else:
+            starts[q] = mat @ starts[q]
+    for array in [starts] + [after for _, _, after in steps if after is not None]:
+        array.flags.writeable = False
+    return starts, tuple(map(tuple, steps))
 
 
 def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
@@ -420,23 +454,21 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     return state
 
 
-def _prefix(circuit: CircuitIR, grid: _Grid, pure: bool) -> list[np.ndarray]:
-    """Each row's state of each qubit after the product-state prefix (the
-    ops before `product_prefix_end`): per qubit a (rows, 2) statevector
-    (`pure`) or the row-major vec of its 2x2 density matrix, (rows, 4).
+def _prefix(circuit: CircuitIR, grid: _Grid, compiled: tuple[np.ndarray, tuple]) -> list[np.ndarray]:
+    """Each row's state of each qubit after the product-state prefix, run
+    from its `compiled` form (:func:`compile_prefix`): per qubit a (rows, 2)
+    statevector or the row-major vec of its 2x2 density matrix, (rows, 4).
 
-    A qubit's state spans only the grid axes its ops vary over, so a prefix
+    A qubit's state spans only the grid axes its steps vary over, so a prefix
     of per-sample encodings and per-probe rotations builds B per-sample and
     P per-probe factors, not P * B; rows are formed at the end.
     """
-    n = circuit.n_qubits
-    size = 2 if pure else 4
-    # e_0 is both |0> and the row-major vec of |0><0|
-    states = [np.eye(1, size, dtype=np.complex128)[None]] * n
-    for step in circuit.plan[0]:
-        i, (q,), _ = step
-        angle = grid.angles.get(i)
-        mat = _matrix(circuit.ops[i], angle) if pure else _fused(circuit, step, angle)
+    starts, steps = compiled
+    n, size = starts.shape
+    states = list(starts[:, None, None])
+    for step in steps:
+        q = step[1][0]
+        mat = _fused(circuit, step, grid.angles.get(step[0]), pure=size == 2)
         states[q] = np.matmul(mat, states[q][..., None])[..., 0]
     rows = np.empty((n, grid.p, grid.b, size), dtype=np.complex128)
     for q, s in enumerate(states):
@@ -444,11 +476,16 @@ def _prefix(circuit: CircuitIR, grid: _Grid, pure: bool) -> list[np.ndarray]:
     return list(rows.reshape(n, grid.rows, size))
 
 
-def product_prefix(circuit: CircuitIR, overrides: dict) -> list[np.ndarray]:
-    """Each row's state after the circuit's product-state prefix, as one
-    transposed (rows, 2, 2) density factor per qubit; `overrides` lay the
-    rows out as :func:`run_circuit` does."""
-    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in _prefix(circuit, _Grid.of(overrides), pure=False)]
+def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict) -> list[np.ndarray]:
+    """Each row's state after the product-state prefix, run from its
+    `compiled` superoperator form, as one transposed (rows, 2, 2) density
+    factor per qubit; `overrides` lay the rows out as run_circuit does."""
+    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in _prefix(circuit, _Grid.of(overrides), compiled)]
+
+
+def _z_signs(circuit: CircuitIR) -> np.ndarray:
+    """The diagonal of Z_q for each measured qubit q: (m, 2^n) signs."""
+    return 1.0 - 2.0 * ((np.arange(2**circuit.n_qubits) >> np.array(circuit.measured_qubits)[:, None]) & 1)
 
 
 def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
@@ -465,9 +502,8 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
     m = len(circuit.measured_qubits)
     dim = 2**n
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
-    signs = 1.0 - 2.0 * ((np.arange(dim)[None, :] >> np.array(circuit.measured_qubits)[:, None]) & 1)
     obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
-    obs[:, np.arange(dim), np.arange(dim)] = np.tile(signs, (g, 1))
+    obs[:, np.arange(dim), np.arange(dim)] = np.tile(_z_signs(circuit), (g, 1))
     for step in reversed(circuit.plan[1]):
         adjoint = _fused(circuit, step, overrides.get(step[0])).conj().swapaxes(-1, -2)
         if adjoint.ndim == 3:
@@ -504,7 +540,7 @@ def _heisenberg(circuit: CircuitIR, overrides: dict, g: int, angles: dict) -> np
     group has rows on average: never more memory than the Schroedinger
     picture of one group.
     """
-    factors = product_prefix(circuit, overrides)
+    factors = product_prefix(circuit, circuit.prefix, overrides)
     rows = factors[0].shape[0]
     r = rows // g
     m = len(circuit.measured_qubits)
@@ -535,7 +571,7 @@ def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     applied once per group of rows, its matrices a (G, dk, dk) stack."""
     n = circuit.n_qubits
     start = circuit.product_prefix_end
-    qubits = _prefix(circuit, grid, pure=True)
+    qubits = _prefix(circuit, grid, circuit.prefix)
     vecs = qubits[-1]
     for v in reversed(qubits[:-1]):
         vecs = (vecs[:, :, None] * v[:, None, :]).reshape(grid.rows, -1)
@@ -556,9 +592,9 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
     or (1, B) array per sample, a (P, 1) array per probe or a (P, B) array
     per row; they broadcast.  Every circuit starts with its product-state
     prefix (the leading 1-qubit ops and channels), run per qubit on the
-    grid.  The rows are then grouped by their angles after the prefix: the
-    P probes when those angles are per probe or shared, one group when all
-    are shared, every row otherwise.  With G groups and m measured qubits:
+    grid from `CircuitIR.prefix`.  The rows are then grouped by their
+    angles after the prefix: the P probes when those angles are per probe
+    or shared, one group when all are shared, every row otherwise.  With G groups and m measured qubits:
 
     * noise-free: the prefix's 2-vectors form each row's statevector, and
       each later gate is applied once per group.
@@ -569,15 +605,15 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
       through the whole circuit.
     """
     grid = _Grid.of(angle_overrides)
-    n = circuit.n_qubits
     if not circuit.has_noise:
         vecs = _statevectors(circuit, grid)
-        return np.stack([density.exp_z_vec(vecs, q, n) for q in circuit.measured_qubits], axis=1)
-    g, angles = grid.groups(circuit.product_prefix_end)
-    if g * len(circuit.measured_qubits) < grid.rows:
-        return _heisenberg(circuit, grid.angles, g, angles)
-    states = _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)
-    return np.stack([density.exp_z_batch(states, q, n) for q in circuit.measured_qubits], axis=1)
+        probs = (vecs.conj() * vecs).real
+    else:
+        g, angles = grid.groups(circuit.product_prefix_end)
+        if g * len(circuit.measured_qubits) < grid.rows:
+            return _heisenberg(circuit, grid.angles, g, angles)
+        probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
+    return np.stack([probs @ signs for signs in _z_signs(circuit)], axis=1)
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:

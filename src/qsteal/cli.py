@@ -32,7 +32,7 @@ from .data import (
 from .defense import (
     baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense, selection_probs,
 )
-from .devices import DeviceRegistry, RegistryError, default_registry, load_registry
+from .devices import YAML_LOADER, DeviceRegistry, RegistryError, default_registry, load_registry
 from .metrics import accuracy
 from .model import atomic_write, init_model, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -504,7 +504,7 @@ def _read_config(path: Path) -> dict:
     except OSError as exc:
         raise InputError(f"config file {path}: cannot be read ({exc.strerror or exc})") from exc
     try:
-        config = yaml.safe_load(text)
+        config = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError("<root>", f"{path} is not valid YAML ({exc})") from exc
     if not isinstance(config, dict):

@@ -53,13 +53,6 @@ def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.concatenate([a, np.zeros_like(a)]) @ b)[:1]
 
 
-def exp_z_batch(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """<Z_qubit> for each state in the batch."""
-    diag = np.einsum("bii->bi", states).real
-    signs = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
-    return diag @ signs
-
-
 def apply_unitary_vec(vecs: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """psi -> U psi on a batch of statevectors: (B, dim), or (G, R, dim) for
     G groups of R rows.
@@ -76,12 +69,6 @@ def apply_unitary_vec(vecs: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]
     t = vecs.reshape((g, -1) + (2,) * n).transpose(perm)
     out = np.matmul(mat, t.reshape(g, 2**k, -1))
     return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(vecs.shape)
-
-
-def exp_z_vec(vecs: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    probs = (vecs.conj() * vecs).real
-    signs = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
-    return probs @ signs
 
 
 def sample_expectations(

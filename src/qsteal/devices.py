@@ -16,6 +16,9 @@ import yaml
 
 from .channels import ReadoutConfusion
 
+#: the YAML parser of config and registry files: libyaml's when PyYAML was built with it
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _RATE_FIELDS = ("p1", "p2", "gamma", "p_phase", "p_bit")
 
 
@@ -145,7 +148,7 @@ def load_registry(source) -> DeviceRegistry:
         else:
             raise TypeError(f"expected a dict, a path or YAML text, got {type(source).__name__}")
         try:
-            doc = yaml.safe_load(raw)
+            doc = yaml.load(raw, Loader=YAML_LOADER)
         except yaml.YAMLError as exc:
             raise RegistryError(f"{origin} does not parse: {exc}") from exc
     if not isinstance(doc, dict) or "devices" not in doc:

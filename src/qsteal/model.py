@@ -2,10 +2,12 @@
 
 Forward passes are batched; a whole batch shares one circuit skeleton with
 per-sample encoding angles.  At fixed parameters (evaluation, serving) the
-circuit after the encoding's product state is pulled back once and held on
-the model; several parameter vectors (a training step's SPSA probes) run as
-one probes x samples grid through run_circuit.  Checkpoints round-trip
-bitwise through JSON.
+circuit is split at the end of its product-state prefix once per (feature
+count, device) and both parts are held on the model: the prefix compiled
+with the PQC angles pinned, so a row runs only its feature gates, and the
+rest pulled back onto the measured observables.  Several parameter vectors
+(a training step's SPSA probes) run as one probes x samples grid through
+run_circuit.  Checkpoints round-trip bitwise through JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .channels import ReadoutConfusion
 from .circuits import (
     PQCTemplate,
     assemble_circuit,
+    compile_prefix,
     contract_rows,
     product_prefix,
     pulled_back_z,
@@ -51,8 +54,8 @@ class HybridModel:
     theta: np.ndarray
     weights: np.ndarray  # (k, n_qubits)
     bias: np.ndarray  # (k,)
-    #: pulled-back readouts Phi^dag(Z_q) at this model's theta, by (d, profile);
-    #: filled by forward_batch, so a replaced or discarded model takes its own
+    #: (compiled prefix, pulled-back readouts Phi^dag(Z_q)) at this model's theta, by
+    #: (d, profile); filled by forward_batch, so a replaced or discarded model takes its own
     _readouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -125,35 +128,35 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, slots
 
 
-def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> np.ndarray:
-    """Phi^dag(Z_q) for each measured qubit q, where Phi is the circuit
-    after its product-state prefix at the model's PQC parameters:
-    read-only (m, 4^n), at most 8 MB at the 8-qubit cap.  Computed on first
-    use and held on the model."""
-    obs = model._readouts.get((d, profile))
-    if obs is None:
+def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[np.ndarray, tuple]:
+    """The circuit at the model's PQC parameters, split at the end of its
+    product-state prefix: the prefix compiled with theta pinned, and
+    Phi^dag(Z_q) for each measured qubit q, Phi the rest of the circuit,
+    read-only (m, 4^n), at most 8 MB at the 8-qubit cap.  Held on the model."""
+    entry = model._readouts.get((d, profile))
+    if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)
-        obs = pulled_back_z(circuit, dict(zip(slots[d:], model.theta, strict=True)))
-        obs = obs.reshape(len(circuit.measured_qubits), -1)
+        pinned = dict(zip(slots[d:], model.theta, strict=True))
+        obs = pulled_back_z(circuit, pinned).reshape(len(circuit.measured_qubits), -1)
         obs.flags.writeable = False
-        model._readouts[(d, profile)] = obs
-    return obs
+        entry = model._readouts[(d, profile)] = (compile_prefix(circuit, pinned, pure=False), obs)
+    return entry
 
 
 def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfile | None):
     """Exact <Z> per qubit for a batch of inputs at the model's parameters,
     shape (B, n), plus the circuit's readout confusion.
 
-    Each row costs its product-state prefix and one contraction against the
-    cached pulled-back observables; its result does not depend on the rest
-    of the batch.
+    Each row costs its d feature gates, its per-qubit products and one
+    contraction against the held observables; its result does not depend
+    on the rest of the batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
     circuit, slots = _prepared_circuit(model.template, d, profile)
-    obs = _readout(model, d, profile)
-    overrides = dict(zip(slots, [*x.T, *model.theta], strict=True))
-    return contract_rows(product_prefix(circuit, overrides), np.arange(b), obs), circuit.readout
+    prefix, obs = _readout(model, d, profile)
+    factors = product_prefix(circuit, prefix, dict(zip(slots[:d], x.T, strict=True)))
+    return contract_rows(factors, np.arange(b), obs), circuit.readout
 
 
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
@@ -183,14 +186,6 @@ def _sampled(exps: np.ndarray, readout: ReadoutConfusion | None, shots: int, rng
     return np.concatenate([sample_expectations(e[None], readout, shots, r) for e, r in zip(exps, rngs)])
 
 
-def _outputs(exps, weights, bias, readout, shots, rng) -> np.ndarray:
-    """Class probabilities from exact <Z> features: shot noise if `shots`,
-    then the linear head and softmax, each row on its own."""
-    if shots is not None:
-        exps = _sampled(exps, readout, shots, rng)
-    return softmax(matmul_rows(exps, weights.T) + bias)
-
-
 def expectations_batch(
     model: HybridModel,
     x: np.ndarray,
@@ -215,8 +210,9 @@ def forward_probes(
     ``model.flat_params()``) on one batch of inputs, shape (P, B, k).
 
     All P * B circuits run in one run_circuit call on the probes x samples
-    grid; probe p draws its shot noise from ``rngs[p]`` and applies its own
-    head.
+    grid; probe p draws its shot noise from ``rngs[p]``.  The P heads apply
+    as one stacked product, each probe's rows exactly as forward_batch
+    would compute them.
     """
     flats = np.asarray(flats, dtype=np.float64)
     if flats.ndim != 2 or flats.shape[1] != model.n_params:
@@ -226,10 +222,12 @@ def forward_probes(
     t = model.template.param_count
     w = model.weights.size
     exps, readout = _probe_expectations(model.template, flats[:, :t], x, profile)
-    return np.stack([
-        _outputs(e, flat[t : t + w].reshape(model.weights.shape), flat[t + w :], readout, shots, rng)
-        for flat, e, rng in zip(flats, exps, rngs, strict=True)
-    ])
+    if shots is not None:
+        exps = np.stack([_sampled(e, readout, shots, rng) for e, rng in zip(exps, rngs, strict=True)])
+    heads = flats[:, t : t + w].reshape(-1, *model.weights.shape).transpose(0, 2, 1)
+    one_row = exps.shape[1] == 1
+    logits = np.stack([matmul_rows(e, h) for e, h in zip(exps, heads)]) if one_row else np.matmul(exps, heads)
+    return softmax(logits + flats[:, None, t + w :])
 
 
 def forward_batch(
@@ -242,32 +240,38 @@ def forward_batch(
     """Class probabilities for a batch of inputs (B, d) at the model's
     parameters, shape (B, k).
 
-    The circuit after its product-state prefix is pulled back once per
-    (d, profile) and held on the model, so each row costs its prefix
-    and one contraction, and its result does not depend on the rest of the
+    The circuit's compiled prefix and pulled-back rest are held on the
+    model per (d, profile), so each row costs its d feature gates and one
+    contraction, and its result does not depend on the rest of the
     batch.  `rng` draws the shot noise: one generator for the batch, or a
     sequence of one generator per row.
     """
     exps, readout = _fixed_expectations(model, x, profile)
-    return _outputs(exps, model.weights, model.bias, readout, shots, rng)
+    if shots is not None:
+        exps = _sampled(exps, readout, shots, rng)
+    return softmax(matmul_rows(exps, model.weights.T) + model.bias)
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
 
-def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean NLL over a batch; probs (B, k), labels (B,)."""
-    picked = probs[np.arange(probs.shape[0]), labels]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_FLOOR))))
+def nll_terms(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each sample's NLL; probs (..., B, k), labels (B,): shape (..., B)."""
+    picked = probs[..., np.arange(probs.shape[-2]), labels]
+    return -np.log(np.maximum(picked, LOG_FLOOR))
 
 
-def mean_kl(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean KL(target || probs) over a batch; both (B, k)."""
+def kl_terms(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each sample's KL(target || probs); probs (..., B, k), targets (B, k)."""
     t = np.asarray(targets, dtype=np.float64)
     p = np.maximum(probs, LOG_FLOOR)
-    terms = np.where(t > 0, t * (np.log(np.maximum(t, LOG_FLOOR)) - np.log(p)), 0.0)
-    return float(np.mean(terms.sum(axis=1)))
+    return np.where(t > 0, t * (np.log(np.maximum(t, LOG_FLOOR)) - np.log(p)), 0.0).sum(axis=-1)
+
+
+def mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean NLL over a batch; probs (B, k), labels (B,)."""
+    return float(np.mean(nll_terms(probs, labels)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import DeviceProfile
-from .model import HybridModel, forward_batch, forward_probes, mean_kl, mean_nll
+from .model import HybridModel, forward_batch, forward_probes, kl_terms, mean_nll, nll_terms
 
 LOSS_KINDS = ("nll_top1", "kl_topk")
 
@@ -133,10 +133,11 @@ def adam_step(
 # training loop
 # ---------------------------------------------------------------------------
 
-def _batch_loss(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> float:
-    if cfg.loss == "nll_top1":
-        return mean_nll(probs, targets)
-    return mean_kl(probs, targets)
+def _probe_losses(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> list[float]:
+    """Each probe's mean loss over the batch; probs (P, B, k).  The terms
+    come from the whole grid, each mean from its probe's own row."""
+    terms = nll_terms(probs, targets) if cfg.loss == "nll_top1" else kl_terms(probs, targets)
+    return [float(np.mean(row)) for row in terms]
 
 
 def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -221,7 +222,7 @@ def train(
                 stream(seed, epoch, b_idx, side, draw) for draw in range(cfg.spsa_draws) for side in (_PLUS, _MINUS)
             ]
             probs = forward_probes(model, spsa_probes(params, deltas, cfg.spsa_c), xb, profile, cfg.shots, rngs)
-            losses = [_batch_loss(cfg, p, tb) for p in probs]
+            losses = _probe_losses(cfg, probs, tb)
             grad = np.zeros_like(params)
             probe_mean = 0.0
             for draw, delta in enumerate(deltas):

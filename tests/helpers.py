@@ -1,5 +1,5 @@
 """Shared test utilities: an independent full-register embedding oracle,
-and an unfused circuit reference.
+an unfused circuit reference, and <Z> read off density matrices.
 
 The simulator applies 2x2/4x4 operators by tensor contraction; these
 helpers build explicit 2^n x 2^n matrices by brute-force index arithmetic
@@ -64,6 +64,12 @@ def assert_density_matrix(rho: np.ndarray, trace_tol: float = 1e-10, eig_floor: 
     assert np.allclose(rho, rho.conj().T, atol=trace_tol), "state is not Hermitian"
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= eig_floor, f"negative eigenvalue {eigs.min()} below {eig_floor}"
+
+
+def exp_z_batch(states: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """<Z_qubit> for each density matrix in a (B, 2^n, 2^n) batch."""
+    signs = 1.0 - 2.0 * ((np.arange(2**n) >> qubit) & 1)
+    return np.einsum("bii->bi", states).real @ signs
 
 
 def unfused_states(circuit, overrides=None) -> np.ndarray:

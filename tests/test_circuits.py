@@ -11,17 +11,19 @@ from qsteal.circuits import (
     PQCTemplate,
     assemble_circuit,
     build_pqc,
+    compile_prefix,
     encode_angles,
     encode_layout,
     final_states,
     pqc_gates_per_layer,
+    product_prefix,
     run_circuit,
     weave_noise,
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.gates import GATE_KINDS, GateOp
 
-from helpers import assert_density_matrix, unfused_states
+from helpers import assert_density_matrix, exp_z_batch, unfused_states
 
 
 def _rz_slots(d):
@@ -214,8 +216,6 @@ class TestExecutor:
         assert not circuit.has_noise
         fast = run_circuit(circuit)  # statevector route
         states = final_states(circuit)  # density route
-        from qsteal.density import exp_z_batch
-
         slow = np.stack([exp_z_batch(states, q, 3) for q in circuit.measured_qubits], axis=1)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -287,8 +287,6 @@ def _flat(overrides, n_probes, b):
 
 
 def _z(states, circuit):
-    from qsteal.density import exp_z_batch
-
     return np.stack([exp_z_batch(states, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
 
 
@@ -425,6 +423,48 @@ class TestPlan:
         unencoded = [q for q, feats in enumerate(encode_layout(8, n)) if not feats]
         assert [i for i, _, _ in prefix if i is not None] == list(range(circuit.product_prefix_end))
         assert sorted(q for i, (q,), _ in prefix if i is None) == unencoded
+
+
+def _angled(circuit):
+    """The op indices of the prefix steps whose gate takes an angle."""
+    return [i for i, _, _ in circuit.plan[0] if i is not None and circuit.ops[i].angle is not None]
+
+
+class TestCompiledPrefix:
+    @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
+    def test_run_circuit_folds_only_the_angle_free_steps(self, profile):
+        circuit, _ = _model_circuit("PQC19", 4, profile, 3)
+        starts, steps = circuit.prefix
+        assert [i for i, _, _ in steps] == _angled(circuit)
+        assert starts.shape == (4, 2 if profile is None else 4)
+        if profile is None:
+            # every qubit opens with H, so its start state is H|0>, and its
+            # second H rides on the first feature gate as a 2x2 `after`
+            np.testing.assert_allclose(starts, np.full((4, 2), 2**-0.5), rtol=0, atol=1e-15)
+            assert [after is None for _, _, after in steps] == [False, True] * 4 + [True] * 8
+
+    @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
+    def test_pinning_angles_folds_them_without_changing_the_prefix(self, case):
+        circuit = _hand_built(case)
+        angles = {i: 0.37 * (i + 1) for i in _angled(circuit)}
+        pinned = compile_prefix(circuit, angles, pure=False)
+        assert pinned[1] == ()  # every prefix step is fixed, so only the start states remain
+        want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), angles)
+        got = product_prefix(circuit, pinned, {})
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A, DEV_B], ids=["none", "ideal", "devA", "devB"])
+    def test_pinned_parameters_leave_only_the_feature_gates(self, tid, profile):
+        # the serving split: features per sample, every PQC angle pinned
+        circuit, overrides = _model_circuit(tid, 4, profile, 5, seed=2)
+        features = {i: a for i, a in overrides.items() if np.ndim(a) == 1}
+        compiled = compile_prefix(circuit, {i: a for i, a in overrides.items() if np.ndim(a) == 0}, pure=False)
+        assert [i for i, _, _ in compiled[1]] == sorted(features)
+        want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), overrides)
+        for g, w in zip(product_prefix(circuit, compiled, features), want, strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
 def _demo_circuit():

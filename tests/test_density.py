@@ -7,15 +7,13 @@ from qsteal.channels import ReadoutConfusion, amplitude_damping, depolarizing, d
 from qsteal.density import (
     apply_superop_batch,
     apply_unitary_vec,
-    exp_z_batch,
-    exp_z_vec,
     sample_expectations,
     unitary_superop,
     zero_states,
 )
 from qsteal.gates import GateOp, gate_matrix, rotation_batch
 
-from helpers import assert_density_matrix, embed_full, random_density, random_gate
+from helpers import assert_density_matrix, embed_full, exp_z_batch, random_density, random_gate
 
 
 def _gate(states, op: GateOp, n: int) -> np.ndarray:
@@ -214,16 +212,20 @@ class TestBatchedKernels:
                                    rtol=0, atol=1e-14)
 
     def test_statevector_matches_density_route(self):
+        from qsteal.circuits import CircuitIR, run_circuit
+
         rng = np.random.default_rng(53)
         n = 3
         vecs = np.zeros((2, 2**n), dtype=np.complex128)
         vecs[:, 0] = 1.0
         states = zero_states(2, n)
-        for _ in range(15):
-            op = random_gate(rng, n)
+        ops = [random_gate(rng, n) for _ in range(15)]
+        for op in ops:
             vecs = apply_unitary_vec(vecs, gate_matrix(op), op.qubits, n)
             states = _gate(states, op, n)
-        for q in range(n):
-            np.testing.assert_allclose(
-                exp_z_vec(vecs, q, n), exp_z_batch(states, q, n), atol=1e-12
-            )
+        np.testing.assert_allclose(np.einsum("bi,bj->bij", vecs, vecs.conj()), states, atol=1e-12)
+        # run_circuit's statevector readout: |psi|^2 against each measured qubit's signs, in measured order
+        measured = (2, 0)
+        got = run_circuit(CircuitIR(n, tuple(ops), measured))
+        want = np.stack([exp_z_batch(states, q, n) for q in measured], axis=1)
+        np.testing.assert_allclose(got, want[:1], rtol=0, atol=1e-12)

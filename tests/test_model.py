@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qsteal import model as model_mod
-from qsteal.circuits import CONTRACT_ROWS, PQCTemplate, assemble_circuit
-from qsteal.density import exp_z_batch
+from qsteal.circuits import CONTRACT_ROWS, MAX_QUBITS, TEMPLATE_IDS, PQCTemplate, assemble_circuit, encode_layout
 from qsteal.devices import DEV_A, DEV_B, IDEAL, DeviceProfile
 from qsteal.model import (
     HybridModel,
@@ -14,13 +13,13 @@ from qsteal.model import (
     forward_probes,
     init_model,
     load_checkpoint,
-    mean_kl,
+    kl_terms,
     mean_nll,
     save_checkpoint,
     softmax,
 )
 
-from helpers import unfused_states
+from helpers import exp_z_batch, unfused_states
 
 
 @pytest.fixture
@@ -132,9 +131,12 @@ class TestReadoutCache:
         got = expectations_batch(m, x, DEV_A)
         np.testing.assert_allclose(got, self._evolved(m, x, DEV_A), rtol=0, atol=1e-12)
         assert list(m._readouts) == [(8, DEV_A)]
-        entry = m._readouts[(8, DEV_A)]
-        assert entry.shape == (8, 4**8)
-        assert entry.nbytes <= 8 * 2**20
+        (starts, steps), obs = m._readouts[(8, DEV_A)]
+        assert obs.shape == (8, 4**8)
+        assert obs.nbytes <= 8 * 2**20
+        # the compiled prefix adds one start state and one 4x4 `after` per feature gate
+        assert starts.shape == (8, 4)
+        assert [(i, after.shape) for i, _, after in steps] == [(2 * f + 1, (4, 4)) for f in range(8)]
 
     @staticmethod
     def _count_pull_backs(monkeypatch):
@@ -158,6 +160,27 @@ class TestReadoutCache:
         np.testing.assert_array_equal(expectations_batch(model, x, DEV_A), a)
         assert len(pulled) == 2
         assert model._readouts[(8, DEV_A)] is not nudged._readouts[(8, DEV_A)]
+
+    def test_models_differing_only_in_theta_never_share_a_compiled_prefix(self, model, monkeypatch):
+        from dataclasses import replace
+
+        pinned = []
+        original = model_mod.compile_prefix
+        monkeypatch.setattr(model_mod, "compile_prefix",
+                            lambda c, p, pure: pinned.append(np.array(list(p.values()))) or original(c, p, pure))
+        nudged = replace(model, theta=model.theta + 1e-3)
+        x = _inputs(3)
+        expectations_batch(model, x, DEV_A)
+        expectations_batch(nudged, x, DEV_A)
+        expectations_batch(model, x, DEV_A)
+        assert len(pinned) == 2
+        np.testing.assert_array_equal(pinned[0], model.theta)
+        np.testing.assert_array_equal(pinned[1], nudged.theta)
+        (_, steps), _ = model._readouts[(8, DEV_A)]
+        (_, nudged_steps), _ = nudged._readouts[(8, DEV_A)]
+        # the last feature gate on each qubit carries that qubit's folded theta rotations
+        for a, b in zip(steps[1::2], nudged_steps[1::2], strict=True):
+            assert a[0] == b[0] and a[2] is not b[2] and not np.array_equal(a[2], b[2])
 
     def test_readout_is_held_on_the_model_only(self, model):
         forward_batch(model, _inputs(1), DEV_A)
@@ -189,10 +212,13 @@ class TestReadoutCache:
         assert len(pulled) == 21
 
     def test_entries_are_read_only(self, model):
-        forward_batch(model, _inputs(1), DEV_A)
-        entry = model._readouts[(8, DEV_A)]
-        with pytest.raises(ValueError, match="read-only"):
-            entry[0, 0] = 0.0
+        for profile in (IDEAL, DEV_A):
+            forward_batch(model, _inputs(1), profile)
+            (starts, steps), obs = model._readouts[(8, profile)]
+            assert isinstance(steps, tuple) and all(isinstance(step, tuple) for step in steps)
+            for array in [obs, starts] + [after for _, _, after in steps]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0.0
 
     def test_rows_across_a_contraction_chunk_equal_single_rows(self, model):
         x = _inputs(CONTRACT_ROWS + 3, seed=4)
@@ -200,6 +226,54 @@ class TestReadoutCache:
             batched = forward_batch(model, x, profile)
             for i in (0, CONTRACT_ROWS - 1, CONTRACT_ROWS, CONTRACT_ROWS + 2):
                 np.testing.assert_array_equal(batched[i], forward_batch(model, x[i : i + 1], profile)[0])
+
+
+def _widths(tid):
+    return range(1 if tid == "PQC1" else 2, MAX_QUBITS + 1)
+
+
+class TestCompiledPrefix:
+    """The serving path compiles each (model, d, profile) prefix with theta
+    pinned; every served row must still match the unfused circuit."""
+
+    FEATURES = (1, 3, 8, 13)
+    PROFILES = (IDEAL, DEV_A, DEV_B)
+
+    @classmethod
+    def _cases(cls, n, layers):
+        """Every (d, profile) pair up to 6 qubits.  Wider registers are slower
+        to evolve: one profile per d at 7 qubits, and at 8 half the d values
+        per layer count, so that each d and each profile still comes up."""
+        if n <= 6:
+            return [(d, profile) for d in cls.FEATURES for profile in cls.PROFILES]
+        cases = [(d, cls.PROFILES[(j + n + layers) % 3]) for j, d in enumerate(cls.FEATURES)]
+        return cases if n == 7 else cases[layers - 1 :: 2]
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("tid, n", [(tid, n) for tid in TEMPLATE_IDS for n in _widths(tid)])
+    def test_served_rows_match_the_unfused_reference(self, tid, n, layers):
+        m = init_model(PQCTemplate(tid, n, layers), k=3, seed=10 * n + layers)
+        for d, profile in self._cases(n, layers):
+            x = _inputs(2, d, seed=d)
+            want = TestReadoutCache._evolved(m, x, profile)
+            np.testing.assert_allclose(expectations_batch(m, x, profile), want, rtol=0, atol=1e-12)
+            batched = forward_batch(m, x, profile)
+            np.testing.assert_allclose(batched, softmax(want @ m.weights.T + m.bias), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(forward_batch(m, x[1:], profile)[0], batched[1])
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    def test_theta_and_the_angle_free_gates_fold_away(self, tid):
+        # only the feature gates stay; a qubit that encodes nothing (widths 5-7
+        # at d = 8) keeps no step at all, only its constant start state
+        for n in _widths(tid):
+            m = init_model(PQCTemplate(tid, n), k=2, seed=n)
+            forward_batch(m, _inputs(1), DEV_A)
+            circuit, slots = model_mod._prepared_circuit(m.template, 8, DEV_A)
+            (starts, steps), _ = m._readouts[(8, DEV_A)]
+            assert [i for i, _, _ in steps] == list(slots[:8])
+            encoded = [q for q, feats in enumerate(encode_layout(8, n)) if feats]
+            assert sorted({q for _, (q,), _ in steps}) == encoded
+            assert starts.shape == (n, 4)
 
 
 class TestForwardProbes:
@@ -253,6 +327,10 @@ class TestSoftmax:
 
 def _nll(probs, label):
     return mean_nll(np.asarray(probs, dtype=np.float64)[None], np.array([label]))
+
+
+def mean_kl(probs, targets):
+    return float(np.mean(kl_terms(probs, targets)))
 
 
 def _kl(probs, target):
