@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,6 +36,11 @@ MAX_QUBITS = 8
 #: rows per product-state contraction; a chunk's (rows, 4^n) product states
 #: take 32 MB at the 8-qubit cap
 CONTRACT_ROWS = 32
+
+#: entries of the observables one pull-back call may hold even where that is
+#: more matrices than a group has rows: 2^19 (8 MB) take every probe's m
+#: pulled-back Z_q at up to 6 qubits, and less than one probe's at 8
+PULL_BACK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -173,14 +178,26 @@ class CircuitIR:
 
 
 def _embed(superop: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
-    """A superoperator on `qubits` as one on `into`, which holds them all:
-    identity on the other qubits, indices ordered as `into` lists them."""
+    """A superoperator on `qubits` (or a stack of them) as one on `into`,
+    which holds them all: identity on the other qubits, indices ordered as
+    `into` lists them."""
     if qubits == into:
         return superop
+    lead = superop.shape[:-2]
+    padded = np.concatenate([superop.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+    return padded[..., _embedding(qubits, into)]
+
+
+@lru_cache(maxsize=None)
+def _embedding(qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
+    """For each entry of a superoperator on `into`, the flat index of the
+    entry of one on `qubits` that :func:`_embed` copies there, or -1 where
+    the identity on the other qubits puts a zero."""
     k, j = len(into), len(qubits)
     rest = [q for q in into if q not in qubits]
     # kron(superop, identity): output axes are the rows of `qubits`, their columns, then those of `rest`
-    full = superop[:, None, :, None] * np.eye(4 ** (k - j))[None, :, None, :]
+    index = np.arange(16**j).reshape(4**j, 4**j)
+    full = np.where(np.eye(4 ** (k - j), dtype=bool)[None, :, None, :], index[:, None, :, None], -1)
     rows = [t if t < j else t + j for t in map([*qubits, *rest].index, into)]
     out = rows + [a + (j if a < j else k - j) for a in rows]
     return full.reshape((2,) * 4 * k).transpose(out + [a + 2 * k for a in out]).reshape(4**k, 4**k)
@@ -363,24 +380,31 @@ class _Grid:
     def rows(self) -> int:
         return self.p * self.b
 
-    def spread(self, shape: tuple[int, int], start: int = 0) -> dict:
-        """The overrides of ops >= `start`, each as one angle or a flat
-        array over `shape`, a part of the grid they broadcast to."""
+    def spread(self, shape: tuple[int, int], ops=None) -> dict:
+        """The overrides of `ops` (every op when None), each as one angle or
+        a flat array over `shape`, a part of the grid they broadcast to."""
         return {
-            i: a if a.ndim == 0 else np.broadcast_to(a, shape).ravel() for i, a in self.angles.items() if i >= start
+            i: a if a.ndim == 0 else (a if a.shape == shape else np.broadcast_to(a, shape)).ravel()
+            for i, a in self.angles.items()
+            if ops is None or i in ops
         }
 
-    def groups(self, start: int) -> tuple[int, dict]:
-        """The rows grouped by their angles at ops >= `start`: the P probes
-        when every such override is per probe or one angle, a single group
-        when all are one angle, every row otherwise.  Returns the group
-        count G and each such override as one angle or a (G,) per-group
-        array; group g holds rows g * R to (g + 1) * R - 1, R = P * B / G.
+    def span(self, ops) -> tuple[int, int]:
+        """The part of the grid the overrides of `ops` vary over: (1 or P, 1 or B)."""
+        shapes = [a.shape for i, a in self.angles.items() if a.ndim == 2 and i in ops]
+        return max((s[0] for s in shapes), default=1), max((s[1] for s in shapes), default=1)
+
+    def groups(self, ops) -> tuple[int, dict]:
+        """The rows grouped by their angles at `ops`: the P probes when
+        every such override is per probe or one angle, a single group when
+        all are one angle, every row otherwise.  Returns the group count G
+        and each such override as one angle or a (G,) per-group array;
+        group g holds rows g * R to (g + 1) * R - 1, R = P * B / G.
         """
-        shape = np.broadcast_shapes((1, 1), *(a.shape for i, a in self.angles.items() if i >= start and a.ndim == 2))
+        shape = self.span(ops)
         if shape[1] != 1:
             shape = (self.p, self.b)
-        return shape[0] * shape[1], self.spread(shape, start)
+        return shape[0] * shape[1], self.spread(shape, ops)
 
 
 def _matrix(op: GateOp, angle) -> np.ndarray:
@@ -447,17 +471,16 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     An override for op i replaces its angle: a (B,) array gives per-row
     matrices, one angle a shared matrix.
     """
-    n = circuit.n_qubits
-    state = density.zero_states(b, n)
-    for step in circuit.plan[0] + circuit.plan[1]:
-        state = density.apply_superop_batch(state, _fused(circuit, step, overrides.get(step[0])), step[1], n)
-    return state
+    steps = [(_fused(circuit, step, overrides.get(step[0])), step[1]) for step in circuit.plan[0] + circuit.plan[1]]
+    return density.apply_superop_batch(density.zero_states(b, circuit.n_qubits), steps, circuit.n_qubits)
 
 
-def _prefix(circuit: CircuitIR, grid: _Grid, compiled: tuple[np.ndarray, tuple]) -> list[np.ndarray]:
-    """Each row's state of each qubit after the product-state prefix, run
-    from its `compiled` form (:func:`compile_prefix`): per qubit a (rows, 2)
-    statevector or the row-major vec of its 2x2 density matrix, (rows, 4).
+def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple], shape: tuple) -> list[np.ndarray]:
+    """Each row's state of each qubit after the `compiled` steps of the
+    product-state prefix (:func:`compile_prefix`): per qubit a (rows, 2)
+    statevector or the row-major vec of its 2x2 density matrix, (rows, 4),
+    the rows laid out over `shape`, the (probes, samples) part of the grid
+    of `angles` that the steps span.
 
     A qubit's state spans only the grid axes its steps vary over, so a prefix
     of per-sample encodings and per-probe rotations builds B per-sample and
@@ -468,19 +491,25 @@ def _prefix(circuit: CircuitIR, grid: _Grid, compiled: tuple[np.ndarray, tuple])
     states = list(starts[:, None, None])
     for step in steps:
         q = step[1][0]
-        mat = _fused(circuit, step, grid.angles.get(step[0]), pure=size == 2)
+        mat = _fused(circuit, step, angles.get(step[0]), pure=size == 2)
         states[q] = np.matmul(mat, states[q][..., None])[..., 0]
-    rows = np.empty((n, grid.p, grid.b, size), dtype=np.complex128)
+    rows = np.empty((n, *shape, size), dtype=np.complex128)
     for q, s in enumerate(states):
         rows[q] = s
-    return list(rows.reshape(n, grid.rows, size))
+    return list(rows.reshape(n, -1, size))
+
+
+def _density_factors(vecs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-qubit row-major density vecs as transposed (rows, 2, 2) factors."""
+    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in vecs]
 
 
 def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict) -> list[np.ndarray]:
     """Each row's state after the product-state prefix, run from its
     `compiled` superoperator form, as one transposed (rows, 2, 2) density
     factor per qubit; `overrides` lay the rows out as run_circuit does."""
-    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in _prefix(circuit, _Grid.of(overrides), compiled)]
+    grid = _Grid.of(overrides)
+    return _density_factors(_prefix(circuit, grid.angles, compiled, (grid.p, grid.b)))
 
 
 def _z_signs(circuit: CircuitIR) -> np.ndarray:
@@ -488,15 +517,36 @@ def _z_signs(circuit: CircuitIR) -> np.ndarray:
     return 1.0 - 2.0 * ((np.arange(2**circuit.n_qubits) >> np.array(circuit.measured_qubits)[:, None]) & 1)
 
 
-def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
+def _rest(circuit: CircuitIR, overrides: dict, lead: tuple) -> list[tuple]:
+    """The circuit after its product-state prefix as (superoperator,
+    qubits) steps in plan order, with `lead`, steps of the compiled prefix,
+    run first: each qubit's lead steps fold into the first later step on
+    that qubit, or stay a step of their own when no later step touches it.
+    """
+    pending = {}
+    for step in lead:
+        q = step[1][0]
+        superop = _fused(circuit, step, overrides.get(step[0]))
+        pending[q] = superop if q not in pending else superop @ pending[q]
+    steps = []
+    for step in circuit.plan[1]:
+        superop = _fused(circuit, step, overrides.get(step[0]))
+        for q in step[1]:
+            if q in pending:
+                superop = superop @ _embed(pending.pop(q), (q,), step[1])
+        steps.append((superop, step[1]))
+    return [(superop, (q,)) for q, superop in pending.items()] + steps
+
+
+def pulled_back_z(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarray:
     """Phi^dag(Z_q) for each group of rows and measured qubit q, where Phi is
-    the circuit after its product-state prefix: (G * m, dim, dim),
-    group-major.  An override is one angle for every group or a (G,) array
-    of per-group angles.
+    `lead` (steps of the compiled prefix) and then the circuit after its
+    product-state prefix: (G * m, dim, dim), group-major.  An override is
+    one angle for every group or a (G,) array of per-group angles.
 
     The adjoint of a superoperator S is its conjugate transpose, so the
-    observables run backwards through the later plan steps, each one fused
-    superoperator, with the same kernel the states use.
+    observables run backwards through Phi's steps (:func:`_rest`), each one
+    fused superoperator, with the same kernel the states use.
     """
     n = circuit.n_qubits
     m = len(circuit.measured_qubits)
@@ -504,23 +554,22 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict) -> np.ndarray:
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
     obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
     obs[:, np.arange(dim), np.arange(dim)] = np.tile(_z_signs(circuit), (g, 1))
-    for step in reversed(circuit.plan[1]):
-        adjoint = _fused(circuit, step, overrides.get(step[0])).conj().swapaxes(-1, -2)
-        if adjoint.ndim == 3:
-            adjoint = np.repeat(adjoint, m, axis=0)
-        obs = density.apply_superop_batch(obs, adjoint, step[1], n)
-    return obs
+    steps = reversed(_rest(circuit, overrides, lead))
+    return density.apply_superop_batch(obs, [(superop.conj().swapaxes(-1, -2), qubits) for superop, qubits in steps], n)
 
 
 def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """<Z_q> = Tr(O_q rho) for the selected rows: (len(rows), m).
+    """Tr(O rho) for each selected row rho and each observable O in `obs`:
+    (len(rows), len(obs)).
 
-    `factors` come from :func:`product_prefix` and `obs` holds the m
-    pulled-back observables as (m, 4^n) row-major matrices.  Since
-    Tr(O rho) = sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the
-    transposed factors, each row is one product state against `obs`.  The
-    rows go CONTRACT_ROWS at a time, and each row's result does not depend
-    on the rows contracted beside it.
+    `factors` are per-qubit transposed (rows, 2, 2) density factors, as
+    :func:`product_prefix` gives them, and `obs` is a stack of row-major
+    (4^n,) matrices, such as pulled-back Z_q.  Since Tr(O rho) =
+    sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the transposed
+    factors, each row's product state is formed once and meets every
+    observable in one matrix product.  The rows go CONTRACT_ROWS at a
+    time, and each row's result does not depend on the rows contracted
+    beside it.
     """
     out = np.empty((rows.size, obs.shape[0]))
     for lo in range(0, rows.size, CONTRACT_ROWS):
@@ -530,30 +579,57 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
     return out
 
 
-def _heisenberg(circuit: CircuitIR, overrides: dict, g: int, angles: dict) -> np.ndarray:
-    """<Z> per measured qubit as Tr(Phi^dag(Z_q) rho_prefix) for every row.
+def _split(circuit: CircuitIR, grid: _Grid) -> tuple[tuple, tuple, int, dict]:
+    """The variable steps of the compiled prefix as a head and a lead, and
+    the groups of rows with equal angles in the lead and the rest of the
+    circuit (:meth:`_Grid.groups`).
 
-    The product-state prefix runs as one 2x2 state per row and qubit; the
-    rest of the circuit is applied to the observables, once per group of
-    rows (`angles` from :meth:`_Grid.groups`).  Groups are pulled back a
-    chunk at a time, so the observable stack holds fewer matrices than a
-    group has rows on average: never more memory than the Schroedinger
-    picture of one group.
+    On each qubit the head holds the steps up to its last one whose angle
+    varies by sample, and the lead the steps after it, which vary at most
+    by probe.  When the lead's angles would make as many pulled-back
+    observables as there are rows, every step stays in the head.
     """
-    factors = product_prefix(circuit, circuit.prefix, overrides)
-    rows = factors[0].shape[0]
-    r = rows // g
+    steps = circuit.prefix[1]
+    rest = {i for i, _, _ in circuit.plan[1]}
+    by_sample = {i for i, a in grid.angles.items() if a.ndim == 2 and a.shape[1] > 1}
+    last = {step[1]: k for k, step in enumerate(steps) if step[0] in by_sample}
+    moved = {k for k, step in enumerate(steps) if k > last.get(step[1], -1)}
+    if grid.span(rest | {steps[k][0] for k in moved})[0] * len(circuit.measured_qubits) >= grid.rows:
+        moved = set()
+    lead = tuple(step for k, step in enumerate(steps) if k in moved)
+    g, angles = grid.groups(rest | {i for i, _, _ in lead})
+    return tuple(step for k, step in enumerate(steps) if k not in moved), lead, g, angles
+
+
+def _heisenberg(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
+    """<Z> per measured qubit as Tr(Phi^dag(Z_q) rho) for every row.
+
+    The compiled prefix splits into a head and a lead (:func:`_split`).
+    The head runs as 2x2 density factors on the head rows: the B samples,
+    or all P * B rows when a head angle varies by probe.  The lead joins
+    Phi, the rest of the circuit, through which each Z_q is pulled back
+    once per group of rows with equal angles there (the P probes, or one
+    group).  Groups are pulled back a chunk at a time, and each chunk
+    meets the head rows in one contract_rows call.  A chunk holds up to
+    PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
+    or else fewer matrices than a group has rows, and at least one group.
+    """
+    head, lead, g, angles = _split(circuit, grid)
+    ph = grid.span({i for i, _, _ in head})[0]
+    factors = _density_factors(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
     m = len(circuit.measured_qubits)
-    exps = np.empty((rows, m))
-    chunk = max(1, (rows - 1) // (g * m))
+    dim = 4**circuit.n_qubits
+    # a head that varies by probe holds each group's own rows, so it meets one group at a time
+    chunk = 1 if ph > 1 else max(1, (grid.rows - 1) // (g * m), PULL_BACK_ENTRIES // (m * dim))
+    r = ph * grid.b // min(ph, g)  # the head rows each group meets
+    exps = np.empty((g, r, m))
     for lo in range(0, g, chunk):
         part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
-        obs = pulled_back_z(circuit, part).reshape(-1, m, 4**circuit.n_qubits)
-        for j in range(obs.shape[0]):
-            sel = np.arange((lo + j) * r, (lo + j + 1) * r)
-            exps[sel] = contract_rows(factors, sel, obs[j])
+        obs = pulled_back_z(circuit, part, lead).reshape(-1, dim)
+        sel = np.arange(r) + (lo * r if ph > 1 else 0)
+        exps[lo : lo + chunk] = contract_rows(factors, sel, obs).reshape(r, -1, m).swapaxes(0, 1)
         del obs  # the next chunk's pull-back must not overlap this one's observables
-    return exps
+    return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
 
 
 def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
@@ -571,11 +647,11 @@ def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     applied once per group of rows, its matrices a (G, dk, dk) stack."""
     n = circuit.n_qubits
     start = circuit.product_prefix_end
-    qubits = _prefix(circuit, grid, circuit.prefix)
+    qubits = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
     vecs = qubits[-1]
     for v in reversed(qubits[:-1]):
         vecs = (vecs[:, :, None] * v[:, None, :]).reshape(grid.rows, -1)
-    g, angles = grid.groups(start)
+    g, angles = grid.groups(range(start, len(circuit.ops)))
     vecs = vecs.reshape(g, -1, 2**n)
     for i in range(start, len(circuit.ops)):
         op = circuit.ops[i]
@@ -591,16 +667,21 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
     out on a grid of P probes x B samples: one angle for every row, a (B,)
     or (1, B) array per sample, a (P, 1) array per probe or a (P, B) array
     per row; they broadcast.  Every circuit starts with its product-state
-    prefix (the leading 1-qubit ops and channels), run per qubit on the
-    grid from `CircuitIR.prefix`.  The rows are then grouped by their
-    angles after the prefix: the P probes when those angles are per probe
-    or shared, one group when all are shared, every row otherwise.  With G groups and m measured qubits:
+    prefix (the leading 1-qubit ops and channels), compiled in
+    `CircuitIR.prefix`.  The rows are grouped by their angles after the
+    prefix: the P probes when those angles are per probe or shared, one
+    group when all are shared, every row otherwise.  With G groups and m
+    measured qubits:
 
-    * noise-free: the prefix's 2-vectors form each row's statevector, and
-      each later gate is applied once per group.
-    * noisy, G * m < P * B: Heisenberg.  The prefix gives each row 2x2
-      density factors and each Z_q is pulled back through the rest of the
-      circuit once per group.
+    * noise-free: the prefix runs per qubit on the grid, its 2-vectors
+      form each row's statevector, and each later gate is applied once
+      per group.
+    * noisy, G * m < P * B: Heisenberg (:func:`_heisenberg`).  Each
+      qubit's prefix splits where its per-sample steps end; the head runs
+      as 2x2 density factors on the B samples, and the per-probe rest
+      folds into the first later step on its qubit.  Each Z_q is pulled
+      back once per probe, and one contraction meets the B head rows with
+      all P * m observables.
     * noisy otherwise: Schroedinger, every row's density matrix evolved
       through the whole circuit.
     """
@@ -609,9 +690,9 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
         vecs = _statevectors(circuit, grid)
         probs = (vecs.conj() * vecs).real
     else:
-        g, angles = grid.groups(circuit.product_prefix_end)
+        g, _ = grid.groups(range(circuit.product_prefix_end, len(circuit.ops)))
         if g * len(circuit.measured_qubits) < grid.rows:
-            return _heisenberg(circuit, grid.angles, g, angles)
+            return _heisenberg(circuit, grid)
         probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
     return np.stack([probs @ signs for signs in _z_signs(circuit)], axis=1)
 

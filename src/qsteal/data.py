@@ -75,14 +75,17 @@ class QuerySet:
 # ---------------------------------------------------------------------------
 
 def _parse_rows(path, width: int):
-    rows = []
+    """(line number, values) of each data line; a non-numeric first
+    non-blank line is a header and is skipped."""
+    rows, first = [], True
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if lineno == 1:
+            if first:
+                first = False
                 try:
                     float(parts[0])
                 except ValueError:
@@ -90,7 +93,7 @@ def _parse_rows(path, width: int):
             if len(parts) != width:
                 raise DatasetError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                rows.append((lineno, [float(p) for p in parts]))
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from None
     if not rows:
@@ -102,8 +105,11 @@ def load_csv(path, d: int) -> LabeledDataset:
     """Parse d features + 1 integer label per line; labels are remapped
     densely to 0..k-1 in order of first appearance."""
     rows = _parse_rows(path, d + 1)
-    features = np.array([r[:d] for r in rows], dtype=np.float64)
-    raw = [int(r[d]) for r in rows]
+    for lineno, r in rows:
+        if not r[d].is_integer():
+            raise DatasetError(f"{path}:{lineno}: label {r[d]!r} is not an integer")
+    features = np.array([r[:d] for _, r in rows], dtype=np.float64)
+    raw = [int(r[d]) for _, r in rows]
     mapping: dict[int, int] = {}
     for value in raw:
         if value not in mapping:

@@ -26,19 +26,35 @@ def unitary_superop(mat: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape[:-2] + (dk * dk, dk * dk))
 
 
-def apply_superop_batch(states: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a (4^k, 4^k) channel superoperator (or a (B, ...) batch of them)
-    to the addressed qubits of every state: one GEMM per operation.
+def apply_superop_batch(states: np.ndarray, steps, n: int) -> np.ndarray:
+    """Apply (superoperator, qubits) steps in order to every state of a
+    (B, 2^n, 2^n) batch: one GEMM per superoperator and state group.
 
-    The row and column bits of `qubits` (rows first, each in the listed
-    order) move to the front of the (B, 2, ..., 2) view and form the
-    4^k block index that the superoperator acts on."""
+    A superoperator is (4^k, 4^k), shared by every state, or a (G, 4^k,
+    4^k) stack: the B states form G groups of B / G consecutive states and
+    group g takes superoperator g (G = B: one per state).  Every stack in
+    one call has the same G; with none, each state is its own group.
+
+    A step moves the row and column bits of its qubits (rows first, each
+    in the listed order) to the front of each group's (2, ..., 2) view,
+    where they form the 4^k block index the superoperator acts on, and the
+    group's states stand side by side in the GEMM's columns.  The product
+    keeps that axis order for the next step, so each step copies the batch
+    once, and only the result is put back in the standard order.
+    """
     b = states.shape[0]
-    addressed = [1 + (n - 1 - q) for q in qubits] + [1 + n + (n - 1 - q) for q in qubits]
-    perm = [0] + addressed + [ax for ax in range(1, 2 * n + 1) if ax not in addressed]
-    t = states.reshape((b,) + (2,) * (2 * n)).transpose(perm)
-    out = np.matmul(superop, t.reshape(b, 4 ** len(qubits), -1))
-    return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(states.shape)
+    g = next((superop.shape[0] for superop, _ in steps if superop.ndim == 3), b)
+    # logical axes: group, state in group, row bits (qubit n-1 first), column bits;
+    # order[i] is the logical axis at position i of t
+    order = list(range(2 * n + 2))
+    t = states.reshape((g, b // g) + (2,) * (2 * n))
+    for superop, qubits in steps:
+        addressed = [2 + (n - 1 - q) for q in qubits] + [2 + n + (n - 1 - q) for q in qubits]
+        moved = [0] + addressed + [ax for ax in order[1:] if ax not in addressed]
+        t = t.transpose([order.index(ax) for ax in moved])
+        t = np.matmul(superop, t.reshape(g, 4 ** len(qubits), -1)).reshape(t.shape)
+        order = moved
+    return t.transpose(np.argsort(order)).reshape(states.shape)
 
 
 def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -84,8 +84,8 @@ def unfused_states(circuit, overrides=None) -> np.ndarray:
     states = zero_states(grid[0] * grid[1], n)
     for i, op in enumerate(circuit.ops):
         mat = rotation_batch(op.kind, np.broadcast_to(angles[i], grid).ravel()) if i in angles else gate_matrix(op)
-        states = apply_superop_batch(states, unitary_superop(mat), op.qubits, n)
+        states = apply_superop_batch(states, [(unitary_superop(mat), op.qubits)], n)
         for p in circuit.noise_points:
             if p.after_op == i:
-                states = apply_superop_batch(states, p.channel.superop, p.qubits, n)
+                states = apply_superop_batch(states, [(p.channel.superop, p.qubits)], n)
     return states

@@ -21,7 +21,8 @@ from qsteal.circuits import (
     weave_noise,
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
-from qsteal.gates import GATE_KINDS, GateOp
+from qsteal.density import unitary_superop
+from qsteal.gates import GATE_KINDS, GateOp, rotation_batch
 
 from helpers import assert_density_matrix, exp_z_batch, unfused_states
 
@@ -338,6 +339,110 @@ class TestPictures:
                                    rtol=0, atol=1e-12)
 
 
+def _sub_grid(overrides, probes, samples):
+    """The overrides of a probes x samples grid cut down to the listed
+    probes and samples, laid out as run_circuit lays out the full grid."""
+    cut = {}
+    for op, v in overrides.items():
+        v = np.asarray(v)
+        cut[op] = v if v.ndim == 0 else v[samples] if v.ndim == 1 else v[probes]
+    return cut
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of each call to a circuits function."""
+    import qsteal.circuits as circuits_mod
+
+    calls = []
+    original = getattr(circuits_mod, name)
+    monkeypatch.setattr(circuits_mod, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+class TestSplit:
+    """The noisy Heisenberg branch: each qubit's prefix splits where its
+    per-sample steps end; the head runs on the samples, the per-probe rest
+    folds into the pulled-back observables."""
+
+    @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_split_matches_evolved_and_unfused_states(self, tid, n):
+        # at d = 8, widths 5-7 leave 1-3 qubits without a feature
+        for layers in (1, 2):
+            for profile in (DEV_A, DEV_B):
+                for n_probes, b in ((2, 1), (2, 5), (16, 3), (16, 32)):
+                    circuit, overrides = _model_circuit(tid, n, profile, b, n_probes, seed=n + b, layers=layers)
+                    got = run_circuit(circuit, overrides)
+                    np.testing.assert_array_equal(got, run_circuit(circuit, overrides))
+                    probes, samples = [0, n_probes - 1], [0, b - 1]
+                    rows = [p * b + s for p in probes for s in samples]
+                    cut = _sub_grid(overrides, probes, samples)
+                    np.testing.assert_allclose(got[rows], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got[rows], _unfused_reference(circuit, cut), rtol=0, atol=1e-12)
+
+    def test_separable_head_builds_product_states_for_the_samples_only(self, monkeypatch):
+        contracted = _spy(monkeypatch, "contract_rows")
+        built = _spy(monkeypatch, "_product_state")
+        circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 32, n_probes=16)
+        run_circuit(circuit, overrides)
+        assert [factors[0].shape[0] for factors, _, _ in contracted] == [32]
+        assert [rows.size for _, rows in built] == [32]
+        # one contraction against every probe's pulled-back Z_q
+        assert [obs.shape for _, _, obs in contracted] == [(16 * 4, 4**4)]
+
+    def test_lead_that_would_outnumber_the_rows_stays_in_the_head(self, monkeypatch):
+        # PQC1 has no step after its prefix: moving 16 probes' rotations out
+        # of the head would pull back 16 * 4 observables for 16 * 2 rows
+        contracted = _spy(monkeypatch, "contract_rows")
+        circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 2, n_probes=16, seed=3)
+        got = run_circuit(circuit, overrides)
+        assert [(factors[0].shape[0], obs.shape[0]) for factors, _, obs in contracted] == [(32, 4)]
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
+        contracted.clear()
+        circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 5, n_probes=16, seed=3)
+        np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
+                                   rtol=0, atol=1e-12)
+        assert [(factors[0].shape[0], obs.shape[0]) for factors, _, obs in contracted] == [(5, 64)]
+
+    @pytest.mark.parametrize("n_probes, b", [(3, 10), (2, 32)])
+    def test_pull_back_holds_at_most_one_groups_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
+        import qsteal.circuits as circuits_mod
+
+        shapes = []
+        original = circuits_mod.pulled_back_z
+
+        def pulled_back_z(*args):
+            obs = original(*args)
+            shapes.append(obs.shape)
+            return obs
+
+        monkeypatch.setattr(circuits_mod, "pulled_back_z", pulled_back_z)
+        circuit, overrides = _model_circuit("PQC19", MAX_QUBITS, DEV_A, b, n_probes=n_probes, seed=b)
+        got = run_circuit(circuit, overrides)
+        # the Schroedinger picture of one group holds its b rows' density matrices
+        assert shapes and all(shape[0] <= b and shape[1:] == (2**MAX_QUBITS,) * 2 for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == n_probes * MAX_QUBITS
+        cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
+        np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
+    def test_a_head_that_varies_by_probe_runs_every_row(self, monkeypatch, case):
+        contracted = _spy(monkeypatch, "contract_rows")
+        circuit, overrides = _model_circuit("PQC19", 3, DEV_B, 6, n_probes=4, seed=11)
+        rng = np.random.default_rng(12)
+        features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
+        if case.startswith("per_row_features"):
+            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 6))
+        if case == "per_row_features_shared_rest":
+            overrides = {op: v[0, 0] if np.ndim(v) == 2 and np.shape(v)[1] == 1 else v for op, v in overrides.items()}
+        if case == "probe_before_sample":
+            # a per-probe angle on the first feature gate, a per-sample one after it on the same qubit
+            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 1))
+        got = run_circuit(circuit, overrides)
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
+        assert {factors[0].shape[0] for factors, _, _ in contracted} == {24}
+
+
 def _product_channel():
     """An asymmetric 2-qubit channel: amplitude damping on its first qubit,
     phase flip on its second."""
@@ -401,6 +506,23 @@ class TestPlan:
         assert prefix == ()
         assert [(i, q, after is not None) for i, q, after in rest] == [(0, (0,), False), (None, (0, 1), True),
                                                                         (1, (1,), False), (2, (0,), True)]
+
+    def test_embedding_a_stack_embeds_each_superoperator(self):
+        from qsteal.circuits import _embed
+
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        for qubits, into in (((0,), (0, 1)), ((0,), (1, 0)), ((2,), (0, 2, 1))):
+            got = _embed(stack, qubits, into)
+            assert got.shape == (5,) + (4 ** len(into),) * 2
+            for one, want in zip(got, stack, strict=True):
+                np.testing.assert_array_equal(one, _embed(want, qubits, into))
+        # a gate on one qubit of a pair: U (x) I with the first listed qubit as the high bit
+        u = rotation_batch("RY", 0.7)
+        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (0, 1)), unitary_superop(np.kron(u, np.eye(2))),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (1, 0)), unitary_superop(np.kron(np.eye(2), u)),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("tid", ["PQC6", "PQC19"])
     @pytest.mark.parametrize("profile", [DEV_A, DEV_B], ids=["devA", "devB"])

@@ -226,7 +226,9 @@ class TestTrainVictim:
         err = capsys.readouterr().err
         assert "victim" in err and "8-qubit cap" in err
 
-    @pytest.mark.parametrize("contents", [None, "1.0,2.0\n"], ids=["missing", "malformed"])
+    @pytest.mark.parametrize("contents", [None, "1.0,2.0\n", "1.0,2.0,3.0,4.0,1.5\n", "1.0,2.0,3.0,4.0,nan\n",
+                                          "1.0,2.0,3.0,4.0,inf\n"],
+                             ids=["missing", "malformed", "fractional-label", "nan-label", "inf-label"])
     def test_unreadable_task_csv_names_field(self, tmp_path, capsys, no_training, contents):
         data = tmp_path / "data.csv"
         if contents is not None:

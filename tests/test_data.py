@@ -33,6 +33,29 @@ class TestCsv:
         path.write_text("f1,f2,label\n0.5,1.5,0\n1.0,2.0,1\n")
         assert load_csv(path, d=2).n == 2
 
+    def test_header_after_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("\n  \nf1,f2,label\n0.5,1.5,0\n1.0,2.0,1\n")
+        assert load_csv(path, d=2).n == 2
+
+    def test_header_only_on_the_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("0.5,1.5,0\nf1,f2,label\n")
+        with pytest.raises(DatasetError, match=":2:"):
+            load_csv(path, d=2)
+
+    @pytest.mark.parametrize("label", ["1.5", "nan", "inf", "-inf"])
+    def test_non_integer_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"f1,f2,label\n0.5,1.5,0\n\n1.0,2.0,{label}\n")
+        with pytest.raises(DatasetError, match=f"ds.csv:4: label .* is not an integer"):
+            load_csv(path, d=2)
+
+    def test_integral_float_label_loads(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("0.5,1.5,2.0\n1.0,2.0,1e0\n")
+        np.testing.assert_array_equal(load_csv(path, d=2).labels, [0, 1])
+
     def test_width_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("1.0,2.0,0\n1.0,1\n")

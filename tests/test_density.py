@@ -17,11 +17,11 @@ from helpers import assert_density_matrix, embed_full, exp_z_batch, random_densi
 
 
 def _gate(states, op: GateOp, n: int) -> np.ndarray:
-    return apply_superop_batch(states, unitary_superop(gate_matrix(op)), op.qubits, n)
+    return apply_superop_batch(states, [(unitary_superop(gate_matrix(op)), op.qubits)], n)
 
 
 def _channel(states, channel, qubits, n: int) -> np.ndarray:
-    return apply_superop_batch(states, channel.superop, tuple(qubits), n)
+    return apply_superop_batch(states, [(channel.superop, tuple(qubits))], n)
 
 
 def _random_states(rng, n: int, batch: int) -> np.ndarray:
@@ -191,9 +191,9 @@ class TestBatchedKernels:
         states = _random_states(rng, n, 4)
         angles = rng.uniform(0, 2 * np.pi, 4)
         mats = np.stack([rotation_batch("RZ", a) for a in angles])
-        batched = apply_superop_batch(states, unitary_superop(mats), (1,), n)
+        batched = apply_superop_batch(states, [(unitary_superop(mats), (1,))], n)
         for i in range(4):
-            expected = apply_superop_batch(states[i][None], unitary_superop(mats[i]), (1,), n)[0]
+            expected = apply_superop_batch(states[i][None], [(unitary_superop(mats[i]), (1,))], n)[0]
             np.testing.assert_allclose(batched[i], expected, atol=1e-15)
 
     @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
@@ -210,6 +210,36 @@ class TestBatchedKernels:
         shared = apply_unitary_vec(vecs.reshape(1, g * r, -1), mats[0], qubits, n)
         np.testing.assert_allclose(shared[0], apply_unitary_vec(vecs.reshape(g * r, -1), mats[0], qubits, n),
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
+    def test_grouped_superoperators_match_per_state_stacks(self, qubits):
+        # a (G, 4^k, 4^k) stack over G * R states equals every state with its group's superoperator
+        rng = np.random.default_rng(55)
+        n, g, r = 4, 3, 5
+        states = _random_states(rng, n, g * r)
+        kind = "RX" if len(qubits) == 1 else "CRX"
+        stack = unitary_superop(rotation_batch(kind, rng.uniform(0, 2 * np.pi, g)))
+        grouped = apply_superop_batch(states, [(stack, qubits)], n)
+        per_state = apply_superop_batch(states, [(np.repeat(stack, r, axis=0), qubits)], n)
+        np.testing.assert_allclose(grouped, per_state, rtol=0, atol=1e-15)
+
+    def test_a_sequence_of_steps_equals_its_steps_one_at_a_time(self):
+        # each step leaves the batch in its own axis order; only the result is put back
+        rng = np.random.default_rng(56)
+        n, b = 4, 6
+        states = _random_states(rng, n, b)
+        steps = []
+        for _ in range(12):
+            op = random_gate(rng, n)
+            mat = gate_matrix(op) if op.angle is None else rotation_batch(op.kind, rng.uniform(0, 2 * np.pi, b))
+            steps.append((unitary_superop(mat), op.qubits))
+        steps.append((depolarizing_2q(0.1).superop, (3, 1)))
+        steps.append((amplitude_damping(0.2).superop, (2,)))
+        one_at_a_time = states
+        for step in steps:
+            one_at_a_time = apply_superop_batch(one_at_a_time, [step], n)
+        np.testing.assert_allclose(apply_superop_batch(states, steps, n), one_at_a_time, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(apply_superop_batch(states, [], n), states)
 
     def test_statevector_matches_density_route(self):
         from qsteal.circuits import CircuitIR, run_circuit
