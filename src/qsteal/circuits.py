@@ -171,6 +171,13 @@ class CircuitIR:
         return tuple(tuple(map(tuple, steps)) for steps in parts)
 
     @cached_property
+    def z_signs(self) -> np.ndarray:
+        """The diagonal of Z_q for each measured qubit q: read-only (m, 2^n) signs."""
+        signs = 1.0 - 2.0 * ((np.arange(2**self.n_qubits) >> np.array(self.measured_qubits)[:, None]) & 1)
+        signs.flags.writeable = False
+        return signs
+
+    @cached_property
     def prefix(self) -> tuple[np.ndarray, tuple]:
         """`plan[0]` compiled with no angle pinned, in the form run_circuit
         runs it: 2x2 unitaries when noise-free, else superoperators."""
@@ -406,6 +413,11 @@ class _Grid:
             shape = (self.p, self.b)
         return shape[0] * shape[1], self.spread(shape, ops)
 
+    def count(self, ops) -> int:
+        """The number of groups :meth:`groups` makes of the rows at `ops`."""
+        p, b = self.span(ops)
+        return p if b == 1 else self.rows
+
 
 def _matrix(op: GateOp, angle) -> np.ndarray:
     return gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
@@ -512,9 +524,31 @@ def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overr
     return _density_factors(_prefix(circuit, grid.angles, compiled, (grid.p, grid.b)))
 
 
-def _z_signs(circuit: CircuitIR) -> np.ndarray:
-    """The diagonal of Z_q for each measured qubit q: (m, 2^n) signs."""
-    return 1.0 - 2.0 * ((np.arange(2**circuit.n_qubits) >> np.array(circuit.measured_qubits)[:, None]) & 1)
+def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
+    """Each row's product of per-qubit (rows, 2) statevectors, qubit 0 the
+    least significant bit: (rows, 2^n)."""
+    out = vecs[-1]
+    for v in reversed(vecs[:-1]):
+        out = (out[:, :, None] * v[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+def product_statevectors(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict) -> np.ndarray:
+    """Each row's statevector after the product-state prefix, run from its
+    `compiled` 2x2 form: (rows, 2^n), the rows laid out by `overrides` as
+    run_circuit lays them out."""
+    grid = _Grid.of(overrides)
+    return _kron_rows(_prefix(circuit, grid.angles, compiled, (grid.p, grid.b)))
+
+
+def z_expectations(circuit: CircuitIR, vecs: np.ndarray) -> np.ndarray:
+    """<Z_q> per measured qubit q of each statevector in a (rows, 2^n)
+    stack: (rows, m).  Each row's |psi|^2 meets the signs in an elementwise
+    product summed along the row, so a row's result does not depend on
+    the rows beside it, as a BLAS (rows, 2^n) @ (2^n, m) product's does at
+    5-7 qubits."""
+    probs = (vecs.conj() * vecs).real
+    return (probs[:, None, :] * circuit.z_signs).sum(axis=-1)
 
 
 def _rest(circuit: CircuitIR, overrides: dict, lead: tuple) -> list[tuple]:
@@ -553,9 +587,35 @@ def pulled_back_z(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.n
     dim = 2**n
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
     obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
-    obs[:, np.arange(dim), np.arange(dim)] = np.tile(_z_signs(circuit), (g, 1))
+    obs[:, np.arange(dim), np.arange(dim)] = np.tile(circuit.z_signs, (g, 1))
     steps = reversed(_rest(circuit, overrides, lead))
     return density.apply_superop_batch(obs, [(superop.conj().swapaxes(-1, -2), qubits) for superop, qubits in steps], n)
+
+
+def unitaries(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarray:
+    """W = U^T for each group of rows of a noise-free circuit, where U is
+    `lead` (steps of the compiled prefix) and then the circuit after its
+    product-state prefix: (G, dim, dim), so that a row statevector psi
+    leaves the circuit as psi @ W.  An override is one angle for every
+    group or a (G,) array of per-group angles.
+
+    Row j of W is U e_j, a statevector: W starts as the kron of each
+    qubit's lead unitaries, transposed, and each later gate is applied to
+    its G * dim rows with the same kernel the states use.
+    """
+    n = circuit.n_qubits
+    g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
+    mats = {}
+    for step in lead:
+        q = step[1][0]
+        mat = _fused(circuit, step, overrides.get(step[0]), pure=True)
+        mats[q] = mat if q not in mats else mat @ mats[q]
+    eye = np.eye(2, dtype=np.complex128)
+    factors = [np.broadcast_to(mats.get(q, eye).swapaxes(-1, -2), (g, 2, 2)) for q in range(n)]
+    w = _product_state(factors, np.arange(g))
+    for step in circuit.plan[1]:
+        w = density.apply_unitary_vec(w, _fused(circuit, step, overrides.get(step[0]), pure=True), step[1], n)
+    return w
 
 
 def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -579,22 +639,24 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
     return out
 
 
-def _split(circuit: CircuitIR, grid: _Grid) -> tuple[tuple, tuple, int, dict]:
+def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, int, dict]:
     """The variable steps of the compiled prefix as a head and a lead, and
     the groups of rows with equal angles in the lead and the rest of the
     circuit (:meth:`_Grid.groups`).
 
     On each qubit the head holds the steps up to its last one whose angle
     varies by sample, and the lead the steps after it, which vary at most
-    by probe.  When the lead's angles would make as many pulled-back
-    observables as there are rows, every step stays in the head.
+    by probe.  Each group of the lead and the rest holds `width` columns
+    (m pulled-back observables, or 2^n basis columns of a unitary); when
+    the groups would hold as many as there are rows, every step stays in
+    the head.
     """
     steps = circuit.prefix[1]
     rest = {i for i, _, _ in circuit.plan[1]}
     by_sample = {i for i, a in grid.angles.items() if a.ndim == 2 and a.shape[1] > 1}
     last = {step[1]: k for k, step in enumerate(steps) if step[0] in by_sample}
     moved = {k for k, step in enumerate(steps) if k > last.get(step[1], -1)}
-    if grid.span(rest | {steps[k][0] for k in moved})[0] * len(circuit.measured_qubits) >= grid.rows:
+    if grid.count(rest | {steps[k][0] for k in moved}) * width >= grid.rows:
         moved = set()
     lead = tuple(step for k, step in enumerate(steps) if k in moved)
     g, angles = grid.groups(rest | {i for i, _, _ in lead})
@@ -614,7 +676,7 @@ def _heisenberg(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
     or else fewer matrices than a group has rows, and at least one group.
     """
-    head, lead, g, angles = _split(circuit, grid)
+    head, lead, g, angles = _split(circuit, grid, len(circuit.measured_qubits))
     ph = grid.span({i for i, _, _ in head})[0]
     factors = _density_factors(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
     m = len(circuit.measured_qubits)
@@ -642,21 +704,33 @@ def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
 
 
 def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
-    """Each row's statevector after a noise-free circuit, (rows, dim): the
-    product of the prefix's per-qubit 2-vectors, then each later gate
-    applied once per group of rows, its matrices a (G, dk, dk) stack."""
+    """Each row's statevector after a noise-free circuit: (P * B, dim), or
+    (B, dim) when every probe's rows are equal.
+
+    When the G groups of rows with equal angles after the prefix hold as
+    many basis columns as there are rows, G * dim >= P * B, the prefix's
+    per-qubit 2-vectors form every row's statevector and each later gate
+    is applied once per group, its matrices a (G, dk, dk) stack (state
+    picture).  Otherwise the compiled prefix splits into a head and a lead
+    (:func:`_split`): the head's 2-vectors form the product states of the
+    head rows, the B samples or, when a head angle varies by probe, all
+    P * B rows, and each group's unitary W (:func:`unitaries`), built once
+    from the lead and the later gates, meets them in one `rows @ W`
+    product (unitary picture).
+    """
     n = circuit.n_qubits
-    start = circuit.product_prefix_end
-    qubits = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
-    vecs = qubits[-1]
-    for v in reversed(qubits[:-1]):
-        vecs = (vecs[:, :, None] * v[:, None, :]).reshape(grid.rows, -1)
-    g, angles = grid.groups(range(start, len(circuit.ops)))
-    vecs = vecs.reshape(g, -1, 2**n)
-    for i in range(start, len(circuit.ops)):
-        op = circuit.ops[i]
-        vecs = density.apply_unitary_vec(vecs, _matrix(op, angles.get(i)), op.qubits, n)
-    return vecs.reshape(grid.rows, -1)
+    dim = 2**n
+    g, angles = grid.groups({i for i, _, _ in circuit.plan[1]})
+    if g * dim >= grid.rows:
+        vecs = _kron_rows(_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))).reshape(g, -1, dim)
+        for step in circuit.plan[1]:
+            vecs = density.apply_unitary_vec(vecs, _fused(circuit, step, angles.get(step[0]), pure=True), step[1], n)
+        return vecs.reshape(grid.rows, dim)
+    head, lead, g, angles = _split(circuit, grid, dim)
+    ph = grid.span({i for i, _, _ in head})[0]
+    rows = _kron_rows(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
+    # a head that varies by probe holds each group's own rows
+    return np.matmul(rows.reshape(min(ph, g), -1, dim), unitaries(circuit, angles, lead)).reshape(-1, dim)
 
 
 def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -673,9 +747,13 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
     group when all are shared, every row otherwise.  With G groups and m
     measured qubits:
 
-    * noise-free: the prefix runs per qubit on the grid, its 2-vectors
-      form each row's statevector, and each later gate is applied once
-      per group.
+    * noise-free, G * 2^n < P * B: unitary picture (:func:`_statevectors`).
+      Each qubit's prefix splits where its per-sample steps end; the head
+      forms the B samples' product statevectors, and the per-probe rest
+      and the later gates form one 2^n x 2^n unitary per probe, which
+      meets the samples in one product.
+    * noise-free otherwise: the prefix's 2-vectors form each row's
+      statevector, and each later gate is applied once per group.
     * noisy, G * m < P * B: Heisenberg (:func:`_heisenberg`).  Each
       qubit's prefix splits where its per-sample steps end; the head runs
       as 2x2 density factors on the B samples, and the per-probe rest
@@ -686,15 +764,15 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
       through the whole circuit.
     """
     grid = _Grid.of(angle_overrides)
+    m = len(circuit.measured_qubits)
     if not circuit.has_noise:
         vecs = _statevectors(circuit, grid)
-        probs = (vecs.conj() * vecs).real
-    else:
-        g, _ = grid.groups(range(circuit.product_prefix_end, len(circuit.ops)))
-        if g * len(circuit.measured_qubits) < grid.rows:
-            return _heisenberg(circuit, grid)
-        probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
-    return np.stack([probs @ signs for signs in _z_signs(circuit)], axis=1)
+        exps = (vecs.conj() * vecs).real @ circuit.z_signs.T
+        return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
+    if grid.count(range(circuit.product_prefix_end, len(circuit.ops))) * m < grid.rows:
+        return _heisenberg(circuit, grid)
+    probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
+    return np.stack([probs @ signs for signs in circuit.z_signs], axis=1)
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:

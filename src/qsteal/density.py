@@ -84,7 +84,7 @@ def apply_unitary_vec(vecs: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...]
     perm = [0] + axes + [1] + axes_rest
     t = vecs.reshape((g, -1) + (2,) * n).transpose(perm)
     out = np.matmul(mat, t.reshape(g, 2**k, -1))
-    return out.reshape(t.shape).transpose(np.argsort(perm)).reshape(vecs.shape)
+    return out.reshape(t.shape).transpose([perm.index(ax) for ax in range(n + 2)]).reshape(vecs.shape)
 
 
 def sample_expectations(

@@ -27,7 +27,8 @@ def accuracy(
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -1e-9) or abs(p.sum() - 1.0) > 1e-6:
+    # inverted comparisons: a NaN entry makes the sum NaN, and NaN passes no comparison
+    if p.ndim != 1 or np.any(p < -1e-9) or not abs(p.sum() - 1.0) <= 1e-6:
         raise ValueError(f"{name} is not a probability distribution")
     return p
 
@@ -52,7 +53,7 @@ def mismatch_rate(labels_a, labels_b) -> float:
 
 def clone_ratio(clone_acc: float, victim_acc: float) -> float:
     """Clone test accuracy divided by victim test accuracy."""
-    if victim_acc <= 0:
+    if not victim_acc > 0:
         raise ValueError("victim accuracy must be positive")
     return clone_acc / victim_acc
 

@@ -5,9 +5,10 @@ per-sample encoding angles.  At fixed parameters (evaluation, serving) the
 circuit is split at the end of its product-state prefix once per (feature
 count, device) and both parts are held on the model: the prefix compiled
 with the PQC angles pinned, so a row runs only its feature gates, and the
-rest pulled back onto the measured observables.  Several parameter vectors
-(a training step's SPSA probes) run as one probes x samples grid through
-run_circuit.  Checkpoints round-trip bitwise through JSON.
+rest as one 2^n x 2^n unitary when the circuit is noise-free, else pulled
+back onto the measured observables.  Several parameter vectors (a training
+step's SPSA probes) run as one probes x samples grid through run_circuit.
+Checkpoints round-trip bitwise through JSON.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from .circuits import (
     compile_prefix,
     contract_rows,
     product_prefix,
+    product_statevectors,
     pulled_back_z,
     run_circuit,
+    unitaries,
     weave_noise,
+    z_expectations,
 )
 from .density import matmul_rows, sample_expectations
 from .devices import DeviceProfile
@@ -54,8 +58,9 @@ class HybridModel:
     theta: np.ndarray
     weights: np.ndarray  # (k, n_qubits)
     bias: np.ndarray  # (k,)
-    #: (compiled prefix, pulled-back readouts Phi^dag(Z_q)) at this model's theta, by
-    #: (d, profile); filled by forward_batch, so a replaced or discarded model takes its own
+    #: (compiled prefix, readout) at this model's theta, by (d, profile): the rest of the
+    #: circuit as a unitary W when noise-free, else as pulled-back Phi^dag(Z_q); filled
+    #: by forward_batch, so a replaced or discarded model takes its own
     _readouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -128,18 +133,24 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, slots
 
 
-def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[np.ndarray, tuple]:
+def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[tuple, np.ndarray]:
     """The circuit at the model's PQC parameters, split at the end of its
-    product-state prefix: the prefix compiled with theta pinned, and
-    Phi^dag(Z_q) for each measured qubit q, Phi the rest of the circuit,
-    read-only (m, 4^n), at most 8 MB at the 8-qubit cap.  Held on the model."""
+    product-state prefix: the prefix compiled with theta pinned, and the
+    rest of the circuit, read-only.  A noise-free circuit holds its prefix
+    as 2x2 unitaries and the rest as W = U^T, (2^n, 2^n), 1 MB at the
+    8-qubit cap; a noisy one its prefix as superoperators and Phi^dag(Z_q)
+    for each measured qubit q, Phi the rest, (m, 4^n), at most 8 MB.  Held
+    on the model."""
     entry = model._readouts.get((d, profile))
     if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)
         pinned = dict(zip(slots[d:], model.theta, strict=True))
-        obs = pulled_back_z(circuit, pinned).reshape(len(circuit.measured_qubits), -1)
-        obs.flags.writeable = False
-        entry = model._readouts[(d, profile)] = (compile_prefix(circuit, pinned, pure=False), obs)
+        if circuit.has_noise:
+            readout = pulled_back_z(circuit, pinned).reshape(len(circuit.measured_qubits), -1)
+        else:
+            readout = unitaries(circuit, pinned)[0]
+        readout.flags.writeable = False
+        entry = model._readouts[(d, profile)] = (compile_prefix(circuit, pinned, pure=not circuit.has_noise), readout)
     return entry
 
 
@@ -148,15 +159,19 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     shape (B, n), plus the circuit's readout confusion.
 
     Each row costs its d feature gates, its per-qubit products and one
-    contraction against the held observables; its result does not depend
-    on the rest of the batch.
+    product with the held readout: |psi @ W|^2 against the Z signs when
+    the circuit is noise-free, else a contraction against the pulled-back
+    observables.  A row's result does not depend on the rest of the batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
     circuit, slots = _prepared_circuit(model.template, d, profile)
-    prefix, obs = _readout(model, d, profile)
-    factors = product_prefix(circuit, prefix, dict(zip(slots[:d], x.T, strict=True)))
-    return contract_rows(factors, np.arange(b), obs), circuit.readout
+    prefix, readout = _readout(model, d, profile)
+    features = dict(zip(slots[:d], x.T, strict=True))
+    if circuit.has_noise:
+        return contract_rows(product_prefix(circuit, prefix, features), np.arange(b), readout), circuit.readout
+    vecs = matmul_rows(product_statevectors(circuit, prefix, features), readout)
+    return z_expectations(circuit, vecs), circuit.readout
 
 
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
@@ -240,11 +255,11 @@ def forward_batch(
     """Class probabilities for a batch of inputs (B, d) at the model's
     parameters, shape (B, k).
 
-    The circuit's compiled prefix and pulled-back rest are held on the
-    model per (d, profile), so each row costs its d feature gates and one
-    contraction, and its result does not depend on the rest of the
-    batch.  `rng` draws the shot noise: one generator for the batch, or a
-    sequence of one generator per row.
+    The circuit's compiled prefix and its rest, a unitary or pulled-back
+    observables, are held on the model per (d, profile), so each row
+    costs its d feature gates and one product, and its result does not
+    depend on the rest of the batch.  `rng` draws the shot noise: one
+    generator for the batch, or a sequence of one generator per row.
     """
     exps, readout = _fixed_expectations(model, x, profile)
     if shots is not None:

@@ -88,15 +88,22 @@ def spsa_probes(theta: np.ndarray, deltas: np.ndarray, c: float) -> np.ndarray:
     return np.stack([theta + steps, theta - steps], axis=1).reshape(-1, theta.shape[0])
 
 
-def spsa_gradient(plus: float, minus: float, delta: np.ndarray, c: float) -> tuple[np.ndarray, float]:
-    """Simultaneous-perturbation gradient estimate from the losses at
-    theta + c*delta (`plus`) and theta - c*delta (`minus`).
+def spsa_gradient(plus: np.ndarray, minus: np.ndarray, deltas: np.ndarray, c: float) -> tuple[np.ndarray, float]:
+    """Simultaneous-perturbation gradient estimate averaged over D draws,
+    from each draw's losses at theta + c*delta (`plus`, (D,)) and theta -
+    c*delta (`minus`, (D,)), its sign vector delta a row of `deltas`,
+    (D, n).
 
-    Returns the estimate and the mean of the two probe losses.
+    Returns the estimate and the mean of the 2D probe losses.  Each draw's
+    estimate and mean loss are divided by D, then added in draw order to a
+    zero start, so the result is bitwise what a loop over the draws gives.
     """
     if c <= 0:
         raise ValueError("perturbation magnitude c must be positive")
-    return (plus - minus) / (2.0 * c) * delta, 0.5 * (plus + minus)
+    terms = np.column_stack([((plus - minus) / (2.0 * c))[:, None] * deltas, 0.5 * (plus + minus)])
+    # a reduction over the leading axis adds whole rows in order
+    total = np.add.reduce(terms / deltas.shape[0], axis=0, initial=0.0)
+    return total[:-1], float(total[-1])
 
 
 @dataclass
@@ -133,11 +140,12 @@ def adam_step(
 # training loop
 # ---------------------------------------------------------------------------
 
-def _probe_losses(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> list[float]:
-    """Each probe's mean loss over the batch; probs (P, B, k).  The terms
-    come from the whole grid, each mean from its probe's own row."""
+def _probe_losses(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Each probe's mean loss over the batch, (P,); probs (P, B, k).  The
+    terms come from the whole grid; made contiguous, each probe's mean sums
+    its own row exactly as a mean of that row alone does."""
     terms = nll_terms(probs, targets) if cfg.loss == "nll_top1" else kl_terms(probs, targets)
-    return [float(np.mean(row)) for row in terms]
+    return np.ascontiguousarray(terms).mean(axis=-1)
 
 
 def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
@@ -223,12 +231,7 @@ def train(
             ]
             probs = forward_probes(model, spsa_probes(params, deltas, cfg.spsa_c), xb, profile, cfg.shots, rngs)
             losses = _probe_losses(cfg, probs, tb)
-            grad = np.zeros_like(params)
-            probe_mean = 0.0
-            for draw, delta in enumerate(deltas):
-                estimate, mean_loss = spsa_gradient(losses[2 * draw], losses[2 * draw + 1], delta, cfg.spsa_c)
-                grad += estimate / cfg.spsa_draws
-                probe_mean += mean_loss / cfg.spsa_draws
+            grad, probe_mean = spsa_gradient(losses[0::2], losses[1::2], deltas, cfg.spsa_c)
             params, adam = adam_step(params, grad, adam, cfg.learning_rate)
             probe_losses.append(probe_mean)
         test_acc = float("nan")

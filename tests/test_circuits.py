@@ -16,15 +16,17 @@ from qsteal.circuits import (
     encode_layout,
     final_states,
     pqc_gates_per_layer,
+    TEMPLATE_IDS,
     product_prefix,
     run_circuit,
+    unitaries,
     weave_noise,
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.density import unitary_superop
 from qsteal.gates import GATE_KINDS, GateOp, rotation_batch
 
-from helpers import assert_density_matrix, exp_z_batch, unfused_states
+from helpers import assert_density_matrix, embed_full, exp_z_batch, unfused_states
 
 
 def _rz_slots(d):
@@ -441,6 +443,111 @@ class TestSplit:
         got = run_circuit(circuit, overrides)
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
         assert {factors[0].shape[0] for factors, _, _ in contracted} == {24}
+
+
+#: the (probes, samples) grids of TestSplit, then those of TestGrid
+_PURE_GRIDS = ((2, 1), (2, 5), (16, 3), (16, 32), (1, 1), (1, 6), (5, 1), (4, 6), (3, 9))
+
+
+def _shapes(monkeypatch):
+    """Record the shape of the stack each later gate of a noise-free circuit is applied to."""
+    import qsteal.density as density_mod
+
+    shapes = []
+    original = density_mod.apply_unitary_vec
+    monkeypatch.setattr(density_mod, "apply_unitary_vec", lambda v, *a: shapes.append(v.shape) or original(v, *a))
+    return shapes
+
+
+class TestUnitaryPicture:
+    """Noise-free circuits: where the groups of rows with equal angles after
+    the head hold fewer basis columns than there are rows, the head runs on
+    the samples and each group's unitary meets them in one product; else
+    each later gate is applied to every row."""
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+    def test_matches_evolved_states(self, tid, n):
+        for layers in (1, 2):
+            for n_probes, b in _PURE_GRIDS:
+                circuit, overrides = _model_circuit(tid, n, None, b, n_probes, seed=n + b, layers=layers)
+                got = run_circuit(circuit, overrides)
+                assert got.shape == (n_probes * b, n)
+                np.testing.assert_array_equal(got, run_circuit(circuit, overrides))
+                # `ideal` weaves only identity channels: the same plan, the same bits
+                ideal, _ = _model_circuit(tid, n, IDEAL, b, n_probes, seed=n + b, layers=layers)
+                np.testing.assert_array_equal(run_circuit(ideal, overrides), got)
+                probes, samples = sorted({0, n_probes - 1}), sorted({0, b - 1})
+                rows = [p * b + s for p in probes for s in samples]
+                cut = _sub_grid(overrides, probes, samples)
+                np.testing.assert_allclose(got[rows], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
+
+    def test_unitary_is_the_transposed_matrix_of_the_lead_and_the_rest(self):
+        from qsteal.circuits import _Grid, _split
+
+        circuit, overrides = _model_circuit("PQC6", 3, None, 40, n_probes=3, seed=4)
+        _, lead, g, angles = _split(circuit, _Grid.of(overrides), 8)
+        assert g == 3 and len(lead) == 6 and all(after is None for _, _, after in lead)
+        w = unitaries(circuit, angles, lead)
+        assert w.shape == (3, 8, 8)
+        ops = [i for i, _, _ in lead] + [i for i, _, _ in circuit.plan[1]]
+        for k in range(3):
+            u = np.eye(8)
+            for i in ops:
+                op = circuit.ops[i]
+                mat = rotation_batch(op.kind, np.broadcast_to(angles[i], (3,))[k]) if i in angles else None
+                u = embed_full(mat if mat is not None else rotation_batch(op.kind, op.angle), op.qubits, 3) @ u
+            np.testing.assert_allclose(w[k], u.T, rtol=0, atol=1e-13)
+
+    def test_samples_meet_each_probes_unitary_in_one_product(self, monkeypatch):
+        shapes = _shapes(monkeypatch)
+        built = _spy(monkeypatch, "unitaries")
+        circuit, overrides = _model_circuit("PQC19", 4, None, 32, n_probes=16)
+        got = run_circuit(circuit, overrides)
+        # the 4 CRX of the ring act on 16 probes' 16 x 16 unitaries, not on 512 rows
+        assert shapes == [(16, 16, 16)] * 4
+        assert len(built) == 1
+        cut = _sub_grid(overrides, [3, 15], [0, 31])
+        np.testing.assert_allclose(got[[3 * 32, 3 * 32 + 31, 15 * 32, 511]], _z(final_states(circuit, cut), circuit),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tid, n, b", [("PQC19", 6, 32), ("PQC19", 8, 32), ("PQC17", 5, 32), ("PQC19", 4, 16),
+                                           ("PQC19", 4, 1)])
+    def test_groups_with_as_many_columns_as_rows_keep_the_state_picture(self, monkeypatch, tid, n, b):
+        # 16 groups of 2^n columns against 16 * b rows: PQC19x6 and x8 at B = 32, a final batch of 16 at 4 qubits
+        shapes = _shapes(monkeypatch)
+        built = _spy(monkeypatch, "unitaries")
+        circuit, overrides = _model_circuit(tid, n, None, b, n_probes=16, seed=n)
+        run_circuit(circuit, overrides)
+        assert not built
+        assert shapes and set(shapes) == {(16, b, 2**n)}
+
+    @pytest.mark.parametrize("n_probes, b", [(16, 32), (2, 32), (1, 300)])
+    def test_no_stack_holds_more_than_the_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
+        shapes = _shapes(monkeypatch)
+        circuit, overrides = _model_circuit("PQC19", MAX_QUBITS, None, b, n_probes=n_probes, seed=b)
+        got = run_circuit(circuit, overrides)
+        assert shapes and all(shape[0] * shape[1] <= n_probes * b for shape in shapes)
+        if b > 2**MAX_QUBITS:  # one group, so one 256 x 256 unitary for the 300 samples
+            assert set(shapes) == {(1, 2**MAX_QUBITS, 2**MAX_QUBITS)}
+        cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
+        np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
+    def test_a_head_that_varies_by_probe_meets_the_unitaries_row_by_row(self, monkeypatch, case):
+        built = _spy(monkeypatch, "unitaries")
+        circuit, overrides = _model_circuit("PQC19", 3, None, 9, n_probes=4, seed=11)
+        rng = np.random.default_rng(12)
+        features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
+        if case.startswith("per_row_features"):
+            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 9))
+        if case == "per_row_features_shared_rest":
+            overrides = {op: v[0, 0] if np.ndim(v) == 2 and np.shape(v)[1] == 1 else v for op, v in overrides.items()}
+        if case == "probe_before_sample":
+            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 1))
+        got = run_circuit(circuit, overrides)
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
+        assert len(built) == 1
 
 
 def _product_channel():

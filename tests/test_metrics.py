@@ -39,6 +39,14 @@ class TestTvd:
         with pytest.raises(ValueError, match="not a probability distribution"):
             tvd([1.5, -0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+    def test_rejects_nan_entries(self, bad):
+        # NaN fails every comparison, so a check that a bad sum exceeds the tolerance lets it through
+        with pytest.raises(ValueError, match="p is not a probability distribution"):
+            tvd(bad, [0.5, 0.5])
+        with pytest.raises(ValueError, match="q is not a probability distribution"):
+            tvd([0.5, 0.5], bad)
+
 
 class TestMismatchRate:
     def test_identical(self):
@@ -69,6 +77,11 @@ class TestCloneRatio:
     def test_zero_victim_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             clone_ratio(0.5, 0.0)
+
+    @pytest.mark.parametrize("victim", [np.nan, float("nan"), -0.25])
+    def test_nan_or_negative_victim_rejected(self, victim):
+        with pytest.raises(ValueError, match="positive"):
+            clone_ratio(0.5, victim)
 
 
 class TestAccuracy:

@@ -58,15 +58,21 @@ class TestForward:
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p > 0) and np.all(p < 1)
 
-    def test_batch_rows_equal_single_calls(self, model):
-        # with one generator per row, row i of a batch is bitwise row i alone
-        x = _inputs(7)
-        for profile in (None, IDEAL, DEV_A, DEV_B):
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+    def test_batch_rows_equal_single_calls(self, tid, n):
+        # with one generator per row, row i of a batch is bitwise row i alone; a
+        # noise-free row meets the held unitary and the Z signs on its own, as a
+        # real (B, 2^n) @ (2^n, m) sign product would not at 5-7 qubits
+        m = init_model(PQCTemplate(tid, n), k=3, seed=n)
+        x = _inputs(7, seed=n)
+        for profile in (None, IDEAL, DEV_A, DEV_B) if n <= 4 else (None, IDEAL):
             for shots in (None, 100):
-                batched = forward_batch(model, x, profile, shots, [np.random.default_rng(i) for i in range(7)])
+                batched = forward_batch(m, x, profile, shots, [np.random.default_rng(i) for i in range(7)])
                 for i in range(7):
-                    alone = forward_batch(model, x[i : i + 1], profile, shots, np.random.default_rng(i))
+                    alone = forward_batch(m, x[i : i + 1], profile, shots, np.random.default_rng(i))
                     np.testing.assert_array_equal(batched[i], alone[0])
+            np.testing.assert_array_equal(expectations_batch(m, x[2:5], profile), expectations_batch(m, x, profile)[2:5])
 
     def test_shots_track_analytic_within_sampling_noise(self, model):
         # 1000 shots puts ~1/sqrt(1000) noise on each expectation; through the
@@ -210,6 +216,23 @@ class TestReadoutCache:
         np.testing.assert_array_equal(forward_batch(model, x, DEV_A), first)
         assert served() == 1
         assert len(pulled) == 21
+
+    def test_noise_free_entry_is_a_pure_prefix_and_one_unitary(self, model, monkeypatch):
+        built = []
+        original = model_mod.unitaries
+        monkeypatch.setattr(model_mod, "unitaries", lambda c, o: built.append(o) or original(c, o))
+        pulled = self._count_pull_backs(monkeypatch)
+        x = _inputs(5, seed=2)
+        for profile in (None, IDEAL):
+            got = expectations_batch(model, x, profile)
+            np.testing.assert_allclose(got, self._evolved(model, x, profile or IDEAL), rtol=0, atol=1e-12)
+            expectations_batch(model, x, profile)
+        assert len(built) == 2 and not pulled
+        (starts, steps), w = model._readouts[(8, IDEAL)]
+        # 2x2 unitaries in the prefix, and the transposed unitary of the rest
+        assert starts.shape == (4, 2) and all(after is None or after.shape == (2, 2) for _, _, after in steps)
+        assert w.shape == (16, 16)
+        np.testing.assert_allclose(w @ w.conj().T, np.eye(16), rtol=0, atol=1e-14)
 
     def test_entries_are_read_only(self, model):
         for profile in (IDEAL, DEV_A):

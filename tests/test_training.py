@@ -23,7 +23,7 @@ def _spsa(f, theta, c, rng):
     the two probes."""
     delta = rademacher(rng, theta.shape[0])
     plus, minus = spsa_probes(theta, delta[None], c)
-    return spsa_gradient(f(plus), f(minus), delta, c)
+    return spsa_gradient(np.array([f(plus)]), np.array([f(minus)]), delta[None], c)
 
 
 class TestSpsa:
@@ -80,13 +80,13 @@ class TestSpsa:
         np.testing.assert_array_equal(np.abs(delta), np.ones(3))
         np.testing.assert_array_equal(plus, theta + 0.25 * delta)
         np.testing.assert_array_equal(minus, theta - 0.25 * delta)
-        g, mean = spsa_gradient(plus.sum(), minus.sum(), delta, 0.25)
+        g, mean = spsa_gradient(np.array([plus.sum()]), np.array([minus.sum()]), delta[None], 0.25)
         assert mean == 0.5 * (plus.sum() + minus.sum())
         np.testing.assert_array_equal(g, (plus.sum() - minus.sum()) / 0.5 * delta)
 
     def test_positive_c_required(self):
         with pytest.raises(ValueError, match="positive"):
-            spsa_gradient(0.0, 0.0, np.ones(2), 0.0)
+            spsa_gradient(np.zeros(1), np.zeros(1), np.ones((1, 2)), 0.0)
 
 
 class TestAdam:
@@ -175,22 +175,55 @@ class TestTrainLoop:
         # epochs x batches calls, each with 2 x spsa_draws probes of one batch
         assert calls == [(6, 4), (6, 4), (6, 2)] * 2
 
-    def test_each_draw_is_one_spsa_gradient_call(self, monkeypatch):
+    def test_each_step_is_one_spsa_gradient_call(self, monkeypatch):
         import qsteal.training as training_mod
 
         calls = []
         original = training_mod.spsa_gradient
 
-        def counting(plus, minus, delta, c):
-            calls.append(c)
-            return original(plus, minus, delta, c)
+        def counting(plus, minus, deltas, c):
+            calls.append((plus.shape, minus.shape, deltas.shape, c))
+            return original(plus, minus, deltas, c)
 
         monkeypatch.setattr(training_mod, "spsa_gradient", counting)
         x, y = _tiny_task(n=10)
         m = init_model(PQCTemplate("PQC1", 2), k=2, seed=0)
         cfg = TrainConfig(epochs=2, batch_size=4, loss="nll_top1", spsa_draws=3, spsa_c=0.2)
         train(m, x, y, cfg, IDEAL, seed=0)
-        assert calls == [0.2] * (2 * 3 * 3)  # epochs x batches x draws
+        # epochs x batches calls, each with every draw's two losses and sign vector
+        assert calls == [((3,), (3,), (3, m.n_params), 0.2)] * (2 * 3)
+
+    @pytest.mark.parametrize("loss", ["nll_top1", "kl_topk"])
+    @pytest.mark.parametrize("shots", [None, 40], ids=["analytic", "shots"])
+    def test_step_bookkeeping_is_bitwise_the_per_draw_loop(self, loss, shots):
+        # each probe's mean loss from its own row, then one spsa_gradient
+        # call per draw added up in draw order: the batched bookkeeping must
+        # give the same bits for every draw count
+        from qsteal.model import forward_probes, kl_terms, nll_terms
+        from qsteal.training import _probe_losses
+
+        rng = np.random.default_rng(4)
+        x, y = _tiny_task(n=9, d=8, k=4, seed=2)
+        targets = y if loss == "nll_top1" else rng.dirichlet(np.ones(4), 9)
+        cfg = TrainConfig(loss=loss, shots=shots)
+        m = init_model(PQCTemplate("PQC19", 3), k=4, seed=1)
+        params = m.flat_params()
+        for draws in range(1, 13):
+            deltas = np.stack([rademacher(rng, params.shape[0]) for _ in range(draws)])
+            rngs = None if shots is None else [np.random.default_rng([draws, p]) for p in range(2 * draws)]
+            probs = forward_probes(m, spsa_probes(params, deltas, 0.1), x, DEV_A, shots, rngs)
+            terms = nll_terms(probs, targets) if loss == "nll_top1" else kl_terms(probs, targets)
+            losses = [float(np.mean(row)) for row in terms]
+            want_grad, want_mean = np.zeros_like(params), 0.0
+            for draw, delta in enumerate(deltas):
+                plus, minus = losses[2 * draw], losses[2 * draw + 1]
+                want_grad += (plus - minus) / (2.0 * 0.1) * delta / draws
+                want_mean += 0.5 * (plus + minus) / draws
+            got_losses = _probe_losses(cfg, probs, targets)
+            assert got_losses.tobytes() == np.array(losses).tobytes()
+            grad, mean = spsa_gradient(got_losses[0::2], got_losses[1::2], deltas, 0.1)
+            assert grad.tobytes() == want_grad.tobytes()
+            assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
 
     def test_history_length_and_finiteness(self):
         x, y = _tiny_task()
