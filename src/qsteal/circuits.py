@@ -4,7 +4,9 @@ A :class:`CircuitIR` is an ordered gate list plus interleaved noise points
 and a measurement spec.  Circuits are immutable values; the batched
 executor :func:`run_circuit` evaluates a grid of probes x samples at once
 from angle overrides, so one circuit skeleton serves a whole batch of
-encoded samples under several parameter vectors.
+encoded samples under several parameter vectors.  A call builds its gate
+matrices one batch per (gate kind, angle shape) (:func:`_built`), and a
+step's matrix does not depend on what it was built beside.
 """
 
 from __future__ import annotations
@@ -176,6 +178,11 @@ class CircuitIR:
         signs = 1.0 - 2.0 * ((np.arange(2**self.n_qubits) >> np.array(self.measured_qubits)[:, None]) & 1)
         signs.flags.writeable = False
         return signs
+
+    @cached_property
+    def splits(self) -> dict:
+        """The prefix splits :func:`_split` has made, filled on first use."""
+        return {}
 
     @cached_property
     def prefix(self) -> tuple[np.ndarray, tuple]:
@@ -387,6 +394,11 @@ class _Grid:
     def rows(self) -> int:
         return self.p * self.b
 
+    @cached_property
+    def varies(self) -> tuple:
+        """(op index, by probe, by sample) for each override that varies over the grid."""
+        return tuple(sorted((i, a.shape[0] > 1, a.shape[1] > 1) for i, a in self.angles.items() if a.size > 1))
+
     def spread(self, shape: tuple[int, int], ops=None) -> dict:
         """The overrides of `ops` (every op when None), each as one angle or
         a flat array over `shape`, a part of the grid they broadcast to."""
@@ -409,18 +421,13 @@ class _Grid:
         group g holds rows g * R to (g + 1) * R - 1, R = P * B / G.
         """
         shape = self.span(ops)
-        if shape[1] != 1:
-            shape = (self.p, self.b)
+        shape = shape if shape[1] == 1 else (self.p, self.b)
         return shape[0] * shape[1], self.spread(shape, ops)
 
     def count(self, ops) -> int:
         """The number of groups :meth:`groups` makes of the rows at `ops`."""
         p, b = self.span(ops)
         return p if b == 1 else self.rows
-
-
-def _matrix(op: GateOp, angle) -> np.ndarray:
-    return gate_matrix(op) if angle is None else rotation_batch(op.kind, angle)
 
 
 #: superoperators of the gates that take no angle, built once
@@ -431,21 +438,26 @@ _FIXED_SUPEROPS = {
 }
 
 
-def _superop(op: GateOp, angle) -> np.ndarray:
-    """The superoperator of `op`, at `angle` when it is overridden."""
-    if angle is None and op.kind in _FIXED_SUPEROPS:
-        return _FIXED_SUPEROPS[op.kind]
-    return density.unitary_superop(_matrix(op, angle))
-
-
-def _fused(circuit: CircuitIR, step: tuple, angle, pure: bool = False) -> np.ndarray:
-    """The superoperator of one plan step, or its unitary when `pure`: its
-    gate at `angle` (a stack for an array of angles), then `after`."""
-    i, _, after = step
-    if i is None:
-        return after
-    gate = _matrix(circuit.ops[i], angle) if pure else _superop(circuit.ops[i], angle)
-    return gate if after is None else after @ gate
+def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[np.ndarray]:
+    """Each plan step's superoperator, or its unitary when `pure`: its gate
+    at its angle in `angles` (op index -> angle or array of angles; else the
+    op's own), then its `after`.  The gates of one kind and angle shape come
+    from one rotation_batch (and unitary_superop) call over their stacked
+    angles, whose entries equal the matrices built alone: a step's matrix
+    does not depend on the steps built beside it."""
+    out, stacks = [], {}
+    for k, (i, _, after) in enumerate(steps):
+        op = None if i is None else circuit.ops[i]
+        angle = None if op is None else angles.get(i, op.angle)
+        if angle is not None:
+            stacks.setdefault((op.kind, np.shape(angle)), []).append((k, angle))
+        gate = None if op is None or angle is not None else gate_matrix(op) if pure else _FIXED_SUPEROPS[op.kind]
+        out.append(after if gate is None else gate if after is None else after @ gate)  # a stacked step is set below
+    for (kind, _), members in stacks.items():
+        gates = rotation_batch(kind, [angle for _, angle in members])
+        for (k, _), gate in zip(members, gates if pure else density.unitary_superop(gates)):
+            out[k] = gate if steps[k][2] is None else steps[k][2] @ gate
+    return out
 
 
 def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.ndarray, tuple]:
@@ -459,14 +471,15 @@ def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.nda
     steps (op index, qubits, after) in plan order."""
     starts = np.zeros((circuit.n_qubits, 2 if pure else 4), dtype=np.complex128)
     starts[:, 0] = 1.0  # e_0 is both |0> and the row-major vec of |0><0|
-    steps, last = [], {}
-    for step in circuit.plan[0]:
-        i, (q,), after = step
-        if i is not None and circuit.ops[i].angle is not None and i not in pinned:
+    steps, last, plan = [], {}, circuit.plan[0]
+    variable = [i is not None and circuit.ops[i].angle is not None and i not in pinned for i, _, _ in plan]
+    fixed = iter(_built(circuit, [step for step, var in zip(plan, variable) if not var], pinned, pure))
+    for (i, (q,), after), var in zip(plan, variable):
+        if var:
             last[q] = [i, (q,), after]
             steps.append(last[q])
             continue
-        mat = _fused(circuit, step, pinned.get(i), pure)
+        mat = next(fixed)
         if q in last:
             last[q][2] = mat if last[q][2] is None else mat @ last[q][2]
         else:
@@ -483,7 +496,8 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     An override for op i replaces its angle: a (B,) array gives per-row
     matrices, one angle a shared matrix.
     """
-    steps = [(_fused(circuit, step, overrides.get(step[0])), step[1]) for step in circuit.plan[0] + circuit.plan[1]]
+    plan = circuit.plan[0] + circuit.plan[1]
+    steps = list(zip(_built(circuit, plan, overrides), [qubits for _, qubits, _ in plan]))
     return density.apply_superop_batch(density.zero_states(b, circuit.n_qubits), steps, circuit.n_qubits)
 
 
@@ -501,9 +515,7 @@ def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple]
     starts, steps = compiled
     n, size = starts.shape
     states = list(starts[:, None, None])
-    for step in steps:
-        q = step[1][0]
-        mat = _fused(circuit, step, angles.get(step[0]), pure=size == 2)
+    for (_, (q,), _), mat in zip(steps, _built(circuit, steps, angles, pure=size == 2)):
         states[q] = np.matmul(mat, states[q][..., None])[..., 0]
     rows = np.empty((n, *shape, size), dtype=np.complex128)
     for q, s in enumerate(states):
@@ -557,18 +569,16 @@ def _rest(circuit: CircuitIR, overrides: dict, lead: tuple) -> list[tuple]:
     run first: each qubit's lead steps fold into the first later step on
     that qubit, or stay a step of their own when no later step touches it.
     """
+    superops = _built(circuit, lead + circuit.plan[1], overrides)
     pending = {}
-    for step in lead:
-        q = step[1][0]
-        superop = _fused(circuit, step, overrides.get(step[0]))
+    for (_, (q,), _), superop in zip(lead, superops):
         pending[q] = superop if q not in pending else superop @ pending[q]
     steps = []
-    for step in circuit.plan[1]:
-        superop = _fused(circuit, step, overrides.get(step[0]))
-        for q in step[1]:
+    for (_, qubits, _), superop in zip(circuit.plan[1], superops[len(lead) :]):
+        for q in qubits:
             if q in pending:
-                superop = superop @ _embed(pending.pop(q), (q,), step[1])
-        steps.append((superop, step[1]))
+                superop = superop @ _embed(pending.pop(q), (q,), qubits)
+        steps.append((superop, qubits))
     return [(superop, (q,)) for q, superop in pending.items()] + steps
 
 
@@ -605,16 +615,14 @@ def unitaries(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarr
     """
     n = circuit.n_qubits
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
+    built = _built(circuit, lead + circuit.plan[1], overrides, pure=True)
     mats = {}
-    for step in lead:
-        q = step[1][0]
-        mat = _fused(circuit, step, overrides.get(step[0]), pure=True)
+    for (_, (q,), _), mat in zip(lead, built):
         mats[q] = mat if q not in mats else mat @ mats[q]
-    eye = np.eye(2, dtype=np.complex128)
-    factors = [np.broadcast_to(mats.get(q, eye).swapaxes(-1, -2), (g, 2, 2)) for q in range(n)]
+    factors = [np.broadcast_to(mats.get(q, np.eye(2, dtype=complex)).swapaxes(-1, -2), (g, 2, 2)) for q in range(n)]
     w = _product_state(factors, np.arange(g))
-    for step in circuit.plan[1]:
-        w = density.apply_unitary_vec(w, _fused(circuit, step, overrides.get(step[0]), pure=True), step[1], n)
+    for (_, qubits, _), mat in zip(circuit.plan[1], built[len(lead) :]):
+        w = density.apply_unitary_vec(w, mat, qubits, n)
     return w
 
 
@@ -639,28 +647,43 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
     return out
 
 
-def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, int, dict]:
-    """The variable steps of the compiled prefix as a head and a lead, and
-    the groups of rows with equal angles in the lead and the rest of the
-    circuit (:meth:`_Grid.groups`).
+def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, int, int, dict]:
+    """The variable steps of the compiled prefix as a head and a lead, the
+    head's probe count (1 or P), and the groups of rows with equal angles
+    in the lead and the rest of the circuit (:meth:`_Grid.groups`).
 
     On each qubit the head holds the steps up to its last one whose angle
     varies by sample, and the lead the steps after it, which vary at most
     by probe.  Each group of the lead and the rest holds `width` columns
     (m pulled-back observables, or 2^n basis columns of a unitary); when
     the groups would hold as many as there are rows, every step stays in
-    the head.
+    the head.  The split depends on the grid only through the axes each
+    override varies over and that outcome, so it is held on the circuit
+    per such pair (`CircuitIR.splits`) and a call computes only its angles.
     """
-    steps = circuit.prefix[1]
-    rest = {i for i, _, _ in circuit.plan[1]}
-    by_sample = {i for i, a in grid.angles.items() if a.ndim == 2 and a.shape[1] > 1}
+    table, varies = circuit.splits, grid.varies
+    entry = table.get((varies, False)) or table.get((varies, True)) or _split_entry(circuit, varies, False)
+    held = grid.count(entry[-1]) * width >= grid.rows
+    if entry[0] != held:
+        entry = table.get((varies, held)) or _split_entry(circuit, varies, held)
+    table[varies, held] = entry
+    _, head, lead, head_probe, ops, _ = entry
+    return head, lead, grid.p if head_probe else 1, *grid.groups(ops)
+
+
+def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
+    """An entry of `CircuitIR.splits`: `held`, the head, the lead, whether a
+    head angle varies by probe, the ops of the lead and the rest, and those
+    ops with no step held in the head, which :func:`_split` checks."""
+    steps, by_sample = circuit.prefix[1], {i for i, _, s in varies if s}
     last = {step[1]: k for k, step in enumerate(steps) if step[0] in by_sample}
-    moved = {k for k, step in enumerate(steps) if k > last.get(step[1], -1)}
-    if grid.count(rest | {steps[k][0] for k in moved}) * width >= grid.rows:
-        moved = set()
-    lead = tuple(step for k, step in enumerate(steps) if k in moved)
-    g, angles = grid.groups(rest | {i for i, _, _ in lead})
-    return tuple(step for k, step in enumerate(steps) if k not in moved), lead, g, angles
+    moved = [k > last.get(step[1], -1) for k, step in enumerate(steps)]
+    rest = {i for i, _, _ in circuit.plan[1]}
+    lead_ops = rest | {step[0] for step, mv in zip(steps, moved) if mv}
+    head = tuple(step for step, mv in zip(steps, moved) if held or not mv)
+    lead = () if held else tuple(step for step, mv in zip(steps, moved) if mv)
+    head_probe = any(p for i, p, _ in varies if i in {step[0] for step in head})
+    return held, head, lead, head_probe, rest if held else lead_ops, lead_ops
 
 
 def _heisenberg(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
@@ -676,8 +699,7 @@ def _heisenberg(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
     or else fewer matrices than a group has rows, and at least one group.
     """
-    head, lead, g, angles = _split(circuit, grid, len(circuit.measured_qubits))
-    ph = grid.span({i for i, _, _ in head})[0]
+    head, lead, ph, g, angles = _split(circuit, grid, len(circuit.measured_qubits))
     factors = _density_factors(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
     m = len(circuit.measured_qubits)
     dim = 4**circuit.n_qubits
@@ -723,11 +745,10 @@ def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     g, angles = grid.groups({i for i, _, _ in circuit.plan[1]})
     if g * dim >= grid.rows:
         vecs = _kron_rows(_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))).reshape(g, -1, dim)
-        for step in circuit.plan[1]:
-            vecs = density.apply_unitary_vec(vecs, _fused(circuit, step, angles.get(step[0]), pure=True), step[1], n)
+        for (_, qubits, _), mat in zip(circuit.plan[1], _built(circuit, circuit.plan[1], angles, pure=True)):
+            vecs = density.apply_unitary_vec(vecs, mat, qubits, n)
         return vecs.reshape(grid.rows, dim)
-    head, lead, g, angles = _split(circuit, grid, dim)
-    ph = grid.span({i for i, _, _ in head})[0]
+    head, lead, ph, g, angles = _split(circuit, grid, dim)
     rows = _kron_rows(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
     # a head that varies by probe holds each group's own rows
     return np.matmul(rows.reshape(min(ph, g), -1, dim), unitaries(circuit, angles, lead)).reshape(-1, dim)

@@ -16,13 +16,12 @@ from .channels import ReadoutConfusion
 def unitary_superop(mat: np.ndarray) -> np.ndarray:
     """U (x) conj(U): the superoperator of rho -> U rho U^dag.
 
-    A stack (..., dk, dk) gives (..., dk^2, dk^2).
+    A stack (..., dk, dk) gives (..., dk^2, dk^2), each entry the
+    superoperator of its matrix built alone: the products np.kron forms,
+    one broadcast product for the whole stack.
     """
     dk = mat.shape[-1]
-    if mat.ndim == 2:
-        # the products np.kron forms, without its per-call overhead
-        return (mat[:, None, :, None] * mat.conj()[None, :, None, :]).reshape(dk * dk, dk * dk)
-    out = np.einsum("...xa,...yc->...xyac", mat, mat.conj())
+    out = mat[..., :, None, :, None] * mat.conj()[..., None, :, None, :]
     return out.reshape(mat.shape[:-2] + (dk * dk, dk * dk))
 
 

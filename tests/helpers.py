@@ -1,5 +1,6 @@
 """Shared test utilities: an independent full-register embedding oracle,
-an unfused circuit reference, and <Z> read off density matrices.
+an unfused circuit reference, a step-at-a-time gate-matrix reference, and
+<Z> read off density matrices.
 
 The simulator applies 2x2/4x4 operators by tensor contraction; these
 helpers build explicit 2^n x 2^n matrices by brute-force index arithmetic
@@ -89,3 +90,21 @@ def unfused_states(circuit, overrides=None) -> np.ndarray:
             if p.after_op == i:
                 states = apply_superop_batch(states, [(p.channel.superop, p.qubits)], n)
     return states
+
+
+def per_step_matrices(circuit, steps, angles: dict, pure: bool = False) -> list:
+    """Each plan step's superoperator, or its unitary when `pure`, built on
+    its own: its gate at `angles[i]` (the op's own angle when absent), its
+    own rotation_batch and unitary_superop calls, then its `after`.  A
+    reference for `circuits._built`, which builds the gates of one kind and
+    angle shape in one stacked call; it takes the same arguments."""
+    out = []
+    for i, _, after in steps:
+        if i is None:
+            out.append(after)
+            continue
+        op = circuit.ops[i]
+        mat = gate_matrix(op) if i not in angles else rotation_batch(op.kind, angles[i])
+        gate = mat if pure else unitary_superop(mat)
+        out.append(gate if after is None else after @ gate)
+    return out

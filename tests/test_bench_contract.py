@@ -95,3 +95,36 @@ def test_workload_runs_correct_and_repeatable(tmp_path, name):
     wl.check(state, results, tally)
     assert tally.correct and tally.failed == 0, tally.errors
     assert results[0].fingerprint == results[1].fingerprint
+
+
+#: bindings a served devA row must call; the per-layer rotation and superop counts are read from them
+SERVE_BINDINGS = ("qsteal.circuits.rotation_batch", "qsteal.density.unitary_superop")
+
+
+def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
+    # a gate builder that went around these bindings would read as a drop to zero in a traced run
+    import numpy as np
+
+    from qsteal import defense, model
+    from qsteal.circuits import PQCTemplate
+    from qsteal.devices import default_registry
+
+    calls = dict.fromkeys(SERVE_BINDINGS, 0)
+    victim = model.init_model(PQCTemplate("PQC19", 4), 4, 0)
+    dev_a = default_registry().get("devA")
+    x = np.random.default_rng(0).uniform(0, 2 * np.pi, 8)
+    model.forward_batch(victim, x[None], dev_a)  # fills the model's compiled prefix and readout first
+    for site in SERVE_BINDINGS:
+        module, _, name = site.rpartition(".")
+        hook = next(h for h in layers.HOOKS if h.name == name)
+        assert _lookup(module, name) is _lookup(hook.module, hook.name)
+        owner = importlib.import_module(module)
+        original = getattr(owner, name)
+
+        def counted(*args, _site=site, _original=original, **kwargs):
+            calls[_site] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    defense.no_defense(victim, dev_a).predict(x)
+    assert all(calls[site] > 0 for site in SERVE_BINDINGS), calls

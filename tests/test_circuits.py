@@ -26,7 +26,7 @@ from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.density import unitary_superop
 from qsteal.gates import GATE_KINDS, GateOp, rotation_batch
 
-from helpers import assert_density_matrix, embed_full, exp_z_batch, unfused_states
+from helpers import assert_density_matrix, embed_full, exp_z_batch, per_step_matrices, unfused_states
 
 
 def _rz_slots(d):
@@ -486,7 +486,7 @@ class TestUnitaryPicture:
         from qsteal.circuits import _Grid, _split
 
         circuit, overrides = _model_circuit("PQC6", 3, None, 40, n_probes=3, seed=4)
-        _, lead, g, angles = _split(circuit, _Grid.of(overrides), 8)
+        _, lead, _, g, angles = _split(circuit, _Grid.of(overrides), 8)
         assert g == 3 and len(lead) == 6 and all(after is None for _, _, after in lead)
         w = unitaries(circuit, angles, lead)
         assert w.shape == (3, 8, 8)
@@ -771,3 +771,127 @@ class TestGrid:
         with pytest.raises(ValueError, match="override for op"):
             run_circuit(circuit, overrides)
 
+
+
+#: override shapes on a 3-probe x 5-sample grid; "mixed" cycles through them
+#: and leaves every fourth angle at the op's own
+_SHAPES = {"0-d": (), "(B,)": (5,), "(P, 1)": (3, 1), "(P, B)": (3, 5)}
+
+
+def _angles(circuit, shape, seed=0):
+    rng = np.random.default_rng(seed)
+    angled = [i for i, op in enumerate(circuit.ops) if op.angle is not None]
+    if shape != "mixed":
+        return {i: rng.uniform(0, 2 * np.pi, _SHAPES[shape]) for i in angled}
+    shapes = list(_SHAPES.values())
+    return {i: rng.uniform(0, 2 * np.pi, shapes[k % 4]) for k, i in enumerate(angled) if k % 4 != 3}
+
+
+def _bytes(mats):
+    # bytes, not values: assert_array_equal takes -0.0 for 0.0
+    return [(m.shape, m.tobytes()) for m in mats]
+
+
+class TestBuilder:
+    """circuits._built builds a call's gates one stacked batch per (kind,
+    angle shape); each step's matrix equals the one built on its own
+    (helpers.per_step_matrices), byte for byte."""
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
+    @pytest.mark.parametrize("shape", [*_SHAPES, "mixed"])
+    def test_matches_the_per_step_reference(self, tid, profile, shape):
+        from qsteal.circuits import _built
+
+        t = PQCTemplate(tid, 3, 2)
+        circuit = weave_noise(assemble_circuit(np.zeros(6), t, np.zeros(t.param_count)), profile)
+        steps = circuit.plan[0] + circuit.plan[1]
+        angles = _angles(circuit, shape)
+        for pure in (True, False) if profile is IDEAL else (False,):
+            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(per_step_matrices(circuit, steps, angles, pure))
+
+    def test_one_rotation_and_superop_call_per_kind_and_angle_shape(self, monkeypatch):
+        import qsteal.circuits as circuits_mod
+        import qsteal.density as density_mod
+
+        rotations = _spy(monkeypatch, "rotation_batch")
+        superops = []
+        original = density_mod.unitary_superop
+        monkeypatch.setattr(density_mod, "unitary_superop", lambda m: superops.append(m.shape) or original(m))
+        circuit, _ = _model_circuit("PQC19", 4, DEV_A, 1)
+        angles = _angles(circuit, "mixed")
+        circuits_mod._built(circuit, circuit.plan[0] + circuit.plan[1], angles)
+        kinds = {(circuit.ops[i].kind, np.shape(a)) for i, a in angles.items()}
+        kinds |= {(op.kind, ()) for i, op in enumerate(circuit.ops) if op.angle is not None and i not in angles}
+        assert sorted((kind, np.shape(a)[1:]) for kind, a in rotations) == sorted(kinds)
+        assert len(superops) == len(kinds)
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
+    def test_compiled_prefix_with_pinned_parameters_matches_the_reference(self, monkeypatch, tid, profile):
+        import qsteal.circuits as circuits_mod
+
+        circuit, overrides = _model_circuit(tid, 4, profile, 5, seed=4)
+        pinned = {i: a for i, a in overrides.items() if np.ndim(a) == 0}
+        pure = not circuit.has_noise
+        starts, steps = compile_prefix(circuit, pinned, pure)
+        monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
+        want_starts, want_steps = compile_prefix(circuit, pinned, pure)
+        assert starts.tobytes() == want_starts.tobytes()
+        assert [s[:2] for s in steps] == [s[:2] for s in want_steps]
+        assert _bytes(a for _, _, a in steps if a is not None) == _bytes(a for _, _, a in want_steps if a is not None)
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
+    def test_every_picture_equals_its_run_on_the_per_step_reference(self, monkeypatch, tid, profile):
+        # the state and unitary pictures, Heisenberg and Schroedinger, and final_states
+        import qsteal.circuits as circuits_mod
+
+        grids = [(16, 32), (16, 5), (1, 1), (3, 9)]
+        runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
+        got = [run_circuit(*run).tobytes() for run in runs] + [final_states(*runs[-1]).tobytes()]
+        monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
+        runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
+        assert got == [run_circuit(*run).tobytes() for run in runs] + [final_states(*runs[-1]).tobytes()]
+
+
+class TestSplitTable:
+    """`CircuitIR.splits` holds one split per override pattern and outcome
+    of the groups-against-rows check, however many batch sizes run."""
+
+    @staticmethod
+    def _grids(tid, profile):
+        # (16, 32), (16, 5), (16, 1), (1, 32), a per-row (P, B) feature, all-scalar angles
+        for n_probes, b in ((16, 32), (16, 5), (16, 1), (1, 32)):
+            yield _model_circuit(tid, 4, profile, b, n_probes, seed=b)
+        circuit, overrides = _model_circuit(tid, 4, profile, 32, 16, seed=7)
+        overrides[1] = np.random.default_rng(7).uniform(0, 2 * np.pi, (16, 32))
+        yield circuit, overrides
+        circuit, overrides = _model_circuit(tid, 4, profile, 1, seed=8)
+        yield circuit, {i: float(np.ravel(a)[0]) for i, a in overrides.items()}
+
+    @pytest.mark.parametrize("tid, profile, outcomes", [
+        ("PQC19", IDEAL, [False] * 3), ("PQC19", DEV_A, [False] * 3), ("PQC6", DEV_A, [False] * 3),
+        # with no step after the prefix, 16 probes' lead would outnumber (16, 1)'s rows and stays in the head
+        ("PQC1", DEV_A, [False, True, False, False]),
+    ], ids=["PQC19-ideal", "PQC19-devA", "PQC6-devA", "PQC1-devA"])
+    def test_one_circuit_runs_every_grid_as_a_fresh_one(self, tid, profile, outcomes):
+        shared = next(self._grids(tid, profile))[0]
+        for fresh, overrides in self._grids(tid, profile):
+            assert run_circuit(shared, overrides).tobytes() == run_circuit(fresh, overrides).tobytes()
+        keys = list(shared.splits)
+        assert [held for _, held in keys] == outcomes
+        assert len({pattern for pattern, _ in keys}) == len(keys)
+        # more batch sizes of a known pattern and outcome add no entry
+        for b in (7, 9, 31):
+            run_circuit(shared, _model_circuit(tid, 4, profile, b, 16, seed=b)[1])
+        assert list(shared.splits) == keys
+
+    def test_the_other_outcome_of_a_known_pattern_is_its_own_entry(self):
+        # PQC1 at (16, 2): the pattern of (16, 32), but the lead would pull back 64 observables for 32 rows
+        circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 32, 16)
+        run_circuit(circuit, overrides)
+        fresh, overrides = _model_circuit("PQC1", 4, DEV_A, 2, 16, seed=2)
+        assert run_circuit(circuit, overrides).tobytes() == run_circuit(fresh, overrides).tobytes()
+        (first, held_first), (second, held_second) = circuit.splits
+        assert first == second and (held_first, held_second) == (False, True)

@@ -194,7 +194,16 @@ class TestBatchedKernels:
         batched = apply_superop_batch(states, [(unitary_superop(mats), (1,))], n)
         for i in range(4):
             expected = apply_superop_batch(states[i][None], [(unitary_superop(mats[i]), (1,))], n)[0]
-            np.testing.assert_allclose(batched[i], expected, atol=1e-15)
+            assert batched[i].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX", "CRZ"])
+    def test_superop_stack_entries_equal_single_builds(self, kind):
+        # bytes, not values: assert_array_equal takes -0.0 for 0.0
+        mats = rotation_batch(kind, np.random.default_rng(57).uniform(0, 2 * np.pi, (4, 16)))
+        stack = unitary_superop(mats)
+        assert stack.shape == mats.shape[:-2] + (mats.shape[-1] ** 2,) * 2
+        for idx in np.ndindex(mats.shape[:-2]):
+            assert stack[idx].tobytes() == unitary_superop(mats[idx]).tobytes()
 
     @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
     def test_grouped_statevectors_match_per_row_matrices(self, qubits):
