@@ -742,8 +742,9 @@ def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
     """
     n = circuit.n_qubits
     dim = 2**n
-    g, angles = grid.groups({i for i, _, _ in circuit.plan[1]})
-    if g * dim >= grid.rows:
+    rest = {i for i, _, _ in circuit.plan[1]}
+    if grid.count(rest) * dim >= grid.rows:
+        g, angles = grid.groups(rest)  # the unitary picture's groups come from _split
         vecs = _kron_rows(_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))).reshape(g, -1, dim)
         for (_, qubits, _), mat in zip(circuit.plan[1], _built(circuit, circuit.plan[1], angles, pure=True)):
             vecs = density.apply_unitary_vec(vecs, mat, qubits, n)

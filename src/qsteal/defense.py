@@ -39,6 +39,15 @@ def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
     return np.array(probs, dtype=np.float64)
 
 
+def draw_pairs(cdf: np.ndarray, seed: int, first: int, count: int) -> np.ndarray:
+    """The pairs queries first .. first + count - 1 draw: query i takes the first
+    pair whose `cdf` entry exceeds the first double of the stream [seed, i, 0].
+    For cdf = probs.cumsum() / its last entry, these are the bits that
+    default_rng([seed, i, 0]).choice(len(cdf), p=probs) gives, without a Generator."""
+    raws = np.fromiter((np.random.PCG64([seed, i, 0]).random_raw() for i in range(first, first + count)), np.uint64)
+    return cdf.searchsorted((raws >> 11) * 2.0**-53, side="right")
+
+
 class VictimService:
     """In-process victim endpoint: exactly one operation, predict."""
 
@@ -57,6 +66,7 @@ class VictimService:
             raise ValueError("all served models must share the class count")
         self.pairs = list(pairs)
         self.probs = selection_probs(probs, len(pairs))
+        self.cdf = self.probs.cumsum() / self.probs.cumsum()[-1]  # as Generator.choice makes it
         self.shots = shots
         self.seed = seed
         self.name = name
@@ -74,26 +84,23 @@ class VictimService:
         (B, d) -> (B, k); the pair choice stays hidden.
 
         The service numbers every query row it answers.  Query i draws its
-        pair from the stream [seed, i, 0] and its shot noise from
-        [seed, i, 1], so serving is deterministic per (seed, query order)
-        and a batch answers exactly as its rows sent one at a time.  The
-        rows that drew the same pair go through one forward_batch call.
-        The selection log grows only once the whole call has succeeded.
+        pair by the first double of the stream [seed, i, 0] against the cdf
+        of the selection probabilities (:func:`draw_pairs`; the bits equal
+        Generator.choice's) and its shot noise from [seed, i, 1], so serving
+        is deterministic per (seed, query order) and a batch answers exactly
+        as its rows sent one at a time.  The rows that drew the same pair go
+        through one forward_batch call.  The selection log grows only once
+        the whole call has succeeded.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValueError(f"predict takes one input (d,) or a batch (B, d), got shape {x.shape}")
         rows = np.atleast_2d(x)
         first = len(self.selection_log)
-        if len(self.pairs) == 1:
-            # a draw over a single pair always returns it
-            picks = np.zeros(rows.shape[0], dtype=np.intp)
-        else:
-            picks = np.array([
-                np.random.default_rng([self.seed, first + i, 0]).choice(len(self.pairs), p=self.probs)
-                for i in range(rows.shape[0])
-            ], dtype=np.intp)
-        out = np.empty((rows.shape[0], self.k))
+        b = rows.shape[0]
+        # a draw over a single pair always returns it
+        picks = np.zeros(b, np.intp) if len(self.pairs) == 1 else draw_pairs(self.cdf, self.seed, first, b)
+        out = np.empty((b, self.k))
         for idx, (served, profile) in enumerate(self.pairs):
             sel = np.flatnonzero(picks == idx)
             if sel.size == 0:
@@ -177,25 +184,21 @@ def measure_obfuscation(
 ) -> ObfuscationReport:
     """Per-query TVD and argmax mismatch between defended and baseline
     responses, pooled over the given service seeds.  Each service answers
-    the whole query set in one predict call per seed."""
+    the whole query set in one predict call per seed, and one tvd call
+    scores every pooled answer."""
     if policy.k != baseline.k:
         raise ValueError("policy and baseline disagree on class count")
     if qs.m < 1:
         raise ValueError("query set is empty")
     if not seeds:
         raise ValueError("obfuscation needs at least one service seed")
-    tvds = []
-    defended_top1, reference_top1 = [], []
-    for seed in seeds:
-        defended = policy.reseeded(seed).predict(qs.features)
-        reference = baseline.reseeded(seed).predict(qs.features)
-        tvds += [tvd(p, q) for p, q in zip(defended, reference)]
-        defended_top1.append(defended.argmax(axis=1))
-        reference_top1.append(reference.argmax(axis=1))
+    answers = [(policy.reseeded(s).predict(qs.features), baseline.reseeded(s).predict(qs.features)) for s in seeds]
+    defended, reference = (np.concatenate(a) for a in zip(*answers))
+    tvds = tvd(defended, reference)
     return ObfuscationReport(
-        top1_mismatch_rate=mismatch_rate(np.concatenate(defended_top1), np.concatenate(reference_top1)),
+        top1_mismatch_rate=mismatch_rate(defended.argmax(axis=1), reference.argmax(axis=1)),
         mean_tvd=float(np.mean(tvds)),
-        per_query_tvd=tuple(tvds),
+        per_query_tvd=tuple(tvds.tolist()),
         n_queries=qs.m,
         shots=policy.shots,
         policy=policy.name,

@@ -25,21 +25,27 @@ def accuracy(
     return float(np.mean(probs.argmax(axis=1) == ds.labels))
 
 
-def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
+def _check_distribution(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    # inverted comparisons: a NaN entry makes the sum NaN, and NaN passes no comparison
-    if p.ndim != 1 or np.any(p < -1e-9) or not abs(p.sum() - 1.0) <= 1e-6:
-        raise ValueError(f"{name} is not a probability distribution")
+    if p.ndim not in (1, 2):
+        raise ValueError(f"{name} must be a distribution (k,) or a stack of them (B, k), got shape {p.shape}")
+    # inverted comparisons: a NaN entry fails both, and so does the NaN sum it makes
+    ok = (p >= -1e-9).all(axis=-1) & (np.abs(p.sum(axis=-1) - 1.0) <= 1e-6)
+    if not ok.all():
+        row = "" if p.ndim == 1 else f" row {np.argmin(ok)}"
+        raise ValueError(f"{name}{row} is not a probability distribution")
     return p
 
 
-def tvd(p, q) -> float:
-    """Total variation distance between two distributions: 0.5 * sum |p - q|."""
+def tvd(p, q) -> float | np.ndarray:
+    """Total variation distance 0.5 * sum |p - q|: a float for two (k,) distributions,
+    a (B,) array for two (B, k) stacks, each entry equal to the call on its rows alone."""
     p = _check_distribution(p, "p")
     q = _check_distribution(q, "q")
     if p.shape != q.shape:
-        raise ValueError("distributions differ in length")
-    return float(0.5 * np.abs(p - q).sum())
+        raise ValueError(f"distributions differ in shape: {p.shape} and {q.shape}")
+    d = 0.5 * np.abs(p - q).sum(axis=-1)
+    return float(d) if p.ndim == 1 else d
 
 
 def mismatch_rate(labels_a, labels_b) -> float:

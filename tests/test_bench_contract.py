@@ -128,3 +128,27 @@ def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     defense.no_defense(victim, dev_a).predict(x)
     assert all(calls[site] > 0 for site in SERVE_BINDINGS), calls
+
+
+
+def test_obfuscation_scores_through_the_hooked_tvd_binding(monkeypatch):
+    # serve_defended requires qsteal.defense.tvd; scoring that went around it would read as zero tvd calls
+    import numpy as np
+
+    from qsteal import defense, model
+    from qsteal.circuits import PQCTemplate
+    from qsteal.data import QuerySet
+    from qsteal.devices import default_registry
+
+    assert "qsteal.defense.tvd" in workloads.WORKLOADS["serve_defended"].required
+    hook = next(h for h in layers.HOOKS if h.name == "tvd")
+    original = _lookup(hook.module, hook.name)
+    assert defense.tvd is original
+    calls = []
+    monkeypatch.setattr(defense, "tvd", lambda *args: calls.append(args) or original(*args))
+    registry = default_registry()
+    victim = model.init_model(PQCTemplate("PQC19", 4), 4, 0)
+    policy = defense.hvip(victim, [registry.get("devA"), registry.get("devB")])
+    queries = QuerySet(np.random.default_rng(0).uniform(0, 2 * np.pi, (3, 8)), ("uniform",))
+    report = defense.measure_obfuscation(policy, defense.baseline_of(policy), queries, [0, 1])
+    assert calls and len(report.per_query_tvd) == 6

@@ -810,6 +810,28 @@ class TestBuilder:
         for pure in (True, False) if profile is IDEAL else (False,):
             assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(per_step_matrices(circuit, steps, angles, pure))
 
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
+    @pytest.mark.parametrize("shape", [*_SHAPES, "mixed"])
+    def test_groups_mixing_steps_with_and_without_an_after(self, profile, shape):
+        # every other angled step takes a random `after`, so each (kind, angle shape) group holds both
+        from qsteal.circuits import _built
+
+        t = PQCTemplate("PQC19", 3, 2)
+        circuit = weave_noise(assemble_circuit(np.zeros(6), t, np.zeros(t.param_count)), profile)
+        angles = _angles(circuit, shape)
+        rng = np.random.default_rng(3)
+        for pure in (True, False) if profile is IDEAL else (False,):
+            steps, groups = [], {}
+            for k, (i, qubits, after) in enumerate(circuit.plan[0] + circuit.plan[1]):
+                op = None if i is None else circuit.ops[i]
+                if op is not None and op.angle is not None:
+                    dim = (2 if pure else 4) ** len(qubits)
+                    after = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) if k % 2 else None
+                    groups.setdefault((op.kind, np.shape(angles.get(i, op.angle))), set()).add(after is None)
+                steps.append((i, qubits, after))
+            assert any(len(kinds) == 2 for kinds in groups.values())
+            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(per_step_matrices(circuit, steps, angles, pure))
+
     def test_one_rotation_and_superop_call_per_kind_and_angle_shape(self, monkeypatch):
         import qsteal.circuits as circuits_mod
         import qsteal.density as density_mod

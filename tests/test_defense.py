@@ -9,6 +9,7 @@ from qsteal.data import make_blobs, random_query_set, train_test_split
 from qsteal.defense import (
     VictimService,
     baseline_of,
+    draw_pairs,
     evaluate_defended_attack,
     havip,
     hvip,
@@ -102,6 +103,39 @@ class TestServing:
         pb = np.stack([b.predict(r) for r in x])
         np.testing.assert_array_equal(pa, pb)
         assert a.selection_log == b.selection_log
+
+
+#: (probs, seed, first query, rows): the shipped 50/50 and 30/70 splits over
+#: 20,000 rows, then uneven, zero-probability, multi-word-seed and offset cases over 5,000
+DRAW_CASES = [
+    ([0.5, 0.5], 11, 0, 20_000),
+    ([0.3, 0.7], 12, 0, 20_000),
+    ([0.9, 0.1], 13, 0, 5_000),
+    ([0.123, 0.877], 14, 0, 5_000),
+    ([0.2, 0.3, 0.5], 15, 0, 5_000),
+    ([0.0, 1.0], 16, 0, 5_000),
+    ([0.4, 0.0, 0.6], 17, 0, 5_000),
+    ([0.3, 0.7], 2**40 + 5, 0, 5_000),
+    ([0.5, 0.5], 18, 123_456, 5_000),
+]
+
+
+class TestPairDraw:
+    """The served pair is Generator.choice's draw on the stream [seed, i, 0],
+    made without a Generator: a numpy that changed the stream would break it."""
+
+    @pytest.mark.parametrize("probs, seed, first, rows", DRAW_CASES, ids=[str(c[:3]) for c in DRAW_CASES])
+    def test_draw_equals_generator_choice(self, probs, seed, first, rows):
+        probs = np.array(probs)
+        want = [np.random.default_rng([seed, i, 0]).choice(len(probs), p=probs) for i in range(first, first + rows)]
+        np.testing.assert_array_equal(draw_pairs(probs.cumsum() / probs.cumsum()[-1], seed, first, rows), want)
+
+    def test_service_log_follows_the_draw(self, model, other_model):
+        svc = havip([(other_model, DEV_A), (model, DEV_B)], probs=[0.3, 0.7], seed=9)
+        x = np.random.default_rng(5).uniform(0, 2 * np.pi, (40, 8))
+        svc.predict(x[:7])
+        svc.predict(x[7:])
+        assert svc.selection_log == [np.random.default_rng([9, i, 0]).choice(2, p=[0.3, 0.7]) for i in range(40)]
 
 
 def _services(model, other_model, shots, seed):

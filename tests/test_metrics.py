@@ -48,6 +48,43 @@ class TestTvd:
             tvd([0.5, 0.5], bad)
 
 
+class TestRowwiseTvd:
+    """tvd on two (B, k) stacks: each row's distance, as its own call gives it."""
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 16])
+    def test_rows_equal_the_single_calls_byte_for_byte(self, k):
+        rng = np.random.default_rng(k)
+        p, q = rng.dirichlet(np.ones(k), size=(2, 60))
+        got = tvd(p, q)
+        assert got.shape == (60,)
+        assert got.tobytes() == np.array([tvd(a, b) for a, b in zip(p, q)]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [1.5, -0.5], [0.5, 0.6]], ids=["nan", "negative", "unnormalised"])
+    def test_a_bad_row_is_named(self, bad):
+        good = np.full((4, 2), 0.5)
+        stack = good.copy()
+        stack[2] = bad
+        with pytest.raises(ValueError, match="p row 2 is not a probability distribution"):
+            tvd(stack, good)
+        with pytest.raises(ValueError, match="q row 2 is not a probability distribution"):
+            tvd(good, stack)
+
+    @pytest.mark.parametrize("p, q", [
+        ([0.5, 0.5], [[0.5, 0.5]]),
+        ([[0.5, 0.5]] * 2, [[0.5, 0.5]] * 3),
+        ([[0.5, 0.5]], [[0.25, 0.25, 0.5]]),
+    ])
+    def test_shape_mismatch_rejected(self, p, q):
+        with pytest.raises(ValueError, match="differ in shape"):
+            tvd(p, q)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2, 2)], ids=["0-d", "3-D"])
+    def test_other_dimensions_rejected(self, shape):
+        p = np.full(shape, 0.5)
+        with pytest.raises(ValueError, match=r"p must be a distribution \(k,\) or a stack"):
+            tvd(p, p)
+
+
 class TestMismatchRate:
     def test_identical(self):
         assert mismatch_rate([1, 2, 3], [1, 2, 3]) == 0.0
