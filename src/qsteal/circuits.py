@@ -191,30 +191,31 @@ class CircuitIR:
         return compile_prefix(self, {}, pure=not self.has_noise)
 
 
-def _embed(superop: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
-    """A superoperator on `qubits` (or a stack of them) as one on `into`,
-    which holds them all: identity on the other qubits, indices ordered as
-    `into` lists them."""
+def _embed(op: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
+    """An operator on `qubits` (or a stack of them) as one on `into`, which
+    holds them all: identity on the other qubits, indices ordered as `into`
+    lists them.  A (2^j, 2^j) unitary has one leg per qubit, a (4^j, 4^j)
+    superoperator two (rows and columns)."""
     if qubits == into:
-        return superop
-    lead = superop.shape[:-2]
-    padded = np.concatenate([superop.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
-    return padded[..., _embedding(qubits, into)]
+        return op
+    lead = op.shape[:-2]
+    padded = np.concatenate([op.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+    return padded[..., _embedding(qubits, into, (op.shape[-1].bit_length() - 1) // len(qubits))]
 
 
 @lru_cache(maxsize=None)
-def _embedding(qubits: tuple[int, ...], into: tuple[int, ...]) -> np.ndarray:
-    """For each entry of a superoperator on `into`, the flat index of the
-    entry of one on `qubits` that :func:`_embed` copies there, or -1 where
-    the identity on the other qubits puts a zero."""
+def _embedding(qubits: tuple[int, ...], into: tuple[int, ...], legs: int) -> np.ndarray:
+    """For each entry of an operator on `into` with `legs` bits per qubit,
+    the flat index of the entry of one on `qubits` that :func:`_embed`
+    copies there, or -1 where the identity on the other qubits puts a zero."""
     k, j = len(into), len(qubits)
     rest = [q for q in into if q not in qubits]
-    # kron(superop, identity): output axes are the rows of `qubits`, their columns, then those of `rest`
-    index = np.arange(16**j).reshape(4**j, 4**j)
-    full = np.where(np.eye(4 ** (k - j), dtype=bool)[None, :, None, :], index[:, None, :, None], -1)
-    rows = [t if t < j else t + j for t in map([*qubits, *rest].index, into)]
-    out = rows + [a + (j if a < j else k - j) for a in rows]
-    return full.reshape((2,) * 4 * k).transpose(out + [a + 2 * k for a in out]).reshape(4**k, 4**k)
+    # kron(op, identity): output bits are each leg of `qubits`, then each leg of `rest`
+    index = np.arange(4 ** (legs * j)).reshape(2 ** (legs * j), -1)
+    full = np.where(np.eye(2 ** (legs * (k - j)), dtype=bool)[None, :, None, :], index[:, None, :, None], -1)
+    at = [[*qubits, *rest].index(q) for q in into]
+    out = [leg * j + t if t < j else legs * j + leg * (k - j) + t - j for leg in range(legs) for t in at]
+    return full.reshape((2,) * (2 * legs * k)).transpose(out + [a + legs * k for a in out]).reshape(2 ** (legs * k), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +502,12 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     return density.apply_superop_batch(density.zero_states(b, circuit.n_qubits), steps, circuit.n_qubits)
 
 
-def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple], shape: tuple) -> list[np.ndarray]:
-    """Each row's state of each qubit after the `compiled` steps of the
-    product-state prefix (:func:`compile_prefix`): per qubit a (rows, 2)
-    statevector or the row-major vec of its 2x2 density matrix, (rows, 4),
-    the rows laid out over `shape`, the (probes, samples) part of the grid
-    of `angles` that the steps span.
+def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple], shape: tuple):
+    """Each row's state after the `compiled` steps of the product-state
+    prefix (:func:`compile_prefix`), the rows laid out over `shape`, the
+    (probes, samples) part of the grid of `angles` that the steps span:
+    from 2x2 unitaries, the (rows, 2^n) product statevectors; from
+    superoperators, one transposed (rows, 2, 2) density factor per qubit.
 
     A qubit's state spans only the grid axes its steps vary over, so a prefix
     of per-sample encodings and per-probe rotations builds B per-sample and
@@ -520,20 +521,16 @@ def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple]
     rows = np.empty((n, *shape, size), dtype=np.complex128)
     for q, s in enumerate(states):
         rows[q] = s
-    return list(rows.reshape(n, -1, size))
+    rows = list(rows.reshape(n, -1, size))
+    return _kron_rows(rows) if size == 2 else [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in rows]
 
 
-def _density_factors(vecs: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-qubit row-major density vecs as transposed (rows, 2, 2) factors."""
-    return [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in vecs]
-
-
-def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict) -> list[np.ndarray]:
+def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict):
     """Each row's state after the product-state prefix, run from its
-    `compiled` superoperator form, as one transposed (rows, 2, 2) density
-    factor per qubit; `overrides` lay the rows out as run_circuit does."""
+    `compiled` form, as :func:`_prefix` gives it; `overrides` lay the rows
+    out as run_circuit does."""
     grid = _Grid.of(overrides)
-    return _density_factors(_prefix(circuit, grid.angles, compiled, (grid.p, grid.b)))
+    return _prefix(circuit, grid.angles, compiled, (grid.p, grid.b))
 
 
 def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
@@ -545,85 +542,56 @@ def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def product_statevectors(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict) -> np.ndarray:
-    """Each row's statevector after the product-state prefix, run from its
-    `compiled` 2x2 form: (rows, 2^n), the rows laid out by `overrides` as
-    run_circuit lays them out."""
-    grid = _Grid.of(overrides)
-    return _kron_rows(_prefix(circuit, grid.angles, compiled, (grid.p, grid.b)))
-
-
 def z_expectations(circuit: CircuitIR, vecs: np.ndarray) -> np.ndarray:
-    """<Z_q> per measured qubit q of each statevector in a (rows, 2^n)
-    stack: (rows, m).  Each row's |psi|^2 meets the signs in an elementwise
-    product summed along the row, so a row's result does not depend on
-    the rows beside it, as a BLAS (rows, 2^n) @ (2^n, m) product's does at
-    5-7 qubits."""
-    probs = (vecs.conj() * vecs).real
-    return (probs[:, None, :] * circuit.z_signs).sum(axis=-1)
+    """<Z_q> per measured qubit q of each statevector in a (..., R, 2^n)
+    stack: (..., R, m).  Each block of R rows meets the signs in its own
+    (R, 2^n) @ (2^n, m) product, so a row's result does not depend on the
+    blocks beside it, as it can on the rows beside it in one BLAS product
+    at 5-7 qubits."""
+    return (vecs.conj() * vecs).real @ circuit.z_signs.T
 
 
 def _rest(circuit: CircuitIR, overrides: dict, lead: tuple) -> list[tuple]:
-    """The circuit after its product-state prefix as (superoperator,
-    qubits) steps in plan order, with `lead`, steps of the compiled prefix,
-    run first: each qubit's lead steps fold into the first later step on
-    that qubit, or stay a step of their own when no later step touches it.
+    """The circuit after its product-state prefix as (operator, qubits)
+    steps in plan order, unitaries when it is noise-free and else
+    superoperators, with `lead`, steps of the compiled prefix, run first:
+    each qubit's lead steps fold into the first later step on that qubit,
+    or stay a step of their own when no later step touches it.
     """
-    superops = _built(circuit, lead + circuit.plan[1], overrides)
+    ops = _built(circuit, lead + circuit.plan[1], overrides, pure=not circuit.has_noise)
     pending = {}
-    for (_, (q,), _), superop in zip(lead, superops):
-        pending[q] = superop if q not in pending else superop @ pending[q]
+    for (_, (q,), _), op in zip(lead, ops):
+        pending[q] = op if q not in pending else op @ pending[q]
     steps = []
-    for (_, qubits, _), superop in zip(circuit.plan[1], superops[len(lead) :]):
+    for (_, qubits, _), op in zip(circuit.plan[1], ops[len(lead) :]):
         for q in qubits:
             if q in pending:
-                superop = superop @ _embed(pending.pop(q), (q,), qubits)
-        steps.append((superop, qubits))
-    return [(superop, (q,)) for q, superop in pending.items()] + steps
+                op = op @ _embed(pending.pop(q), (q,), qubits)
+        steps.append((op, qubits))
+    return [(op, (q,)) for q, op in pending.items()] + steps
 
 
-def pulled_back_z(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarray:
-    """Phi^dag(Z_q) for each group of rows and measured qubit q, where Phi is
-    `lead` (steps of the compiled prefix) and then the circuit after its
-    product-state prefix: (G * m, dim, dim), group-major.  An override is
-    one angle for every group or a (G,) array of per-group angles.
-
-    The adjoint of a superoperator S is its conjugate transpose, so the
-    observables run backwards through Phi's steps (:func:`_rest`), each one
-    fused superoperator, with the same kernel the states use.
-    """
-    n = circuit.n_qubits
-    m = len(circuit.measured_qubits)
-    dim = 2**n
-    g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
-    obs = np.zeros((g * m, dim, dim), dtype=np.complex128)
-    obs[:, np.arange(dim), np.arange(dim)] = np.tile(circuit.z_signs, (g, 1))
-    steps = reversed(_rest(circuit, overrides, lead))
-    return density.apply_superop_batch(obs, [(superop.conj().swapaxes(-1, -2), qubits) for superop, qubits in steps], n)
-
-
-def unitaries(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarray:
-    """W = U^T for each group of rows of a noise-free circuit, where U is
-    `lead` (steps of the compiled prefix) and then the circuit after its
-    product-state prefix: (G, dim, dim), so that a row statevector psi
-    leaves the circuit as psi @ W.  An override is one angle for every
+def pulled_back(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.ndarray:
+    """Each group of rows' readout pulled back through `lead` (steps of the
+    compiled prefix) and then the circuit after its product-state prefix:
+    (G * width, entries), group-major.  An override is one angle for every
     group or a (G,) array of per-group angles.
 
-    Row j of W is U e_j, a statevector: W starts as the kron of each
-    qubit's lead unitaries, transposed, and each later gate is applied to
-    its G * dim rows with the same kernel the states use.
+    A noisy circuit, Phi, pulls back each measured Z_q as Phi^dag(Z_q), a
+    row-major (4^n,) matrix: width m.  A noise-free one, U, pulls back each
+    basis vector e_k as U^dag e_k, a (2^n,) row: width 2^n.  The adjoint of
+    a step is its conjugate transpose, so the rows run backwards through
+    the steps (:func:`_rest`), each one fused operator, with the kernel the
+    states use.
     """
-    n = circuit.n_qubits
+    n, dim = circuit.n_qubits, 2**circuit.n_qubits
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
-    built = _built(circuit, lead + circuit.plan[1], overrides, pure=True)
-    mats = {}
-    for (_, (q,), _), mat in zip(lead, built):
-        mats[q] = mat if q not in mats else mat @ mats[q]
-    factors = [np.broadcast_to(mats.get(q, np.eye(2, dtype=complex)).swapaxes(-1, -2), (g, 2, 2)) for q in range(n)]
-    w = _product_state(factors, np.arange(g))
-    for (_, qubits, _), mat in zip(circuit.plan[1], built[len(lead) :]):
-        w = density.apply_unitary_vec(w, mat, qubits, n)
-    return w
+    steps = [(op.conj().swapaxes(-1, -2), qubits) for op, qubits in reversed(_rest(circuit, overrides, lead))]
+    if not circuit.has_noise:
+        return density.apply_unitary_vec(np.tile(np.eye(dim, dtype=np.complex128), (g, 1)), steps, n)
+    obs = np.zeros((g * len(circuit.measured_qubits), dim, dim), dtype=np.complex128)
+    obs[:, np.arange(dim), np.arange(dim)] = np.tile(circuit.z_signs, (g, 1))
+    return density.apply_superop_batch(obs, steps, n).reshape(obs.shape[0], -1)
 
 
 def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -632,10 +600,10 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
 
     `factors` are per-qubit transposed (rows, 2, 2) density factors, as
     :func:`product_prefix` gives them, and `obs` is a stack of row-major
-    (4^n,) matrices, such as pulled-back Z_q.  Since Tr(O rho) =
-    sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the transposed
-    factors, each row's product state is formed once and meets every
-    observable in one matrix product.  The rows go CONTRACT_ROWS at a
+    (4^n,) matrices, such as pulled-back Z_q (:func:`pulled_back`).  Since
+    Tr(O rho) = sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the
+    transposed factors, each row's product state is formed once and meets
+    every observable in one matrix product.  The rows go CONTRACT_ROWS at a
     time, and each row's result does not depend on the rows contracted
     beside it.
     """
@@ -647,6 +615,24 @@ def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) 
     return out
 
 
+def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """<Z_q> per measured qubit q for each selected row of `states`, as
+    :func:`_prefix` gives them, after each group's pulled-back rows in `obs`
+    (:func:`pulled_back`): (len(rows), G * m).
+
+    A mixed row rho meets the pulled-back Z_q as rho^T.ravel() @ O^T
+    (:func:`contract_rows`).  A pure row psi meets the pulled-back basis
+    rows y_k = U^dag e_k in the same product, conj(psi) @ Y^T, whose
+    entries sum_j conj(y_k[j]) psi[j] are the amplitudes <e_k|U|psi>,
+    conjugated; their squares meet the Z signs, each row's in a block of
+    its own.  Each row's result does not depend on the rows beside it.
+    """
+    if circuit.has_noise:
+        return contract_rows(states, rows, obs)
+    amps = density.matmul_rows(states[rows].conj(), obs.T).reshape(rows.size, -1, states.shape[1])
+    return z_expectations(circuit, amps).reshape(rows.size, -1)
+
+
 def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, int, int, dict]:
     """The variable steps of the compiled prefix as a head and a lead, the
     head's probe count (1 or P), and the groups of rows with equal angles
@@ -654,12 +640,12 @@ def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, i
 
     On each qubit the head holds the steps up to its last one whose angle
     varies by sample, and the lead the steps after it, which vary at most
-    by probe.  Each group of the lead and the rest holds `width` columns
-    (m pulled-back observables, or 2^n basis columns of a unitary); when
-    the groups would hold as many as there are rows, every step stays in
-    the head.  The split depends on the grid only through the axes each
-    override varies over and that outcome, so it is held on the circuit
-    per such pair (`CircuitIR.splits`) and a call computes only its angles.
+    by probe.  Each group of the lead and the rest pulls back `width` rows
+    (:func:`pulled_back`); when the groups would hold as many as there are
+    rows, every step stays in the head.  The split depends on the grid
+    only through the axes each override varies over and that outcome, so
+    it is held on the circuit per such pair (`CircuitIR.splits`) and a
+    call computes only its angles.
     """
     table, varies = circuit.splits, grid.varies
     entry = table.get((varies, False)) or table.get((varies, True)) or _split_entry(circuit, varies, False)
@@ -686,33 +672,39 @@ def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
     return held, head, lead, head_probe, rest if held else lead_ops, lead_ops
 
 
-def _heisenberg(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
-    """<Z> per measured qubit as Tr(Phi^dag(Z_q) rho) for every row.
+def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int) -> np.ndarray:
+    """<Z> per measured qubit for every row, from its head state and its
+    group's pulled-back rows.
 
     The compiled prefix splits into a head and a lead (:func:`_split`).
-    The head runs as 2x2 density factors on the head rows: the B samples,
-    or all P * B rows when a head angle varies by probe.  The lead joins
-    Phi, the rest of the circuit, through which each Z_q is pulled back
-    once per group of rows with equal angles there (the P probes, or one
-    group).  Groups are pulled back a chunk at a time, and each chunk
-    meets the head rows in one contract_rows call.  A chunk holds up to
-    PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
-    or else fewer matrices than a group has rows, and at least one group.
+    The head runs on the head rows, the B samples or all P * B rows when a
+    head angle varies by probe, as product statevectors (pure) or 2x2
+    density factors (mixed).  The lead joins the rest of the circuit,
+    through which each group of rows with equal angles there (the P
+    probes, or one group) pulls back its `width` rows once.  Groups are
+    pulled back a chunk at a time, and each chunk meets the head rows in
+    one :func:`meet` call, or each group its own rows in one call when a
+    head angle varies by probe.  A chunk holds up to PULL_BACK_ENTRIES
+    entries, which take every group at up to 6 qubits, or else fewer rows
+    than a group has rows, and at least one group.
     """
-    head, lead, ph, g, angles = _split(circuit, grid, len(circuit.measured_qubits))
-    factors = _density_factors(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
+    head, lead, ph, g, angles = _split(circuit, grid, width)
+    states = _prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b))
     m = len(circuit.measured_qubits)
-    dim = 4**circuit.n_qubits
-    # a head that varies by probe holds each group's own rows, so it meets one group at a time
-    chunk = 1 if ph > 1 else max(1, (grid.rows - 1) // (g * m), PULL_BACK_ENTRIES // (m * dim))
+    entries = circuit.prefix[0].shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
+    chunk = max(1, (grid.rows - 1) // (g * width), PULL_BACK_ENTRIES // (width * entries))
     r = ph * grid.b // min(ph, g)  # the head rows each group meets
     exps = np.empty((g, r, m))
     for lo in range(0, g, chunk):
         part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
-        obs = pulled_back_z(circuit, part, lead).reshape(-1, dim)
-        sel = np.arange(r) + (lo * r if ph > 1 else 0)
-        exps[lo : lo + chunk] = contract_rows(factors, sel, obs).reshape(r, -1, m).swapaxes(0, 1)
-        del obs  # the next chunk's pull-back must not overlap this one's observables
+        obs = pulled_back(circuit, part, lead)
+        if ph == 1:
+            exps[lo : lo + chunk] = meet(circuit, states, np.arange(r), obs).reshape(r, -1, m).swapaxes(0, 1)
+        else:  # a head that varies by probe holds each group's own rows, so each group meets only its own
+            for k in range(lo, min(lo + chunk, g)):
+                own = obs[(k - lo) * width : (k - lo + 1) * width]
+                exps[k] = meet(circuit, states, np.arange(k * r, (k + 1) * r), own)
+        del obs  # the next chunk's pull-back must not overlap this one's rows
     return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
 
 
@@ -723,36 +715,6 @@ def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     for f in reversed(factors[:-1]):
         out = np.einsum("rab,rcd->racbd", out, f[rows]).reshape(rows.size, 2 * out.shape[1], -1)
     return out
-
-
-def _statevectors(circuit: CircuitIR, grid: _Grid) -> np.ndarray:
-    """Each row's statevector after a noise-free circuit: (P * B, dim), or
-    (B, dim) when every probe's rows are equal.
-
-    When the G groups of rows with equal angles after the prefix hold as
-    many basis columns as there are rows, G * dim >= P * B, the prefix's
-    per-qubit 2-vectors form every row's statevector and each later gate
-    is applied once per group, its matrices a (G, dk, dk) stack (state
-    picture).  Otherwise the compiled prefix splits into a head and a lead
-    (:func:`_split`): the head's 2-vectors form the product states of the
-    head rows, the B samples or, when a head angle varies by probe, all
-    P * B rows, and each group's unitary W (:func:`unitaries`), built once
-    from the lead and the later gates, meets them in one `rows @ W`
-    product (unitary picture).
-    """
-    n = circuit.n_qubits
-    dim = 2**n
-    rest = {i for i, _, _ in circuit.plan[1]}
-    if grid.count(rest) * dim >= grid.rows:
-        g, angles = grid.groups(rest)  # the unitary picture's groups come from _split
-        vecs = _kron_rows(_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))).reshape(g, -1, dim)
-        for (_, qubits, _), mat in zip(circuit.plan[1], _built(circuit, circuit.plan[1], angles, pure=True)):
-            vecs = density.apply_unitary_vec(vecs, mat, qubits, n)
-        return vecs.reshape(grid.rows, dim)
-    head, lead, ph, g, angles = _split(circuit, grid, dim)
-    rows = _kron_rows(_prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b)))
-    # a head that varies by probe holds each group's own rows
-    return np.matmul(rows.reshape(min(ph, g), -1, dim), unitaries(circuit, angles, lead)).reshape(-1, dim)
 
 
 def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -766,35 +728,46 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
     prefix (the leading 1-qubit ops and channels), compiled in
     `CircuitIR.prefix`.  The rows are grouped by their angles after the
     prefix: the P probes when those angles are per probe or shared, one
-    group when all are shared, every row otherwise.  With G groups and m
-    measured qubits:
+    group when all are shared, every row otherwise.  A group's readout is
+    `width` rows wide: the 2^n basis vectors when the circuit is
+    noise-free (pure), else its m measured Z_q (mixed).  With G groups:
 
-    * noise-free, G * 2^n < P * B: unitary picture (:func:`_statevectors`).
-      Each qubit's prefix splits where its per-sample steps end; the head
-      forms the B samples' product statevectors, and the per-probe rest
-      and the later gates form one 2^n x 2^n unitary per probe, which
-      meets the samples in one product.
-    * noise-free otherwise: the prefix's 2-vectors form each row's
-      statevector, and each later gate is applied once per group.
-    * noisy, G * m < P * B: Heisenberg (:func:`_heisenberg`).  Each
-      qubit's prefix splits where its per-sample steps end; the head runs
-      as 2x2 density factors on the B samples, and the per-probe rest
-      folds into the first later step on its qubit.  Each Z_q is pulled
-      back once per probe, and one contraction meets the B head rows with
-      all P * m observables.
-    * noisy otherwise: Schroedinger, every row's density matrix evolved
+    * G * width < P * B: the pulled-back picture
+      (:func:`_pulled_back_picture`).  Each qubit's prefix splits where its
+      per-sample steps end; the head forms the B samples' product states,
+      and each group pulls its readout back once through the per-probe
+      rest of the prefix and the later steps.  One product meets the head
+      rows with every group's pulled-back rows.
+    * pure otherwise: the state picture.  The prefix's 2-vectors form each
+      row's statevector, and each later gate is applied once per group.
+    * mixed otherwise: Schroedinger, every row's density matrix evolved
       through the whole circuit.
     """
-    grid = _Grid.of(angle_overrides)
-    m = len(circuit.measured_qubits)
-    if not circuit.has_noise:
-        vecs = _statevectors(circuit, grid)
-        exps = (vecs.conj() * vecs).real @ circuit.z_signs.T
-        return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
-    if grid.count(range(circuit.product_prefix_end, len(circuit.ops))) * m < grid.rows:
-        return _heisenberg(circuit, grid)
+    grid = _grid(circuit, angle_overrides)
+    rest = range(circuit.product_prefix_end, len(circuit.ops))
+    pure = not circuit.has_noise
+    width = 2**circuit.n_qubits if pure else len(circuit.measured_qubits)
+    if grid.count(rest) * width < grid.rows:
+        return _pulled_back_picture(circuit, grid, width)
+    if pure:
+        _, angles = grid.groups(rest)
+        plan = circuit.plan[1]
+        steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
+        vecs = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
+        return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits))
     probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
     return np.stack([probs @ signs for signs in circuit.z_signs], axis=1)
+
+
+def _grid(circuit: CircuitIR, overrides: dict | None) -> _Grid:
+    """The grid of `overrides` (:meth:`_Grid.of`), each of which must name
+    an op of the circuit that takes an angle."""
+    for i in overrides or {}:
+        if not 0 <= i < len(circuit.ops):
+            raise ValueError(f"override for op {i}: the circuit has {len(circuit.ops)} ops")
+        if circuit.ops[i].angle is None:
+            raise ValueError(f"override for op {i}: {circuit.ops[i].kind} takes no angle")
+    return _Grid.of(overrides)
 
 
 def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -803,5 +776,5 @@ def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | No
 
     Always evolves density matrices, regardless of noise content.
     """
-    grid = _Grid.of(angle_overrides)
+    grid = _grid(circuit, angle_overrides)
     return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)

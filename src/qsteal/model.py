@@ -5,8 +5,8 @@ per-sample encoding angles.  At fixed parameters (evaluation, serving) the
 circuit is split at the end of its product-state prefix once per (feature
 count, device) and both parts are held on the model: the prefix compiled
 with the PQC angles pinned, so a row runs only its feature gates, and the
-rest as one 2^n x 2^n unitary when the circuit is noise-free, else pulled
-back onto the measured observables.  Several parameter vectors (a training
+rest pulled back, the 2^n basis vectors when the circuit is noise-free,
+else the measured observables.  Several parameter vectors (a training
 step's SPSA probes) run as one probes x samples grid through run_circuit.
 Checkpoints round-trip bitwise through JSON.
 """
@@ -28,14 +28,11 @@ from .circuits import (
     PQCTemplate,
     assemble_circuit,
     compile_prefix,
-    contract_rows,
+    meet,
     product_prefix,
-    product_statevectors,
-    pulled_back_z,
+    pulled_back,
     run_circuit,
-    unitaries,
     weave_noise,
-    z_expectations,
 )
 from .density import matmul_rows, sample_expectations
 from .devices import DeviceProfile
@@ -59,7 +56,7 @@ class HybridModel:
     weights: np.ndarray  # (k, n_qubits)
     bias: np.ndarray  # (k,)
     #: (compiled prefix, readout) at this model's theta, by (d, profile): the rest of the
-    #: circuit as a unitary W when noise-free, else as pulled-back Phi^dag(Z_q); filled
+    #: circuit pulled back, as U^dag e_k when noise-free, else as Phi^dag(Z_q); filled
     #: by forward_batch, so a replaced or discarded model takes its own
     _readouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -136,8 +133,9 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
 def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[tuple, np.ndarray]:
     """The circuit at the model's PQC parameters, split at the end of its
     product-state prefix: the prefix compiled with theta pinned, and the
-    rest of the circuit, read-only.  A noise-free circuit holds its prefix
-    as 2x2 unitaries and the rest as W = U^T, (2^n, 2^n), 1 MB at the
+    rest of the circuit pulled back (:func:`pulled_back`), read-only.  A
+    noise-free circuit holds its prefix as 2x2 unitaries and the rest as
+    the pulled-back basis vectors U^dag e_k, (2^n, 2^n), 1 MB at the
     8-qubit cap; a noisy one its prefix as superoperators and Phi^dag(Z_q)
     for each measured qubit q, Phi the rest, (m, 4^n), at most 8 MB.  Held
     on the model."""
@@ -145,10 +143,7 @@ def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple
     if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)
         pinned = dict(zip(slots[d:], model.theta, strict=True))
-        if circuit.has_noise:
-            readout = pulled_back_z(circuit, pinned).reshape(len(circuit.measured_qubits), -1)
-        else:
-            readout = unitaries(circuit, pinned)[0]
+        readout = pulled_back(circuit, pinned)
         readout.flags.writeable = False
         entry = model._readouts[(d, profile)] = (compile_prefix(circuit, pinned, pure=not circuit.has_noise), readout)
     return entry
@@ -159,19 +154,15 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     shape (B, n), plus the circuit's readout confusion.
 
     Each row costs its d feature gates, its per-qubit products and one
-    product with the held readout: |psi @ W|^2 against the Z signs when
-    the circuit is noise-free, else a contraction against the pulled-back
-    observables.  A row's result does not depend on the rest of the batch.
+    product with the held readout (:func:`meet`).  A row's result does not
+    depend on the rest of the batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
     circuit, slots = _prepared_circuit(model.template, d, profile)
     prefix, readout = _readout(model, d, profile)
     features = dict(zip(slots[:d], x.T, strict=True))
-    if circuit.has_noise:
-        return contract_rows(product_prefix(circuit, prefix, features), np.arange(b), readout), circuit.readout
-    vecs = matmul_rows(product_statevectors(circuit, prefix, features), readout)
-    return z_expectations(circuit, vecs), circuit.readout
+    return meet(circuit, product_prefix(circuit, prefix, features), np.arange(b), readout), circuit.readout
 
 
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
@@ -255,8 +246,8 @@ def forward_batch(
     """Class probabilities for a batch of inputs (B, d) at the model's
     parameters, shape (B, k).
 
-    The circuit's compiled prefix and its rest, a unitary or pulled-back
-    observables, are held on the model per (d, profile), so each row
+    The circuit's compiled prefix and its pulled-back rest (basis vectors
+    or observables) are held on the model per (d, profile), so each row
     costs its d feature gates and one product, and its result does not
     depend on the rest of the batch.  `rng` draws the shot noise: one
     generator for the batch, or a sequence of one generator per row.

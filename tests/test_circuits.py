@@ -18,8 +18,8 @@ from qsteal.circuits import (
     pqc_gates_per_layer,
     TEMPLATE_IDS,
     product_prefix,
+    pulled_back,
     run_circuit,
-    unitaries,
     weave_noise,
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
@@ -310,22 +310,25 @@ class TestPictures:
 
     @pytest.mark.parametrize("b", [1, 2, 3, 7])
     def test_probe_rows_match_evolved_density_matrices(self, b):
-        # 5 probes x b rows: Schroedinger group by group for b <= 3 qubits, Heisenberg above
+        # 5 probes x b rows: Schroedinger group by group for b <= 3 qubits, pulled back above
         circuit, overrides = _model_circuit("PQC19", 3, DEV_A, b, n_probes=5, seed=b)
         got = run_circuit(circuit, overrides)
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("b, n_probes, heisenberg", [(1, 1, False), (4, 1, False), (5, 1, True),
-                                                          (4, 3, False), (5, 3, True), (32, 16, True)])
-    def test_heisenberg_only_when_groups_times_measured_are_fewer_than_rows(self, monkeypatch, b, n_probes, heisenberg):
-        import qsteal.circuits as circuits_mod
-
-        used = []
-        original = circuits_mod._heisenberg
-        monkeypatch.setattr(circuits_mod, "_heisenberg", lambda *a: used.append(1) or original(*a))
-        circuit, overrides = _model_circuit("PQC19", 4, DEV_A, b, n_probes=n_probes)
+    @pytest.mark.parametrize("n, profile, n_probes, b, pulled", [
+        # mixed: G groups of m = 4 pulled-back Z_q against P * B rows
+        (4, DEV_A, 1, 1, False), (4, DEV_A, 1, 4, False), (4, DEV_A, 1, 5, True), (4, DEV_A, 3, 4, False),
+        (4, DEV_A, 3, 5, True), (4, DEV_A, 16, 32, True),
+        # pure: G groups of 2^n pulled-back basis vectors against P * B rows
+        (4, None, 16, 16, False), (4, None, 16, 17, True), (4, None, 16, 32, True), (6, None, 16, 32, False),
+        (8, None, 1, 300, True),
+    ])
+    def test_pulled_back_picture_only_when_groups_times_width_are_fewer_than_rows(self, monkeypatch, n, profile,
+                                                                                  n_probes, b, pulled):
+        used = _spy(monkeypatch, "_pulled_back_picture")
+        circuit, overrides = _model_circuit("PQC19", n, profile, b, n_probes=n_probes)
         run_circuit(circuit, overrides)
-        assert bool(used) == heisenberg
+        assert bool(used) == pulled
 
     def test_single_row_stays_on_the_evolved_states_bitwise(self):
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
@@ -361,8 +364,24 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _results(monkeypatch, name):
+    """Record the shape of each result of a circuits function."""
+    import qsteal.circuits as circuits_mod
+
+    shapes = []
+    original = getattr(circuits_mod, name)
+
+    def recorded(*args):
+        out = original(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(circuits_mod, name, recorded)
+    return shapes
+
+
 class TestSplit:
-    """The noisy Heisenberg branch: each qubit's prefix splits where its
+    """The noisy pulled-back picture: each qubit's prefix splits where its
     per-sample steps end; the head runs on the samples, the per-probe rest
     folds into the pulled-back observables."""
 
@@ -408,21 +427,11 @@ class TestSplit:
 
     @pytest.mark.parametrize("n_probes, b", [(3, 10), (2, 32)])
     def test_pull_back_holds_at_most_one_groups_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
-        import qsteal.circuits as circuits_mod
-
-        shapes = []
-        original = circuits_mod.pulled_back_z
-
-        def pulled_back_z(*args):
-            obs = original(*args)
-            shapes.append(obs.shape)
-            return obs
-
-        monkeypatch.setattr(circuits_mod, "pulled_back_z", pulled_back_z)
+        shapes = _results(monkeypatch, "pulled_back")
         circuit, overrides = _model_circuit("PQC19", MAX_QUBITS, DEV_A, b, n_probes=n_probes, seed=b)
         got = run_circuit(circuit, overrides)
         # the Schroedinger picture of one group holds its b rows' density matrices
-        assert shapes and all(shape[0] <= b and shape[1:] == (2**MAX_QUBITS,) * 2 for shape in shapes)
+        assert shapes and all(shape[0] <= b and shape[1] == 4**MAX_QUBITS for shape in shapes)
         assert sum(shape[0] for shape in shapes) == n_probes * MAX_QUBITS
         cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
         np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
@@ -430,6 +439,7 @@ class TestSplit:
     @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
     def test_a_head_that_varies_by_probe_runs_every_row(self, monkeypatch, case):
         contracted = _spy(monkeypatch, "contract_rows")
+        pulled = _results(monkeypatch, "pulled_back")
         circuit, overrides = _model_circuit("PQC19", 3, DEV_B, 6, n_probes=4, seed=11)
         rng = np.random.default_rng(12)
         features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
@@ -443,27 +453,38 @@ class TestSplit:
         got = run_circuit(circuit, overrides)
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
         assert {factors[0].shape[0] for factors, _, _ in contracted} == {24}
+        # one pull-back of every group's 3 observables; each group meets only its own 24 / G rows
+        g = 1 if case == "per_row_features_shared_rest" else 4
+        assert pulled == [(g * 3, 4**3)]
+        assert [rows.tolist() for _, rows, _ in contracted] == [list(range(k * 24 // g, (k + 1) * 24 // g))
+                                                                 for k in range(g)]
 
 
 #: the (probes, samples) grids of TestSplit, then those of TestGrid
 _PURE_GRIDS = ((2, 1), (2, 5), (16, 3), (16, 32), (1, 1), (1, 6), (5, 1), (4, 6), (3, 9))
 
 
-def _shapes(monkeypatch):
-    """Record the shape of the stack each later gate of a noise-free circuit is applied to."""
+def _kernel_calls(monkeypatch):
+    """Record each statevector kernel call of a noise-free circuit: the
+    shape of the stack and the shape of each step's operator."""
     import qsteal.density as density_mod
 
-    shapes = []
+    calls = []
     original = density_mod.apply_unitary_vec
-    monkeypatch.setattr(density_mod, "apply_unitary_vec", lambda v, *a: shapes.append(v.shape) or original(v, *a))
-    return shapes
+
+    def recorded(vecs, steps, n):
+        calls.append((vecs.shape, [op.shape for op, _ in steps]))
+        return original(vecs, steps, n)
+
+    monkeypatch.setattr(density_mod, "apply_unitary_vec", recorded)
+    return calls
 
 
 class TestUnitaryPicture:
     """Noise-free circuits: where the groups of rows with equal angles after
-    the head hold fewer basis columns than there are rows, the head runs on
-    the samples and each group's unitary meets them in one product; else
-    each later gate is applied to every row."""
+    the head pull back fewer basis vectors than there are rows, the head
+    runs on the samples and each group's pulled-back basis rows meet them
+    in one product; else each later gate is applied to every row."""
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
@@ -482,14 +503,14 @@ class TestUnitaryPicture:
                 cut = _sub_grid(overrides, probes, samples)
                 np.testing.assert_allclose(got[rows], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
 
-    def test_unitary_is_the_transposed_matrix_of_the_lead_and_the_rest(self):
+    def test_pulled_back_basis_rows_are_the_adjoint_of_the_lead_and_the_rest(self):
         from qsteal.circuits import _Grid, _split
 
         circuit, overrides = _model_circuit("PQC6", 3, None, 40, n_probes=3, seed=4)
         _, lead, _, g, angles = _split(circuit, _Grid.of(overrides), 8)
         assert g == 3 and len(lead) == 6 and all(after is None for _, _, after in lead)
-        w = unitaries(circuit, angles, lead)
-        assert w.shape == (3, 8, 8)
+        y = pulled_back(circuit, angles, lead)
+        assert y.shape == (3 * 8, 8)
         ops = [i for i, _, _ in lead] + [i for i, _, _ in circuit.plan[1]]
         for k in range(3):
             u = np.eye(8)
@@ -497,16 +518,19 @@ class TestUnitaryPicture:
                 op = circuit.ops[i]
                 mat = rotation_batch(op.kind, np.broadcast_to(angles[i], (3,))[k]) if i in angles else None
                 u = embed_full(mat if mat is not None else rotation_batch(op.kind, op.angle), op.qubits, 3) @ u
-            np.testing.assert_allclose(w[k], u.T, rtol=0, atol=1e-13)
+            # row j is U^dag e_j: column j of U^dag, so the rows form conj(U)
+            np.testing.assert_allclose(y[8 * k : 8 * (k + 1)], u.conj(), rtol=0, atol=1e-13)
 
-    def test_samples_meet_each_probes_unitary_in_one_product(self, monkeypatch):
-        shapes = _shapes(monkeypatch)
-        built = _spy(monkeypatch, "unitaries")
+    def test_samples_meet_each_probes_pulled_back_rows_in_one_product(self, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        pulled = _spy(monkeypatch, "pulled_back")
+        met = _spy(monkeypatch, "meet")
         circuit, overrides = _model_circuit("PQC19", 4, None, 32, n_probes=16)
         got = run_circuit(circuit, overrides)
-        # the 4 CRX of the ring act on 16 probes' 16 x 16 unitaries, not on 512 rows
-        assert shapes == [(16, 16, 16)] * 4
-        assert len(built) == 1
+        # the 4 CRX of the ring act on 16 probes' 16 basis vectors each, not on 512 rows
+        assert calls == [((16 * 16, 16), [(16, 4, 4)] * 4)]
+        assert len(pulled) == 1
+        assert [(rows.size, obs.shape) for _, _, rows, obs in met] == [(32, (16 * 16, 16))]
         cut = _sub_grid(overrides, [3, 15], [0, 31])
         np.testing.assert_allclose(got[[3 * 32, 3 * 32 + 31, 15 * 32, 511]], _z(final_states(circuit, cut), circuit),
                                    rtol=0, atol=1e-12)
@@ -514,28 +538,32 @@ class TestUnitaryPicture:
     @pytest.mark.parametrize("tid, n, b", [("PQC19", 6, 32), ("PQC19", 8, 32), ("PQC17", 5, 32), ("PQC19", 4, 16),
                                            ("PQC19", 4, 1)])
     def test_groups_with_as_many_columns_as_rows_keep_the_state_picture(self, monkeypatch, tid, n, b):
-        # 16 groups of 2^n columns against 16 * b rows: PQC19x6 and x8 at B = 32, a final batch of 16 at 4 qubits
-        shapes = _shapes(monkeypatch)
-        built = _spy(monkeypatch, "unitaries")
+        # 16 groups of 2^n basis vectors against 16 * b rows: PQC19x6 and x8 at B = 32, a final batch of 16 at 4 qubits
+        calls = _kernel_calls(monkeypatch)
+        pulled = _spy(monkeypatch, "pulled_back")
         circuit, overrides = _model_circuit(tid, n, None, b, n_probes=16, seed=n)
         run_circuit(circuit, overrides)
-        assert not built
-        assert shapes and set(shapes) == {(16, b, 2**n)}
+        assert not pulled
+        # one kernel call runs every later gate on the 16 * b rows, one matrix per probe
+        [(stack, ops)] = calls
+        assert stack == (16 * b, 2**n)
+        assert len(ops) == len(circuit.plan[1]) and {op[0] for op in ops} == {16}
 
     @pytest.mark.parametrize("n_probes, b", [(16, 32), (2, 32), (1, 300)])
     def test_no_stack_holds_more_than_the_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
-        shapes = _shapes(monkeypatch)
+        calls = _kernel_calls(monkeypatch)
         circuit, overrides = _model_circuit("PQC19", MAX_QUBITS, None, b, n_probes=n_probes, seed=b)
         got = run_circuit(circuit, overrides)
-        assert shapes and all(shape[0] * shape[1] <= n_probes * b for shape in shapes)
-        if b > 2**MAX_QUBITS:  # one group, so one 256 x 256 unitary for the 300 samples
-            assert set(shapes) == {(1, 2**MAX_QUBITS, 2**MAX_QUBITS)}
+        assert calls and all(stack[0] <= n_probes * b for stack, _ in calls)
+        if b > 2**MAX_QUBITS:  # one group, so one group's 256 basis vectors for the 300 samples
+            assert {stack for stack, _ in calls} == {(2**MAX_QUBITS, 2**MAX_QUBITS)}
         cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
         np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
-    def test_a_head_that_varies_by_probe_meets_the_unitaries_row_by_row(self, monkeypatch, case):
-        built = _spy(monkeypatch, "unitaries")
+    def test_a_head_that_varies_by_probe_meets_the_pulled_back_rows_one_group_at_a_time(self, monkeypatch, case):
+        pulled = _results(monkeypatch, "pulled_back")
+        met = _spy(monkeypatch, "meet")
         circuit, overrides = _model_circuit("PQC19", 3, None, 9, n_probes=4, seed=11)
         rng = np.random.default_rng(12)
         features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
@@ -547,7 +575,11 @@ class TestUnitaryPicture:
             overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 1))
         got = run_circuit(circuit, overrides)
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
-        assert len(built) == 1
+        # one pull-back of every group's 8 basis vectors; each group meets only its own head rows
+        g = 1 if case == "per_row_features_shared_rest" else 4
+        assert pulled == [(g * 8, 8)]
+        r = 36 // g
+        assert [rows.tolist() for _, _, rows, _ in met] == [list(range(k * r, (k + 1) * r)) for k in range(g)]
 
 
 def _product_channel():
@@ -585,7 +617,7 @@ class TestPlan:
     @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
     def test_folded_channels_match_the_unfused_reference(self, case):
         circuit = _hand_built(case)
-        for b in (1, 9):  # Schroedinger at one row, Heisenberg at nine
+        for b in (1, 9):  # Schroedinger at one row, pulled back at nine
             overrides = {1: np.linspace(-1.0, 2.5, b)}
             want = _unfused_reference(circuit, overrides)
             np.testing.assert_allclose(run_circuit(circuit, overrides), want, rtol=0, atol=1e-12)
@@ -630,6 +662,12 @@ class TestPlan:
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (1, 0)), unitary_superop(np.kron(np.eye(2), u)),
                                    rtol=0, atol=1e-15)
+        # a unitary has one leg per qubit: U (x) I itself
+        np.testing.assert_array_equal(_embed(u, (0,), (0, 1)), np.kron(u, np.eye(2)))
+        np.testing.assert_array_equal(_embed(u, (0,), (1, 0)), np.kron(np.eye(2), u))
+        # into (0, 2, 1) lists qubit 0 as the high bit: qubit q sits at bit 2 - into.index(q) of a 3-qubit index
+        crx = rotation_batch("CRX", 0.4)
+        np.testing.assert_array_equal(_embed(crx, (2, 0), (0, 2, 1)), embed_full(crx, (1, 2), 3))
 
     @pytest.mark.parametrize("tid", ["PQC6", "PQC19"])
     @pytest.mark.parametrize("profile", [DEV_A, DEV_B], ids=["devA", "devB"])
@@ -771,6 +809,24 @@ class TestGrid:
         with pytest.raises(ValueError, match="override for op"):
             run_circuit(circuit, overrides)
 
+    @pytest.mark.parametrize("profile, n_probes, b", [(None, 16, 32), (None, 16, 16), (DEV_A, 16, 32), (DEV_A, 1, 1),
+                                                      (DEV_A, 3, 4)],
+                             ids=["pure-pulled-back", "pure-state", "mixed-pulled-back", "mixed-schroedinger",
+                                  "final_states"])
+    @pytest.mark.parametrize("bad, message", [({99: 0.3}, "override for op 99: the circuit has 28 ops"),
+                                              ({0: 0.3}, "override for op 0: H takes no angle"),
+                                              ({0: np.zeros(8)}, "override for op 0: H takes no angle")],
+                             ids=["out-of-range", "angle-free", "angle-free-array"])
+    def test_an_override_no_op_can_take_fails_before_any_work(self, monkeypatch, profile, n_probes, b, bad, message):
+        circuit, overrides = _model_circuit("PQC19", 4, profile, b, n_probes=n_probes)
+        assert len(circuit.ops) == 28 and circuit.ops[0].kind == "H"
+        run = final_states if b == 4 else run_circuit
+        run(circuit, overrides)
+        built = _spy(monkeypatch, "_built")
+        with pytest.raises(ValueError, match=message):
+            run(circuit, {**overrides, **bad})
+        assert not built
+
 
 
 #: override shapes on a 3-probe x 5-sample grid; "mixed" cycles through them
@@ -866,7 +922,7 @@ class TestBuilder:
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
     def test_every_picture_equals_its_run_on_the_per_step_reference(self, monkeypatch, tid, profile):
-        # the state and unitary pictures, Heisenberg and Schroedinger, and final_states
+        # the pure and mixed pulled-back pictures, the state picture, Schroedinger, and final_states
         import qsteal.circuits as circuits_mod
 
         grids = [(16, 32), (16, 5), (1, 1), (3, 9)]

@@ -207,18 +207,39 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
     def test_grouped_statevectors_match_per_row_matrices(self, qubits):
-        # (G, R, dim) with one matrix per group equals every row with its group's matrix
+        # a (G, 2^k, 2^k) stack over G * R rows equals every row with its group's matrix
         rng = np.random.default_rng(54)
         n, g, r = 4, 3, 5
-        vecs = rng.normal(size=(g, r, 2**n)) + 1j * rng.normal(size=(g, r, 2**n))
+        vecs = rng.normal(size=(g * r, 2**n)) + 1j * rng.normal(size=(g * r, 2**n))
         kind = "RX" if len(qubits) == 1 else "CRX"
         mats = rotation_batch(kind, rng.uniform(0, 2 * np.pi, g))
-        grouped = apply_unitary_vec(vecs, mats, qubits, n)
-        per_row = apply_unitary_vec(vecs.reshape(g * r, -1), np.repeat(mats, r, axis=0), qubits, n)
-        np.testing.assert_allclose(grouped.reshape(g * r, -1), per_row, rtol=0, atol=1e-14)
-        shared = apply_unitary_vec(vecs.reshape(1, g * r, -1), mats[0], qubits, n)
-        np.testing.assert_allclose(shared[0], apply_unitary_vec(vecs.reshape(g * r, -1), mats[0], qubits, n),
-                                   rtol=0, atol=1e-14)
+        grouped = apply_unitary_vec(vecs, [(mats, qubits)], n)
+        per_row = apply_unitary_vec(vecs, [(np.repeat(mats, r, axis=0), qubits)], n)
+        np.testing.assert_allclose(grouped, per_row, rtol=0, atol=1e-14)
+        # one group of every row equals a matrix shared by rows that are each their own group
+        one_group = apply_unitary_vec(vecs, [(mats[:1], qubits)], n)
+        np.testing.assert_allclose(one_group, apply_unitary_vec(vecs, [(mats[0], qubits)], n), rtol=0, atol=1e-14)
+
+    def test_statevectors_run_the_density_kernel(self):
+        # one body: the statevector name is the same code, read with one leg per qubit
+        assert apply_unitary_vec.__code__ is apply_superop_batch.__code__
+
+    @pytest.mark.parametrize("stacks", ["shared", "per_group"])
+    def test_unitaries_on_statevectors_match_their_superoperators_on_projectors(self, stacks):
+        # psi through a step list of unitaries equals |psi><psi| through their superoperators
+        rng = np.random.default_rng(58)
+        n, g, r = 3, 4, 3
+        vecs = rng.normal(size=(g * r, 2**n)) + 1j * rng.normal(size=(g * r, 2**n))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        steps = []
+        for _ in range(10):
+            op = random_gate(rng, n)
+            angles = rng.uniform(0, 2 * np.pi, g) if stacks == "per_group" else op.angle
+            steps.append((gate_matrix(op) if op.angle is None else rotation_batch(op.kind, angles), op.qubits))
+        out = apply_unitary_vec(vecs, steps, n)
+        rho = apply_superop_batch(np.einsum("bi,bj->bij", vecs, vecs.conj()),
+                                  [(unitary_superop(u), qubits) for u, qubits in steps], n)
+        np.testing.assert_allclose(np.einsum("bi,bj->bij", out, out.conj()), rho, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
     def test_grouped_superoperators_match_per_state_stacks(self, qubits):
@@ -260,7 +281,7 @@ class TestBatchedKernels:
         states = zero_states(2, n)
         ops = [random_gate(rng, n) for _ in range(15)]
         for op in ops:
-            vecs = apply_unitary_vec(vecs, gate_matrix(op), op.qubits, n)
+            vecs = apply_unitary_vec(vecs, [(gate_matrix(op), op.qubits)], n)
             states = _gate(states, op, n)
         np.testing.assert_allclose(np.einsum("bi,bj->bij", vecs, vecs.conj()), states, atol=1e-12)
         # run_circuit's statevector readout: |psi|^2 against each measured qubit's signs, in measured order

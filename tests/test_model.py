@@ -62,7 +62,7 @@ class TestForward:
     @pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
     def test_batch_rows_equal_single_calls(self, tid, n):
         # with one generator per row, row i of a batch is bitwise row i alone; a
-        # noise-free row meets the held unitary and the Z signs on its own, as a
+        # noise-free row meets the held basis rows and the Z signs on its own, as a
         # real (B, 2^n) @ (2^n, m) sign product would not at 5-7 qubits
         m = init_model(PQCTemplate(tid, n), k=3, seed=n)
         x = _inputs(7, seed=n)
@@ -148,8 +148,8 @@ class TestReadoutCache:
     def _count_pull_backs(monkeypatch):
         """Record the PQC angles of every readout pull-back."""
         pulled = []
-        original = model_mod.pulled_back_z
-        monkeypatch.setattr(model_mod, "pulled_back_z",
+        original = model_mod.pulled_back
+        monkeypatch.setattr(model_mod, "pulled_back",
                             lambda c, o: pulled.append(np.array(list(o.values()))) or original(c, o))
         return pulled
 
@@ -217,22 +217,19 @@ class TestReadoutCache:
         assert served() == 1
         assert len(pulled) == 21
 
-    def test_noise_free_entry_is_a_pure_prefix_and_one_unitary(self, model, monkeypatch):
-        built = []
-        original = model_mod.unitaries
-        monkeypatch.setattr(model_mod, "unitaries", lambda c, o: built.append(o) or original(c, o))
+    def test_noise_free_entry_is_a_pure_prefix_and_the_pulled_back_basis(self, model, monkeypatch):
         pulled = self._count_pull_backs(monkeypatch)
         x = _inputs(5, seed=2)
         for profile in (None, IDEAL):
             got = expectations_batch(model, x, profile)
             np.testing.assert_allclose(got, self._evolved(model, x, profile or IDEAL), rtol=0, atol=1e-12)
             expectations_batch(model, x, profile)
-        assert len(built) == 2 and not pulled
-        (starts, steps), w = model._readouts[(8, IDEAL)]
-        # 2x2 unitaries in the prefix, and the transposed unitary of the rest
+        assert len(pulled) == 2
+        (starts, steps), y = model._readouts[(8, IDEAL)]
+        # 2x2 unitaries in the prefix, and the rest's basis vectors pulled back, U^dag e_k: a unitary's rows
         assert starts.shape == (4, 2) and all(after is None or after.shape == (2, 2) for _, _, after in steps)
-        assert w.shape == (16, 16)
-        np.testing.assert_allclose(w @ w.conj().T, np.eye(16), rtol=0, atol=1e-14)
+        assert y.shape == (16, 16)
+        np.testing.assert_allclose(y @ y.conj().T, np.eye(16), rtol=0, atol=1e-14)
 
     def test_entries_are_read_only(self, model):
         for profile in (IDEAL, DEV_A):
