@@ -185,7 +185,7 @@ class CircuitIR:
         return {}
 
     @cached_property
-    def prefix(self) -> tuple[np.ndarray, tuple]:
+    def prefix(self) -> "Prefix":
         """`plan[0]` compiled with no angle pinned, in the form run_circuit
         runs it: 2x2 unitaries when noise-free, else superoperators."""
         return compile_prefix(self, {}, pure=not self.has_noise)
@@ -461,7 +461,68 @@ def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[
     return out
 
 
-def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.ndarray, tuple]:
+@dataclass(frozen=True, eq=False)
+class Prefix:
+    """A compiled product-state prefix (:func:`compile_prefix`), or a head of
+    one, laid out by depth for :func:`_prefix`.
+
+    `starts` are the read-only start states, (n, 2) statevectors or (n, 4)
+    density vecs, and `steps` the variable steps (op index, (q,), after) in
+    plan order, `after` a 2x2 unitary, a 4x4 superoperator or None.
+
+    The k-th step of each qubit has depth k.  The qubits stand in `order`
+    (None for 0..n-1), by falling step count, so the qubits with a step at
+    depth k are the first `depths[k][1]` of them.  The steps stand
+    depth-major in that order, depth k from position `depths[k][0]` on,
+    and per position: `ops` holds the op index, `own` the op's own angle,
+    `plain` whether `after` is None, `rows` the step's index in `steps`,
+    and `afters` the read-only `after`, the identity where it is None,
+    stacked as (positions, 1, 1, dim, dim) to broadcast over a probes x
+    samples grid.  `by_kind` lists the positions of each gate kind.
+    """
+
+    starts: np.ndarray
+    steps: tuple
+    order: np.ndarray | None
+    depths: tuple
+    ops: tuple
+    own: tuple
+    plain: tuple
+    rows: np.ndarray
+    afters: np.ndarray
+    by_kind: tuple
+
+    @classmethod
+    def of(cls, circuit: CircuitIR, starts: np.ndarray, steps: tuple) -> "Prefix":
+        """The layout of `steps`, variable prefix steps of `circuit` in plan
+        order, from the start states `starts`."""
+        on = [[step for step in steps if step[1] == (q,)] for q in range(starts.shape[0])]
+        order = sorted(range(len(on)), key=lambda q: -len(on[q]))
+        seq, depths = [], []
+        for k in range(len(on[order[0]]) if steps else 0):
+            here = [on[q][k] for q in order if len(on[q]) > k]
+            depths.append((len(seq), len(here)))
+            seq += here
+        ops = tuple(i for i, _, _ in seq)
+        eye = np.eye(starts.shape[1], dtype=np.complex128)
+        afters = np.array([eye if after is None else after for _, _, after in seq]).reshape(-1, 1, 1, *eye.shape)
+        afters.flags.writeable = False
+        kinds = [circuit.ops[i].kind for i in ops]
+        return cls(
+            starts=starts,
+            steps=tuple(steps),
+            order=None if order == sorted(order) else np.array(order),
+            depths=tuple(depths),
+            ops=ops,
+            own=tuple(circuit.ops[i].angle for i in ops),
+            plain=tuple(after is None for _, _, after in seq),
+            rows=np.array([[i for i, _, _ in steps].index(i) for i in ops], dtype=np.intp),
+            afters=afters,
+            by_kind=tuple((kind, [k for k, kk in enumerate(kinds) if kk == kind]) for kind in dict.fromkeys(kinds)),
+        )
+
+
+def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> Prefix:
     """The product-state prefix, `plan[0]`, with its fixed steps folded away.
 
     A step is fixed when it has no angle or `pinned` (op index -> angle)
@@ -469,7 +530,8 @@ def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.nda
     `after` of the variable-angle step before it, or else into the qubit's
     start state.  Returns the read-only start states, (n, 2) statevectors
     (`pure`, `after` then 2x2) or (n, 4) density vecs, and the variable
-    steps (op index, qubits, after) in plan order."""
+    steps (op index, qubits, after) in plan order, laid out by depth
+    (:class:`Prefix`)."""
     starts = np.zeros((circuit.n_qubits, 2 if pure else 4), dtype=np.complex128)
     starts[:, 0] = 1.0  # e_0 is both |0> and the row-major vec of |0><0|
     steps, last, plan = [], {}, circuit.plan[0]
@@ -487,7 +549,7 @@ def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> tuple[np.nda
             starts[q] = mat @ starts[q]
     for array in [starts] + [after for _, _, after in steps if after is not None]:
         array.flags.writeable = False
-    return starts, tuple(map(tuple, steps))
+    return Prefix.of(circuit, starts, tuple(map(tuple, steps)))
 
 
 def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
@@ -502,35 +564,84 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     return density.apply_superop_batch(density.zero_states(b, circuit.n_qubits), steps, circuit.n_qubits)
 
 
-def _prefix(circuit: CircuitIR, angles: dict, compiled: tuple[np.ndarray, tuple], shape: tuple):
-    """Each row's state after the `compiled` steps of the product-state
-    prefix (:func:`compile_prefix`), the rows laid out over `shape`, the
-    (probes, samples) part of the grid of `angles` that the steps span:
-    from 2x2 unitaries, the (rows, 2^n) product statevectors; from
-    superoperators, one transposed (rows, 2, 2) density factor per qubit.
+def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape: tuple):
+    """Each row's state after the steps of a compiled product-state prefix
+    (:class:`Prefix`), the rows laid out over the (probes, samples) grid
+    that `shape` and the steps' angles span: from 2x2 unitaries, the
+    (rows, 2^n) product statevectors; from superoperators, one transposed
+    (rows, 2, 2) density factor per qubit.  An angle in `angles` (op index
+    -> angle) is one angle, a (B,) array per sample, or a 2-D array that
+    broadcasts to (P, B); a step without one takes its op's own.  Or
+    `angles` is a (steps, B) array of every step's per-sample angles, the
+    steps in plan order, as a served batch's x.T gives its features.
 
-    A qubit's state spans only the grid axes its steps vary over, so a prefix
-    of per-sample encodings and per-probe rotations builds B per-sample and
-    P per-probe factors, not P * B; rows are formed at the end.
+    The steps run one depth at a time.  The gates of one kind and angle
+    shape come from one rotation_batch (and unitary_superop) call.  Each
+    depth's run of steps from one such batch, on leading qubits of
+    `order`, meets its `after`s in one stacked product (per depth, so that
+    at large B no product holds more than one depth's matrices) and then
+    those qubits' states in one more.  A step's matrix and a state's
+    product are each what they would be alone.  The states span only the
+    grid axes the steps so far vary over, so a prefix of per-sample
+    encodings and per-probe rotations runs the encodings on B rows, not
+    P * B.
     """
-    starts, steps = compiled
-    n, size = starts.shape
-    states = list(starts[:, None, None])
-    for (_, (q,), _), mat in zip(steps, _built(circuit, steps, angles, pure=size == 2)):
-        states[q] = np.matmul(mat, states[q][..., None])[..., 0]
-    rows = np.empty((n, *shape, size), dtype=np.complex128)
-    for q, s in enumerate(states):
-        rows[q] = s
-    rows = list(rows.reshape(n, -1, size))
-    return _kron_rows(rows) if size == 2 else [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in rows]
+    n, size = prefix.starts.shape
+    if isinstance(angles, dict):
+        vals = [angles.get(i, own) for i, own in zip(prefix.ops, prefix.own)]
+        groups = {}  # (kind, angle shape) -> positions
+        for kind, idx in prefix.by_kind:
+            for k in idx:
+                groups.setdefault((kind, getattr(vals[k], "shape", ())), []).append(k)
+        batches = [(kind, idx, np.array([vals[k] for k in idx]).reshape(len(idx), *(1,) * (2 - len(ashape)), *ashape))
+                   for (kind, ashape), idx in groups.items()]
+    else:  # (steps, B) per-sample angles, the steps in plan order: one angle shape
+        rows = angles[prefix.rows][:, None]
+        batches = [(kind, idx, rows if len(idx) == len(rows) else rows[idx]) for kind, idx in prefix.by_kind]
+    gates, place = [], {}  # each batch's matrices; with several, position -> (batch, index in it)
+    for kind, idx, stacked in batches:
+        built = rotation_batch(kind, stacked)
+        gates.append(built if size == 2 else density.unitary_superop(built))
+        if len(batches) > 1:
+            place.update((k, (len(gates) - 1, j)) for j, k in enumerate(idx))
+    states = (prefix.starts if prefix.order is None else prefix.starts[prefix.order])[:, None, None].copy()
+    for lo, count in prefix.depths:
+        q = 0
+        while q < count:  # a run of this depth's steps whose gates were built together
+            g, j = place.get(lo + q, (0, lo + q))
+            r = count - q
+            if place:
+                r = next((t for t in range(1, r) if place[lo + q + t][0] != g), r)
+            mats, plain = gates[g][j : j + r], prefix.plain[lo + q : lo + q + r]
+            if not all(plain):
+                out = np.matmul(prefix.afters[lo + q : lo + q + r], mats)
+                if any(plain):  # as built: an identity product can flip the sign of a zero entry
+                    out[list(plain)] = mats[list(plain)]
+                mats = out
+            out = np.matmul(mats, states[q : q + r, ..., None])[..., 0]
+            if r == n:
+                states = out
+            else:
+                if out.shape[1:] != states.shape[1:]:
+                    states = np.broadcast_to(states, (n, *out.shape[1:])).copy()
+                states[q : q + r] = out
+            q += r
+    grid = (max(states.shape[1], shape[0]), max(states.shape[2], shape[1]))
+    if states.shape[1:3] != grid:
+        states = np.broadcast_to(states, (n, *grid, size))
+    if prefix.order is not None:
+        states = states[np.argsort(prefix.order)]
+    if size == 2:
+        return _kron_rows(list(states.reshape(n, -1, 2)))
+    return list(states.reshape(n, -1, 2, 2).swapaxes(2, 3))
 
 
-def product_prefix(circuit: CircuitIR, compiled: tuple[np.ndarray, tuple], overrides: dict):
+def product_prefix(circuit: CircuitIR, prefix: Prefix, angles: dict | np.ndarray):
     """Each row's state after the product-state prefix, run from its
-    `compiled` form, as :func:`_prefix` gives it; `overrides` lay the rows
-    out as run_circuit does."""
-    grid = _Grid.of(overrides)
-    return _prefix(circuit, grid.angles, compiled, (grid.p, grid.b))
+    compiled form, as :func:`_prefix` gives it: the rows laid out over the
+    grid that the angles of its steps span.  `angles` maps op indices to
+    angles, or holds every step's per-sample angles, (steps, B)."""
+    return _prefix(circuit, angles, prefix, (1, 1))
 
 
 def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
@@ -633,10 +744,11 @@ def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.nd
     return z_expectations(circuit, amps).reshape(rows.size, -1)
 
 
-def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[tuple, tuple, int, int, dict]:
-    """The variable steps of the compiled prefix as a head and a lead, the
-    head's probe count (1 or P), and the groups of rows with equal angles
-    in the lead and the rest of the circuit (:meth:`_Grid.groups`).
+def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[Prefix, tuple, int, int, dict]:
+    """The variable steps of the compiled prefix as a head, laid out by
+    depth (:class:`Prefix`), and a lead, the head's probe count (1 or P),
+    and the groups of rows with equal angles in the lead and the rest of
+    the circuit (:meth:`_Grid.groups`).
 
     On each qubit the head holds the steps up to its last one whose angle
     varies by sample, and the lead the steps after it, which vary at most
@@ -661,7 +773,7 @@ def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
     """An entry of `CircuitIR.splits`: `held`, the head, the lead, whether a
     head angle varies by probe, the ops of the lead and the rest, and those
     ops with no step held in the head, which :func:`_split` checks."""
-    steps, by_sample = circuit.prefix[1], {i for i, _, s in varies if s}
+    steps, by_sample = circuit.prefix.steps, {i for i, _, s in varies if s}
     last = {step[1]: k for k, step in enumerate(steps) if step[0] in by_sample}
     moved = [k > last.get(step[1], -1) for k, step in enumerate(steps)]
     rest = {i for i, _, _ in circuit.plan[1]}
@@ -669,6 +781,7 @@ def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
     head = tuple(step for step, mv in zip(steps, moved) if held or not mv)
     lead = () if held else tuple(step for step, mv in zip(steps, moved) if mv)
     head_probe = any(p for i, p, _ in varies if i in {step[0] for step in head})
+    head = circuit.prefix if len(head) == len(steps) else Prefix.of(circuit, circuit.prefix.starts, head)
     return held, head, lead, head_probe, rest if held else lead_ops, lead_ops
 
 
@@ -689,9 +802,9 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int) -> np.ndar
     than a group has rows, and at least one group.
     """
     head, lead, ph, g, angles = _split(circuit, grid, width)
-    states = _prefix(circuit, grid.angles, (circuit.prefix[0], head), (ph, grid.b))
+    states = _prefix(circuit, grid.angles, head, (ph, grid.b))
     m = len(circuit.measured_qubits)
-    entries = circuit.prefix[0].shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
+    entries = circuit.prefix.starts.shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
     chunk = max(1, (grid.rows - 1) // (g * width), PULL_BACK_ENTRIES // (width * entries))
     r = ph * grid.b // min(ph, g)  # the head rows each group meets
     exps = np.empty((g, r, m))
@@ -739,9 +852,12 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
       rest of the prefix and the later steps.  One product meets the head
       rows with every group's pulled-back rows.
     * pure otherwise: the state picture.  The prefix's 2-vectors form each
-      row's statevector, and each later gate is applied once per group.
+      row's statevector, and each later gate is applied once per group, to
+      the group's rows in one product.
     * mixed otherwise: Schroedinger, every row's density matrix evolved
-      through the whole circuit.
+      through the whole circuit.  Each row's diagonal meets the Z signs in
+      a (1, 2^n) @ (2^n, m) product of its own, so a row's result does not
+      depend on the rows beside it.
     """
     grid = _grid(circuit, angle_overrides)
     rest = range(circuit.product_prefix_end, len(circuit.ops))
@@ -750,13 +866,13 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
     if grid.count(rest) * width < grid.rows:
         return _pulled_back_picture(circuit, grid, width)
     if pure:
-        _, angles = grid.groups(rest)
+        g, angles = grid.groups(rest)
         plan = circuit.plan[1]
         steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
         vecs = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
-        return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits))
+        return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits, g))
     probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
-    return np.stack([probs @ signs for signs in circuit.z_signs], axis=1)
+    return (probs[:, None] @ circuit.z_signs.T)[:, 0]  # each row's probabilities in a product of their own
 
 
 def _grid(circuit: CircuitIR, overrides: dict | None) -> _Grid:

@@ -28,7 +28,7 @@ def unitary_superop(mat: np.ndarray) -> np.ndarray:
     return out.reshape(mat.shape[:-2] + (dk * dk, dk * dk))
 
 
-def apply_superop_batch(states: np.ndarray, steps, n: int) -> np.ndarray:
+def apply_superop_batch(states: np.ndarray, steps, n: int, groups: int | None = None) -> np.ndarray:
     """Apply (operator, qubits) steps in order to every state of a batch:
     (B, 2^n, 2^n) density matrices, whose operators are superoperators,
     or (B, 2^n) statevectors, whose operators are unitaries.  One GEMM per
@@ -38,8 +38,9 @@ def apply_superop_batch(states: np.ndarray, steps, n: int) -> np.ndarray:
     the bit sets each qubit has.  An operator on k qubits is (2^(legs k),
     2^(legs k)), shared by every state, or a (G, ., .) stack: the B states
     form G groups of B / G consecutive states and group g takes operator g
-    (G = B: one per state).  Every stack in one call has the same G; with
-    none, each state is its own group.
+    (G = B: one per state).  Every stack in one call has the same G.
+    `groups` gives G; by default it is the stacks' G, or B when no step
+    carries a stack, so that each state is its own group.
 
     A step moves the bits of its qubits (one leg after the other, each in
     the listed order) to the front of each group's (2, ..., 2) view, where
@@ -49,7 +50,7 @@ def apply_superop_batch(states: np.ndarray, steps, n: int) -> np.ndarray:
     the result is put back in the standard order.
     """
     b, legs = states.shape[0], states.ndim - 1
-    g = next((op.shape[0] for op, _ in steps if op.ndim == 3), b)
+    g = groups or next((op.shape[0] for op, _ in steps if op.ndim == 3), b)
     # logical axes: group, state in group, then each leg's bits (qubit n-1 first);
     # order[i] is the logical axis at position i of t
     order = list(range(legs * n + 2))

@@ -26,6 +26,7 @@ import numpy as np
 from .channels import ReadoutConfusion
 from .circuits import (
     PQCTemplate,
+    Prefix,
     assemble_circuit,
     compile_prefix,
     meet,
@@ -130,22 +131,24 @@ def _prepared_circuit(template: PQCTemplate, d: int, profile: DeviceProfile | No
     return circuit, slots
 
 
-def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[tuple, np.ndarray]:
+def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple[Prefix, np.ndarray]:
     """The circuit at the model's PQC parameters, split at the end of its
-    product-state prefix: the prefix compiled with theta pinned, and the
-    rest of the circuit pulled back (:func:`pulled_back`), read-only.  A
-    noise-free circuit holds its prefix as 2x2 unitaries and the rest as
-    the pulled-back basis vectors U^dag e_k, (2^n, 2^n), 1 MB at the
-    8-qubit cap; a noisy one its prefix as superoperators and Phi^dag(Z_q)
-    for each measured qubit q, Phi the rest, (m, 4^n), at most 8 MB.  Held
-    on the model."""
+    product-state prefix: the prefix compiled with theta pinned and laid
+    out by depth (:class:`Prefix`), and the rest of the circuit pulled
+    back (:func:`pulled_back`), read-only.  A noise-free circuit holds its
+    prefix as 2x2 unitaries and the rest as the pulled-back basis vectors
+    U^dag e_k, (2^n, 2^n), 1 MB at the 8-qubit cap; a noisy one its prefix
+    as superoperators and Phi^dag(Z_q) for each measured qubit q, Phi the
+    rest, (m, 4^n), at most 8 MB.  Held on the model."""
     entry = model._readouts.get((d, profile))
     if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)
         pinned = dict(zip(slots[d:], model.theta, strict=True))
         readout = pulled_back(circuit, pinned)
         readout.flags.writeable = False
-        entry = model._readouts[(d, profile)] = (compile_prefix(circuit, pinned, pure=not circuit.has_noise), readout)
+        prefix = compile_prefix(circuit, pinned, pure=not circuit.has_noise)
+        assert [i for i, _, _ in prefix.steps] == list(slots[:d])  # the steps are the features, in order
+        entry = model._readouts[(d, profile)] = (prefix, readout)
     return entry
 
 
@@ -153,16 +156,16 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     """Exact <Z> per qubit for a batch of inputs at the model's parameters,
     shape (B, n), plus the circuit's readout confusion.
 
-    Each row costs its d feature gates, its per-qubit products and one
-    product with the held readout (:func:`meet`).  A row's result does not
-    depend on the rest of the batch.
+    The features go in straight from `x.T`: the batch's d feature gates
+    run one depth at a time (:func:`product_prefix`), then each row meets
+    the held readout (:func:`meet`).  A row's result does not depend on
+    the rest of the batch.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
-    circuit, slots = _prepared_circuit(model.template, d, profile)
+    circuit, _ = _prepared_circuit(model.template, d, profile)
     prefix, readout = _readout(model, d, profile)
-    features = dict(zip(slots[:d], x.T, strict=True))
-    return meet(circuit, product_prefix(circuit, prefix, features), np.arange(b), readout), circuit.readout
+    return meet(circuit, product_prefix(circuit, prefix, x.T), np.arange(b), readout), circuit.readout
 
 
 def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):

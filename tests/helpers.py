@@ -1,6 +1,6 @@
 """Shared test utilities: an independent full-register embedding oracle,
-an unfused circuit reference, a step-at-a-time gate-matrix reference, and
-<Z> read off density matrices.
+an unfused circuit reference, step-at-a-time gate-matrix and product-state
+prefix references, and <Z> read off density matrices.
 
 The simulator applies 2x2/4x4 operators by tensor contraction; these
 helpers build explicit 2^n x 2^n matrices by brute-force index arithmetic
@@ -11,6 +11,7 @@ noise point on its own instead.
 
 import numpy as np
 
+from qsteal.circuits import _kron_rows
 from qsteal.density import apply_superop_batch, unitary_superop, zero_states
 from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
 
@@ -108,3 +109,24 @@ def per_step_matrices(circuit, steps, angles: dict, pure: bool = False) -> list:
         gate = mat if pure else unitary_superop(mat)
         out.append(gate if after is None else after @ gate)
     return out
+
+
+def per_step_prefix(circuit, angles: dict, prefix, shape) -> np.ndarray | list:
+    """Each row's state after the steps of a compiled prefix, one step at a
+    time: each step's matrix built on its own (`per_step_matrices`), then
+    one product with its qubit's state.  A reference for
+    `circuits._prefix`, which runs the steps one depth at a time; it takes
+    the same arguments and lays the rows out over the grid that `shape`
+    and the steps' angles span."""
+    angles = {i: np.asarray(a) for i, a in angles.items()}
+    angles = {i: a[None] if a.ndim == 1 else a for i, a in angles.items()}
+    shape = np.broadcast_shapes(shape, *(angles[i].shape for i, _, _ in prefix.steps if i in angles))
+    n, size = prefix.starts.shape
+    states = list(prefix.starts[:, None, None])
+    for (_, (q,), _), mat in zip(prefix.steps, per_step_matrices(circuit, prefix.steps, angles, pure=size == 2)):
+        states[q] = np.matmul(mat, states[q][..., None])[..., 0]
+    rows = np.empty((n, *shape, size), dtype=np.complex128)
+    for q, state in enumerate(states):
+        rows[q] = state
+    rows = list(rows.reshape(n, -1, size))
+    return _kron_rows(rows) if size == 2 else [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in rows]

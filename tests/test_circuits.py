@@ -26,7 +26,14 @@ from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.density import unitary_superop
 from qsteal.gates import GATE_KINDS, GateOp, rotation_batch
 
-from helpers import assert_density_matrix, embed_full, exp_z_batch, per_step_matrices, unfused_states
+from helpers import (
+    assert_density_matrix,
+    embed_full,
+    exp_z_batch,
+    per_step_matrices,
+    per_step_prefix,
+    unfused_states,
+)
 
 
 def _rz_slots(d):
@@ -331,8 +338,31 @@ class TestPictures:
         assert bool(used) == pulled
 
     def test_single_row_stays_on_the_evolved_states_bitwise(self):
+        # Schroedinger reads each row's diagonal against the signs in a (1, 2^n) @ (2^n, m) product
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
-        np.testing.assert_array_equal(run_circuit(circuit, overrides), _z(final_states(circuit, overrides), circuit))
+        probs = np.einsum("bii->bi", final_states(circuit, overrides)).real
+        assert run_circuit(circuit, overrides).tobytes() == (probs[:, None] @ circuit.z_signs.T)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    def test_schroedinger_rows_read_out_alone_and_near_the_per_qubit_readout(self, monkeypatch, tid):
+        # each row's result is what it is alone; against one (rows, 2^n) @ (2^n,) product per measured
+        # qubit, the readout this one replaced, the drift stays within 1e-12
+        pulled, used = _spy(monkeypatch, "_pulled_back_picture"), set()
+        for n in range(2 if tid != "PQC1" else 1, 6):
+            for profile in (DEV_A, DEV_B):
+                for n_probes, b in ((1, 1), (1, 3), (3, 2)):
+                    circuit, overrides = _model_circuit(tid, n, profile, b, n_probes, seed=n + b)
+                    got = run_circuit(circuit, overrides)
+                    if pulled:
+                        pulled.clear()
+                        continue
+                    probs = np.einsum("bii->bi", final_states(circuit, overrides)).real
+                    old = np.stack([probs @ signs for signs in circuit.z_signs], axis=1)
+                    np.testing.assert_allclose(got, old, rtol=0, atol=1e-12)
+                    last = _sub_grid(overrides, [n_probes - 1], [b - 1])
+                    assert got[-1].tobytes() == run_circuit(circuit, last)[0].tobytes()
+                    used.add((n, n_probes * b))
+        assert len(used) >= 8
 
     def test_wide_channel_ends_the_product_prefix(self):
         # a 2-qubit channel after a 1-qubit gate keeps the gate out of the prefix
@@ -472,9 +502,9 @@ def _kernel_calls(monkeypatch):
     calls = []
     original = density_mod.apply_unitary_vec
 
-    def recorded(vecs, steps, n):
+    def recorded(vecs, steps, n, *groups):
         calls.append((vecs.shape, [op.shape for op, _ in steps]))
-        return original(vecs, steps, n)
+        return original(vecs, steps, n, *groups)
 
     monkeypatch.setattr(density_mod, "apply_unitary_vec", recorded)
     return calls
@@ -548,6 +578,27 @@ class TestUnitaryPicture:
         [(stack, ops)] = calls
         assert stack == (16 * b, 2**n)
         assert len(ops) == len(circuit.plan[1]) and {op[0] for op in ops} == {16}
+
+    @pytest.mark.parametrize("n, b", [(4, 16), (6, 64), (3, 5)])
+    def test_shared_later_angles_run_the_state_picture_as_one_group(self, monkeypatch, n, b):
+        # one probe: every angle after the prefix is shared, so the rows form one group and each later
+        # gate is one product over all of them; a noisy circuit's kernel calls take the default grouping
+        import qsteal.density as density_mod
+
+        groups = {}
+        for name in ("apply_unitary_vec", "apply_superop_batch"):
+            original = getattr(density_mod, name)
+            monkeypatch.setattr(density_mod, name, lambda *a, _name=name, _original=original:
+                                groups.setdefault(_name, []).append(a[3:]) or _original(*a))
+        pulled = _spy(monkeypatch, "pulled_back")
+        circuit, overrides = _model_circuit("PQC19", n, None, b, seed=n)
+        got = run_circuit(circuit, overrides)
+        assert not pulled and groups == {"apply_unitary_vec": [(1,)]}
+        np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
+        groups.clear()
+        for n_probes, rows in ((1, 1), (16, 32)):  # Schroedinger; pulled back
+            run_circuit(*_model_circuit("PQC19", 3, DEV_A, rows, n_probes, seed=n))
+        assert groups["apply_superop_batch"] == [()] * 2 and "apply_unitary_vec" not in groups
 
     @pytest.mark.parametrize("n_probes, b", [(16, 32), (2, 32), (1, 300)])
     def test_no_stack_holds_more_than_the_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
@@ -701,7 +752,7 @@ class TestCompiledPrefix:
     @pytest.mark.parametrize("profile", [None, DEV_A], ids=["none", "devA"])
     def test_run_circuit_folds_only_the_angle_free_steps(self, profile):
         circuit, _ = _model_circuit("PQC19", 4, profile, 3)
-        starts, steps = circuit.prefix
+        starts, steps = circuit.prefix.starts, circuit.prefix.steps
         assert [i for i, _, _ in steps] == _angled(circuit)
         assert starts.shape == (4, 2 if profile is None else 4)
         if profile is None:
@@ -715,7 +766,7 @@ class TestCompiledPrefix:
         circuit = _hand_built(case)
         angles = {i: 0.37 * (i + 1) for i in _angled(circuit)}
         pinned = compile_prefix(circuit, angles, pure=False)
-        assert pinned[1] == ()  # every prefix step is fixed, so only the start states remain
+        assert pinned.steps == ()  # every prefix step is fixed, so only the start states remain
         want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), angles)
         got = product_prefix(circuit, pinned, {})
         for g, w in zip(got, want, strict=True):
@@ -728,7 +779,7 @@ class TestCompiledPrefix:
         circuit, overrides = _model_circuit(tid, 4, profile, 5, seed=2)
         features = {i: a for i, a in overrides.items() if np.ndim(a) == 1}
         compiled = compile_prefix(circuit, {i: a for i, a in overrides.items() if np.ndim(a) == 0}, pure=False)
-        assert [i for i, _, _ in compiled[1]] == sorted(features)
+        assert [i for i, _, _ in compiled.steps] == sorted(features)
         want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), overrides)
         for g, w in zip(product_prefix(circuit, compiled, features), want, strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
@@ -912,9 +963,11 @@ class TestBuilder:
         circuit, overrides = _model_circuit(tid, 4, profile, 5, seed=4)
         pinned = {i: a for i, a in overrides.items() if np.ndim(a) == 0}
         pure = not circuit.has_noise
-        starts, steps = compile_prefix(circuit, pinned, pure)
+        compiled = compile_prefix(circuit, pinned, pure)
+        starts, steps = compiled.starts, compiled.steps
         monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
-        want_starts, want_steps = compile_prefix(circuit, pinned, pure)
+        want = compile_prefix(circuit, pinned, pure)
+        want_starts, want_steps = want.starts, want.steps
         assert starts.tobytes() == want_starts.tobytes()
         assert [s[:2] for s in steps] == [s[:2] for s in want_steps]
         assert _bytes(a for _, _, a in steps if a is not None) == _bytes(a for _, _, a in want_steps if a is not None)
@@ -931,6 +984,130 @@ class TestBuilder:
         monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
         runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
         assert got == [run_circuit(*run).tobytes() for run in runs] + [final_states(*runs[-1]).tobytes()]
+
+
+def _served(tid, n, profile, d, seed=0):
+    """A woven model circuit for d features, its feature slots and its PQC
+    angles, as the serving path prepares them."""
+    t = PQCTemplate(tid, n)
+    circuit = assemble_circuit(np.zeros(d), t, np.zeros(t.param_count))
+    circuit = circuit if profile is None else weave_noise(circuit, profile)
+    slots = [i for i, op in enumerate(circuit.ops) if op.angle is not None]
+    thetas = np.random.default_rng(seed).uniform(0, 2 * np.pi, t.param_count)
+    return circuit, slots[:d], dict(zip(slots[d:], thetas))
+
+
+class _CountingNumpy:
+    """numpy, with each np.matmul call counted."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args):
+        self.matmuls += 1
+        return np.matmul(*args)
+
+
+class TestDepthPrefix:
+    """circuits._prefix runs a compiled prefix one depth at a time; every
+    row's state equals the per-step loop of helpers.per_step_prefix, byte
+    for byte, served or in a run_circuit head."""
+
+    WIDTHS = {tid: range(1 if tid == "PQC1" else 2, MAX_QUBITS + 1) for tid in TEMPLATE_IDS}
+    BATCHES = (1, 2, 5, 50, 700)
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    def test_product_prefix_matches_the_per_step_loop(self, tid):
+        # d = 8 leaves qubits unencoded at widths 5-7, d = 3 is fewer features than qubits from width 4;
+        # pinned: the served prefix, only feature steps; unpinned: every angled step, theta shared
+        rng = np.random.default_rng(1)
+        k = 0
+        for n in self.WIDTHS[tid]:
+            for profile in (IDEAL, DEV_A, DEV_B):
+                for d in (3, 8):
+                    circuit, features, thetas = _served(tid, n, profile, d, seed=n + d)
+                    pure = not circuit.has_noise
+                    for pinned in (thetas, {}):
+                        b = self.BATCHES[k % len(self.BATCHES)]
+                        k += 1
+                        prefix = compile_prefix(circuit, pinned, pure)
+                        x = rng.uniform(0, 2 * np.pi, (b, d))
+                        angles = {**dict(zip(features, x.T)), **({} if pinned else thetas)}
+                        got = product_prefix(circuit, prefix, angles)
+                        want = _bytes(_as_list(per_step_prefix(circuit, angles, prefix, (1, 1))))
+                        assert _bytes(_as_list(got)) == want
+                        if pinned:  # the served form: the features' rows of x.T, in op order
+                            assert _bytes(_as_list(product_prefix(circuit, prefix, x.T))) == want
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A, DEV_B], ids=["ideal", "devA", "devB"])
+    def test_run_circuit_heads_match_the_per_step_loop(self, monkeypatch, tid, profile):
+        # the pulled-back picture's head and the state picture's whole prefix, over the probes x samples
+        # grids, with per-row or per-probe feature angles making a head that varies by probe
+        import qsteal.circuits as circuits_mod
+
+        heads = []
+        original = circuits_mod._prefix
+        monkeypatch.setattr(circuits_mod, "_prefix", lambda *a: heads.append((a, original(*a))) or heads[-1][1])
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 4 if tid == "PQC6" else 5):  # 5 qubits leave one unencoded at d = 8
+            for n_probes, b in ((1, 1), (1, 5), (16, 3), (4, 9)):
+                circuit, overrides = _model_circuit(tid, n, profile, b, n_probes, seed=n + b)
+                runs = [overrides]
+                if n_probes > 1:
+                    first = min(overrides)
+                    runs += [{**overrides, first: rng.uniform(0, 2 * np.pi, (n_probes, b))},
+                             {**overrides, first: rng.uniform(0, 2 * np.pi, (n_probes, 1))}]
+                for run in runs:
+                    run_circuit(circuit, run)
+        # Schroedinger runs no prefix; every pulled-back and state-picture call runs one
+        assert len(heads) >= 12 and any(shape[0] > 1 for (_, _, _, shape), _ in heads)
+        for args, got in heads:
+            assert _bytes(_as_list(got)) == _bytes(_as_list(per_step_prefix(*args)))
+
+    @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
+    def test_qubits_with_more_steps_stand_first(self, case):
+        # the angled prefix steps sit on later qubits, so the states run in a permuted qubit order
+        from dataclasses import replace
+
+        noisy = _hand_built(case)
+        for circuit in (noisy, replace(noisy, noise_points=())):
+            prefix = compile_prefix(circuit, {}, not circuit.has_noise)
+            assert prefix.order is not None and prefix.depths == ((0, len(_angled(circuit))),)
+            for b in (1, 5):
+                angles = {i: np.linspace(-1.0, 2.5, b) + i for i in _angled(circuit)}
+                want = per_step_prefix(circuit, angles, prefix, (1, 1))
+                assert _bytes(_as_list(product_prefix(circuit, prefix, angles))) == _bytes(_as_list(want))
+
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
+    @pytest.mark.parametrize("d", [4, 8, 16, 32])
+    def test_one_rotation_batch_per_kind_and_angle_shape_and_at_most_two_products_per_depth(self, monkeypatch, profile, d):
+        # 4 qubits of d / 4 feature steps each: d / 4 depths served, d / 4 + 2 with theta's rotations
+        import qsteal.circuits as circuits_mod
+
+        rotations = _spy(monkeypatch, "rotation_batch")
+        counting = _CountingNumpy()
+        circuit, features, thetas = _served("PQC19", 4, profile, d)
+        for pinned, depths in ((thetas, d // 4), ({}, d // 4 + 2)):
+            prefix = compile_prefix(circuit, pinned, not circuit.has_noise)
+            assert [count for _, count in prefix.depths] == [4] * depths
+            angles = {**dict(zip(features, np.zeros((d, 5)))), **({} if pinned else thetas)}
+            rotations.clear()
+            monkeypatch.setattr(circuits_mod, "np", counting)
+            product_prefix(circuit, prefix, angles)
+            monkeypatch.setattr(circuits_mod, "np", np)
+            assert sorted((kind, np.shape(a)) for kind, a in rotations) == (
+                [("RZ", (d, 1, 5))] if pinned else [("RX", (4, 1, 1)), ("RZ", (4, 1, 1)), ("RZ", (d, 1, 5))])
+            # a state product per depth, and an `after` product per depth where a step has an `after`
+            assert counting.matmuls == depths + sum(not all(prefix.plain[lo : lo + c]) for lo, c in prefix.depths)
+            counting.matmuls = 0
+
+
+def _as_list(states):
+    return states if isinstance(states, list) else [states]
 
 
 class TestSplitTable:

@@ -220,6 +220,30 @@ class TestBatchedKernels:
         one_group = apply_unitary_vec(vecs, [(mats[:1], qubits)], n)
         np.testing.assert_allclose(one_group, apply_unitary_vec(vecs, [(mats[0], qubits)], n), rtol=0, atol=1e-14)
 
+    def test_a_group_count_from_the_caller_runs_each_step_in_one_product(self, monkeypatch):
+        # G = 1: every state in one group, one GEMM per shared step; by default each state is its own group
+        rng = np.random.default_rng(59)
+        n, b = 4, 6
+        vecs = rng.normal(size=(b, 2**n)) + 1j * rng.normal(size=(b, 2**n))
+        states = _random_states(rng, n, b)
+        steps = [(gate_matrix(op), op.qubits) for op in (random_gate(rng, n) for _ in range(8))]
+        superops = [(unitary_superop(u), qubits) for u, qubits in steps] + [(amplitude_damping(0.2).superop, (1,))]
+        groups = []
+        original = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda op, t: groups.append(t.shape[0]) or original(op, t))
+        one = apply_unitary_vec(vecs, steps, n, 1)
+        assert groups == [1] * len(steps)
+        groups.clear()
+        default = apply_unitary_vec(vecs, steps, n)
+        assert groups == [b] * len(steps)
+        monkeypatch.undo()
+        np.testing.assert_allclose(one, default, rtol=0, atol=1e-14)
+        # by default a state's result is what it is alone, byte for byte, which the noisy pictures rely on
+        mixed = apply_superop_batch(states, superops, n)
+        for i in range(b):
+            assert default[i].tobytes() == apply_unitary_vec(vecs[i : i + 1], steps, n)[0].tobytes()
+            assert mixed[i].tobytes() == apply_superop_batch(states[i : i + 1], superops, n)[0].tobytes()
+
     def test_statevectors_run_the_density_kernel(self):
         # one body: the statevector name is the same code, read with one leg per qubit
         assert apply_unitary_vec.__code__ is apply_superop_batch.__code__

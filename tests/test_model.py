@@ -137,7 +137,8 @@ class TestReadoutCache:
         got = expectations_batch(m, x, DEV_A)
         np.testing.assert_allclose(got, self._evolved(m, x, DEV_A), rtol=0, atol=1e-12)
         assert list(m._readouts) == [(8, DEV_A)]
-        (starts, steps), obs = m._readouts[(8, DEV_A)]
+        prefix, obs = m._readouts[(8, DEV_A)]
+        starts, steps = prefix.starts, prefix.steps
         assert obs.shape == (8, 4**8)
         assert obs.nbytes <= 8 * 2**20
         # the compiled prefix adds one start state and one 4x4 `after` per feature gate
@@ -182,8 +183,8 @@ class TestReadoutCache:
         assert len(pinned) == 2
         np.testing.assert_array_equal(pinned[0], model.theta)
         np.testing.assert_array_equal(pinned[1], nudged.theta)
-        (_, steps), _ = model._readouts[(8, DEV_A)]
-        (_, nudged_steps), _ = nudged._readouts[(8, DEV_A)]
+        steps = model._readouts[(8, DEV_A)][0].steps
+        nudged_steps = nudged._readouts[(8, DEV_A)][0].steps
         # the last feature gate on each qubit carries that qubit's folded theta rotations
         for a, b in zip(steps[1::2], nudged_steps[1::2], strict=True):
             assert a[0] == b[0] and a[2] is not b[2] and not np.array_equal(a[2], b[2])
@@ -225,7 +226,8 @@ class TestReadoutCache:
             np.testing.assert_allclose(got, self._evolved(model, x, profile or IDEAL), rtol=0, atol=1e-12)
             expectations_batch(model, x, profile)
         assert len(pulled) == 2
-        (starts, steps), y = model._readouts[(8, IDEAL)]
+        prefix, y = model._readouts[(8, IDEAL)]
+        starts, steps = prefix.starts, prefix.steps
         # 2x2 unitaries in the prefix, and the rest's basis vectors pulled back, U^dag e_k: a unitary's rows
         assert starts.shape == (4, 2) and all(after is None or after.shape == (2, 2) for _, _, after in steps)
         assert y.shape == (16, 16)
@@ -234,9 +236,10 @@ class TestReadoutCache:
     def test_entries_are_read_only(self, model):
         for profile in (IDEAL, DEV_A):
             forward_batch(model, _inputs(1), profile)
-            (starts, steps), obs = model._readouts[(8, profile)]
+            prefix, obs = model._readouts[(8, profile)]
+            starts, steps = prefix.starts, prefix.steps
             assert isinstance(steps, tuple) and all(isinstance(step, tuple) for step in steps)
-            for array in [obs, starts] + [after for _, _, after in steps]:
+            for array in [obs, starts, prefix.afters] + [after for _, _, after in steps]:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 0.0
 
@@ -289,7 +292,8 @@ class TestCompiledPrefix:
             m = init_model(PQCTemplate(tid, n), k=2, seed=n)
             forward_batch(m, _inputs(1), DEV_A)
             circuit, slots = model_mod._prepared_circuit(m.template, 8, DEV_A)
-            (starts, steps), _ = m._readouts[(8, DEV_A)]
+            prefix = m._readouts[(8, DEV_A)][0]
+            starts, steps = prefix.starts, prefix.steps
             assert [i for i, _, _ in steps] == list(slots[:8])
             encoded = [q for q, feats in enumerate(encode_layout(8, n)) if feats]
             assert sorted({q for _, (q,), _ in steps}) == encoded
