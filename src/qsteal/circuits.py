@@ -39,6 +39,13 @@ MAX_QUBITS = 8
 #: take 32 MB at the 8-qubit cap
 CONTRACT_ROWS = 32
 
+#: samples per head call of :func:`hold_head`: at d = 8 a chunk's stacked
+#: feature gates take 128 KB as unitaries and 512 KB as superoperators;
+#: one call on a 700-sample set made 350 KB and 1.4 MB, and raised the
+#: process's peak RSS by about 0.4 MB where chunks raise it by the held
+#: states alone
+HOLD_ROWS = 256
+
 #: entries of the observables one pull-back call may hold even where that is
 #: more matrices than a group has rows: 2^19 (8 MB) take every probe's m
 #: pulled-back Z_q at up to 6 qubits, and less than one probe's at 8
@@ -430,6 +437,12 @@ class _Grid:
         p, b = self.span(ops)
         return p if b == 1 else self.rows
 
+    def samples(self, lo: int, hi: int) -> "_Grid":
+        """The grid of samples lo to hi - 1, under the same probes."""
+        b = min(hi, self.b) - lo
+        return _Grid(self.p, b, {i: a[:, lo : lo + b] if a.ndim == 2 and a.shape[1] > 1 else a
+                                 for i, a in self.angles.items()})
+
 
 #: superoperators of the gates that take no angle, built once
 _FIXED_SUPEROPS = {
@@ -785,14 +798,58 @@ def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
     return held, head, lead, head_probe, rest if held else lead_ops, lead_ops
 
 
-def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class HeldHead:
+    """The head of one split (:func:`_split`), run once on every sample of
+    a data set (:func:`hold_head`): `states` as :func:`_prefix` gives them,
+    (N, 2^n) product statevectors or n transposed (N, 2, 2) density
+    factors, for the grids whose overrides vary as `varies` says."""
+
+    head: Prefix
+    varies: tuple
+    states: np.ndarray | list
+
+
+def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead | None:
+    """The per-sample head of the split that run_circuit makes of a probes
+    x samples grid, run on all N of the grid's samples, for calls that
+    each take `batch` of them (:func:`run_circuit`'s `held`).
+
+    The head is the one a call on the first `batch` samples splits off, so
+    a call on any `batch` samples with the same probes meets its rows
+    here.  None when such a call takes another picture, or its head varies
+    by probe, or it has a single sample, whose angles vary by nothing.
+    The head runs on HOLD_ROWS samples at a time, which bounds the arrays
+    it makes; a row's state does not depend on the rows run beside it.
+    """
+    grid = _grid(circuit, angle_overrides)
+    call, width = grid.samples(0, batch), _width(circuit)
+    if call.b < 2 or call.count(_rest_ops(circuit)) * width >= call.rows:
+        return None
+    head, _, ph, _, _ = _split(circuit, call, width)
+    if ph != 1:
+        return None
+    n = circuit.n_qubits
+    states = np.empty((n, grid.b, 2, 2) if circuit.has_noise else (grid.b, 2**n), dtype=np.complex128)
+    for lo in range(0, grid.b, HOLD_ROWS):
+        part = grid.samples(lo, lo + HOLD_ROWS)
+        if circuit.has_noise:
+            states[:, lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
+        else:
+            states[lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
+    return HeldHead(head, call.varies, list(states) if circuit.has_noise else states)
+
+
+def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int, held: tuple | None = None) -> np.ndarray:
     """<Z> per measured qubit for every row, from its head state and its
     group's pulled-back rows.
 
     The compiled prefix splits into a head and a lead (:func:`_split`).
     The head runs on the head rows, the B samples or all P * B rows when a
     head angle varies by probe, as product statevectors (pure) or 2x2
-    density factors (mixed).  The lead joins the rest of the circuit,
+    density factors (mixed); or, when `held` is a (:class:`HeldHead`, B
+    row indices) pair held for this head, the B samples are those rows of
+    the held states.  The lead joins the rest of the circuit,
     through which each group of rows with equal angles there (the P
     probes, or one group) pulls back its `width` rows once.  Groups are
     pulled back a chunk at a time, and each chunk meets the head rows in
@@ -802,17 +859,20 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int) -> np.ndar
     than a group has rows, and at least one group.
     """
     head, lead, ph, g, angles = _split(circuit, grid, width)
-    states = _prefix(circuit, grid.angles, head, (ph, grid.b))
+    r = ph * grid.b // min(ph, g)  # the head rows each group meets
+    if held is not None and held[0].head is head and held[0].varies == grid.varies:
+        states, rows = held[0].states, held[1]
+    else:
+        states, rows = _prefix(circuit, grid.angles, head, (ph, grid.b)), np.arange(r)
     m = len(circuit.measured_qubits)
     entries = circuit.prefix.starts.shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
     chunk = max(1, (grid.rows - 1) // (g * width), PULL_BACK_ENTRIES // (width * entries))
-    r = ph * grid.b // min(ph, g)  # the head rows each group meets
     exps = np.empty((g, r, m))
     for lo in range(0, g, chunk):
         part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
         obs = pulled_back(circuit, part, lead)
         if ph == 1:
-            exps[lo : lo + chunk] = meet(circuit, states, np.arange(r), obs).reshape(r, -1, m).swapaxes(0, 1)
+            exps[lo : lo + chunk] = meet(circuit, states, rows, obs).reshape(r, -1, m).swapaxes(0, 1)
         else:  # a head that varies by probe holds each group's own rows, so each group meets only its own
             for k in range(lo, min(lo + chunk, g)):
                 own = obs[(k - lo) * width : (k - lo + 1) * width]
@@ -830,7 +890,9 @@ def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None) -> np.ndarray:
+def run_circuit(
+    circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None, held: tuple | None = None
+) -> np.ndarray:
     """Execute the circuit and return exact <Z> per measured qubit, shape
     (P * B, m), rows probe-major.
 
@@ -858,14 +920,20 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
       through the whole circuit.  Each row's diagonal meets the Z signs in
       a (1, 2^n) @ (2^n, m) product of its own, so a row's result does not
       depend on the rows beside it.
+
+    `held`, a (:class:`HeldHead`, rows) pair from :func:`hold_head`, gives
+    the B samples' head states as those rows of a data set's held states:
+    the pulled-back picture then meets them instead of running the head
+    from the samples' angles, which must be those rows' angles.  Any other
+    picture or split runs from the angles, so the result is the same.
     """
     grid = _grid(circuit, angle_overrides)
-    rest = range(circuit.product_prefix_end, len(circuit.ops))
-    pure = not circuit.has_noise
-    width = 2**circuit.n_qubits if pure else len(circuit.measured_qubits)
+    if held is not None and len(held[1]) != grid.b:
+        raise ValueError(f"{len(held[1])} held rows for a grid of {grid.b} samples")
+    width, rest = _width(circuit), _rest_ops(circuit)
     if grid.count(rest) * width < grid.rows:
-        return _pulled_back_picture(circuit, grid, width)
-    if pure:
+        return _pulled_back_picture(circuit, grid, width, held)
+    if not circuit.has_noise:
         g, angles = grid.groups(rest)
         plan = circuit.plan[1]
         steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
@@ -873,6 +941,17 @@ def run_circuit(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | Non
         return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits, g))
     probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
     return (probs[:, None] @ circuit.z_signs.T)[:, 0]  # each row's probabilities in a product of their own
+
+
+def _width(circuit: CircuitIR) -> int:
+    """The rows a group's readout pulls back: 2^n basis vectors when the
+    circuit is noise-free, else its m measured Z_q."""
+    return len(circuit.measured_qubits) if circuit.has_noise else 2**circuit.n_qubits
+
+
+def _rest_ops(circuit: CircuitIR) -> range:
+    """The ops after the product-state prefix."""
+    return range(circuit.product_prefix_end, len(circuit.ops))
 
 
 def _grid(circuit: CircuitIR, overrides: dict | None) -> _Grid:

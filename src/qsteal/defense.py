@@ -90,12 +90,16 @@ class VictimService:
         is deterministic per (seed, query order) and a batch answers exactly
         as its rows sent one at a time.  The rows that drew the same pair go
         through one forward_batch call.  The selection log grows only once
-        the whole call has succeeded.
+        the whole call has succeeded; a call with a NaN or infinite input
+        is refused before any pair is drawn.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2):
             raise ValueError(f"predict takes one input (d,) or a batch (B, d), got shape {x.shape}")
         rows = np.atleast_2d(x)
+        if not np.isfinite(rows).all():
+            row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+            raise ValueError(f"query row {row} is not finite: {rows[row]}")
         first = len(self.selection_log)
         b = rows.shape[0]
         # a draw over a single pair always returns it

@@ -25,10 +25,12 @@ import numpy as np
 
 from .channels import ReadoutConfusion
 from .circuits import (
+    HeldHead,
     PQCTemplate,
     Prefix,
     assemble_circuit,
     compile_prefix,
+    hold_head,
     meet,
     product_prefix,
     pulled_back,
@@ -168,16 +170,34 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     return meet(circuit, product_prefix(circuit, prefix, x.T), np.arange(b), readout), circuit.readout
 
 
-def _probe_expectations(template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None):
+def _probe_overrides(slots: tuple, thetas: np.ndarray, x: np.ndarray) -> dict:
+    """The angles of the P probes x B samples grid: features vary by sample
+    (B,), parameters by probe (P, 1)."""
+    return dict(zip(slots, [*x.T, *thetas.T[:, :, None]], strict=True))
+
+
+def _probe_expectations(
+    template: PQCTemplate, thetas: np.ndarray, x: np.ndarray, profile: DeviceProfile | None, held: tuple | None = None
+):
     """Exact <Z> per qubit for P PQC parameter vectors over one batch of
     inputs, from one run_circuit call on the P probes x B samples grid:
     shape (P, B, n), plus the circuit's readout confusion."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     b, d = x.shape
     circuit, slots = _prepared_circuit(template, d, profile)
-    # features vary by sample (B,), parameters by probe (P, 1)
-    overrides = dict(zip(slots, [*x.T, *thetas.T[:, :, None]], strict=True))
-    return run_circuit(circuit, overrides).reshape(thetas.shape[0], b, -1), circuit.readout
+    exps = run_circuit(circuit, _probe_overrides(slots, thetas, x), held)
+    return exps.reshape(thetas.shape[0], b, -1), circuit.readout
+
+
+def hold_features(
+    template: PQCTemplate, x: np.ndarray, profile: DeviceProfile | None, probes: int, batch: int
+) -> HeldHead | None:
+    """The per-sample head of every row of `x` (:func:`hold_head`), for
+    forward_probes calls of `probes` parameter vectors on `batch` of its
+    rows at a time; None when such a call would not meet held rows."""
+    x = np.asarray(x, dtype=np.float64)
+    circuit, slots = _prepared_circuit(template, x.shape[1], profile)
+    return hold_head(circuit, _probe_overrides(slots, np.zeros((probes, template.param_count)), x), batch)
 
 
 def _sampled(exps: np.ndarray, readout: ReadoutConfusion | None, shots: int, rng) -> np.ndarray:
@@ -214,14 +234,18 @@ def forward_probes(
     profile: DeviceProfile | None = None,
     shots: int | None = None,
     rngs=None,
+    held: tuple[HeldHead, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Class probabilities of P flat parameter vectors (shaped like
     ``model.flat_params()``) on one batch of inputs, shape (P, B, k).
 
     All P * B circuits run in one run_circuit call on the probes x samples
-    grid; probe p draws its shot noise from ``rngs[p]``.  The P heads apply
-    as one stacked product, each probe's rows exactly as forward_batch
-    would compute them.
+    grid; probe p draws its shot noise from ``rngs[p]``.  `held`, a
+    (:func:`hold_features` result, row indices) pair with ``x`` those rows
+    of the held inputs, lets the call meet the rows' held head states
+    instead of running their feature gates (run_circuit's `held`).  The P
+    heads apply as one stacked product, each probe's rows exactly as
+    forward_batch would compute them.
     """
     flats = np.asarray(flats, dtype=np.float64)
     if flats.ndim != 2 or flats.shape[1] != model.n_params:
@@ -230,7 +254,7 @@ def forward_probes(
         rngs = [None] * flats.shape[0]
     t = model.template.param_count
     w = model.weights.size
-    exps, readout = _probe_expectations(model.template, flats[:, :t], x, profile)
+    exps, readout = _probe_expectations(model.template, flats[:, :t], x, profile, held)
     if shots is not None:
         exps = np.stack([_sampled(e, readout, shots, rng) for e, rng in zip(exps, rngs, strict=True)])
     heads = flats[:, t : t + w].reshape(-1, *model.weights.shape).transpose(0, 2, 1)

@@ -10,11 +10,12 @@ purpose), so training is bitwise reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .devices import DeviceProfile
-from .model import HybridModel, forward_batch, forward_probes, kl_terms, mean_nll, nll_terms
+from .model import HybridModel, forward_batch, forward_probes, hold_features, kl_terms, mean_nll, nll_terms
 
 LOSS_KINDS = ("nll_top1", "kl_topk")
 
@@ -76,9 +77,20 @@ class TrainHistory:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A random +-1 sign vector of length n."""
-    return rng.integers(0, 2, size=n) * 2.0 - 1.0
+def spsa_signs(seed: int, epoch: int, batch: int, draws: int, n: int) -> np.ndarray:
+    """A step's (draws, n) random +-1 SPSA sign vectors, draw j's from the
+    stream (seed, epoch, batch, _DELTA, j).
+
+    Each is what ``stream(...).integers(0, 2, size=n) * 2.0 - 1.0`` gives,
+    read from the raw PCG64 words: that Lemire draw over a range of 2
+    keeps the top bit of each 32-bit half of a word, low half first, so
+    sign 2i is bit 31 of word i and sign 2i + 1 its bit 63.
+    """
+    words = np.stack([
+        np.random.PCG64([seed, epoch, batch, _DELTA, draw]).random_raw(-(-n // 2)) for draw in range(draws)
+    ])
+    bits = (words[..., None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(draws, -1)[:, :n] * 2.0 - 1.0
 
 
 def spsa_probes(theta: np.ndarray, deltas: np.ndarray, c: float) -> np.ndarray:
@@ -151,6 +163,9 @@ def _probe_losses(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> n
 def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("training set is empty")
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"feature row {row}, column {col} is not finite: {features[row, col]}")
     if targets.shape[0] != features.shape[0]:
         raise ValueError("features and targets disagree on sample count")
     if cfg.loss == "nll_top1":
@@ -207,29 +222,39 @@ def train(
     kl_topk.  `schedule` assigns a device profile to each epoch.  History
     records per-epoch train loss (mean of the two SPSA probe losses),
     test accuracy, and test NLL; test fields are NaN without an eval set.
+
+    The feature gates do not depend on the parameters, so each device
+    segment of two or more steps holds every sample's head states once
+    (:func:`hold_features`), and each step meets its batch's rows there.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = _check_targets(cfg, features, targets, model.k)
-    profiles = [profile for profile, count in normalize_schedule(schedule, cfg.epochs) for _ in range(count)]
     n = features.shape[0]
+    segments = [(profile, count) for profile, count in normalize_schedule(schedule, cfg.epochs) if count]
+    profiles = [profile for profile, count in segments for _ in range(count)]
+    counts = [count for _, count in segments]
+    firsts = dict(zip(accumulate([0] + counts), counts))  # each device segment's first epoch -> its epochs
     params = model.flat_params()
     adam = AdamState.zeros(params.shape[0])
     history = TrainHistory()
 
     for epoch, profile in enumerate(profiles):
+        if epoch in firsts:  # a held head pays off only where a second step meets it
+            several = firsts[epoch] > 1 or n > cfg.batch_size
+            held = None if not several else hold_features(
+                model.template, features, profile, 2 * cfg.spsa_draws, cfg.batch_size
+            )
         order = stream(seed, epoch, 0, _SHUFFLE).permutation(n)
         probe_losses = []
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb, tb = features[idx], targets[idx]
-            deltas = np.stack([
-                rademacher(stream(seed, epoch, b_idx, _DELTA, draw), params.shape[0])
-                for draw in range(cfg.spsa_draws)
-            ])
+            deltas = spsa_signs(seed, epoch, b_idx, cfg.spsa_draws, params.shape[0])
             rngs = None if cfg.shots is None else [
                 stream(seed, epoch, b_idx, side, draw) for draw in range(cfg.spsa_draws) for side in (_PLUS, _MINUS)
             ]
-            probs = forward_probes(model, spsa_probes(params, deltas, cfg.spsa_c), xb, profile, cfg.shots, rngs)
+            probes = spsa_probes(params, deltas, cfg.spsa_c)
+            probs = forward_probes(model, probes, xb, profile, cfg.shots, rngs, None if held is None else (held, idx))
             losses = _probe_losses(cfg, probs, tb)
             grad, probe_mean = spsa_gradient(losses[0::2], losses[1::2], deltas, cfg.spsa_c)
             params, adam = adam_step(params, grad, adam, cfg.learning_rate)

@@ -191,6 +191,33 @@ class TestBatchedServing:
         fresh.predict(x[:3])
         np.testing.assert_array_equal(svc.predict(x[3:]), fresh.predict(x[3:]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_is_refused_before_any_draw(self, model, other_model, monkeypatch, bad):
+        import qsteal.defense as defense_mod
+
+        x = np.random.default_rng(5).uniform(0, 2 * np.pi, (6, 8))
+        svc = _services(model, other_model, None, 2)["havip"]
+        svc.predict(x[:2])
+        before = list(svc.selection_log)
+        poisoned = x[2:].copy()
+        poisoned[2, 5] = bad
+
+        def no_draw(*args):
+            raise AssertionError("a refused query must not draw a pair")
+
+        monkeypatch.setattr(defense_mod, "draw_pairs", no_draw)
+        with pytest.raises(ValueError, match="query row 2 is not finite"):
+            svc.predict(poisoned)
+        with pytest.raises(ValueError, match="query row 0 is not finite"):
+            svc.predict(poisoned[2])
+        monkeypatch.undo()
+        assert svc.selection_log == before
+        # the refused calls took no query number: the next answers are a fresh service's
+        fresh = _services(model, other_model, None, 2)["havip"]
+        fresh.predict(x[:2])
+        np.testing.assert_array_equal(svc.predict(x[2:]), fresh.predict(x[2:]))
+        assert svc.selection_log == fresh.selection_log
+
     def test_input_shape_checked(self, model):
         with pytest.raises(ValueError, match=r"\(B, d\)"):
             no_defense(model, IDEAL).predict(np.zeros((2, 3, 8)))

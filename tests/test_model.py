@@ -323,7 +323,7 @@ class TestForwardProbes:
 
         rows = []
         original = model_mod.run_circuit
-        monkeypatch.setattr(model_mod, "run_circuit", lambda c, o: rows.append(o) or original(c, o))
+        monkeypatch.setattr(model_mod, "run_circuit", lambda c, o, held: rows.append(o) or original(c, o, held))
         forward_probes(model, self._probes(model), _inputs(5), DEV_A)
         # one probes x samples grid: (5,) per-sample features, (6, 1) per-probe angles
         assert len(rows) == 1

@@ -4,24 +4,30 @@ import numpy as np
 import pytest
 
 from qsteal.circuits import PQCTemplate
-from qsteal.devices import DEV_A, IDEAL
+from qsteal.devices import DEV_A, DEV_B, IDEAL
 from qsteal.model import init_model
 from qsteal.training import (
     AdamState,
     TrainConfig,
     adam_step,
     normalize_schedule,
-    rademacher,
     spsa_gradient,
     spsa_probes,
+    spsa_signs,
     train,
 )
+
+
+def _signs(rng, n):
+    """A +-1 sign vector of length n from Generator.integers: the draw
+    spsa_signs reads from raw words."""
+    return rng.integers(0, 2, size=n) * 2.0 - 1.0
 
 
 def _spsa(f, theta, c, rng):
     """One SPSA estimate of f at theta: a sign vector from rng, then f at
     the two probes."""
-    delta = rademacher(rng, theta.shape[0])
+    delta = _signs(rng, theta.shape[0])
     plus, minus = spsa_probes(theta, delta[None], c)
     return spsa_gradient(np.array([f(plus)]), np.array([f(minus)]), delta[None], c)
 
@@ -75,7 +81,7 @@ class TestSpsa:
 
     def test_probes_straddle_theta_and_mean_is_their_average(self):
         theta = np.array([0.5, -1.0, 2.0])
-        delta = rademacher(np.random.default_rng(2), 3)
+        delta = _signs(np.random.default_rng(2), 3)
         plus, minus = spsa_probes(theta, delta[None], 0.25)
         np.testing.assert_array_equal(np.abs(delta), np.ones(3))
         np.testing.assert_array_equal(plus, theta + 0.25 * delta)
@@ -87,6 +93,19 @@ class TestSpsa:
     def test_positive_c_required(self):
         with pytest.raises(ValueError, match="positive"):
             spsa_gradient(np.zeros(1), np.zeros(1), np.ones((1, 2)), 0.0)
+
+
+class TestSignDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5], ids=["0", "1", "2^32+5"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1001])
+    def test_signs_are_the_generator_integers_bits(self, seed, n):
+        for epoch, batch, draws in [(0, 0, 1), (0, 1, 8), (2, 13, 3), (24, 21, 1), (7, 40, 12)]:
+            got = spsa_signs(seed, epoch, batch, draws, n)
+            want = np.stack([
+                _signs(np.random.default_rng([seed, epoch, batch, 1, draw]), n) for draw in range(draws)
+            ])
+            assert got.dtype == want.dtype and got.shape == (draws, n)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -209,7 +228,7 @@ class TestTrainLoop:
         m = init_model(PQCTemplate("PQC19", 3), k=4, seed=1)
         params = m.flat_params()
         for draws in range(1, 13):
-            deltas = np.stack([rademacher(rng, params.shape[0]) for _ in range(draws)])
+            deltas = np.stack([_signs(rng, params.shape[0]) for _ in range(draws)])
             rngs = None if shots is None else [np.random.default_rng([draws, p]) for p in range(2 * draws)]
             probs = forward_probes(m, spsa_probes(params, deltas, 0.1), x, DEV_A, shots, rngs)
             terms = nll_terms(probs, targets) if loss == "nll_top1" else kl_terms(probs, targets)
@@ -300,3 +319,121 @@ class TestTrainLoop:
             m, x, y, cfg, [(IDEAL, 3), (DEV_A, 1)], seed=4, eval_features=x, eval_labels=y
         )
         assert len(hist.epochs) == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_before_any_step(self, monkeypatch, bad):
+        import qsteal.training as training_mod
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a non-finite training set must not reach a step")
+
+        monkeypatch.setattr(training_mod, "forward_probes", no_step)
+        x, y = _tiny_task(n=40, d=8)
+        x[17, 5] = bad
+        x[30, 1] = np.nan
+        m = init_model(PQCTemplate("PQC19", 4), k=2, seed=0)
+        with pytest.raises(ValueError, match=f"feature row 17, column 5 is not finite: {bad}"):
+            train(m, x, y, TrainConfig(epochs=1, batch_size=8), IDEAL, seed=0)
+
+
+def _oracle_train(m, x, targets, cfg, schedule, seed, eval_x, eval_y):
+    """train as a plain loop: each step's signs from Generator.integers on
+    its own stream, and its probes through forward_probes on the batch's
+    features, with no held rows."""
+    from qsteal.model import forward_batch, forward_probes, mean_nll
+    from qsteal.training import _probe_losses
+
+    profiles = [p for p, count in normalize_schedule(schedule, cfg.epochs) for _ in range(count)]
+    params, adam, history = m.flat_params(), AdamState.zeros(m.n_params), []
+    for epoch, profile in enumerate(profiles):
+        order = np.random.default_rng([seed, epoch, 0, 0]).permutation(x.shape[0])
+        losses = []
+        for b, start in enumerate(range(0, x.shape[0], cfg.batch_size)):
+            idx = order[start : start + cfg.batch_size]
+            deltas = np.stack([
+                _signs(np.random.default_rng([seed, epoch, b, 1, draw]), m.n_params) for draw in range(cfg.spsa_draws)
+            ])
+            rngs = None if cfg.shots is None else [
+                np.random.default_rng([seed, epoch, b, side, draw]) for draw in range(cfg.spsa_draws) for side in (2, 3)
+            ]
+            probs = forward_probes(m, spsa_probes(params, deltas, cfg.spsa_c), x[idx], profile, cfg.shots, rngs)
+            probe = _probe_losses(cfg, probs, targets[idx])
+            grad, mean = spsa_gradient(probe[0::2], probe[1::2], deltas, cfg.spsa_c)
+            params, adam = adam_step(params, grad, adam, cfg.learning_rate)
+            losses.append(mean)
+        probs = forward_batch(m.with_flat_params(params), eval_x, profile, cfg.shots,
+                              np.random.default_rng([seed, epoch, 0, 4]))
+        history.append([np.mean(losses), np.mean(probs.argmax(axis=1) == eval_y), mean_nll(probs, eval_y)])
+    return params, np.array(history)
+
+
+_SCHEDULES = {"ideal": IDEAL, "devA": DEV_A, "devA-devB": [(DEV_A, 1), (DEV_B, 1)]}
+
+
+class TestHeldHeads:
+    @pytest.mark.parametrize("schedule", list(_SCHEDULES))
+    @pytest.mark.parametrize("width", [2, 4, 6])
+    @pytest.mark.parametrize("template", ["PQC1", "PQC6", "PQC17", "PQC19"])
+    def test_training_is_bitwise_the_unheld_loop(self, monkeypatch, template, width, schedule):
+        # batches of 18 rows take the pulled-back picture except on 6 noise-free
+        # qubits; the last batch, of 1 row or of width (<= m) rows, takes
+        # another picture, so the steps of one call switch pictures.  The
+        # head is held 12 samples at a time, the last chunk of 37 a single one
+        import qsteal.circuits as circuits_mod
+
+        monkeypatch.setattr(circuits_mod, "HOLD_ROWS", 12)
+        m = init_model(PQCTemplate(template, width), k=3, seed=2)
+        for n, draws, shots in [(37, 1, None), (36 + width, 2, 20)]:
+            x, y = _tiny_task(n=n, d=8, k=3, seed=n)
+            cfg = TrainConfig(epochs=2, batch_size=18, spsa_draws=draws, shots=shots)
+            trained, hist = train(m, x, y, cfg, _SCHEDULES[schedule], 3, x[:5], y[:5])
+            want, want_hist = _oracle_train(m, x, y, cfg, _SCHEDULES[schedule], 3, x[:5], y[:5])
+            assert trained.flat_params().tobytes() == want.tobytes()
+            got_hist = np.array([[e.train_loss, e.test_accuracy, e.test_loss] for e in hist.epochs])
+            assert got_hist.tobytes() == want_hist.tobytes()
+
+    @pytest.mark.parametrize(
+        "template, width, schedule, n, held, step_heads, pulled_back",
+        [
+            # 4 steps meet the one held head; each epoch's 1-row step runs its own in the state picture
+            ("PQC19", 4, "ideal", 37, 1, 2, 4),
+            # one held head per device segment; the 4-row steps (<= m) evolve density matrices, with no head
+            ("PQC19", 4, "devA-devB", 40, 2, 0, 4),
+            # 18 rows on 6 noise-free qubits take the state picture: nothing is held, every step runs its head
+            ("PQC19", 6, "ideal", 37, 0, 6, 0),
+            # a segment of one step holds nothing: its step runs its own head
+            ("PQC19", 4, "devA-devB", 18, 0, 2, 2),
+        ],
+    )
+    def test_head_runs_once_per_segment_and_per_step_off_the_picture(
+        self, monkeypatch, template, width, schedule, n, held, step_heads, pulled_back
+    ):
+        import qsteal.circuits as circuits_mod
+        import qsteal.model as model_mod
+
+        ran = {"held": 0, "step_heads": 0, "pulled_back": 0}
+        holding = []
+        hold_head, prefix, picture = model_mod.hold_head, circuits_mod._prefix, circuits_mod._pulled_back_picture
+
+        def holding_head(*args):
+            holding.append(True)
+            out = hold_head(*args)
+            holding.pop()
+            ran["held"] += out is not None
+            return out
+
+        def step_head(*args):
+            ran["step_heads"] += not holding
+            return prefix(*args)
+
+        def pulled(*args):
+            ran["pulled_back"] += 1
+            return picture(*args)
+
+        monkeypatch.setattr(model_mod, "hold_head", holding_head)
+        monkeypatch.setattr(circuits_mod, "_prefix", step_head)
+        monkeypatch.setattr(circuits_mod, "_pulled_back_picture", pulled)
+        x, y = _tiny_task(n=n, d=8, k=3, seed=1)
+        m = init_model(PQCTemplate(template, width), k=3, seed=2)
+        train(m, x, y, TrainConfig(epochs=2, batch_size=18, spsa_draws=2), _SCHEDULES[schedule], 3)
+        assert ran == {"held": held, "step_heads": step_heads, "pulled_back": pulled_back}
