@@ -8,6 +8,8 @@ Channel conventions:
 * amplitude_damping(gamma): standard decay |1> -> |0> at rate gamma
 * depolarizing_2q(p): 16 Kraus operators {I,X,Y,Z} x {I,X,Y,Z}, the 15
   non-identity Paulis weighted p/15 each.
+
+A channel acts as its real Pauli transfer matrix (:attr:`KrausChannel.superop`).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .density import pauli_basis
 from .gates import I2, PAULIS, X, Y, Z
 
 COMPLETENESS_TOL = 1e-10
@@ -53,10 +56,12 @@ class KrausChannel:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """sum_m K_m (x) conj(K_m), the (dim^2, dim^2) superoperator."""
+        """The (dim^2, dim^2) real PTM: T S T^-1 of S = sum_m K_m (x) conj(K_m)
+        (:func:`qsteal.density.pauli_basis`), its rounding imaginary part dropped."""
         k = np.stack(self.operators)
+        t, inv = pauli_basis(self.n_qubits_acted)
         # the products np.kron forms, summed over m in order
-        return (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(4**self.n_qubits_acted, -1)
+        return (t @ (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(t.shape) @ inv).real
 
 
 def _check_rate(name: str, p: float) -> None:

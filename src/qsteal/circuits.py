@@ -7,6 +7,10 @@ from angle overrides, so one circuit skeleton serves a whole batch of
 encoded samples under several parameter vectors.  A call builds its gate
 matrices one batch per (gate kind, angle shape) (:func:`_built`), and a
 step's matrix does not depend on what it was built beside.
+
+A noise-free circuit runs on statevectors and unitaries, a noisy one in
+the real Pauli basis of :mod:`qsteal.density`: PTM steps, per-qubit Bloch
+vectors (1, x, y, z) and real pulled-back Z_q.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ TEMPLATE_IDS = ("PQC1", "PQC6", "PQC17", "PQC19")
 #: widest register the dense simulator takes: a (B, 2^n, 2^n) state stack grows 4x per qubit
 MAX_QUBITS = 8
 
-#: rows per product-state contraction; a chunk's (rows, 4^n) product states
-#: take 32 MB at the 8-qubit cap
+#: rows per product-state contraction; a chunk's (rows, 4^n) Pauli vectors
+#: take 16 MB at the 8-qubit cap
 CONTRACT_ROWS = 32
 
 #: samples per head call of :func:`hold_head`: at d = 8 a chunk's stacked
@@ -159,7 +163,7 @@ class CircuitIR:
     @cached_property
     def plan(self) -> tuple[tuple, tuple]:
         """Fused steps (op index or None, qubits, after) before and after
-        `product_prefix_end`: the op's gate, then `after`, a fixed superop or
+        `product_prefix_end`: the op's gate, then `after`, a fixed PTM or
         None.  A channel folds into its part's latest step on its qubits when
         that step covers them all (channels on other qubits commute past it),
         else starts a standalone step with op index None."""
@@ -194,7 +198,7 @@ class CircuitIR:
     @cached_property
     def prefix(self) -> "Prefix":
         """`plan[0]` compiled with no angle pinned, in the form run_circuit
-        runs it: 2x2 unitaries when noise-free, else superoperators."""
+        runs it: 2x2 unitaries when noise-free, else PTMs."""
         return compile_prefix(self, {}, pure=not self.has_noise)
 
 
@@ -202,7 +206,7 @@ def _embed(op: np.ndarray, qubits: tuple[int, ...], into: tuple[int, ...]) -> np
     """An operator on `qubits` (or a stack of them) as one on `into`, which
     holds them all: identity on the other qubits, indices ordered as `into`
     lists them.  A (2^j, 2^j) unitary has one leg per qubit, a (4^j, 4^j)
-    superoperator two (rows and columns)."""
+    PTM two (the two bits of each qubit's Pauli index)."""
     if qubits == into:
         return op
     lead = op.shape[:-2]
@@ -385,7 +389,7 @@ class _Grid:
     def of(cls, overrides: dict | None) -> "_Grid":
         angles = {}
         for i, v in (overrides or {}).items():
-            a = np.asarray(v, dtype=np.float64)
+            a = v if type(v) is np.ndarray and v.dtype == np.float64 else np.asarray(v, dtype=np.float64)
             if a.ndim > 2:
                 raise ValueError(f"override for op {i} has shape {a.shape}; "
                                  "expected a scalar, (B,), (1, B), (P, 1) or (P, B)")
@@ -444,7 +448,7 @@ class _Grid:
                                  for i, a in self.angles.items()})
 
 
-#: superoperators of the gates that take no angle, built once
+#: PTMs of the gates that take no angle, built once
 _FIXED_SUPEROPS = {
     kind: density.unitary_superop(gate_matrix(GateOp(kind, tuple(range(arity)))))
     for kind, (arity, parameterized) in GATE_KINDS.items()
@@ -453,7 +457,7 @@ _FIXED_SUPEROPS = {
 
 
 def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[np.ndarray]:
-    """Each plan step's superoperator, or its unitary when `pure`: its gate
+    """Each plan step's PTM, or its unitary when `pure`: its gate
     at its angle in `angles` (op index -> angle or array of angles; else the
     op's own), then its `after`.  The gates of one kind and angle shape come
     from one rotation_batch (and unitary_superop) call over their stacked
@@ -480,8 +484,8 @@ class Prefix:
     one, laid out by depth for :func:`_prefix`.
 
     `starts` are the read-only start states, (n, 2) statevectors or (n, 4)
-    density vecs, and `steps` the variable steps (op index, (q,), after) in
-    plan order, `after` a 2x2 unitary, a 4x4 superoperator or None.
+    real Bloch vectors, and `steps` the variable steps (op index, (q,),
+    after) in plan order, `after` a 2x2 unitary, a 4x4 PTM or None.
 
     The k-th step of each qubit has depth k.  The qubits stand in `order`
     (None for 0..n-1), by falling step count, so the qubits with a step at
@@ -517,7 +521,7 @@ class Prefix:
             depths.append((len(seq), len(here)))
             seq += here
         ops = tuple(i for i, _, _ in seq)
-        eye = np.eye(starts.shape[1], dtype=np.complex128)
+        eye = np.eye(starts.shape[1], dtype=starts.dtype)
         afters = np.array([eye if after is None else after for _, _, after in seq]).reshape(-1, 1, 1, *eye.shape)
         afters.flags.writeable = False
         kinds = [circuit.ops[i].kind for i in ops]
@@ -542,11 +546,11 @@ def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> Prefix:
     holds its angle.  On each qubit a run of fixed steps folds into the
     `after` of the variable-angle step before it, or else into the qubit's
     start state.  Returns the read-only start states, (n, 2) statevectors
-    (`pure`, `after` then 2x2) or (n, 4) density vecs, and the variable
-    steps (op index, qubits, after) in plan order, laid out by depth
-    (:class:`Prefix`)."""
-    starts = np.zeros((circuit.n_qubits, 2 if pure else 4), dtype=np.complex128)
-    starts[:, 0] = 1.0  # e_0 is both |0> and the row-major vec of |0><0|
+    (`pure`, `after` then 2x2) or (n, 4) Bloch vectors (`after` then a PTM),
+    and the variable steps (op index, qubits, after) in plan order, laid
+    out by depth (:class:`Prefix`)."""
+    starts = np.zeros((circuit.n_qubits, 2 if pure else 4), dtype=np.complex128 if pure else np.float64)
+    starts[:, [0] if pure else [0, 3]] = 1.0  # |0>, or the Bloch vector (1, 0, 0, 1) of |0><0| = (I + Z) / 2
     steps, last, plan = [], {}, circuit.plan[0]
     variable = [i is not None and circuit.ops[i].angle is not None and i not in pinned for i, _, _ in plan]
     fixed = iter(_built(circuit, [step for step, var in zip(plan, variable) if not var], pinned, pure))
@@ -566,23 +570,24 @@ def compile_prefix(circuit: CircuitIR, pinned: dict, pure: bool) -> Prefix:
 
 
 def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
-    """Run the circuit's plan steps in order on a batch of B density
-    matrices, starting from |0...0>.
+    """Run the circuit's plan steps in order on a batch of B Pauli vectors,
+    (B, 2^n, 2^n), starting from |0...0>, whose Pauli vector is the identity.
 
     An override for op i replaces its angle: a (B,) array gives per-row
     matrices, one angle a shared matrix.
     """
     plan = circuit.plan[0] + circuit.plan[1]
     steps = list(zip(_built(circuit, plan, overrides), [qubits for _, qubits, _ in plan]))
-    return density.apply_superop_batch(density.zero_states(b, circuit.n_qubits), steps, circuit.n_qubits)
+    start = np.broadcast_to(np.eye(2**circuit.n_qubits), (b, 2**circuit.n_qubits, 2**circuit.n_qubits))
+    return density.apply_superop_batch(start, steps, circuit.n_qubits)
 
 
 def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape: tuple):
     """Each row's state after the steps of a compiled product-state prefix
     (:class:`Prefix`), the rows laid out over the (probes, samples) grid
     that `shape` and the steps' angles span: from 2x2 unitaries, the
-    (rows, 2^n) product statevectors; from superoperators, one transposed
-    (rows, 2, 2) density factor per qubit.  An angle in `angles` (op index
+    (rows, 2^n) product statevectors; from PTMs, each qubit's real Bloch
+    vector, (n, rows, 4).  An angle in `angles` (op index
     -> angle) is one angle, a (B,) array per sample, or a 2-D array that
     broadcasts to (P, B); a step without one takes its op's own.  Or
     `angles` is a (steps, B) array of every step's per-sample angles, the
@@ -646,7 +651,7 @@ def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape
         states = states[np.argsort(prefix.order)]
     if size == 2:
         return _kron_rows(list(states.reshape(n, -1, 2)))
-    return list(states.reshape(n, -1, 2, 2).swapaxes(2, 3))
+    return states.reshape(n, -1, 4)
 
 
 def product_prefix(circuit: CircuitIR, prefix: Prefix, angles: dict | np.ndarray):
@@ -658,8 +663,8 @@ def product_prefix(circuit: CircuitIR, prefix: Prefix, angles: dict | np.ndarray
 
 
 def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
-    """Each row's product of per-qubit (rows, 2) statevectors, qubit 0 the
-    least significant bit: (rows, 2^n)."""
+    """Each row's product of per-qubit (rows, s) vectors, qubit 0 the least
+    significant digit: (rows, s^n), statevectors or Pauli vectors."""
     out = vecs[-1]
     for v in reversed(vecs[:-1]):
         out = (out[:, :, None] * v[:, None, :]).reshape(out.shape[0], -1)
@@ -677,8 +682,8 @@ def z_expectations(circuit: CircuitIR, vecs: np.ndarray) -> np.ndarray:
 
 def _rest(circuit: CircuitIR, overrides: dict, lead: tuple) -> list[tuple]:
     """The circuit after its product-state prefix as (operator, qubits)
-    steps in plan order, unitaries when it is noise-free and else
-    superoperators, with `lead`, steps of the compiled prefix, run first:
+    steps in plan order, unitaries when it is noise-free and else PTMs,
+    with `lead`, steps of the compiled prefix, run first:
     each qubit's lead steps fold into the first later step on that qubit,
     or stay a step of their own when no later step touches it.
     """
@@ -702,40 +707,48 @@ def pulled_back(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.nda
     group or a (G,) array of per-group angles.
 
     A noisy circuit, Phi, pulls back each measured Z_q as Phi^dag(Z_q), a
-    row-major (4^n,) matrix: width m.  A noise-free one, U, pulls back each
-    basis vector e_k as U^dag e_k, a (2^n,) row: width 2^n.  The adjoint of
-    a step is its conjugate transpose, so the rows run backwards through
-    the steps (:func:`_rest`), each one fused operator, with the kernel the
-    states use.
+    real (4^n,) Pauli vector in Kronecker order, qubit 0 the least
+    significant digit: width m.  A noise-free one, U, pulls back each basis
+    vector e_k as U^dag e_k, a (2^n,) row: width 2^n.  The adjoint of a
+    step is its conjugate transpose, so the rows run backwards through the
+    steps (:func:`_rest`), each one fused operator, with the kernel the
+    states use, one GEMM per step and group.
     """
     n, dim = circuit.n_qubits, 2**circuit.n_qubits
     g = max((np.size(v) for v in overrides.values() if np.ndim(v) == 1), default=1)
     steps = [(op.conj().swapaxes(-1, -2), qubits) for op, qubits in reversed(_rest(circuit, overrides, lead))]
     if not circuit.has_noise:
-        return density.apply_unitary_vec(np.tile(np.eye(dim, dtype=np.complex128), (g, 1)), steps, n)
-    obs = np.zeros((g * len(circuit.measured_qubits), dim, dim), dtype=np.complex128)
-    obs[:, np.arange(dim), np.arange(dim)] = np.tile(circuit.z_signs, (g, 1))
-    return density.apply_superop_batch(obs, steps, n).reshape(obs.shape[0], -1)
+        return density.apply_unitary_vec(np.tile(np.eye(dim, dtype=np.complex128), (g, 1)), steps, n, g)
+    obs = np.zeros((g * len(circuit.measured_qubits), dim, dim))
+    bits = np.tile(1 << np.array(circuit.measured_qubits), g)
+    obs[np.arange(obs.shape[0]), bits, bits] = 1.0  # Z_q: Pauli index 3 on qubit q, both its bits set
+    obs = density.apply_superop_batch(obs, steps, n, g)
+    # each qubit's bit of the first leg beside its bit of the second: Kronecker order
+    interleaved = [0, *(1 + k + leg * n for k in range(n) for leg in (0, 1))]
+    return obs.reshape((-1,) + (2,) * (2 * n)).transpose(interleaved).reshape(obs.shape[0], -1)
 
 
-def contract_rows(factors: list[np.ndarray], rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
+def contract_rows(bloch: np.ndarray, rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Tr(O rho) for each selected row rho and each observable O in `obs`:
     (len(rows), len(obs)).
 
-    `factors` are per-qubit transposed (rows, 2, 2) density factors, as
-    :func:`product_prefix` gives them, and `obs` is a stack of row-major
-    (4^n,) matrices, such as pulled-back Z_q (:func:`pulled_back`).  Since
-    Tr(O rho) = sum_xy O[x, y] rho^T[x, y] and rho^T is the product of the
-    transposed factors, each row's product state is formed once and meets
-    every observable in one matrix product.  The rows go CONTRACT_ROWS at a
-    time, and each row's result does not depend on the rows contracted
+    `bloch` holds each qubit's Bloch vectors, (n, rows, 4), as
+    :func:`product_prefix` gives them, and `obs` real (4^n,) Pauli vectors
+    in Kronecker order, such as pulled-back Z_q (:func:`pulled_back`).
+    Each row's Pauli vector, the Kronecker product of its Bloch vectors, is
+    formed once and meets every observable in one matrix product.  The rows
+    go CONTRACT_ROWS at a time, a short chunk padded with zero rows: BLAS
+    rounds a row of a real GEMM by the number of rows beside it, so every
+    product has one shape and a row's result does not depend on the rows
     beside it.
     """
     out = np.empty((rows.size, obs.shape[0]))
     for lo in range(0, rows.size, CONTRACT_ROWS):
         sel = rows[lo : lo + CONTRACT_ROWS]
-        states = _product_state(factors, sel).reshape(sel.size, -1)
-        out[lo : lo + sel.size] = density.matmul_rows(states, obs.T).real
+        states = _kron_rows([b[sel] for b in bloch])
+        if sel.size < CONTRACT_ROWS:
+            states = np.concatenate([states, np.zeros((CONTRACT_ROWS - sel.size, states.shape[1]))])
+        out[lo : lo + sel.size] = (states @ obs.T)[: sel.size]
     return out
 
 
@@ -744,8 +757,8 @@ def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.nd
     :func:`_prefix` gives them, after each group's pulled-back rows in `obs`
     (:func:`pulled_back`): (len(rows), G * m).
 
-    A mixed row rho meets the pulled-back Z_q as rho^T.ravel() @ O^T
-    (:func:`contract_rows`).  A pure row psi meets the pulled-back basis
+    A mixed row rho meets the pulled-back Z_q as the dot products of their
+    Pauli vectors (:func:`contract_rows`).  A pure row psi meets the pulled-back basis
     rows y_k = U^dag e_k in the same product, conj(psi) @ Y^T, whose
     entries sum_j conj(y_k[j]) psi[j] are the amplitudes <e_k|U|psi>,
     conjugated; their squares meet the Z signs, each row's in a block of
@@ -802,12 +815,12 @@ def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
 class HeldHead:
     """The head of one split (:func:`_split`), run once on every sample of
     a data set (:func:`hold_head`): `states` as :func:`_prefix` gives them,
-    (N, 2^n) product statevectors or n transposed (N, 2, 2) density
-    factors, for the grids whose overrides vary as `varies` says."""
+    (N, 2^n) product statevectors or (n, N, 4) real Bloch vectors, for the
+    grids whose overrides vary as `varies` says."""
 
     head: Prefix
     varies: tuple
-    states: np.ndarray | list
+    states: np.ndarray
 
 
 def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead | None:
@@ -829,15 +842,13 @@ def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead
     head, _, ph, _, _ = _split(circuit, call, width)
     if ph != 1:
         return None
-    n = circuit.n_qubits
-    states = np.empty((n, grid.b, 2, 2) if circuit.has_noise else (grid.b, 2**n), dtype=np.complex128)
+    noisy = circuit.has_noise
+    states = np.empty((circuit.n_qubits, grid.b, 4) if noisy else (1, grid.b, 2**circuit.n_qubits),
+                      dtype=np.float64 if noisy else np.complex128)
     for lo in range(0, grid.b, HOLD_ROWS):
         part = grid.samples(lo, lo + HOLD_ROWS)
-        if circuit.has_noise:
-            states[:, lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
-        else:
-            states[lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
-    return HeldHead(head, call.varies, list(states) if circuit.has_noise else states)
+        states[:, lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
+    return HeldHead(head, call.varies, states if noisy else states[0])
 
 
 def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int, held: tuple | None = None) -> np.ndarray:
@@ -846,8 +857,8 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int, held: tupl
 
     The compiled prefix splits into a head and a lead (:func:`_split`).
     The head runs on the head rows, the B samples or all P * B rows when a
-    head angle varies by probe, as product statevectors (pure) or 2x2
-    density factors (mixed); or, when `held` is a (:class:`HeldHead`, B
+    head angle varies by probe, as product statevectors (pure) or real
+    Bloch vectors (mixed); or, when `held` is a (:class:`HeldHead`, B
     row indices) pair held for this head, the B samples are those rows of
     the held states.  The lead joins the rest of the circuit,
     through which each group of rows with equal angles there (the P
@@ -881,15 +892,6 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int, held: tupl
     return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
 
 
-def _product_state(factors: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """The selected rows of the product of per-qubit (B, 2, 2) factors,
-    qubit 0 the least significant bit: (len(rows), dim, dim)."""
-    out = factors[-1][rows]
-    for f in reversed(factors[:-1]):
-        out = np.einsum("rab,rcd->racbd", out, f[rows]).reshape(rows.size, 2 * out.shape[1], -1)
-    return out
-
-
 def run_circuit(
     circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None, held: tuple | None = None
 ) -> np.ndarray:
@@ -916,10 +918,8 @@ def run_circuit(
     * pure otherwise: the state picture.  The prefix's 2-vectors form each
       row's statevector, and each later gate is applied once per group, to
       the group's rows in one product.
-    * mixed otherwise: Schroedinger, every row's density matrix evolved
-      through the whole circuit.  Each row's diagonal meets the Z signs in
-      a (1, 2^n) @ (2^n, m) product of its own, so a row's result does not
-      depend on the rows beside it.
+    * mixed otherwise: Schroedinger, every row's Pauli vector evolved
+      through the whole circuit, whose Z_q coefficients are the <Z_q>.
 
     `held`, a (:class:`HeldHead`, rows) pair from :func:`hold_head`, gives
     the B samples' head states as those rows of a data set's held states:
@@ -939,8 +939,8 @@ def run_circuit(
         steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
         vecs = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
         return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits, g))
-    probs = np.einsum("bii->bi", _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)).real
-    return (probs[:, None] @ circuit.z_signs.T)[:, 0]  # each row's probabilities in a product of their own
+    z = 1 << np.array(circuit.measured_qubits)  # Z_q: Pauli index 3 on qubit q, both its bits set
+    return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)[:, z, z]
 
 
 def _width(circuit: CircuitIR) -> int:
@@ -969,7 +969,10 @@ def final_states(circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | No
     """Density matrices after the full circuit, shape (P * B, dim, dim), for
     overrides laid out as :func:`run_circuit` takes them.
 
-    Always evolves density matrices, regardless of noise content.
+    Always evolves Pauli vectors, regardless of noise content, and maps
+    them back at the end: one complex 4x4 change of basis per qubit, from
+    its two Pauli bits to its row and column bits, in one kernel call.
     """
     grid = _grid(circuit, angle_overrides)
-    return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)
+    back = [(density.pauli_basis(1)[1], (q,)) for q in range(circuit.n_qubits)]
+    return density.apply_superop_batch(_evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows), back, circuit.n_qubits)

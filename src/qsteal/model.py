@@ -140,8 +140,8 @@ def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple
     back (:func:`pulled_back`), read-only.  A noise-free circuit holds its
     prefix as 2x2 unitaries and the rest as the pulled-back basis vectors
     U^dag e_k, (2^n, 2^n), 1 MB at the 8-qubit cap; a noisy one its prefix
-    as superoperators and Phi^dag(Z_q) for each measured qubit q, Phi the
-    rest, (m, 4^n), at most 8 MB.  Held on the model."""
+    as PTMs and Phi^dag(Z_q) for each measured qubit q, Phi the rest, as
+    real (m, 4^n) Pauli vectors, at most 4 MB.  Held on the model."""
     entry = model._readouts.get((d, profile))
     if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)
@@ -172,8 +172,9 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
 
 def _probe_overrides(slots: tuple, thetas: np.ndarray, x: np.ndarray) -> dict:
     """The angles of the P probes x B samples grid: features vary by sample
-    (B,), parameters by probe (P, 1)."""
-    return dict(zip(slots, [*x.T, *thetas.T[:, :, None]], strict=True))
+    (1, B), parameters by probe (P, 1), each a float64 view the grid takes
+    as it is."""
+    return dict(zip(slots, [*x.T[:, None], *thetas.T[:, :, None]], strict=True))
 
 
 def _probe_expectations(

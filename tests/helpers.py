@@ -1,19 +1,103 @@
 """Shared test utilities: an independent full-register embedding oracle,
 an unfused circuit reference, step-at-a-time gate-matrix and product-state
-prefix references, and <Z> read off density matrices.
+prefix references, Pauli-vector conversions, and <Z> read off density
+matrices.
 
 The simulator applies 2x2/4x4 operators by tensor contraction; these
 helpers build explicit 2^n x 2^n matrices by brute-force index arithmetic
 so the two routes share no code.  The circuit executor runs each circuit's
-compiled plan of fused steps; `unfused_states` runs every gate and every
-noise point on its own instead.
+compiled plan of fused steps in the Pauli basis; `unfused_states` runs
+every gate and every noise point on its own instead, on density matrices,
+with computational-basis superoperators built here: K (x) conj(K) per
+gate, summed over a channel's Kraus operators.  The Pauli transfer
+matrices the references compare against come from those through a change
+of basis written out from the Pauli strings.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from qsteal.circuits import _kron_rows
-from qsteal.density import apply_superop_batch, unitary_superop, zero_states
+from qsteal.density import apply_superop_batch
 from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
+
+PAULIS = (
+    np.eye(2, dtype=np.complex128),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
+
+
+def zero_states(batch: int, n_qubits: int) -> np.ndarray:
+    """Batch of |0...0><0...0| density matrices."""
+    dim = 2**n_qubits
+    states = np.zeros((batch, dim, dim), dtype=np.complex128)
+    states[:, 0, 0] = 1.0
+    return states
+
+
+def superop(mat: np.ndarray) -> np.ndarray:
+    """np.kron(U, conj(U)) for each matrix of a stack (..., d, d): the
+    computational-basis superoperator of rho -> U rho U^dag, row-major vec."""
+    d = mat.shape[-1]
+    return (mat[..., :, None, :, None] * mat.conj()[..., None, :, None, :]).reshape(mat.shape[:-2] + (d * d, d * d))
+
+
+def kraus_superop(channel) -> np.ndarray:
+    """sum_m np.kron(K_m, conj(K_m)) over a channel's Kraus operators."""
+    return sum(np.kron(k, k.conj()) for k in channel.operators)
+
+
+def pauli_string(index: int, k: int) -> np.ndarray:
+    """The k-qubit Pauli string of a PTM index: bit k + j holds the first
+    and bit j the second bit of qubit j's Pauli index 2r + c (I, X, Y, Z),
+    the first qubit in the high bits and leftmost in the Kronecker product."""
+    out = np.ones((1, 1), dtype=np.complex128)
+    for j in range(k):
+        r, c = (index >> (2 * k - 1 - j)) & 1, (index >> (k - 1 - j)) & 1
+        out = np.kron(out, PAULIS[2 * r + c])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _to_pauli(k: int) -> tuple[np.ndarray, np.ndarray]:
+    strings = [pauli_string(a, k) for a in range(4**k)]
+    forward = np.array([s.conj().ravel() for s in strings])  # x_a = Tr(P_a rho) = sum_ij conj(P_a)_ij rho_ij
+    backward = np.array([s.ravel() for s in strings]).T / 2**k  # rho = sum_a x_a P_a / 2^k
+    return forward, backward
+
+
+def to_ptm(sup: np.ndarray) -> np.ndarray:
+    """The real Pauli transfer matrix of a computational-basis superoperator
+    (..., 4^k, 4^k), with the imaginary part checked to be rounding."""
+    forward, backward = _to_pauli((sup.shape[-1].bit_length() - 1) // 2)
+    ptm = forward @ sup @ backward
+    assert np.abs(ptm.imag).max(initial=0.0) <= 1e-15
+    return ptm.real
+
+
+def pauli_vectors(states: np.ndarray) -> np.ndarray:
+    """The Pauli vectors Tr(P_a rho) of a (B, 2^n, 2^n) stack of density
+    matrices, in the kernel's layout: (B, 2^n, 2^n) real, entry [R, C]
+    holding qubit q's Pauli bits at bit q of R and of C."""
+    n = states.shape[-1].bit_length() - 1
+    out = np.zeros(states.shape)
+    for a in range(4**n):
+        # kernel index (R, C): qubit n-1 first in each leg, as pauli_string lists qubits high to low
+        out[:, a >> n, a & (2**n - 1)] = np.einsum("ij,bji->b", pauli_string(a, n), states).real
+    return out
+
+
+def density_matrices(paulis: np.ndarray) -> np.ndarray:
+    """The density matrices sum_a x_a P_a / 2^n of a stack of Pauli vectors
+    laid out as `pauli_vectors` gives them."""
+    n = paulis.shape[-1].bit_length() - 1
+    out = np.zeros(paulis.shape, dtype=np.complex128)
+    for a in range(4**n):
+        out += paulis[:, a >> n, a & (2**n - 1), None, None] * pauli_string(a, n) / 2**n
+    return out
 
 
 def embed_full(mat: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -86,19 +170,20 @@ def unfused_states(circuit, overrides=None) -> np.ndarray:
     states = zero_states(grid[0] * grid[1], n)
     for i, op in enumerate(circuit.ops):
         mat = rotation_batch(op.kind, np.broadcast_to(angles[i], grid).ravel()) if i in angles else gate_matrix(op)
-        states = apply_superop_batch(states, [(unitary_superop(mat), op.qubits)], n)
+        states = apply_superop_batch(states, [(superop(mat), op.qubits)], n)
         for p in circuit.noise_points:
             if p.after_op == i:
-                states = apply_superop_batch(states, [(p.channel.superop, p.qubits)], n)
+                states = apply_superop_batch(states, [(kraus_superop(p.channel), p.qubits)], n)
     return states
 
 
 def per_step_matrices(circuit, steps, angles: dict, pure: bool = False) -> list:
-    """Each plan step's superoperator, or its unitary when `pure`, built on
-    its own: its gate at `angles[i]` (the op's own angle when absent), its
-    own rotation_batch and unitary_superop calls, then its `after`.  A
-    reference for `circuits._built`, which builds the gates of one kind and
-    angle shape in one stacked call; it takes the same arguments."""
+    """Each plan step's PTM, or its unitary when `pure`, built on its own:
+    its gate at `angles[i]` (the op's own angle when absent) from its own
+    rotation_batch call, as a PTM through `superop` and `to_ptm`, then its
+    `after`.  A reference for `circuits._built`, which builds the gates of
+    one kind and angle shape in one stacked call; it takes the same
+    arguments."""
     out = []
     for i, _, after in steps:
         if i is None:
@@ -106,27 +191,27 @@ def per_step_matrices(circuit, steps, angles: dict, pure: bool = False) -> list:
             continue
         op = circuit.ops[i]
         mat = gate_matrix(op) if i not in angles else rotation_batch(op.kind, angles[i])
-        gate = mat if pure else unitary_superop(mat)
+        gate = mat if pure else to_ptm(superop(mat))
         out.append(gate if after is None else after @ gate)
     return out
 
 
-def per_step_prefix(circuit, angles: dict, prefix, shape) -> np.ndarray | list:
+def per_step_prefix(circuit, angles: dict, prefix, shape, matrices=per_step_matrices) -> np.ndarray:
     """Each row's state after the steps of a compiled prefix, one step at a
-    time: each step's matrix built on its own (`per_step_matrices`), then
-    one product with its qubit's state.  A reference for
-    `circuits._prefix`, which runs the steps one depth at a time; it takes
-    the same arguments and lays the rows out over the grid that `shape`
-    and the steps' angles span."""
+    time: each step's matrix built on its own (`matrices`, by default
+    `per_step_matrices`), then one product with its qubit's state.  A
+    reference for `circuits._prefix`, which runs the steps one depth at a
+    time; it takes the same arguments and lays the rows out over the grid
+    that `shape` and the steps' angles span."""
     angles = {i: np.asarray(a) for i, a in angles.items()}
     angles = {i: a[None] if a.ndim == 1 else a for i, a in angles.items()}
     shape = np.broadcast_shapes(shape, *(angles[i].shape for i, _, _ in prefix.steps if i in angles))
     n, size = prefix.starts.shape
     states = list(prefix.starts[:, None, None])
-    for (_, (q,), _), mat in zip(prefix.steps, per_step_matrices(circuit, prefix.steps, angles, pure=size == 2)):
+    for (_, (q,), _), mat in zip(prefix.steps, matrices(circuit, prefix.steps, angles, pure=size == 2)):
         states[q] = np.matmul(mat, states[q][..., None])[..., 0]
-    rows = np.empty((n, *shape, size), dtype=np.complex128)
+    rows = np.empty((n, *shape, size), dtype=prefix.starts.dtype)
     for q, state in enumerate(states):
         rows[q] = state
-    rows = list(rows.reshape(n, -1, size))
-    return _kron_rows(rows) if size == 2 else [v.reshape(-1, 2, 2).transpose(0, 2, 1) for v in rows]
+    rows = rows.reshape(n, -1, size)
+    return _kron_rows(list(rows)) if size == 2 else rows

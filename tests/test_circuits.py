@@ -24,7 +24,7 @@ from qsteal.circuits import (
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
 from qsteal.density import unitary_superop
-from qsteal.gates import GATE_KINDS, GateOp, rotation_batch
+from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
 
 from helpers import (
     assert_density_matrix,
@@ -32,6 +32,8 @@ from helpers import (
     exp_z_batch,
     per_step_matrices,
     per_step_prefix,
+    superop,
+    to_ptm,
     unfused_states,
 )
 
@@ -338,10 +340,12 @@ class TestPictures:
         assert bool(used) == pulled
 
     def test_single_row_stays_on_the_evolved_states_bitwise(self):
-        # Schroedinger reads each row's diagonal against the signs in a (1, 2^n) @ (2^n, m) product
+        # Schroedinger reads each row's Z_q coefficients off its evolved Pauli vector: both bits of qubit q set
+        from qsteal.circuits import _evolve
+
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
-        probs = np.einsum("bii->bi", final_states(circuit, overrides)).real
-        assert run_circuit(circuit, overrides).tobytes() == (probs[:, None] @ circuit.z_signs.T)[:, 0].tobytes()
+        z = [1 << q for q in circuit.measured_qubits]
+        assert run_circuit(circuit, overrides).tobytes() == _evolve(circuit, overrides, 1)[:, z, z].tobytes()
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     def test_schroedinger_rows_read_out_alone_and_near_the_per_qubit_readout(self, monkeypatch, tid):
@@ -433,11 +437,10 @@ class TestSplit:
 
     def test_separable_head_builds_product_states_for_the_samples_only(self, monkeypatch):
         contracted = _spy(monkeypatch, "contract_rows")
-        built = _spy(monkeypatch, "_product_state")
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 32, n_probes=16)
         run_circuit(circuit, overrides)
-        assert [factors[0].shape[0] for factors, _, _ in contracted] == [32]
-        assert [rows.size for _, rows in built] == [32]
+        assert [bloch.shape for bloch, _, _ in contracted] == [(4, 32, 4)]
+        assert [rows.size for _, rows, _ in contracted] == [32]
         # one contraction against every probe's pulled-back Z_q
         assert [obs.shape for _, _, obs in contracted] == [(16 * 4, 4**4)]
 
@@ -551,6 +554,30 @@ class TestUnitaryPicture:
             # row j is U^dag e_j: column j of U^dag, so the rows form conj(U)
             np.testing.assert_allclose(y[8 * k : 8 * (k + 1)], u.conj(), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_group_pulls_back_its_basis_rows_in_one_product_per_step(self, monkeypatch, tid, n):
+        # every angle after the prefix shared: one group, whose 2^n basis rows run each step in one GEMM;
+        # against each row run as a group of its own, the rows agree byte for byte at PQC19x4, the served
+        # shape, and to rounding elsewhere (PQC6 at 2-3 qubits and PQC19x3 differ in last bits)
+        import qsteal.density as density_mod
+        from qsteal.circuits import _rest
+
+        circuit, overrides = _model_circuit(tid, n, None, 1, seed=n)
+        pinned = {i: a for i, a in overrides.items() if np.ndim(a) == 0}
+        calls = _kernel_calls(monkeypatch)
+        original = density_mod.apply_unitary_vec
+        groups = []
+        monkeypatch.setattr(density_mod, "apply_unitary_vec", lambda *a: groups.append(a[3:]) or original(*a))
+        got = pulled_back(circuit, pinned)
+        assert groups == [(1,)] and len(calls) == 1
+        monkeypatch.undo()
+        steps = [(op.conj().swapaxes(-1, -2), qubits) for op, qubits in reversed(_rest(circuit, pinned, ()))]
+        alone = density_mod.apply_unitary_vec(np.eye(2**n, dtype=np.complex128), steps, n)
+        np.testing.assert_allclose(got, alone, rtol=0, atol=1e-15)
+        if (tid, n) == ("PQC19", 4):
+            assert got.tobytes() == alone.tobytes()
+
     def test_samples_meet_each_probes_pulled_back_rows_in_one_product(self, monkeypatch):
         calls = _kernel_calls(monkeypatch)
         pulled = _spy(monkeypatch, "pulled_back")
@@ -582,7 +609,8 @@ class TestUnitaryPicture:
     @pytest.mark.parametrize("n, b", [(4, 16), (6, 64), (3, 5)])
     def test_shared_later_angles_run_the_state_picture_as_one_group(self, monkeypatch, n, b):
         # one probe: every angle after the prefix is shared, so the rows form one group and each later
-        # gate is one product over all of them; a noisy circuit's kernel calls take the default grouping
+        # gate is one product over all of them; a noisy Schroedinger call takes the default grouping, each
+        # row its own group, and a noisy pull-back its group count
         import qsteal.density as density_mod
 
         groups = {}
@@ -598,7 +626,7 @@ class TestUnitaryPicture:
         groups.clear()
         for n_probes, rows in ((1, 1), (16, 32)):  # Schroedinger; pulled back
             run_circuit(*_model_circuit("PQC19", 3, DEV_A, rows, n_probes, seed=n))
-        assert groups["apply_superop_batch"] == [()] * 2 and "apply_unitary_vec" not in groups
+        assert groups["apply_superop_batch"] == [(), (16,)] and "apply_unitary_vec" not in groups
 
     @pytest.mark.parametrize("n_probes, b", [(16, 32), (2, 32), (1, 300)])
     def test_no_stack_holds_more_than_the_rows_at_eight_qubits(self, monkeypatch, n_probes, b):
@@ -709,9 +737,9 @@ class TestPlan:
                 np.testing.assert_array_equal(one, _embed(want, qubits, into))
         # a gate on one qubit of a pair: U (x) I with the first listed qubit as the high bit
         u = rotation_batch("RY", 0.7)
-        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (0, 1)), unitary_superop(np.kron(u, np.eye(2))),
+        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (0, 1)), to_ptm(superop(np.kron(u, np.eye(2)))),
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (1, 0)), unitary_superop(np.kron(np.eye(2), u)),
+        np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (1, 0)), to_ptm(superop(np.kron(np.eye(2), u))),
                                    rtol=0, atol=1e-15)
         # a unitary has one leg per qubit: U (x) I itself
         np.testing.assert_array_equal(_embed(u, (0,), (0, 1)), np.kron(u, np.eye(2)))
@@ -851,6 +879,15 @@ class TestGrid:
         circuit, overrides = _model_circuit("PQC6", 3, profile, 8, n_probes=4, seed=3)
         np.testing.assert_array_equal(run_circuit(circuit, overrides), run_circuit(circuit, overrides))
 
+    def test_float64_overrides_are_taken_as_they_are(self):
+        from qsteal.circuits import _Grid
+
+        per_sample, per_probe = np.linspace(0.0, 1.0, 5)[None], np.linspace(0.0, 1.0, 3)[:, None]
+        grid = _Grid.of({1: per_sample, 3: per_probe, 5: np.float64(0.2), 7: np.arange(5)})
+        assert grid.angles[1] is per_sample and grid.angles[3] is per_probe
+        assert grid.angles[7].shape == (1, 5) and grid.angles[7].dtype == np.float64
+        assert (grid.p, grid.b) == (3, 5)
+
     def test_overrides_must_share_one_grid(self):
         circuit, overrides = _model_circuit("PQC19", 3, None, 4, n_probes=3)
         overrides[max(overrides)] = np.zeros(5)
@@ -899,10 +936,33 @@ def _bytes(mats):
     return [(m.shape, m.tobytes()) for m in mats]
 
 
+def _alone(circuit, steps, angles: dict, pure: bool = False) -> list:
+    """helpers.per_step_matrices with the package's own builders: each
+    step's gate from its own rotation_batch and unitary_superop calls, then
+    its `after`.  Equal to circuits._built byte for byte, where the
+    independent reference is equal to rounding."""
+    out = []
+    for i, _, after in steps:
+        if i is None:
+            out.append(after)
+            continue
+        op = circuit.ops[i]
+        mat = gate_matrix(op) if i not in angles else rotation_batch(op.kind, angles[i])
+        gate = mat if pure else unitary_superop(mat)
+        out.append(gate if after is None else after @ gate)
+    return out
+
+
+def _close(got, want):
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+
 class TestBuilder:
     """circuits._built builds a call's gates one stacked batch per (kind,
-    angle shape); each step's matrix equals the one built on its own
-    (helpers.per_step_matrices), byte for byte."""
+    angle shape); each step's matrix equals the one built on its own by the
+    same builders (_alone), byte for byte, and the independent reference
+    (helpers.per_step_matrices) to rounding."""
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
@@ -915,7 +975,8 @@ class TestBuilder:
         steps = circuit.plan[0] + circuit.plan[1]
         angles = _angles(circuit, shape)
         for pure in (True, False) if profile is IDEAL else (False,):
-            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(per_step_matrices(circuit, steps, angles, pure))
+            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(_alone(circuit, steps, angles, pure))
+            _close(_built(circuit, steps, angles, pure), per_step_matrices(circuit, steps, angles, pure))
 
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
     @pytest.mark.parametrize("shape", [*_SHAPES, "mixed"])
@@ -933,11 +994,14 @@ class TestBuilder:
                 op = None if i is None else circuit.ops[i]
                 if op is not None and op.angle is not None:
                     dim = (2 if pure else 4) ** len(qubits)
-                    after = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) if k % 2 else None
+                    after = rng.normal(size=(dim, dim)) if k % 2 else None  # PTMs are real
+                    if pure and after is not None:
+                        after = after + 1j * rng.normal(size=(dim, dim))
                     groups.setdefault((op.kind, np.shape(angles.get(i, op.angle))), set()).add(after is None)
                 steps.append((i, qubits, after))
             assert any(len(kinds) == 2 for kinds in groups.values())
-            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(per_step_matrices(circuit, steps, angles, pure))
+            assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(_alone(circuit, steps, angles, pure))
+            _close(_built(circuit, steps, angles, pure), per_step_matrices(circuit, steps, angles, pure))
 
     def test_one_rotation_and_superop_call_per_kind_and_angle_shape(self, monkeypatch):
         import qsteal.circuits as circuits_mod
@@ -965,7 +1029,7 @@ class TestBuilder:
         pure = not circuit.has_noise
         compiled = compile_prefix(circuit, pinned, pure)
         starts, steps = compiled.starts, compiled.steps
-        monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
+        monkeypatch.setattr(circuits_mod, "_built", _alone)
         want = compile_prefix(circuit, pinned, pure)
         want_starts, want_steps = want.starts, want.steps
         assert starts.tobytes() == want_starts.tobytes()
@@ -980,10 +1044,14 @@ class TestBuilder:
 
         grids = [(16, 32), (16, 5), (1, 1), (3, 9)]
         runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
-        got = [run_circuit(*run).tobytes() for run in runs] + [final_states(*runs[-1]).tobytes()]
+        got = [run_circuit(*run) for run in runs] + [final_states(*runs[-1])]
+        monkeypatch.setattr(circuits_mod, "_built", _alone)
+        runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
+        assert _bytes(got) == _bytes([run_circuit(*run) for run in runs] + [final_states(*runs[-1])])
+        # and each picture within rounding of its run on the independent reference
         monkeypatch.setattr(circuits_mod, "_built", per_step_matrices)
         runs = [_model_circuit(tid, 4, profile, b, n_probes, seed=b) for n_probes, b in grids]
-        assert got == [run_circuit(*run).tobytes() for run in runs] + [final_states(*runs[-1]).tobytes()]
+        _close(got, [run_circuit(*run) for run in runs] + [final_states(*runs[-1])])
 
 
 def _served(tid, n, profile, d, seed=0):
@@ -1013,8 +1081,9 @@ class _CountingNumpy:
 
 class TestDepthPrefix:
     """circuits._prefix runs a compiled prefix one depth at a time; every
-    row's state equals the per-step loop of helpers.per_step_prefix, byte
-    for byte, served or in a run_circuit head."""
+    row's state equals the per-step loop of helpers.per_step_prefix on the
+    package's builders (_alone), byte for byte, served or in a run_circuit
+    head, and on the independent reference to rounding."""
 
     WIDTHS = {tid: range(1 if tid == "PQC1" else 2, MAX_QUBITS + 1) for tid in TEMPLATE_IDS}
     BATCHES = (1, 2, 5, 50, 700)
@@ -1037,8 +1106,9 @@ class TestDepthPrefix:
                         x = rng.uniform(0, 2 * np.pi, (b, d))
                         angles = {**dict(zip(features, x.T)), **({} if pinned else thetas)}
                         got = product_prefix(circuit, prefix, angles)
-                        want = _bytes(_as_list(per_step_prefix(circuit, angles, prefix, (1, 1))))
+                        want = _bytes(_as_list(per_step_prefix(circuit, angles, prefix, (1, 1), _alone)))
                         assert _bytes(_as_list(got)) == want
+                        _close(_as_list(got), _as_list(per_step_prefix(circuit, angles, prefix, (1, 1))))
                         if pinned:  # the served form: the features' rows of x.T, in op order
                             assert _bytes(_as_list(product_prefix(circuit, prefix, x.T))) == want
 
@@ -1066,7 +1136,7 @@ class TestDepthPrefix:
         # Schroedinger runs no prefix; every pulled-back and state-picture call runs one
         assert len(heads) >= 12 and any(shape[0] > 1 for (_, _, _, shape), _ in heads)
         for args, got in heads:
-            assert _bytes(_as_list(got)) == _bytes(_as_list(per_step_prefix(*args)))
+            assert _bytes(_as_list(got)) == _bytes(_as_list(per_step_prefix(*args, _alone)))
 
     @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
     def test_qubits_with_more_steps_stand_first(self, case):
@@ -1079,7 +1149,7 @@ class TestDepthPrefix:
             assert prefix.order is not None and prefix.depths == ((0, len(_angled(circuit))),)
             for b in (1, 5):
                 angles = {i: np.linspace(-1.0, 2.5, b) + i for i in _angled(circuit)}
-                want = per_step_prefix(circuit, angles, prefix, (1, 1))
+                want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
                 assert _bytes(_as_list(product_prefix(circuit, prefix, angles))) == _bytes(_as_list(want))
 
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])

@@ -1,27 +1,51 @@
-"""Batched density-matrix kernels against an independent full-embedding oracle."""
+"""Batched kernels and Pauli transfer matrices against an independent
+full-embedding oracle.
+
+The kernel runs PTMs on Pauli vectors; the tests hand it density
+matrices turned into Pauli vectors and read its results back as density
+matrices (helpers.pauli_vectors, helpers.density_matrices), so every
+check is stated on density matrices."""
 
 import numpy as np
 import pytest
 
-from qsteal.channels import ReadoutConfusion, amplitude_damping, depolarizing, depolarizing_2q
-from qsteal.density import (
-    apply_superop_batch,
-    apply_unitary_vec,
-    sample_expectations,
-    unitary_superop,
+from qsteal.channels import (
+    ReadoutConfusion,
+    amplitude_damping,
+    bit_flip,
+    depolarizing,
+    depolarizing_2q,
+    phase_flip,
+)
+from qsteal.density import apply_superop_batch, apply_unitary_vec, sample_expectations, unitary_superop
+from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
+
+from helpers import (
+    assert_density_matrix,
+    density_matrices,
+    embed_full,
+    exp_z_batch,
+    kraus_superop,
+    pauli_vectors,
+    random_density,
+    random_gate,
+    superop,
+    to_ptm,
     zero_states,
 )
-from qsteal.gates import GateOp, gate_matrix, rotation_batch
 
-from helpers import assert_density_matrix, embed_full, exp_z_batch, random_density, random_gate
+
+def _run(states, steps, n: int) -> np.ndarray:
+    """Density matrices after PTM steps, run on their Pauli vectors."""
+    return density_matrices(apply_superop_batch(pauli_vectors(states), steps, n))
 
 
 def _gate(states, op: GateOp, n: int) -> np.ndarray:
-    return apply_superop_batch(states, [(unitary_superop(gate_matrix(op)), op.qubits)], n)
+    return _run(states, [(unitary_superop(gate_matrix(op)), op.qubits)], n)
 
 
 def _channel(states, channel, qubits, n: int) -> np.ndarray:
-    return apply_superop_batch(states, [(channel.superop, tuple(qubits))], n)
+    return _run(states, [(channel.superop, tuple(qubits))], n)
 
 
 def _random_states(rng, n: int, batch: int) -> np.ndarray:
@@ -188,7 +212,7 @@ class TestBatchedKernels:
     def test_per_sample_matrices(self):
         rng = np.random.default_rng(52)
         n = 2
-        states = _random_states(rng, n, 4)
+        states = pauli_vectors(_random_states(rng, n, 4))
         angles = rng.uniform(0, 2 * np.pi, 4)
         mats = np.stack([rotation_batch("RZ", a) for a in angles])
         batched = apply_superop_batch(states, [(unitary_superop(mats), (1,))], n)
@@ -225,7 +249,7 @@ class TestBatchedKernels:
         rng = np.random.default_rng(59)
         n, b = 4, 6
         vecs = rng.normal(size=(b, 2**n)) + 1j * rng.normal(size=(b, 2**n))
-        states = _random_states(rng, n, b)
+        states = pauli_vectors(_random_states(rng, n, b))
         steps = [(gate_matrix(op), op.qubits) for op in (random_gate(rng, n) for _ in range(8))]
         superops = [(unitary_superop(u), qubits) for u, qubits in steps] + [(amplitude_damping(0.2).superop, (1,))]
         groups = []
@@ -249,8 +273,8 @@ class TestBatchedKernels:
         assert apply_unitary_vec.__code__ is apply_superop_batch.__code__
 
     @pytest.mark.parametrize("stacks", ["shared", "per_group"])
-    def test_unitaries_on_statevectors_match_their_superoperators_on_projectors(self, stacks):
-        # psi through a step list of unitaries equals |psi><psi| through their superoperators
+    def test_unitaries_on_statevectors_match_their_ptms_on_projectors(self, stacks):
+        # psi through a step list of unitaries equals |psi><psi| through their PTMs
         rng = np.random.default_rng(58)
         n, g, r = 3, 4, 3
         vecs = rng.normal(size=(g * r, 2**n)) + 1j * rng.normal(size=(g * r, 2**n))
@@ -261,16 +285,15 @@ class TestBatchedKernels:
             angles = rng.uniform(0, 2 * np.pi, g) if stacks == "per_group" else op.angle
             steps.append((gate_matrix(op) if op.angle is None else rotation_batch(op.kind, angles), op.qubits))
         out = apply_unitary_vec(vecs, steps, n)
-        rho = apply_superop_batch(np.einsum("bi,bj->bij", vecs, vecs.conj()),
-                                  [(unitary_superop(u), qubits) for u, qubits in steps], n)
+        rho = _run(np.einsum("bi,bj->bij", vecs, vecs.conj()), [(unitary_superop(u), qubits) for u, qubits in steps], n)
         np.testing.assert_allclose(np.einsum("bi,bj->bij", out, out.conj()), rho, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("qubits", [(1,), (2, 0), (0, 3)])
-    def test_grouped_superoperators_match_per_state_stacks(self, qubits):
-        # a (G, 4^k, 4^k) stack over G * R states equals every state with its group's superoperator
+    def test_grouped_ptms_match_per_state_stacks(self, qubits):
+        # a (G, 4^k, 4^k) stack over G * R states equals every state with its group's PTM
         rng = np.random.default_rng(55)
         n, g, r = 4, 3, 5
-        states = _random_states(rng, n, g * r)
+        states = pauli_vectors(_random_states(rng, n, g * r))
         kind = "RX" if len(qubits) == 1 else "CRX"
         stack = unitary_superop(rotation_batch(kind, rng.uniform(0, 2 * np.pi, g)))
         grouped = apply_superop_batch(states, [(stack, qubits)], n)
@@ -281,7 +304,7 @@ class TestBatchedKernels:
         # each step leaves the batch in its own axis order; only the result is put back
         rng = np.random.default_rng(56)
         n, b = 4, 6
-        states = _random_states(rng, n, b)
+        states = pauli_vectors(_random_states(rng, n, b))
         steps = []
         for _ in range(12):
             op = random_gate(rng, n)
@@ -313,3 +336,65 @@ class TestBatchedKernels:
         got = run_circuit(CircuitIR(n, tuple(ops), measured))
         want = np.stack([exp_z_batch(states, q, n) for q in measured], axis=1)
         np.testing.assert_allclose(got, want[:1], rtol=0, atol=1e-12)
+
+
+#: a gate of every kind, the parameterized ones at several angles, and every channel at several rates
+GATES = [gate_matrix(GateOp(kind, tuple(range(arity)), a)) for kind, (arity, angled) in GATE_KINDS.items()
+         for a in ((0.0, 0.7, np.pi, 4.1) if angled else (None,))]
+CHANNELS = [build(p) for build in (bit_flip, phase_flip, depolarizing, amplitude_damping, depolarizing_2q)
+            for p in (0.0, 0.05, 0.3, 1.0)]
+
+
+class TestPauliTransferMatrices:
+    """Every gate and channel as a real PTM, R_ab = Tr(P_a Phi(P_b)) / 2^k,
+    against the one the test builds from its computational-basis
+    superoperator through a change of basis written out from the Pauli
+    strings (helpers.to_ptm, which checks that the imaginary part it drops
+    is at most 1e-15)."""
+
+    @pytest.mark.parametrize("k", range(len(GATES)))
+    def test_gate_ptm_is_real_orthogonal_and_fixes_the_identity(self, k):
+        u = GATES[k]
+        got = unitary_superop(u)
+        assert got.dtype == np.float64 and got.shape == (u.shape[0] ** 2,) * 2
+        np.testing.assert_allclose(got, to_ptm(superop(u)), rtol=0, atol=1e-15)
+        e0 = np.eye(got.shape[0])[0]
+        np.testing.assert_array_equal(got[0], e0)
+        np.testing.assert_array_equal(got[:, 0], e0)
+        np.testing.assert_allclose(got @ got.T, np.eye(got.shape[0]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(len(CHANNELS)))
+    def test_channel_ptm_is_real_and_trace_preserving(self, k):
+        channel = CHANNELS[k]
+        got = channel.superop
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, to_ptm(kraus_superop(channel)), rtol=0, atol=1e-15)
+        e0 = np.eye(got.shape[0])[0]
+        np.testing.assert_allclose(got[0], e0, rtol=0, atol=1e-15)
+        if channel.name != "AmplitudeDamping" or channel.rate == 0.0:  # every other channel is unital
+            np.testing.assert_allclose(got[:, 0], e0, rtol=0, atol=1e-15)
+        else:
+            assert abs(got[3, 0] - channel.rate) < 1e-15  # |1> decays to |0>: <Z> gains gamma
+
+    def test_random_unitaries_and_controlled_unitaries(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            np.testing.assert_allclose(unitary_superop(u), to_ptm(superop(u)), rtol=0, atol=1e-15)
+            controlled = np.eye(4, dtype=np.complex128)
+            controlled[2:, 2:] = u
+            np.testing.assert_allclose(unitary_superop(controlled), to_ptm(superop(controlled)), rtol=0, atol=1e-15)
+
+    def test_a_two_qubit_unitary_that_is_no_controlled_gate_is_refused(self):
+        swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+        with pytest.raises(ValueError, match="controlled gate"):
+            unitary_superop(np.stack([gate_matrix(GateOp("CNOT", (0, 1))), swap]))
+
+    def test_pauli_vectors_round_trip_and_read_out_z(self):
+        rng = np.random.default_rng(62)
+        states = _random_states(rng, 3, 4)
+        paulis = pauli_vectors(states)
+        np.testing.assert_allclose(density_matrices(paulis), states, rtol=0, atol=1e-15)
+        # <Z_q> is the coefficient of Z on qubit q: both its bits set
+        for q in range(3):
+            np.testing.assert_allclose(paulis[:, 1 << q, 1 << q], exp_z_batch(states, q, 3), rtol=0, atol=1e-15)

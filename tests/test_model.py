@@ -325,15 +325,76 @@ class TestForwardProbes:
         original = model_mod.run_circuit
         monkeypatch.setattr(model_mod, "run_circuit", lambda c, o, held: rows.append(o) or original(c, o, held))
         forward_probes(model, self._probes(model), _inputs(5), DEV_A)
-        # one probes x samples grid: (5,) per-sample features, (6, 1) per-probe angles
+        # one probes x samples grid: (1, 5) per-sample features, (6, 1) per-probe angles
         assert len(rows) == 1
         shapes = [np.shape(v) for v in rows[0].values()]
-        assert set(shapes) == {(5,), (6, 1)}
+        assert set(shapes) == {(1, 5), (6, 1)}
         assert shapes.count((6, 1)) == model.template.param_count
 
     def test_probe_vectors_must_match_the_model(self, model):
         with pytest.raises(ValueError, match="parameter vectors"):
             forward_probes(model, np.zeros((2, model.n_params + 1)), _inputs(2))
+
+
+def _z_of(states, n):
+    return np.stack([exp_z_batch(states, q, n) for q in range(n)], axis=1)
+
+
+class TestPauliBasis:
+    """Every noisy route runs in the real Pauli basis: run_circuit in both
+    the pulled-back and the Schroedinger picture, forward_batch's served
+    rows, forward_probes on held heads, and final_states, each within 1e-12
+    of helpers.unfused_states (density matrices and computational-basis
+    superoperators), and each rerun bit for bit."""
+
+    @pytest.mark.parametrize("tid", TEMPLATE_IDS)
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("profile", [DEV_A, DEV_B], ids=["devA", "devB"])
+    def test_every_noisy_route_is_near_the_unfused_states(self, monkeypatch, tid, n, profile):
+        import qsteal.circuits as circuits_mod
+        from qsteal.circuits import final_states, run_circuit
+
+        pulled, heads = [], []
+        original, head = circuits_mod._pulled_back_picture, circuits_mod._prefix
+        monkeypatch.setattr(circuits_mod, "_pulled_back_picture", lambda *a: pulled.append(1) or original(*a))
+        monkeypatch.setattr(circuits_mod, "_prefix", lambda *a: heads.append(1) or head(*a))
+        template = PQCTemplate(tid, n)
+        model = init_model(template, 4, seed=n)
+        rng = np.random.default_rng(n)
+        x = _inputs(12, seed=n)
+        circuit, slots = model_mod._prepared_circuit(template, 8, profile)
+        thetas = model.theta[None] + 0.3 * rng.normal(size=(2, template.param_count))
+        # (2, 7): 2 * n pulled-back Z_q for 14 rows; (1, 1): every row evolved on its own
+        for probes, rows in ((thetas, x[:7]), (thetas[:1], x[:1])):
+            overrides = model_mod._probe_overrides(slots, probes, rows)
+            pulled.clear()
+            got = run_circuit(circuit, overrides)
+            assert bool(pulled) == (len(rows) > 1)
+            assert got.tobytes() == run_circuit(circuit, overrides).tobytes()
+            want = unfused_states(circuit, overrides)
+            np.testing.assert_allclose(got, _z_of(want, n), rtol=0, atol=1e-12)
+            states = final_states(circuit, overrides)
+            np.testing.assert_allclose(states, want, rtol=0, atol=1e-12)
+            assert states.tobytes() == final_states(circuit, overrides).tobytes()
+        # served rows: the compiled prefix meets the held pulled-back readout
+        served = forward_batch(model, x, profile)
+        assert served.tobytes() == forward_batch(model, x, profile).tobytes()
+        want = _z_of(unfused_states(circuit, model_mod._probe_overrides(slots, model.theta[None], x)), n)
+        np.testing.assert_allclose(expectations_batch(model, x, profile), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(served, softmax(want @ model.weights.T + model.bias), rtol=0, atol=1e-12)
+        # training rows: the probes meet the held heads of the rows they take
+        held = model_mod.hold_features(template, x, profile, probes=2, batch=7)
+        assert held is not None and held.states.shape == (n, 12, 4) and held.states.dtype == np.float64
+        idx = np.array([11, 0, 5, 3, 8, 2, 9])
+        flats = np.concatenate([thetas, np.tile(model.flat_params()[template.param_count :], (2, 1))], axis=1)
+        heads.clear()
+        got = forward_probes(model, flats, x[idx], profile, held=(held, idx))
+        assert not heads  # the rows' head states are the held ones
+        assert got.tobytes() == forward_probes(model, flats, x[idx], profile, held=(held, idx)).tobytes()
+        want = _z_of(unfused_states(circuit, model_mod._probe_overrides(slots, thetas, x[idx])), n)
+        np.testing.assert_allclose(got.reshape(-1, 4), softmax(want @ model.weights.T + model.bias), rtol=0, atol=1e-12)
+        exps, _ = model_mod._probe_expectations(template, thetas, x[idx], profile, (held, idx))
+        np.testing.assert_allclose(exps.reshape(-1, n), want, rtol=0, atol=1e-12)
 
 
 class TestSoftmax:
