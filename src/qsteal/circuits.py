@@ -6,7 +6,10 @@ executor :func:`run_circuit` evaluates a grid of probes x samples at once
 from angle overrides, so one circuit skeleton serves a whole batch of
 encoded samples under several parameter vectors.  A call builds its gate
 matrices one batch per (gate kind, angle shape) (:func:`_built`), and a
-step's matrix does not depend on what it was built beside.
+step's matrix does not depend on what it was built beside; the
+product-state prefix builds none: a 1-qubit rotation is fixed matrices
+weighted by the cosine and sine of its angle (:func:`rotation_basis`),
+which a compiled prefix holds once per step (:class:`Prefix`).
 
 A noise-free circuit runs on statevectors and unitaries, a noisy one in
 the real Pauli basis of :mod:`qsteal.density`: PTM steps, per-qubit Bloch
@@ -43,11 +46,10 @@ MAX_QUBITS = 8
 #: take 16 MB at the 8-qubit cap
 CONTRACT_ROWS = 32
 
-#: samples per head call of :func:`hold_head`: at d = 8 a chunk's stacked
-#: feature gates take 128 KB as unitaries and 512 KB as superoperators;
-#: one call on a 700-sample set made 350 KB and 1.4 MB, and raised the
-#: process's peak RSS by about 0.4 MB where chunks raise it by the held
-#: states alone
+#: samples per head call of :func:`hold_head`: at d = 8 on 4 qubits a
+#: chunk's per-depth products take 64 KB as statevectors and 96 KB as
+#: Bloch vectors, where one call on a 700-sample set would make 175 KB
+#: and 262 KB
 HOLD_ROWS = 256
 
 #: entries of the observables one pull-back call may hold even where that is
@@ -478,6 +480,33 @@ def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[
     return out
 
 
+@lru_cache(maxsize=None)
+def rotation_basis(kind: str, pure: bool) -> np.ndarray:
+    """The fixed matrices B_t, read-only (T, d, d), whose sum weighted by
+    :func:`rotation_weights` is a 1-qubit rotation (RX, RY, RZ) at any
+    angle: exp(-i theta P / 2) = cos(theta/2) I + sin(theta/2) (-iP) when
+    `pure` (T = 2), else its PTM P_0 + cos(theta) P_1 + sin(theta) P_2
+    (T = 3; Greenbaum, arXiv:1509.02921).  Read off the builders at theta
+    = 0, pi (and pi/2), rounded to entries of exactly 0, +-1 or +-i."""
+    if pure:
+        basis = rotation_batch(kind, [0.0, np.pi])
+    else:
+        at_0, at_half_pi, at_pi = density.unitary_superop(rotation_batch(kind, [0.0, np.pi / 2, np.pi]))
+        basis = np.array([at_0 + at_pi, at_0 - at_pi, 2 * at_half_pi - at_0 - at_pi]) / 2
+    basis = np.round(basis) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
+    basis.flags.writeable = False
+    return basis
+
+
+def rotation_weights(angles: np.ndarray, pure: bool) -> np.ndarray:
+    """The :func:`rotation_basis` weights, (..., T): cos, sin of theta / 2 if `pure`, else 1, cos, sin of theta."""
+    angles = np.divide(angles, 2 if pure else 1)
+    out = np.ones((*angles.shape, 3))
+    np.cos(angles, out=out[..., 1])
+    np.sin(angles, out=out[..., 2])
+    return out[..., 1:] if pure else out
+
+
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A compiled product-state prefix (:func:`compile_prefix`), or a head of
@@ -491,11 +520,10 @@ class Prefix:
     (None for 0..n-1), by falling step count, so the qubits with a step at
     depth k are the first `depths[k][1]` of them.  The steps stand
     depth-major in that order, depth k from position `depths[k][0]` on,
-    and per position: `ops` holds the op index, `own` the op's own angle,
-    `plain` whether `after` is None, `rows` the step's index in `steps`,
-    and `afters` the read-only `after`, the identity where it is None,
-    stacked as (positions, 1, 1, dim, dim) to broadcast over a probes x
-    samples grid.  `by_kind` lists the positions of each gate kind.
+    and per position: `ops` holds the op index, `rows` the step's index
+    in `steps`, and `maps` the read-only products `after` @ B_t of the
+    op's :func:`rotation_basis`, (positions, T, dim, dim): the step at
+    angle theta is sum_t w_t(theta) `maps`[k, t].
     """
 
     starts: np.ndarray
@@ -503,11 +531,8 @@ class Prefix:
     order: np.ndarray | None
     depths: tuple
     ops: tuple
-    own: tuple
-    plain: tuple
     rows: np.ndarray
-    afters: np.ndarray
-    by_kind: tuple
+    maps: np.ndarray
 
     @classmethod
     def of(cls, circuit: CircuitIR, starts: np.ndarray, steps: tuple) -> "Prefix":
@@ -521,21 +546,19 @@ class Prefix:
             depths.append((len(seq), len(here)))
             seq += here
         ops = tuple(i for i, _, _ in seq)
-        eye = np.eye(starts.shape[1], dtype=starts.dtype)
-        afters = np.array([eye if after is None else after for _, _, after in seq]).reshape(-1, 1, 1, *eye.shape)
-        afters.flags.writeable = False
-        kinds = [circuit.ops[i].kind for i in ops]
+        dim = starts.shape[1]
+        bases = [rotation_basis(circuit.ops[i].kind, dim == 2) for i in ops]
+        maps = np.array([b if after is None else after @ b for b, (_, _, after) in zip(bases, seq)])
+        maps = maps.reshape(-1, 2 if dim == 2 else 3, dim, dim)
+        maps.flags.writeable = False
         return cls(
             starts=starts,
             steps=tuple(steps),
             order=None if order == sorted(order) else np.array(order),
             depths=tuple(depths),
             ops=ops,
-            own=tuple(circuit.ops[i].angle for i in ops),
-            plain=tuple(after is None for _, _, after in seq),
             rows=np.array([[i for i, _, _ in steps].index(i) for i in ops], dtype=np.intp),
-            afters=afters,
-            by_kind=tuple((kind, [k for k, kk in enumerate(kinds) if kk == kind]) for kind in dict.fromkeys(kinds)),
+            maps=maps,
         )
 
 
@@ -593,63 +616,38 @@ def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape
     `angles` is a (steps, B) array of every step's per-sample angles, the
     steps in plan order, as a served batch's x.T gives its features.
 
-    The steps run one depth at a time.  The gates of one kind and angle
-    shape come from one rotation_batch (and unitary_superop) call.  Each
-    depth's run of steps from one such batch, on leading qubits of
-    `order`, meets its `after`s in one stacked product (per depth, so that
-    at large B no product holds more than one depth's matrices) and then
-    those qubits' states in one more.  A step's matrix and a state's
-    product are each what they would be alone.  The states span only the
-    grid axes the steps so far vary over, so a prefix of per-sample
-    encodings and per-probe rotations runs the encodings on B rows, not
-    P * B.
+    The steps run one depth at a time, and build no gate: a depth's
+    qubits, the leading ones of `order`, meet the depth's `maps` in one
+    stacked product, each row on its own, and the products' sum weighted
+    by the cosines and sines of the angles (:func:`rotation_weights`) is
+    the new states.  The states span only the grid axes the steps so far
+    vary over, so a prefix of per-sample encodings and per-probe
+    rotations runs the encodings on B rows, not P * B; the weights
+    broadcast the products out to the grid they vary over.
     """
     n, size = prefix.starts.shape
+    pure = size == 2
     if isinstance(angles, dict):
-        vals = [angles.get(i, own) for i, own in zip(prefix.ops, prefix.own)]
-        groups = {}  # (kind, angle shape) -> positions
-        for kind, idx in prefix.by_kind:
-            for k in idx:
-                groups.setdefault((kind, getattr(vals[k], "shape", ())), []).append(k)
-        batches = [(kind, idx, np.array([vals[k] for k in idx]).reshape(len(idx), *(1,) * (2 - len(ashape)), *ashape))
-                   for (kind, ashape), idx in groups.items()]
-    else:  # (steps, B) per-sample angles, the steps in plan order: one angle shape
-        rows = angles[prefix.rows][:, None]
-        batches = [(kind, idx, rows if len(idx) == len(rows) else rows[idx]) for kind, idx in prefix.by_kind]
-    gates, place = [], {}  # each batch's matrices; with several, position -> (batch, index in it)
-    for kind, idx, stacked in batches:
-        built = rotation_batch(kind, stacked)
-        gates.append(built if size == 2 else density.unitary_superop(built))
-        if len(batches) > 1:
-            place.update((k, (len(gates) - 1, j)) for j, k in enumerate(idx))
-    states = (prefix.starts if prefix.order is None else prefix.starts[prefix.order])[:, None, None].copy()
-    for lo, count in prefix.depths:
-        q = 0
-        while q < count:  # a run of this depth's steps whose gates were built together
-            g, j = place.get(lo + q, (0, lo + q))
-            r = count - q
-            if place:
-                r = next((t for t in range(1, r) if place[lo + q + t][0] != g), r)
-            mats, plain = gates[g][j : j + r], prefix.plain[lo + q : lo + q + r]
-            if not all(plain):
-                out = np.matmul(prefix.afters[lo + q : lo + q + r], mats)
-                if any(plain):  # as built: an identity product can flip the sign of a zero entry
-                    out[list(plain)] = mats[list(plain)]
-                mats = out
-            out = np.matmul(mats, states[q : q + r, ..., None])[..., 0]
-            if r == n:
-                states = out
-            else:
-                if out.shape[1:] != states.shape[1:]:
-                    states = np.broadcast_to(states, (n, *out.shape[1:])).copy()
-                states[q : q + r] = out
-            q += r
+        vals = [np.atleast_2d(angles.get(i, circuit.ops[i].angle)) for i in prefix.ops]
+        weights = [rotation_weights(np.array(np.broadcast_arrays(*vals[lo : lo + count])), pure)[..., None]
+                   for lo, count in prefix.depths]
+    else:  # (steps, B) per-sample angles, the steps in plan order
+        w = rotation_weights(angles[prefix.rows][:, None], pure)[..., None]
+        weights = [w[lo : lo + count] for lo, count in prefix.depths]
+    states = (prefix.starts if prefix.order is None else prefix.starts[prefix.order])[:, None, None]
+    for (lo, count), w in zip(prefix.depths, weights):
+        maps = prefix.maps[lo : lo + count].reshape(count, 1, 1, -1, size)
+        products = np.matmul(maps, states[:count, ..., None]).reshape(count, *states.shape[1:3], -1, size)
+        out = np.add.reduce(products * w, axis=-2)
+        if count < n:  # the qubits with no step at this depth keep their states
+            out = np.concatenate([out, np.broadcast_to(states[count:], (n - count, *out.shape[1:]))])
+        states = out
     grid = (max(states.shape[1], shape[0]), max(states.shape[2], shape[1]))
     if states.shape[1:3] != grid:
         states = np.broadcast_to(states, (n, *grid, size))
     if prefix.order is not None:
         states = states[np.argsort(prefix.order)]
-    if size == 2:
+    if pure:
         return _kron_rows(list(states.reshape(n, -1, 2)))
     return states.reshape(n, -1, 4)
 

@@ -485,6 +485,7 @@ def cmd_report(out: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)  # built once per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsteal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

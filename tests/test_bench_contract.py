@@ -97,13 +97,13 @@ def test_workload_runs_correct_and_repeatable(tmp_path, name):
     assert results[0].fingerprint == results[1].fingerprint
 
 
-#: bindings a served devA row must call once each; the per-layer rotation and superop counts are read from them
+#: gate-builder bindings whose per-layer counts a served row is read against: it calls neither
 SERVE_BINDINGS = ("qsteal.circuits.rotation_batch", "qsteal.density.unitary_superop")
 
 
 def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
-    # a gate builder that went around these bindings would read as a drop to zero in a traced run, and
-    # one that called them more than once per row would no longer count one build per served call
+    # a served row runs its prefix from the compiled maps, so a traced run reads zero gate builds per row;
+    # one that built gates again would read as a rise from zero, through the same hooked bindings
     import numpy as np
 
     from qsteal import defense, model
@@ -128,8 +128,7 @@ def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     defense.no_defense(victim, dev_a).predict(x)
-    assert calls == dict.fromkeys(SERVE_BINDINGS, 1)
-
+    assert calls == dict.fromkeys(SERVE_BINDINGS, 0)
 
 
 def test_obfuscation_scores_through_the_hooked_tvd_binding(monkeypatch):

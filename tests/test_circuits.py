@@ -19,6 +19,8 @@ from qsteal.circuits import (
     TEMPLATE_IDS,
     product_prefix,
     pulled_back,
+    rotation_basis,
+    rotation_weights,
     run_circuit,
     weave_noise,
 )
@@ -1079,11 +1081,48 @@ class _CountingNumpy:
         return np.matmul(*args)
 
 
+def _row(states, r):
+    """Row r of a prefix's states: a (rows, 2^n) statevector's row, or each qubit's Bloch vector, (n, rows, 4)."""
+    return states[r] if states.ndim == 2 else states[:, r]
+
+
+def _assert_prefix_run(run, args, got, want):
+    """`got`, circuits._prefix on `args` run by `run`, is within 1e-14 of `want`, a rerun is bitwise `got`, and
+    each row is bitwise the row run alone, each prefix angle at that row's entry of the grid."""
+    circuit, angles, prefix, shape = args
+    _close(_as_list(got), _as_list(want))
+    assert run(*args).tobytes() == got.tobytes()
+    grid = {i: np.asarray(a)[None] if np.ndim(a) == 1 else np.asarray(a) for i, a in angles.items() if i in prefix.ops}
+    p, b = np.broadcast_shapes(shape, *(a.shape for a in grid.values()))
+    for r in range(p * b):
+        alone = {i: a if a.ndim == 0 else a[r // b if a.shape[0] > 1 else 0, r % b if a.shape[1] > 1 else 0]
+                 for i, a in grid.items()}
+        assert _row(run(circuit, alone, prefix, (1, 1)), 0).tobytes() == _row(got, r).tobytes()
+
+
+class TestRotationBasis:
+    """Each 1-qubit rotation is its basis weighted by the cosines and sines of
+    its angle, as a 2x2 unitary and as a PTM."""
+
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ"])
+    @pytest.mark.parametrize("pure", [True, False], ids=["unitary", "ptm"])
+    def test_weighted_basis_is_the_built_gate(self, kind, pure):
+        basis = rotation_basis(kind, pure)
+        assert basis.shape == ((2, 2, 2) if pure else (3, 4, 4))
+        assert np.isin(basis, [0, 1, -1, 1j, -1j]).all()
+        thetas = np.array([0.0, 0.7, np.pi, 4.1, -2.3])
+        got = np.einsum("at,tij->aij", rotation_weights(thetas, pure), basis)
+        gates = rotation_batch(kind, thetas)
+        np.testing.assert_allclose(got, gates if pure else unitary_superop(gates), rtol=0, atol=1e-15)
+
+
 class TestDepthPrefix:
-    """circuits._prefix runs a compiled prefix one depth at a time; every
-    row's state equals the per-step loop of helpers.per_step_prefix on the
-    package's builders (_alone), byte for byte, served or in a run_circuit
-    head, and on the independent reference to rounding."""
+    """circuits._prefix runs a compiled prefix one depth at a time from its
+    maps, building no gate; every row's state is within 1e-14 of the
+    per-step loop of helpers.per_step_prefix on the package's builders
+    (_alone), served or in a run_circuit head, and to rounding of the
+    independent reference; a rerun is bitwise the same, and so is each row
+    run alone."""
 
     WIDTHS = {tid: range(1 if tid == "PQC1" else 2, MAX_QUBITS + 1) for tid in TEMPLATE_IDS}
     BATCHES = (1, 2, 5, 50, 700)
@@ -1092,6 +1131,8 @@ class TestDepthPrefix:
     def test_product_prefix_matches_the_per_step_loop(self, tid):
         # d = 8 leaves qubits unencoded at widths 5-7, d = 3 is fewer features than qubits from width 4;
         # pinned: the served prefix, only feature steps; unpinned: every angled step, theta shared
+        from qsteal.circuits import _prefix
+
         rng = np.random.default_rng(1)
         k = 0
         for n in self.WIDTHS[tid]:
@@ -1106,11 +1147,11 @@ class TestDepthPrefix:
                         x = rng.uniform(0, 2 * np.pi, (b, d))
                         angles = {**dict(zip(features, x.T)), **({} if pinned else thetas)}
                         got = product_prefix(circuit, prefix, angles)
-                        want = _bytes(_as_list(per_step_prefix(circuit, angles, prefix, (1, 1), _alone)))
-                        assert _bytes(_as_list(got)) == want
+                        want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
+                        _assert_prefix_run(_prefix, (circuit, angles, prefix, (1, 1)), got, want)
                         _close(_as_list(got), _as_list(per_step_prefix(circuit, angles, prefix, (1, 1))))
                         if pinned:  # the served form: the features' rows of x.T, in op order
-                            assert _bytes(_as_list(product_prefix(circuit, prefix, x.T))) == want
+                            assert product_prefix(circuit, prefix, x.T).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A, DEV_B], ids=["ideal", "devA", "devB"])
@@ -1136,12 +1177,14 @@ class TestDepthPrefix:
         # Schroedinger runs no prefix; every pulled-back and state-picture call runs one
         assert len(heads) >= 12 and any(shape[0] > 1 for (_, _, _, shape), _ in heads)
         for args, got in heads:
-            assert _bytes(_as_list(got)) == _bytes(_as_list(per_step_prefix(*args, _alone)))
+            _assert_prefix_run(original, args, got, per_step_prefix(*args, _alone))
 
     @pytest.mark.parametrize("case", ["damping_on_crx_target", "reversed_two_qubit_channel", "standalone_steps"])
     def test_qubits_with_more_steps_stand_first(self, case):
         # the angled prefix steps sit on later qubits, so the states run in a permuted qubit order
         from dataclasses import replace
+
+        from qsteal.circuits import _prefix
 
         noisy = _hand_built(case)
         for circuit in (noisy, replace(noisy, noise_points=())):
@@ -1150,30 +1193,37 @@ class TestDepthPrefix:
             for b in (1, 5):
                 angles = {i: np.linspace(-1.0, 2.5, b) + i for i in _angled(circuit)}
                 want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
-                assert _bytes(_as_list(product_prefix(circuit, prefix, angles))) == _bytes(_as_list(want))
+                _assert_prefix_run(_prefix, (circuit, angles, prefix, (1, 1)), product_prefix(circuit, prefix, angles),
+                                   want)
 
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
     @pytest.mark.parametrize("d", [4, 8, 16, 32])
-    def test_one_rotation_batch_per_kind_and_angle_shape_and_at_most_two_products_per_depth(self, monkeypatch, profile, d):
+    def test_no_gate_build_and_one_state_product_per_depth(self, monkeypatch, profile, d):
         # 4 qubits of d / 4 feature steps each: d / 4 depths served, d / 4 + 2 with theta's rotations
         import qsteal.circuits as circuits_mod
+        import qsteal.density as density_mod
 
         rotations = _spy(monkeypatch, "rotation_batch")
+        superops = []
+        original = density_mod.unitary_superop
+        monkeypatch.setattr(density_mod, "unitary_superop", lambda m: superops.append(m.shape) or original(m))
         counting = _CountingNumpy()
         circuit, features, thetas = _served("PQC19", 4, profile, d)
+        x = np.random.default_rng(d).uniform(0, 2 * np.pi, (d, 5))
         for pinned, depths in ((thetas, d // 4), ({}, d // 4 + 2)):
             prefix = compile_prefix(circuit, pinned, not circuit.has_noise)
             assert [count for _, count in prefix.depths] == [4] * depths
-            angles = {**dict(zip(features, np.zeros((d, 5)))), **({} if pinned else thetas)}
+            angles = {**dict(zip(features, x)), **({} if pinned else thetas)}
             rotations.clear()
+            superops.clear()
             monkeypatch.setattr(circuits_mod, "np", counting)
-            product_prefix(circuit, prefix, angles)
+            got = product_prefix(circuit, prefix, angles)
             monkeypatch.setattr(circuits_mod, "np", np)
-            assert sorted((kind, np.shape(a)) for kind, a in rotations) == (
-                [("RZ", (d, 1, 5))] if pinned else [("RX", (4, 1, 1)), ("RZ", (4, 1, 1)), ("RZ", (d, 1, 5))])
-            # a state product per depth, and an `after` product per depth where a step has an `after`
-            assert counting.matmuls == depths + sum(not all(prefix.plain[lo : lo + c]) for lo, c in prefix.depths)
+            assert rotations == [] and superops == []
+            assert counting.matmuls == depths
             counting.matmuls = 0
+            want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
+            _assert_prefix_run(circuits_mod._prefix, (circuit, angles, prefix, (1, 1)), got, want)
 
 
 def _as_list(states):

@@ -148,6 +148,18 @@ class TestFieldTables:
         err = capsys.readouterr().err
         assert f"config error: {field}:" in err and "nll_top1" in err
 
+    def test_the_parser_is_built_once_and_repeats_its_usage_errors(self, tmp_path, capsys):
+        from qsteal.cli import build_parser
+
+        assert build_parser() is build_parser()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["train-victim", "--out", str(tmp_path / "o")])
+            errors.append((exit_info.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1] and errors[0][0] == 2 and "--config" in errors[0][1]
+        assert main(["report", "--out", str(tmp_path)]) == 1  # and it parses the next call afresh
+
     @pytest.mark.parametrize(
         "overrides, field",
         [({"victim.device": "ideal"}, "victim.device"),

@@ -239,7 +239,7 @@ class TestReadoutCache:
             prefix, obs = model._readouts[(8, profile)]
             starts, steps = prefix.starts, prefix.steps
             assert isinstance(steps, tuple) and all(isinstance(step, tuple) for step in steps)
-            for array in [obs, starts, prefix.afters] + [after for _, _, after in steps]:
+            for array in [obs, starts, prefix.maps] + [after for _, _, after in steps]:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0] = 0.0
 
