@@ -118,13 +118,21 @@ def _unread(doc: dict, path: str, keys, reason: str) -> None:
             raise ConfigError(_at(path, key), f"set, but never read {reason}")
 
 
+def _seed(here: str, value) -> int:
+    """The seed at `here`: a nonnegative int, the only kind numpy's streams take."""
+    value = _check(here, value, int)
+    if value < 0:
+        raise ConfigError(here, f"expected a nonnegative integer, got {value}")
+    return value
+
+
 def _seeds(seeds, path: str, seed: int) -> list[int]:
-    """The nonempty integer list `seeds` of the section at `path`; [seed] when unset."""
+    """The nonempty seed list `seeds` of the section at `path`; [seed] when unset."""
     if seeds is None:
         return [seed]
     if not seeds:
         raise ConfigError(f"{path}.seeds", "needs at least one seed")
-    return [_check(f"{path}.seeds[{i}]", s, int) for i, s in enumerate(seeds)]
+    return [_seed(f"{path}.seeds[{i}]", s) for i, s in enumerate(seeds)]
 
 
 def _registry(path) -> DeviceRegistry:
@@ -163,6 +171,7 @@ def _task(doc) -> tuple[LabeledDataset, LabeledDataset, functools.partial]:
     """The train and test splits of the task section, and a maker of the
     non-problem-domain query sources shaped like it."""
     task = _section(doc, "task", _TASK)
+    _seed("task.seed", task["seed"])
     _unread(doc, "task", {"blobs": ("path",), "csv": ("k",)}.get(task["kind"], ()), f"for kind {task['kind']!r}")
     if task["kind"] == "blobs":
         try:
@@ -519,7 +528,9 @@ def main(argv=None) -> int:
         return cmd_report(Path(args.out))
     try:
         config = _section(_read_config(Path(args.config)), "", _ROOT)
-        seed = args.seed_override if args.seed_override is not None else config["seed"]
+        seed = _seed("seed", config["seed"])
+        if args.seed_override is not None:
+            seed = _seed("--seed-override", args.seed_override)
         out = Path(args.out)
         if args.command == "train-victim":
             return cmd_train_victim(config, out, seed)

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -494,6 +497,31 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, overrides)
         assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, flags, field",
+        [("train-victim", {"seed": -3}, [], "seed"),
+         ("train-victim", {}, ["--seed-override=-3"], "--seed-override"),
+         ("train-victim", {"task.seed": -1}, [], "task.seed"),
+         ("attack", {"attack.seeds": [1, -2]}, [], "attack.seeds[1]"),
+         ("defend-eval", {"defense.seeds": [-1]}, [], "defense.seeds[0]")],
+        ids=["root", "override", "task", "attack-seeds", "defense-seeds"],
+    )
+    def test_negative_seed_is_config_error_naming_field(self, tmp_path, capsys, no_training, command, overrides,
+                                                        flags, field):
+        cfg = _write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+        assert f"config error: {field}: expected a nonnegative integer" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_the_cli(self, tmp_path):
+        cfg = _write_config(tmp_path, {"seed": -3})
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "qsteal", "train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "config error: seed:" in done.stderr
 
     @pytest.mark.parametrize("contents", [None, "{}"], ids=["missing", "malformed"])
     def test_victim_checkpoint_errors_name_the_field(self, tmp_path, capsys, no_training, contents):

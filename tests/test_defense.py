@@ -56,6 +56,15 @@ class TestServiceConstruction:
         with pytest.raises(ValueError, match="nonnegative"):
             hvip(model, [DEV_A, DEV_B], probs=[1.5, -0.5])
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+    def test_seed_must_be_a_nonnegative_integer(self, model, seed):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            no_defense(model, DEV_A, seed=seed)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            hvip(model, [DEV_A, DEV_B], seed=seed)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            hvip(model, [DEV_A, DEV_B]).reseeded(seed)
+
     def test_models_share_class_count(self, model):
         odd = init_model(PQCTemplate("PQC19", 4), k=3, seed=1)
         with pytest.raises(ValueError, match="class count"):
@@ -117,6 +126,12 @@ DRAW_CASES = [
     ([0.4, 0.0, 0.6], 17, 0, 5_000),
     ([0.3, 0.7], 2**40 + 5, 0, 5_000),
     ([0.5, 0.5], 18, 123_456, 5_000),
+    ([0.5, 0.5], 0, 0, 2_000),
+    ([0.3, 0.7], 2**32 - 1, 0, 2_000),
+    ([0.3, 0.7], 2**32, 0, 2_000),
+    ([0.2, 0.3, 0.5], 2**64 + 3, 0, 2_000),
+    ([0.5, 0.5], 19, 2**32 - 3, 6),  # 1-word then 2-word indices in one call
+    ([0.5, 0.5], 20, 0, 0),
 ]
 
 
@@ -165,6 +180,19 @@ class TestBatchedServing:
         parts = np.concatenate([split.predict(x[:5]), split.predict(x[5:])])
         np.testing.assert_array_equal(parts, whole.predict(x))
         assert split.selection_log == whole.selection_log
+
+    def test_calls_across_pick_blocks_equal_one_call(self, model, other_model):
+        x = np.random.default_rng(6).uniform(0, 2 * np.pi, (300, 8))
+        whole = _services(model, other_model, 100, 3)["havip"]
+        want = whole.predict(x)
+        split = _services(model, other_model, 100, 3)["havip"]
+        bounds = np.cumsum([0, 1, 107, 64, 63, 65])  # two calls start inside a block and end past it
+        got = np.concatenate([split.predict(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        np.testing.assert_array_equal(got, want)
+        assert split.selection_log == whole.selection_log
+        again = split.reseeded(3)
+        np.testing.assert_array_equal(again.predict(x[:70]), want[:70])
+        assert again.selection_log == whole.selection_log[:70]
 
     def test_failed_predict_leaves_the_log_unchanged(self, model, other_model, monkeypatch):
         import qsteal.model as model_mod
