@@ -14,7 +14,6 @@ selection log on its side.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .data import QuerySet
 from .devices import DeviceProfile
 from .metrics import mismatch_rate, tvd
 from .model import HybridModel
+from .streams import checked_seed, key_words, raw_words
 
 
 def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
@@ -44,101 +44,6 @@ def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
 #: is nearly all fixed, about the same for 1 row as for 64
 PICK_BLOCK = 64
 
-_MASK32 = 0xFFFFFFFF
-# numpy's SeedSequence hash constants (NEP 19) and PCG64's LCG multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_U1, _U11, _U32, _U58, _U63, _U64, _LOW = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64, _MASK32))
-
-
-def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) constants of `count` successive SeedSequence hash
-    steps, as (count, 1) columns: the running constant before and after each step."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts[:-1], np.uint32)[:, None], np.array(consts[1:], np.uint32)[:, None]
-
-
-@functools.lru_cache(maxsize=None)
-def _pool_rounds(words: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (4, 1) hash constants of each round of SeedSequence's pool mixing
-    for `words` >= 4 entropy words: the pool's first hash, the four rounds
-    that mix pool word i into the other three (row i a placeholder), and one
-    round per word past the fourth."""
-    xor, mul = _hash_consts(_INIT_A, _MULT_A, 4 * words)
-    cross = [np.insert(np.arange(4 + 3 * i, 7 + 3 * i), i, 0) for i in range(4)]
-    return [(xor[:4], mul[:4])] + [(xor[c], mul[c]) for c in cross] + [
-        (xor[4 * i : 4 * i + 4], mul[4 * i : 4 * i + 4]) for i in range(4, words)]
-
-
-def _hash(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = x * _MIX_L - y * _MIX_R
-    return value ^ (value >> 16)
-
-
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
-# the first output from the state seeded with s and increment c is one
-# more LCG step, state·M + c = (c + s)·M² + c·(M + 1) mod 2¹²⁸: the two
-# factors as their high 64 bits and the 32-bit halves of their low 64
-_FACTORS = np.array([[k >> 64, k >> 32 & _MASK32, k & _MASK32] for k in (_PCG_MULT**2 % 2**128, _PCG_MULT + 1)],
-                    np.uint64).T[:, :, None]
-
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, factors) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) · factor mod 2¹²⁸ per row, in 64-bit limbs: the low limbs'
-    full product from their 32-bit halves."""
-    k_hi, b1, b0 = factors
-    a1, a0 = lo >> _U32, lo & _LOW
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U32) + (p01 & _LOW) + (p10 & _LOW)
-    high = a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    return high + lo * k_hi + hi * ((b1 << _U32) | b0), (mid << _U32) | (p00 & _LOW)
-
-
-def _first_raw_words(words: np.ndarray) -> np.ndarray:
-    """`PCG64(SeedSequence(row)).random_raw()` for each row of an (N, W)
-    uint32 array of entropy words, computed for all rows at once.
-
-    SeedSequence hashes the words into a pool of 4 (each word past the
-    fourth mixes in one more round) and PCG64 seeds itself from the pool's
-    first 4 uint64 words; the first output is XSL-RR of the 128-bit LCG state."""
-    n, w = words.shape
-    rounds = _pool_rounds(max(w, 4))
-    entropy = np.zeros((max(w, 4), n), np.uint32)  # SeedSequence hashes a missing pool word as 0
-    entropy[:w] = words.T
-    pool = _hash(entropy[:4], *rounds[0])
-    for src, consts in enumerate(rounds[1:5]):
-        mixed = _mix(pool, _hash(pool[src], *consts))
-        mixed[src] = pool[src]
-        pool = mixed
-    for word, consts in zip(entropy[4:], rounds[5:]):
-        pool = _mix(pool, _hash(word, *consts))
-    # generate_state(4, uint64): 8 words cycled from the pool, paired low word first
-    state = _hash(np.concatenate([pool, pool]), *_STATE_CONSTS).astype(np.uint64)
-    s_hi, s_lo, inc_hi, inc_lo = state[0::2] | (state[1::2] << _U32)
-    c_hi, c_lo = (inc_hi << _U1) | (inc_lo >> _U63), (inc_lo << _U1) | _U1
-    a_lo = c_lo + s_lo
-    hi, lo = _mul128(np.stack([c_hi + s_hi + (a_lo < c_lo), c_hi]), np.stack([a_lo, c_lo]), _FACTORS)
-    low = lo[0] + lo[1]
-    high = hi[0] + hi[1] + (low < lo[0])
-    rot, out = high >> _U58, high ^ low
-    return (out >> rot) | (out << ((_U64 - rot) & _U63))
-
-
-def _words(n: int) -> list[int]:
-    """SeedSequence's words for a nonnegative int: little-endian 32-bit words, [0] for 0."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
 
 def draw_pairs(cdf: np.ndarray, seed: int, first: int, count: int) -> np.ndarray:
     """The pairs queries first .. first + count - 1 draw: query i takes the first
@@ -148,20 +53,17 @@ def draw_pairs(cdf: np.ndarray, seed: int, first: int, count: int) -> np.ndarray
     Each run of indices with one word count is one vectorised draw."""
     if first + count > 2**64:
         raise ValueError(f"query indices stop at 2**64, got {first} + {count}")
-    head = _words(seed)
+    head = key_words(seed)
     raws = np.empty(count, np.uint64)
     start = first
     while start < first + count:
-        width = len(_words(start))
+        width = len(key_words(start))
         stop = min(first + count, 2 ** (32 * width))
         idx = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
-        keys = np.zeros((stop - start, len(head) + width + 1), np.uint32)
-        keys[:, : len(head)] = head
-        for j in range(width):
-            keys[:, len(head) + j] = (idx >> np.uint64(32 * j)) & _LOW
-        raws[start - first : stop - first] = _first_raw_words(keys)
+        words = [(idx >> np.uint64(32 * j)) & np.uint64(0xFFFFFFFF) for j in range(width)]
+        raws[start - first : stop - first] = raw_words(head + words + [0], 1)[:, 0]
         start = stop
-    return cdf.searchsorted((raws >> _U11) * 2.0**-53, side="right")
+    return cdf.searchsorted((raws >> np.uint64(11)) * 2.0**-53, side="right")
 
 
 class VictimService:
@@ -180,14 +82,11 @@ class VictimService:
         ks = {m.k for m, _ in pairs}
         if len(ks) != 1:
             raise ValueError("all served models must share the class count")
-        # its streams' keys are the seed's 32-bit words, which only a nonnegative int has
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"a service seed must be a nonnegative integer, got {seed!r}")
         self.pairs = list(pairs)
         self.probs = selection_probs(probs, len(pairs))
         self.cdf = self.probs.cumsum() / self.probs.cumsum()[-1]  # as Generator.choice makes it
         self.shots = shots
-        self.seed = int(seed)
+        self.seed = checked_seed(seed, "service")
         self.name = name
         self.selection_log: list[int] = []
         # the pairs of queries block_start .. block_start + len(block) - 1

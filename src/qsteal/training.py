@@ -4,7 +4,8 @@ The whole flattened parameter vector (PQC angles plus the classical head)
 is trained with SPSA estimates averaged over `spsa_draws` per batch; a
 batch's 2 * `spsa_draws` probes are evaluated in one forward_probes call.
 All randomness is derived from a single seed, split per (epoch, batch,
-purpose), so training is bitwise reproducible.
+purpose), so training is bitwise reproducible; an epoch's sign vectors
+are one vectorised draw of its streams' raw words (:func:`spsa_signs`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .devices import DeviceProfile
 from .model import HybridModel, forward_batch, forward_probes, hold_features, kl_terms, mean_nll, nll_terms
+from .streams import checked_seed, key_words, raw_words
 
 LOSS_KINDS = ("nll_top1", "kl_topk")
 
@@ -77,20 +79,20 @@ class TrainHistory:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def spsa_signs(seed: int, epoch: int, batch: int, draws: int, n: int) -> np.ndarray:
-    """A step's (draws, n) random +-1 SPSA sign vectors, draw j's from the
-    stream (seed, epoch, batch, _DELTA, j).
+def spsa_signs(seed: int, epoch: int, batches: int, draws: int, n: int) -> np.ndarray:
+    """An epoch's (batches, draws, n) random +-1 SPSA sign vectors, batch
+    b's draw j from the stream (seed, epoch, b, _DELTA, j), whatever `batches`.
 
     Each is what ``stream(...).integers(0, 2, size=n) * 2.0 - 1.0`` gives,
-    read from the raw PCG64 words: that Lemire draw over a range of 2
-    keeps the top bit of each 32-bit half of a word, low half first, so
-    sign 2i is bit 31 of word i and sign 2i + 1 its bit 63.
+    read from the raw PCG64 words of all the epoch's streams at once
+    (:func:`streams.raw_words`): that Lemire draw over a range of 2 keeps
+    the top bit of each 32-bit half of a word, low half first, so sign 2i
+    is bit 31 of word i and sign 2i + 1 its bit 63.
     """
-    words = np.stack([
-        np.random.PCG64([seed, epoch, batch, _DELTA, draw]).random_raw(-(-n // 2)) for draw in range(draws)
-    ])
+    batch, draw = np.divmod(np.arange(batches * draws), draws)
+    words = raw_words(key_words(seed) + key_words(epoch) + [batch, _DELTA, draw], -(-n // 2))
     bits = (words[..., None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(draws, -1)[:, :n] * 2.0 - 1.0
+    return bits.reshape(batches, draws, -1)[..., :n] * 2.0 - 1.0
 
 
 def spsa_probes(theta: np.ndarray, deltas: np.ndarray, c: float) -> np.ndarray:
@@ -227,6 +229,7 @@ def train(
     segment of two or more steps holds every sample's head states once
     (:func:`hold_features`), and each step meets its batch's rows there.
     """
+    seed = checked_seed(seed, "training")
     features = np.asarray(features, dtype=np.float64)
     targets = _check_targets(cfg, features, targets, model.k)
     n = features.shape[0]
@@ -245,11 +248,12 @@ def train(
                 model.template, features, profile, 2 * cfg.spsa_draws, cfg.batch_size
             )
         order = stream(seed, epoch, 0, _SHUFFLE).permutation(n)
+        signs = spsa_signs(seed, epoch, -(-n // cfg.batch_size), cfg.spsa_draws, params.shape[0])
         probe_losses = []
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             xb, tb = features[idx], targets[idx]
-            deltas = spsa_signs(seed, epoch, b_idx, cfg.spsa_draws, params.shape[0])
+            deltas = signs[b_idx]
             rngs = None if cfg.shots is None else [
                 stream(seed, epoch, b_idx, side, draw) for draw in range(cfg.spsa_draws) for side in (_PLUS, _MINUS)
             ]

@@ -145,6 +145,11 @@ class TestPairDraw:
         want = [np.random.default_rng([seed, i, 0]).choice(len(probs), p=probs) for i in range(first, first + rows)]
         np.testing.assert_array_equal(draw_pairs(probs.cumsum() / probs.cumsum()[-1], seed, first, rows), want)
 
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (1, -1)])
+    def test_negative_seed_or_query_index_is_refused(self, seed, first):
+        with pytest.raises(ValueError, match="got -1"):
+            draw_pairs(np.array([0.5, 1.0]), seed, first, 2)
+
     def test_service_log_follows_the_draw(self, model, other_model):
         svc = havip([(other_model, DEV_A), (model, DEV_B)], probs=[0.3, 0.7], seed=9)
         x = np.random.default_rng(5).uniform(0, 2 * np.pi, (40, 8))

@@ -95,17 +95,49 @@ class TestSpsa:
             spsa_gradient(np.zeros(1), np.zeros(1), np.ones((1, 2)), 0.0)
 
 
+def _reference_signs(seed, epoch, batches, draws, n):
+    """An epoch's (batches, draws, n) signs, each row from Generator.integers
+    on its own stream."""
+    return np.stack([
+        np.stack([_signs(np.random.default_rng([seed, epoch, batch, 1, draw]), n) for draw in range(draws)])
+        for batch in range(batches)
+    ])
+
+
 class TestSignDraws:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 5], ids=["0", "1", "2^32+5"])
     @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1001])
     def test_signs_are_the_generator_integers_bits(self, seed, n):
-        for epoch, batch, draws in [(0, 0, 1), (0, 1, 8), (2, 13, 3), (24, 21, 1), (7, 40, 12)]:
-            got = spsa_signs(seed, epoch, batch, draws, n)
-            want = np.stack([
-                _signs(np.random.default_rng([seed, epoch, batch, 1, draw]), n) for draw in range(draws)
-            ])
-            assert got.dtype == want.dtype and got.shape == (draws, n)
-            assert got.tobytes() == want.tobytes()
+        for epoch, batches, draws in [(0, 1, 1), (0, 2, 8), (2, 14, 3), (24, 22, 1), (40, 41, 12)]:
+            got = spsa_signs(seed, epoch, batches, draws, n)
+            assert got.dtype == np.float64 and got.shape == (batches, draws, n)
+            want = _reference_signs(seed, epoch, batches, draws, n)
+            for batch in range(batches):
+                assert got[batch].tobytes() == want[batch].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5], ids=["0", "2^32+5"])
+    def test_a_batch_signs_do_not_depend_on_the_epoch_batch_count(self, seed):
+        blocks = [spsa_signs(seed, 3, batches, 8, 33) for batches in (1, 13, 40)]
+        for fewer, more in zip(blocks, blocks[1:]):
+            assert fewer.tobytes() == more[: fewer.shape[0]].tobytes()
+
+    @pytest.mark.parametrize("device", [IDEAL, DEV_A], ids=["ideal", "devA"])
+    def test_training_equals_generator_signs(self, monkeypatch, device):
+        # 3 batches of 16, 16 and a short 13 per epoch
+        import qsteal.training as training_mod
+
+        x, y = _tiny_task(n=45, d=8, k=4, seed=6)
+        m = init_model(PQCTemplate("PQC19", 4), k=4, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=16, spsa_draws=3)
+        runs = []
+        for signs in (spsa_signs, _reference_signs):
+            monkeypatch.setattr(training_mod, "spsa_signs", signs)
+            trained, hist = train(m, x, y, cfg, device, 11, x[:9], y[:9])
+            stats = [[e.train_loss, e.test_accuracy, e.test_loss] for e in hist.epochs]
+            runs.append((trained.flat_params(), np.array(stats)))
+        (got, got_hist), (want, want_hist) = runs
+        assert got.tobytes() == want.tobytes()
+        assert got_hist.tobytes() == want_hist.tobytes()
 
 
 class TestAdam:
@@ -319,6 +351,20 @@ class TestTrainLoop:
             m, x, y, cfg, [(IDEAL, 3), (DEV_A, 1)], seed=4, eval_features=x, eval_labels=y
         )
         assert len(hist.epochs) == 4
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 1.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
+        import qsteal.training as training_mod
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a bad seed must not reach a draw")
+
+        monkeypatch.setattr(training_mod, "spsa_signs", no_draw)
+        monkeypatch.setattr(training_mod, "stream", no_draw)
+        x, y = _tiny_task()
+        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
+        with pytest.raises(ValueError, match=f"training seed must be a nonnegative integer, got {seed!r}"):
+            train(m, x, y, TrainConfig(epochs=1, batch_size=4), IDEAL, seed=seed)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_feature_rejected_before_any_step(self, monkeypatch, bad):
