@@ -510,7 +510,7 @@ def rotation_weights(angles: np.ndarray, pure: bool) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A compiled product-state prefix (:func:`compile_prefix`), or a head of
-    one, laid out by depth for :func:`_prefix`.
+    one, laid out by depth for :func:`run_prefix`.
 
     `starts` are the read-only start states, (n, 2) statevectors or (n, 4)
     real Bloch vectors, and `steps` the variable steps (op index, (q,),
@@ -605,7 +605,7 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
     return density.apply_superop_batch(start, steps, circuit.n_qubits)
 
 
-def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape: tuple):
+def run_prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape: tuple):
     """Each row's state after the steps of a compiled product-state prefix
     (:class:`Prefix`), the rows laid out over the (probes, samples) grid
     that `shape` and the steps' angles span: from 2x2 unitaries, the
@@ -650,14 +650,6 @@ def _prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape
     if pure:
         return _kron_rows(list(states.reshape(n, -1, 2)))
     return states.reshape(n, -1, 4)
-
-
-def product_prefix(circuit: CircuitIR, prefix: Prefix, angles: dict | np.ndarray):
-    """Each row's state after the product-state prefix, run from its
-    compiled form, as :func:`_prefix` gives it: the rows laid out over the
-    grid that the angles of its steps span.  `angles` maps op indices to
-    angles, or holds every step's per-sample angles, (steps, B)."""
-    return _prefix(circuit, angles, prefix, (1, 1))
 
 
 def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
@@ -731,7 +723,7 @@ def contract_rows(bloch: np.ndarray, rows: np.ndarray, obs: np.ndarray) -> np.nd
     (len(rows), len(obs)).
 
     `bloch` holds each qubit's Bloch vectors, (n, rows, 4), as
-    :func:`product_prefix` gives them, and `obs` real (4^n,) Pauli vectors
+    :func:`run_prefix` gives them, and `obs` real (4^n,) Pauli vectors
     in Kronecker order, such as pulled-back Z_q (:func:`pulled_back`).
     Each row's Pauli vector, the Kronecker product of its Bloch vectors, is
     formed once and meets every observable in one matrix product.  The rows
@@ -752,7 +744,7 @@ def contract_rows(bloch: np.ndarray, rows: np.ndarray, obs: np.ndarray) -> np.nd
 
 def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """<Z_q> per measured qubit q for each selected row of `states`, as
-    :func:`_prefix` gives them, after each group's pulled-back rows in `obs`
+    :func:`run_prefix` gives them, after each group's pulled-back rows in `obs`
     (:func:`pulled_back`): (len(rows), G * m).
 
     A mixed row rho meets the pulled-back Z_q as the dot products of their
@@ -768,51 +760,47 @@ def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.nd
     return z_expectations(circuit, amps).reshape(rows.size, -1)
 
 
-def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[Prefix, tuple, int, int, dict]:
-    """The variable steps of the compiled prefix as a head, laid out by
-    depth (:class:`Prefix`), and a lead, the head's probe count (1 or P),
-    and the groups of rows with equal angles in the lead and the rest of
-    the circuit (:meth:`_Grid.groups`).
+def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[Prefix, tuple, set] | None:
+    """The pulled-back picture's split of the compiled prefix for `grid`:
+    a head, laid out by depth (:class:`Prefix`), a lead, and the ops of
+    the lead and the rest of the circuit; or None when that picture does
+    not take the grid.
 
     On each qubit the head holds the steps up to its last one whose angle
-    varies by sample, and the lead the steps after it, which vary at most
-    by probe.  Each group of the lead and the rest pulls back `width` rows
-    (:func:`pulled_back`); when the groups would hold as many as there are
-    rows, every step stays in the head.  The split depends on the grid
-    only through the axes each override varies over and that outcome, so
-    it is held on the circuit per such pair (`CircuitIR.splits`) and a
-    call computes only its angles.
+    varies by sample, and the lead the steps after it.  The picture takes
+    the grid when no head angle varies by probe, so the head runs on the
+    B samples alone, and the groups of rows with equal angles in the lead
+    and the rest (:meth:`_Grid.groups`) pull back fewer than P * B rows of
+    `width` each (:func:`pulled_back`).  The split depends on the grid only
+    through the axes each override varies over, so it is held on the
+    circuit per such pattern (`CircuitIR.splits`) and a call computes only
+    its angles.
     """
-    table, varies = circuit.splits, grid.varies
-    entry = table.get((varies, False)) or table.get((varies, True)) or _split_entry(circuit, varies, False)
-    held = grid.count(entry[-1]) * width >= grid.rows
-    if entry[0] != held:
-        entry = table.get((varies, held)) or _split_entry(circuit, varies, held)
-    table[varies, held] = entry
-    _, head, lead, head_probe, ops, _ = entry
-    return head, lead, grid.p if head_probe else 1, *grid.groups(ops)
+    if grid.varies not in circuit.splits:
+        circuit.splits[grid.varies] = _split_entry(circuit, grid.varies)
+    entry = circuit.splits[grid.varies]
+    return entry if entry is not None and grid.count(entry[2]) * width < grid.rows else None
 
 
-def _split_entry(circuit: CircuitIR, varies: tuple, held: bool) -> tuple:
-    """An entry of `CircuitIR.splits`: `held`, the head, the lead, whether a
-    head angle varies by probe, the ops of the lead and the rest, and those
-    ops with no step held in the head, which :func:`_split` checks."""
+def _split_entry(circuit: CircuitIR, varies: tuple) -> tuple[Prefix, tuple, set] | None:
+    """An entry of `CircuitIR.splits`: the head, the lead, and the ops of
+    the lead and the rest; None when a head angle varies by probe."""
     steps, by_sample = circuit.prefix.steps, {i for i, _, s in varies if s}
     last = {step[1]: k for k, step in enumerate(steps) if step[0] in by_sample}
     moved = [k > last.get(step[1], -1) for k, step in enumerate(steps)]
-    rest = {i for i, _, _ in circuit.plan[1]}
-    lead_ops = rest | {step[0] for step, mv in zip(steps, moved) if mv}
-    head = tuple(step for step, mv in zip(steps, moved) if held or not mv)
-    lead = () if held else tuple(step for step, mv in zip(steps, moved) if mv)
-    head_probe = any(p for i, p, _ in varies if i in {step[0] for step in head})
+    head = tuple(step for step, mv in zip(steps, moved) if not mv)
+    lead = tuple(step for step, mv in zip(steps, moved) if mv)
+    if any(p for i, p, _ in varies if i in {step[0] for step in head}):
+        return None
+    ops = {i for i, _, _ in circuit.plan[1]} | {step[0] for step in lead}
     head = circuit.prefix if len(head) == len(steps) else Prefix.of(circuit, circuit.prefix.starts, head)
-    return held, head, lead, head_probe, rest if held else lead_ops, lead_ops
+    return head, lead, ops
 
 
 @dataclass(frozen=True, eq=False)
 class HeldHead:
     """The head of one split (:func:`_split`), run once on every sample of
-    a data set (:func:`hold_head`): `states` as :func:`_prefix` gives them,
+    a data set (:func:`hold_head`): `states` as :func:`run_prefix` gives them,
     (N, 2^n) product statevectors or (n, N, 4) real Bloch vectors, for the
     grids whose overrides vary as `varies` says."""
 
@@ -828,66 +816,58 @@ def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead
 
     The head is the one a call on the first `batch` samples splits off, so
     a call on any `batch` samples with the same probes meets its rows
-    here.  None when such a call takes another picture, or its head varies
-    by probe, or it has a single sample, whose angles vary by nothing.
-    The head runs on HOLD_ROWS samples at a time, which bounds the arrays
-    it makes; a row's state does not depend on the rows run beside it.
+    here.  None when such a call takes another picture (:func:`_split`)
+    or has a single sample, whose angles vary by nothing.  The head runs
+    on HOLD_ROWS samples at a time, which bounds the arrays it makes; a
+    row's state does not depend on the rows run beside it.
     """
     grid = _grid(circuit, angle_overrides)
-    call, width = grid.samples(0, batch), _width(circuit)
-    if call.b < 2 or call.count(_rest_ops(circuit)) * width >= call.rows:
+    call = grid.samples(0, batch)
+    split = None if call.b < 2 else _split(circuit, call, _width(circuit))
+    if split is None:
         return None
-    head, _, ph, _, _ = _split(circuit, call, width)
-    if ph != 1:
-        return None
-    noisy = circuit.has_noise
+    head, noisy = split[0], circuit.has_noise
     states = np.empty((circuit.n_qubits, grid.b, 4) if noisy else (1, grid.b, 2**circuit.n_qubits),
                       dtype=np.float64 if noisy else np.complex128)
     for lo in range(0, grid.b, HOLD_ROWS):
         part = grid.samples(lo, lo + HOLD_ROWS)
-        states[:, lo : lo + part.b] = _prefix(circuit, part.angles, head, (1, part.b))
+        states[:, lo : lo + part.b] = run_prefix(circuit, part.angles, head, (1, part.b))
     return HeldHead(head, call.varies, states if noisy else states[0])
 
 
-def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, width: int, held: tuple | None = None) -> np.ndarray:
+def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, split: tuple, width: int,
+                         held: tuple | None = None) -> np.ndarray:
     """<Z> per measured qubit for every row, from its head state and its
     group's pulled-back rows.
 
-    The compiled prefix splits into a head and a lead (:func:`_split`).
-    The head runs on the head rows, the B samples or all P * B rows when a
-    head angle varies by probe, as product statevectors (pure) or real
-    Bloch vectors (mixed); or, when `held` is a (:class:`HeldHead`, B
-    row indices) pair held for this head, the B samples are those rows of
-    the held states.  The lead joins the rest of the circuit,
-    through which each group of rows with equal angles there (the P
-    probes, or one group) pulls back its `width` rows once.  Groups are
-    pulled back a chunk at a time, and each chunk meets the head rows in
-    one :func:`meet` call, or each group its own rows in one call when a
-    head angle varies by probe.  A chunk holds up to PULL_BACK_ENTRIES
-    entries, which take every group at up to 6 qubits, or else fewer rows
-    than a group has rows, and at least one group.
+    `split` is the grid's head, lead, and ops of the lead and the rest
+    (:func:`_split`).  The head runs on the B samples, as product
+    statevectors (pure) or real Bloch vectors (mixed); or, when `held` is
+    a (:class:`HeldHead`, B row indices) pair held for this head, the B
+    samples are those rows of the held states.  The lead joins the rest
+    of the circuit, through which each group of rows with equal angles
+    there (the P probes, or one group) pulls back its `width` rows once.
+    Groups are pulled back a chunk at a time, and each chunk meets the B
+    samples in one :func:`meet` call.  A chunk holds up to
+    PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
+    or else fewer rows than a group has rows, and at least one group.
     """
-    head, lead, ph, g, angles = _split(circuit, grid, width)
-    r = ph * grid.b // min(ph, g)  # the head rows each group meets
+    head, lead, ops = split
+    g, angles = grid.groups(ops)
     if held is not None and held[0].head is head and held[0].varies == grid.varies:
         states, rows = held[0].states, held[1]
     else:
-        states, rows = _prefix(circuit, grid.angles, head, (ph, grid.b)), np.arange(r)
+        states, rows = run_prefix(circuit, grid.angles, head, (1, grid.b)), np.arange(grid.b)
     m = len(circuit.measured_qubits)
     entries = circuit.prefix.starts.shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
     chunk = max(1, (grid.rows - 1) // (g * width), PULL_BACK_ENTRIES // (width * entries))
-    exps = np.empty((g, r, m))
+    exps = np.empty((g, grid.b, m))
     for lo in range(0, g, chunk):
         part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
         obs = pulled_back(circuit, part, lead)
-        if ph == 1:
-            exps[lo : lo + chunk] = meet(circuit, states, rows, obs).reshape(r, -1, m).swapaxes(0, 1)
-        else:  # a head that varies by probe holds each group's own rows, so each group meets only its own
-            for k in range(lo, min(lo + chunk, g)):
-                own = obs[(k - lo) * width : (k - lo + 1) * width]
-                exps[k] = meet(circuit, states, np.arange(k * r, (k + 1) * r), own)
+        exps[lo : lo + chunk] = meet(circuit, states, rows, obs).reshape(grid.b, -1, m).swapaxes(0, 1)
         del obs  # the next chunk's pull-back must not overlap this one's rows
-    return np.broadcast_to(exps.reshape(-1, grid.b, m), (grid.p, grid.b, m)).reshape(grid.rows, m)
+    return np.broadcast_to(exps, (grid.p, grid.b, m)).reshape(grid.rows, m)
 
 
 def run_circuit(
@@ -907,12 +887,13 @@ def run_circuit(
     `width` rows wide: the 2^n basis vectors when the circuit is
     noise-free (pure), else its m measured Z_q (mixed).  With G groups:
 
-    * G * width < P * B: the pulled-back picture
-      (:func:`_pulled_back_picture`).  Each qubit's prefix splits where its
-      per-sample steps end; the head forms the B samples' product states,
-      and each group pulls its readout back once through the per-probe
-      rest of the prefix and the later steps.  One product meets the head
-      rows with every group's pulled-back rows.
+    * the pulled-back picture (:func:`_pulled_back_picture`), when
+      :func:`_split` takes the grid: each qubit's prefix splits where its
+      per-sample steps end, no head angle varies by probe, and the G
+      groups of the lead and the later steps have G * width < P * B.  The
+      head forms the B samples' product states, and each group pulls its
+      readout back once through the lead and the later steps.  One
+      product meets the head rows with every group's pulled-back rows.
     * pure otherwise: the state picture.  The prefix's 2-vectors form each
       row's statevector, and each later gate is applied once per group, to
       the group's rows in one product.
@@ -928,14 +909,15 @@ def run_circuit(
     grid = _grid(circuit, angle_overrides)
     if held is not None and len(held[1]) != grid.b:
         raise ValueError(f"{len(held[1])} held rows for a grid of {grid.b} samples")
-    width, rest = _width(circuit), _rest_ops(circuit)
-    if grid.count(rest) * width < grid.rows:
-        return _pulled_back_picture(circuit, grid, width, held)
+    width = _width(circuit)
+    split = _split(circuit, grid, width)
+    if split is not None:
+        return _pulled_back_picture(circuit, grid, split, width, held)
     if not circuit.has_noise:
-        g, angles = grid.groups(rest)
+        g, angles = grid.groups(range(circuit.product_prefix_end, len(circuit.ops)))
         plan = circuit.plan[1]
         steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
-        vecs = _prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
+        vecs = run_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
         return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits, g))
     z = 1 << np.array(circuit.measured_qubits)  # Z_q: Pauli index 3 on qubit q, both its bits set
     return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)[:, z, z]
@@ -945,11 +927,6 @@ def _width(circuit: CircuitIR) -> int:
     """The rows a group's readout pulls back: 2^n basis vectors when the
     circuit is noise-free, else its m measured Z_q."""
     return len(circuit.measured_qubits) if circuit.has_noise else 2**circuit.n_qubits
-
-
-def _rest_ops(circuit: CircuitIR) -> range:
-    """The ops after the product-state prefix."""
-    return range(circuit.product_prefix_end, len(circuit.ops))
 
 
 def _grid(circuit: CircuitIR, overrides: dict | None) -> _Grid:

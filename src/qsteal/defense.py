@@ -102,12 +102,13 @@ class VictimService:
 
     def _picks(self, first: int, b: int) -> np.ndarray:
         """The pairs of queries first .. first + b - 1.  A multi-pair service
-        draws them PICK_BLOCK or more queries ahead; each pick depends only
-        on (seed, i), so the block bounds never show in the answers."""
+        draws max(2 * b, PICK_BLOCK) queries ahead, so calls of b rows draw
+        at most every other call; each pick depends only on (seed, i), so
+        the block bounds never show in the answers."""
         if len(self.pairs) == 1:  # a draw over a single pair always returns it
             return np.zeros(b, np.intp)
         if first + b > self._block_start + len(self._block):
-            self._block_start, self._block = first, draw_pairs(self.cdf, self.seed, first, max(b, PICK_BLOCK))
+            self._block_start, self._block = first, draw_pairs(self.cdf, self.seed, first, max(2 * b, PICK_BLOCK))
         return self._block[first - self._block_start : first - self._block_start + b]
 
     def predict(self, x: np.ndarray) -> np.ndarray:

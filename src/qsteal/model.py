@@ -32,9 +32,9 @@ from .circuits import (
     compile_prefix,
     hold_head,
     meet,
-    product_prefix,
     pulled_back,
     run_circuit,
+    run_prefix,
     weave_noise,
 )
 from .density import matmul_rows, sample_expectations
@@ -159,7 +159,7 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     shape (B, n), plus the circuit's readout confusion.
 
     The features go in straight from `x.T`: the batch's d feature gates
-    run one depth at a time (:func:`product_prefix`), then each row meets
+    run one depth at a time (:func:`run_prefix`), then each row meets
     the held readout (:func:`meet`).  A row's result does not depend on
     the rest of the batch.
     """
@@ -167,7 +167,7 @@ def _fixed_expectations(model: HybridModel, x: np.ndarray, profile: DeviceProfil
     b, d = x.shape
     circuit, _ = _prepared_circuit(model.template, d, profile)
     prefix, readout = _readout(model, d, profile)
-    return meet(circuit, product_prefix(circuit, prefix, x.T), np.arange(b), readout), circuit.readout
+    return meet(circuit, run_prefix(circuit, x.T, prefix, (1, 1)), np.arange(b), readout), circuit.readout
 
 
 def _probe_overrides(slots: tuple, thetas: np.ndarray, x: np.ndarray) -> dict:

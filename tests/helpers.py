@@ -200,7 +200,7 @@ def per_step_prefix(circuit, angles: dict, prefix, shape, matrices=per_step_matr
     """Each row's state after the steps of a compiled prefix, one step at a
     time: each step's matrix built on its own (`matrices`, by default
     `per_step_matrices`), then one product with its qubit's state.  A
-    reference for `circuits._prefix`, which runs the steps one depth at a
+    reference for `circuits.run_prefix`, which runs the steps one depth at a
     time; it takes the same arguments and lays the rows out over the grid
     that `shape` and the steps' angles span."""
     angles = {i: np.asarray(a) for i, a in angles.items()}

@@ -17,11 +17,11 @@ from qsteal.circuits import (
     final_states,
     pqc_gates_per_layer,
     TEMPLATE_IDS,
-    product_prefix,
     pulled_back,
     rotation_basis,
     rotation_weights,
     run_circuit,
+    run_prefix,
     weave_noise,
 )
 from qsteal.devices import DEV_A, DEV_B, DeviceProfile, IDEAL
@@ -326,20 +326,24 @@ class TestPictures:
         got = run_circuit(circuit, overrides)
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n, profile, n_probes, b, pulled", [
+    @pytest.mark.parametrize("tid, n, profile, n_probes, b, pulled", [
         # mixed: G groups of m = 4 pulled-back Z_q against P * B rows
-        (4, DEV_A, 1, 1, False), (4, DEV_A, 1, 4, False), (4, DEV_A, 1, 5, True), (4, DEV_A, 3, 4, False),
-        (4, DEV_A, 3, 5, True), (4, DEV_A, 16, 32, True),
+        ("PQC19", 4, DEV_A, 1, 1, False), ("PQC19", 4, DEV_A, 1, 4, False), ("PQC19", 4, DEV_A, 1, 5, True),
+        ("PQC19", 4, DEV_A, 3, 4, False), ("PQC19", 4, DEV_A, 3, 5, True), ("PQC19", 4, DEV_A, 16, 32, True),
+        # PQC1 has no step after its prefix, so its G counts the groups of the probes' rotations, the lead
+        ("PQC1", 4, DEV_A, 16, 2, False), ("PQC1", 4, DEV_A, 16, 32, True),
         # pure: G groups of 2^n pulled-back basis vectors against P * B rows
-        (4, None, 16, 16, False), (4, None, 16, 17, True), (4, None, 16, 32, True), (6, None, 16, 32, False),
-        (8, None, 1, 300, True),
+        ("PQC19", 4, None, 16, 16, False), ("PQC19", 4, None, 16, 17, True), ("PQC19", 4, None, 16, 32, True),
+        ("PQC19", 6, None, 16, 32, False), ("PQC19", 8, None, 1, 300, True),
     ])
-    def test_pulled_back_picture_only_when_groups_times_width_are_fewer_than_rows(self, monkeypatch, n, profile,
+    def test_pulled_back_picture_only_when_groups_times_width_are_fewer_than_rows(self, monkeypatch, tid, n, profile,
                                                                                   n_probes, b, pulled):
         used = _spy(monkeypatch, "_pulled_back_picture")
-        circuit, overrides = _model_circuit("PQC19", n, profile, b, n_probes=n_probes)
-        run_circuit(circuit, overrides)
+        circuit, overrides = _model_circuit(tid, n, profile, b, n_probes=n_probes)
+        got = run_circuit(circuit, overrides)
         assert bool(used) == pulled
+        if tid == "PQC1":
+            np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
 
     def test_single_row_stays_on_the_evolved_states_bitwise(self):
         # Schroedinger reads each row's Z_q coefficients off its evolved Pauli vector: both bits of qubit q set
@@ -416,6 +420,25 @@ def _results(monkeypatch, name):
     return shapes
 
 
+#: grids whose head varies by probe: a per-row feature angle, with per-probe or shared later angles, or a
+#: per-probe angle on a qubit's first feature gate before a per-sample one on the same qubit
+_PROBE_VARYING_HEADS = ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"]
+
+
+def _probe_varying_head(case, profile, b):
+    """PQC19x3 on 4 probes x b samples with one of _PROBE_VARYING_HEADS."""
+    circuit, overrides = _model_circuit("PQC19", 3, profile, b, n_probes=4, seed=11)
+    rng = np.random.default_rng(12)
+    first = min(op for op, v in overrides.items() if np.ndim(v) == 1)
+    if case.startswith("per_row_features"):
+        overrides[first] = rng.uniform(0, 2 * np.pi, (4, b))
+    if case == "per_row_features_shared_rest":
+        overrides = {op: v[0, 0] if np.ndim(v) == 2 and np.shape(v)[1] == 1 else v for op, v in overrides.items()}
+    if case == "probe_before_sample":
+        overrides[first] = rng.uniform(0, 2 * np.pi, (4, 1))
+    return circuit, overrides
+
+
 class TestSplit:
     """The noisy pulled-back picture: each qubit's prefix splits where its
     per-sample steps end; the head runs on the samples, the per-probe rest
@@ -446,15 +469,15 @@ class TestSplit:
         # one contraction against every probe's pulled-back Z_q
         assert [obs.shape for _, _, obs in contracted] == [(16 * 4, 4**4)]
 
-    def test_lead_that_would_outnumber_the_rows_stays_in_the_head(self, monkeypatch):
-        # PQC1 has no step after its prefix: moving 16 probes' rotations out
-        # of the head would pull back 16 * 4 observables for 16 * 2 rows
-        contracted = _spy(monkeypatch, "contract_rows")
+    def test_a_lead_that_would_outnumber_the_rows_evolves_every_row(self, monkeypatch):
+        # PQC1 has no step after its prefix: its 16 probes' rotations would pull back 16 * 4 observables
+        # for 16 * 2 rows, so that grid takes the Schroedinger picture; at 16 * 5 rows they are pulled back
+        pulled, contracted = _spy(monkeypatch, "_pulled_back_picture"), _spy(monkeypatch, "contract_rows")
         circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 2, n_probes=16, seed=3)
         got = run_circuit(circuit, overrides)
-        assert [(factors[0].shape[0], obs.shape[0]) for factors, _, obs in contracted] == [(32, 4)]
+        assert not pulled and not contracted
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
-        contracted.clear()
+        assert got.tobytes() == run_circuit(circuit, overrides).tobytes()
         circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 5, n_probes=16, seed=3)
         np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                    rtol=0, atol=1e-12)
@@ -471,28 +494,15 @@ class TestSplit:
         cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
         np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
-    def test_a_head_that_varies_by_probe_runs_every_row(self, monkeypatch, case):
-        contracted = _spy(monkeypatch, "contract_rows")
-        pulled = _results(monkeypatch, "pulled_back")
-        circuit, overrides = _model_circuit("PQC19", 3, DEV_B, 6, n_probes=4, seed=11)
-        rng = np.random.default_rng(12)
-        features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
-        if case.startswith("per_row_features"):
-            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 6))
-        if case == "per_row_features_shared_rest":
-            overrides = {op: v[0, 0] if np.ndim(v) == 2 and np.shape(v)[1] == 1 else v for op, v in overrides.items()}
-        if case == "probe_before_sample":
-            # a per-probe angle on the first feature gate, a per-sample one after it on the same qubit
-            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 1))
+    @pytest.mark.parametrize("case", _PROBE_VARYING_HEADS)
+    def test_a_head_that_varies_by_probe_evolves_every_row(self, monkeypatch, case):
+        # the pulled-back picture takes no such grid: every row's Pauli vector runs the whole plan
+        pulled = _spy(monkeypatch, "_pulled_back_picture")
+        circuit, overrides = _probe_varying_head(case, DEV_B, 6)
         got = run_circuit(circuit, overrides)
+        assert not pulled
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
-        assert {factors[0].shape[0] for factors, _, _ in contracted} == {24}
-        # one pull-back of every group's 3 observables; each group meets only its own 24 / G rows
-        g = 1 if case == "per_row_features_shared_rest" else 4
-        assert pulled == [(g * 3, 4**3)]
-        assert [rows.tolist() for _, rows, _ in contracted] == [list(range(k * 24 // g, (k + 1) * 24 // g))
-                                                                 for k in range(g)]
+        assert got.tobytes() == run_circuit(circuit, overrides).tobytes()
 
 
 #: the (probes, samples) grids of TestSplit, then those of TestGrid
@@ -542,7 +552,9 @@ class TestUnitaryPicture:
         from qsteal.circuits import _Grid, _split
 
         circuit, overrides = _model_circuit("PQC6", 3, None, 40, n_probes=3, seed=4)
-        _, lead, _, g, angles = _split(circuit, _Grid.of(overrides), 8)
+        grid = _Grid.of(overrides)
+        _, lead, ops = _split(circuit, grid, 8)
+        g, angles = grid.groups(ops)
         assert g == 3 and len(lead) == 6 and all(after is None for _, _, after in lead)
         y = pulled_back(circuit, angles, lead)
         assert y.shape == (3 * 8, 8)
@@ -641,26 +653,16 @@ class TestUnitaryPicture:
         cut = _sub_grid(overrides, [n_probes - 1], [b - 1])
         np.testing.assert_allclose(got[-1:], _z(final_states(circuit, cut), circuit), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", ["per_row_features", "per_row_features_shared_rest", "probe_before_sample"])
-    def test_a_head_that_varies_by_probe_meets_the_pulled_back_rows_one_group_at_a_time(self, monkeypatch, case):
-        pulled = _results(monkeypatch, "pulled_back")
-        met = _spy(monkeypatch, "meet")
-        circuit, overrides = _model_circuit("PQC19", 3, None, 9, n_probes=4, seed=11)
-        rng = np.random.default_rng(12)
-        features = sorted(op for op, v in overrides.items() if np.ndim(v) == 1)
-        if case.startswith("per_row_features"):
-            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 9))
-        if case == "per_row_features_shared_rest":
-            overrides = {op: v[0, 0] if np.ndim(v) == 2 and np.shape(v)[1] == 1 else v for op, v in overrides.items()}
-        if case == "probe_before_sample":
-            overrides[features[0]] = rng.uniform(0, 2 * np.pi, (4, 1))
+    @pytest.mark.parametrize("case", _PROBE_VARYING_HEADS)
+    def test_a_head_that_varies_by_probe_takes_the_state_picture(self, monkeypatch, case):
+        # the pulled-back picture takes no such grid: the whole prefix runs on the 36 rows, then the later gates
+        pulled = _spy(monkeypatch, "_pulled_back_picture")
+        calls = _kernel_calls(monkeypatch)
+        circuit, overrides = _probe_varying_head(case, None, 9)
         got = run_circuit(circuit, overrides)
+        assert not pulled and [stack for stack, _ in calls] == [(36, 8)]
         np.testing.assert_allclose(got, _unfused_reference(circuit, overrides), rtol=0, atol=1e-12)
-        # one pull-back of every group's 8 basis vectors; each group meets only its own head rows
-        g = 1 if case == "per_row_features_shared_rest" else 4
-        assert pulled == [(g * 8, 8)]
-        r = 36 // g
-        assert [rows.tolist() for _, _, rows, _ in met] == [list(range(k * r, (k + 1) * r)) for k in range(g)]
+        assert got.tobytes() == run_circuit(circuit, overrides).tobytes()
 
 
 def _product_channel():
@@ -797,8 +799,8 @@ class TestCompiledPrefix:
         angles = {i: 0.37 * (i + 1) for i in _angled(circuit)}
         pinned = compile_prefix(circuit, angles, pure=False)
         assert pinned.steps == ()  # every prefix step is fixed, so only the start states remain
-        want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), angles)
-        got = product_prefix(circuit, pinned, {})
+        want = run_prefix(circuit, angles, compile_prefix(circuit, {}, pure=False), (1, 1))
+        got = run_prefix(circuit, {}, pinned, (1, 1))
         for g, w in zip(got, want, strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-15)
 
@@ -810,8 +812,8 @@ class TestCompiledPrefix:
         features = {i: a for i, a in overrides.items() if np.ndim(a) == 1}
         compiled = compile_prefix(circuit, {i: a for i, a in overrides.items() if np.ndim(a) == 0}, pure=False)
         assert [i for i, _, _ in compiled.steps] == sorted(features)
-        want = product_prefix(circuit, compile_prefix(circuit, {}, pure=False), overrides)
-        for g, w in zip(product_prefix(circuit, compiled, features), want, strict=True):
+        want = run_prefix(circuit, overrides, compile_prefix(circuit, {}, pure=False), (1, 1))
+        for g, w in zip(run_prefix(circuit, features, compiled, (1, 1)), want, strict=True):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
 
 
@@ -1087,7 +1089,7 @@ def _row(states, r):
 
 
 def _assert_prefix_run(run, args, got, want):
-    """`got`, circuits._prefix on `args` run by `run`, is within 1e-14 of `want`, a rerun is bitwise `got`, and
+    """`got`, circuits.run_prefix on `args` run by `run`, is within 1e-14 of `want`, a rerun is bitwise `got`, and
     each row is bitwise the row run alone, each prefix angle at that row's entry of the grid."""
     circuit, angles, prefix, shape = args
     _close(_as_list(got), _as_list(want))
@@ -1117,7 +1119,7 @@ class TestRotationBasis:
 
 
 class TestDepthPrefix:
-    """circuits._prefix runs a compiled prefix one depth at a time from its
+    """circuits.run_prefix runs a compiled prefix one depth at a time from its
     maps, building no gate; every row's state is within 1e-14 of the
     per-step loop of helpers.per_step_prefix on the package's builders
     (_alone), served or in a run_circuit head, and to rounding of the
@@ -1131,8 +1133,6 @@ class TestDepthPrefix:
     def test_product_prefix_matches_the_per_step_loop(self, tid):
         # d = 8 leaves qubits unencoded at widths 5-7, d = 3 is fewer features than qubits from width 4;
         # pinned: the served prefix, only feature steps; unpinned: every angled step, theta shared
-        from qsteal.circuits import _prefix
-
         rng = np.random.default_rng(1)
         k = 0
         for n in self.WIDTHS[tid]:
@@ -1146,23 +1146,24 @@ class TestDepthPrefix:
                         prefix = compile_prefix(circuit, pinned, pure)
                         x = rng.uniform(0, 2 * np.pi, (b, d))
                         angles = {**dict(zip(features, x.T)), **({} if pinned else thetas)}
-                        got = product_prefix(circuit, prefix, angles)
+                        got = run_prefix(circuit, angles, prefix, (1, 1))
                         want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
-                        _assert_prefix_run(_prefix, (circuit, angles, prefix, (1, 1)), got, want)
+                        _assert_prefix_run(run_prefix, (circuit, angles, prefix, (1, 1)), got, want)
                         _close(_as_list(got), _as_list(per_step_prefix(circuit, angles, prefix, (1, 1))))
                         if pinned:  # the served form: the features' rows of x.T, in op order
-                            assert product_prefix(circuit, prefix, x.T).tobytes() == got.tobytes()
+                            assert run_prefix(circuit, x.T, prefix, (1, 1)).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A, DEV_B], ids=["ideal", "devA", "devB"])
     def test_run_circuit_heads_match_the_per_step_loop(self, monkeypatch, tid, profile):
         # the pulled-back picture's head and the state picture's whole prefix, over the probes x samples
-        # grids, with per-row or per-probe feature angles making a head that varies by probe
+        # grids; per-row or per-probe feature angles make a head that varies by probe, which a pure circuit
+        # runs over the (P, B) rows in the state picture and a noisy one evolves in the Schroedinger picture
         import qsteal.circuits as circuits_mod
 
         heads = []
-        original = circuits_mod._prefix
-        monkeypatch.setattr(circuits_mod, "_prefix", lambda *a: heads.append((a, original(*a))) or heads[-1][1])
+        original = circuits_mod.run_prefix
+        monkeypatch.setattr(circuits_mod, "run_prefix", lambda *a: heads.append((a, original(*a))) or heads[-1][1])
         rng = np.random.default_rng(2)
         for n in (2, 3, 4 if tid == "PQC6" else 5):  # 5 qubits leave one unencoded at d = 8
             for n_probes, b in ((1, 1), (1, 5), (16, 3), (4, 9)):
@@ -1175,7 +1176,8 @@ class TestDepthPrefix:
                 for run in runs:
                     run_circuit(circuit, run)
         # Schroedinger runs no prefix; every pulled-back and state-picture call runs one
-        assert len(heads) >= 12 and any(shape[0] > 1 for (_, _, _, shape), _ in heads)
+        assert len(heads) >= (12 if profile is IDEAL else 6)
+        assert any(shape[0] > 1 for (_, _, _, shape), _ in heads) == (profile is IDEAL)
         for args, got in heads:
             _assert_prefix_run(original, args, got, per_step_prefix(*args, _alone))
 
@@ -1184,8 +1186,6 @@ class TestDepthPrefix:
         # the angled prefix steps sit on later qubits, so the states run in a permuted qubit order
         from dataclasses import replace
 
-        from qsteal.circuits import _prefix
-
         noisy = _hand_built(case)
         for circuit in (noisy, replace(noisy, noise_points=())):
             prefix = compile_prefix(circuit, {}, not circuit.has_noise)
@@ -1193,8 +1193,8 @@ class TestDepthPrefix:
             for b in (1, 5):
                 angles = {i: np.linspace(-1.0, 2.5, b) + i for i in _angled(circuit)}
                 want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
-                _assert_prefix_run(_prefix, (circuit, angles, prefix, (1, 1)), product_prefix(circuit, prefix, angles),
-                                   want)
+                args = (circuit, angles, prefix, (1, 1))
+                _assert_prefix_run(run_prefix, args, run_prefix(*args), want)
 
     @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
     @pytest.mark.parametrize("d", [4, 8, 16, 32])
@@ -1217,13 +1217,13 @@ class TestDepthPrefix:
             rotations.clear()
             superops.clear()
             monkeypatch.setattr(circuits_mod, "np", counting)
-            got = product_prefix(circuit, prefix, angles)
+            got = run_prefix(circuit, angles, prefix, (1, 1))
             monkeypatch.setattr(circuits_mod, "np", np)
             assert rotations == [] and superops == []
             assert counting.matmuls == depths
             counting.matmuls = 0
             want = per_step_prefix(circuit, angles, prefix, (1, 1), _alone)
-            _assert_prefix_run(circuits_mod._prefix, (circuit, angles, prefix, (1, 1)), got, want)
+            _assert_prefix_run(circuits_mod.run_prefix, (circuit, angles, prefix, (1, 1)), got, want)
 
 
 def _as_list(states):
@@ -1231,8 +1231,9 @@ def _as_list(states):
 
 
 class TestSplitTable:
-    """`CircuitIR.splits` holds one split per override pattern and outcome
-    of the groups-against-rows check, however many batch sizes run."""
+    """`CircuitIR.splits` holds one split per override pattern, None where
+    a head angle varies by probe, however many batch sizes run and whichever
+    picture each takes."""
 
     @staticmethod
     def _grids(tid, profile):
@@ -1245,28 +1246,26 @@ class TestSplitTable:
         circuit, overrides = _model_circuit(tid, 4, profile, 1, seed=8)
         yield circuit, {i: float(np.ravel(a)[0]) for i, a in overrides.items()}
 
-    @pytest.mark.parametrize("tid, profile, outcomes", [
-        ("PQC19", IDEAL, [False] * 3), ("PQC19", DEV_A, [False] * 3), ("PQC6", DEV_A, [False] * 3),
-        # with no step after the prefix, 16 probes' lead would outnumber (16, 1)'s rows and stays in the head
-        ("PQC1", DEV_A, [False, True, False, False]),
-    ], ids=["PQC19-ideal", "PQC19-devA", "PQC6-devA", "PQC1-devA"])
-    def test_one_circuit_runs_every_grid_as_a_fresh_one(self, tid, profile, outcomes):
+    @pytest.mark.parametrize("tid, profile", [("PQC19", IDEAL), ("PQC19", DEV_A), ("PQC6", DEV_A), ("PQC1", DEV_A)],
+                             ids=["PQC19-ideal", "PQC19-devA", "PQC6-devA", "PQC1-devA"])
+    def test_one_circuit_runs_every_grid_as_a_fresh_one(self, tid, profile):
         shared = next(self._grids(tid, profile))[0]
         for fresh, overrides in self._grids(tid, profile):
             assert run_circuit(shared, overrides).tobytes() == run_circuit(fresh, overrides).tobytes()
+        # (16, 32) and (16, 5) share a pattern; only the per-row feature's head varies by probe
         keys = list(shared.splits)
-        assert [held for _, held in keys] == outcomes
-        assert len({pattern for pattern, _ in keys}) == len(keys)
-        # more batch sizes of a known pattern and outcome add no entry
+        assert len(keys) == 5 and [entry is None for entry in shared.splits.values()] == [False] * 3 + [True, False]
+        # more batch sizes of a known pattern add no entry
         for b in (7, 9, 31):
             run_circuit(shared, _model_circuit(tid, 4, profile, b, 16, seed=b)[1])
         assert list(shared.splits) == keys
 
-    def test_the_other_outcome_of_a_known_pattern_is_its_own_entry(self):
+    def test_a_known_pattern_keeps_its_entry_whichever_picture_runs(self, monkeypatch):
         # PQC1 at (16, 2): the pattern of (16, 32), but the lead would pull back 64 observables for 32 rows
+        pulled = _spy(monkeypatch, "_pulled_back_picture")
         circuit, overrides = _model_circuit("PQC1", 4, DEV_A, 32, 16)
         run_circuit(circuit, overrides)
+        entry = dict(circuit.splits)
         fresh, overrides = _model_circuit("PQC1", 4, DEV_A, 2, 16, seed=2)
         assert run_circuit(circuit, overrides).tobytes() == run_circuit(fresh, overrides).tobytes()
-        (first, held_first), (second, held_second) = circuit.splits
-        assert first == second and (held_first, held_second) == (False, True)
+        assert len(pulled) == 1 and circuit.splits == entry and fresh.splits.keys() == entry.keys()

@@ -199,6 +199,22 @@ class TestBatchedServing:
         np.testing.assert_array_equal(again.predict(x[:70]), want[:70])
         assert again.selection_log == whole.selection_log[:70]
 
+    def test_calls_of_fifty_rows_draw_every_other_call(self, model, other_model, monkeypatch):
+        # a block of 2 * 50 queries covers two calls: 14 calls, the attack's 700 queries, make 7 draws
+        import qsteal.defense as defense_mod
+
+        x = np.random.default_rng(7).uniform(0, 2 * np.pi, (700, 8))
+        whole = _services(model, other_model, None, 5)["havip"]
+        want = whole.predict(x)
+        draws = []
+        original = defense_mod.draw_pairs
+        monkeypatch.setattr(defense_mod, "draw_pairs", lambda *a: draws.append(a[2:]) or original(*a))
+        split = _services(model, other_model, None, 5)["havip"]
+        got = np.concatenate([split.predict(x[lo : lo + 50]) for lo in range(0, 700, 50)])
+        assert draws == [(lo, 100) for lo in range(0, 700, 100)]
+        np.testing.assert_array_equal(got, want)
+        assert split.selection_log == whole.selection_log
+
     def test_failed_predict_leaves_the_log_unchanged(self, model, other_model, monkeypatch):
         import qsteal.model as model_mod
 

@@ -355,9 +355,9 @@ class TestPauliBasis:
         from qsteal.circuits import final_states, run_circuit
 
         pulled, heads = [], []
-        original, head = circuits_mod._pulled_back_picture, circuits_mod._prefix
+        original, head = circuits_mod._pulled_back_picture, circuits_mod.run_prefix
         monkeypatch.setattr(circuits_mod, "_pulled_back_picture", lambda *a: pulled.append(1) or original(*a))
-        monkeypatch.setattr(circuits_mod, "_prefix", lambda *a: heads.append(1) or head(*a))
+        monkeypatch.setattr(circuits_mod, "run_prefix", lambda *a: heads.append(1) or head(*a))
         template = PQCTemplate(tid, n)
         model = init_model(template, 4, seed=n)
         rng = np.random.default_rng(n)

@@ -459,7 +459,7 @@ class TestHeldHeads:
 
         ran = {"held": 0, "step_heads": 0, "pulled_back": 0}
         holding = []
-        hold_head, prefix, picture = model_mod.hold_head, circuits_mod._prefix, circuits_mod._pulled_back_picture
+        hold_head, prefix, picture = model_mod.hold_head, circuits_mod.run_prefix, circuits_mod._pulled_back_picture
 
         def holding_head(*args):
             holding.append(True)
@@ -477,7 +477,7 @@ class TestHeldHeads:
             return picture(*args)
 
         monkeypatch.setattr(model_mod, "hold_head", holding_head)
-        monkeypatch.setattr(circuits_mod, "_prefix", step_head)
+        monkeypatch.setattr(circuits_mod, "run_prefix", step_head)
         monkeypatch.setattr(circuits_mod, "_pulled_back_picture", pulled)
         x, y = _tiny_task(n=n, d=8, k=3, seed=1)
         m = init_model(PQCTemplate(template, width), k=3, seed=2)
