@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .devices import DeviceProfile
 from .metrics import accuracy, clone_ratio
 from .model import HybridModel, atomic_write, init_model
 from .training import TrainConfig, TrainHistory, train
+
+if TYPE_CHECKING:
+    from .defense import VictimService
 
 MODES = ("top1", "topk")
 QUERY_KINDS = ("mixed", "random")
@@ -207,15 +210,16 @@ def run_attack(
 
 
 def run_attack_suite(
-    service: QueryService,
+    service: VictimService,
     specs: list[AttackSpec],
     **shared,
 ) -> tuple[list[AttackReport], list[tuple[AttackSpec, str]]]:
-    """Run each sweep cell independently; failures are collected, not fatal."""
+    """Run each sweep cell independently, served by `service` reseeded with the cell's seed, so that no
+    cell's answers depend on the queries earlier cells sent; failures are collected, not fatal."""
     reports, errors = [], []
     for spec in specs:
         try:
-            _, report = run_attack(service, spec, **shared)
+            _, report = run_attack(service.reseeded(spec.seed), spec, **shared)
             reports.append(report)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             errors.append((spec, str(exc)))

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .density import pauli_basis
+from .density import pauli_transfer
 from .gates import I2, PAULIS, X, Y, Z
 
 COMPLETENESS_TOL = 1e-10
@@ -56,12 +56,8 @@ class KrausChannel:
 
     @cached_property
     def superop(self) -> np.ndarray:
-        """The (dim^2, dim^2) real PTM: T S T^-1 of S = sum_m K_m (x) conj(K_m)
-        (:func:`qsteal.density.pauli_basis`), its rounding imaginary part dropped."""
-        k = np.stack(self.operators)
-        t, inv = pauli_basis(self.n_qubits_acted)
-        # the products np.kron forms, summed over m in order
-        return (t @ (k[:, :, None, :, None] * k.conj()[:, None, :, None, :]).sum(axis=0).reshape(t.shape) @ inv).real
+        """The (dim^2, dim^2) real PTM (:func:`qsteal.density.pauli_transfer`)."""
+        return pauli_transfer(np.stack(self.operators))
 
 
 def _check_rate(name: str, p: float) -> None:

@@ -4,12 +4,13 @@ A :class:`CircuitIR` is an ordered gate list plus interleaved noise points
 and a measurement spec.  Circuits are immutable values; the batched
 executor :func:`run_circuit` evaluates a grid of probes x samples at once
 from angle overrides, so one circuit skeleton serves a whole batch of
-encoded samples under several parameter vectors.  A call builds its gate
-matrices one batch per (gate kind, angle shape) (:func:`_built`), and a
-step's matrix does not depend on what it was built beside; the
-product-state prefix builds none: a 1-qubit rotation is fixed matrices
-weighted by the cosine and sine of its angle (:func:`rotation_basis`),
-which a compiled prefix holds once per step (:class:`Prefix`).
+encoded samples under several parameter vectors.  Every parameterized
+gate, as a unitary or a PTM, is a fixed basis weighted by 1 and the
+cosines and sines of its angle (:func:`rotation_basis`).  A call builds
+its gates one product of weights and basis per (gate kind, angle shape)
+(:func:`_built`), and a step's matrix does not depend on what it was
+built beside; the compiled product-state prefix holds its steps' bases
+(:class:`Prefix`) and builds no gate at all.
 
 A noise-free circuit runs on statevectors and unitaries, a noisy one in
 the real Pauli basis of :mod:`qsteal.density`: PTM steps, per-qubit Bloch
@@ -459,12 +460,10 @@ _FIXED_SUPEROPS = {
 
 
 def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[np.ndarray]:
-    """Each plan step's PTM, or its unitary when `pure`: its gate
-    at its angle in `angles` (op index -> angle or array of angles; else the
-    op's own), then its `after`.  The gates of one kind and angle shape come
-    from one rotation_batch (and unitary_superop) call over their stacked
-    angles, whose entries equal the matrices built alone: a step's matrix
-    does not depend on the steps built beside it."""
+    """Each plan step's PTM, or its unitary when `pure`: its gate at its
+    angle in `angles` (op index -> angle or array of angles; else the op's
+    own), then its `after`; the gates of one kind and angle shape from one
+    :func:`rotation_stack` over their stacked angles."""
     out, stacks = [], {}
     for k, (i, _, after) in enumerate(steps):
         op = None if i is None else circuit.ops[i]
@@ -474,8 +473,7 @@ def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[
         gate = None if op is None or angle is not None else gate_matrix(op) if pure else _FIXED_SUPEROPS[op.kind]
         out.append(after if gate is None else gate if after is None else after @ gate)  # a stacked step is set below
     for (kind, _), members in stacks.items():
-        gates = rotation_batch(kind, [angle for _, angle in members])
-        for (k, _), gate in zip(members, gates if pure else density.unitary_superop(gates)):
+        for (k, _), gate in zip(members, rotation_stack(kind, [angle for _, angle in members], pure)):
             out[k] = gate if steps[k][2] is None else steps[k][2] @ gate
     return out
 
@@ -483,47 +481,60 @@ def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[
 @lru_cache(maxsize=None)
 def rotation_basis(kind: str, pure: bool) -> np.ndarray:
     """The fixed matrices B_t, read-only (T, d, d), whose sum weighted by
-    :func:`rotation_weights` is a 1-qubit rotation (RX, RY, RZ) at any
-    angle: exp(-i theta P / 2) = cos(theta/2) I + sin(theta/2) (-iP) when
-    `pure` (T = 2), else its PTM P_0 + cos(theta) P_1 + sin(theta) P_2
-    (T = 3; Greenbaum, arXiv:1509.02921).  Read off the builders at theta
-    = 0, pi (and pi/2), rounded to entries of exactly 0, +-1 or +-i."""
-    if pure:
-        basis = rotation_batch(kind, [0.0, np.pi])
-    else:
-        at_0, at_half_pi, at_pi = density.unitary_superop(rotation_batch(kind, [0.0, np.pi / 2, np.pi]))
-        basis = np.array([at_0 + at_pi, at_0 - at_pi, 2 * at_half_pi - at_0 - at_pi]) / 2
-    basis = np.round(basis) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
+    :func:`rotation_weights` is the gate `kind` (RX, RY, RZ, CRX, CRZ) at
+    any angle, as a unitary when `pure`, else as its PTM, whose entries are
+    products of two of the unitary's (Greenbaum, arXiv:1509.02921).  Read
+    off the builders at the angles k pi / 2, k < 8, over which the weights
+    are orthogonal, and rounded to the multiples of 1/2 every entry is."""
+    thetas = np.arange(8) * (np.pi / 2)
+    weights = rotation_weights(thetas, pure, GATE_KINDS[kind][0] == 2)
+    samples = rotation_batch(kind, thetas) if pure else density.unitary_superop(rotation_batch(kind, thetas))
+    basis = ((weights / (weights * weights).sum(axis=0)).T @ samples.reshape(8, -1)).reshape(-1, *samples.shape[1:])
+    basis = np.round(2 * basis) / 2 + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
     basis.flags.writeable = False
     return basis
 
 
-def rotation_weights(angles: np.ndarray, pure: bool) -> np.ndarray:
-    """The :func:`rotation_basis` weights, (..., T): cos, sin of theta / 2 if `pure`, else 1, cos, sin of theta."""
-    angles = np.divide(angles, 2 if pure else 1)
-    out = np.ones((*angles.shape, 3))
-    np.cos(angles, out=out[..., 1])
-    np.sin(angles, out=out[..., 2])
-    return out[..., 1:] if pure else out
+def rotation_weights(angles, pure: bool, controlled: bool = False) -> np.ndarray:
+    """The :func:`rotation_basis` weights, (..., T): 1 unless the gate is a 1-qubit rotation as a
+    unitary, then cos, sin of theta / 2 if `pure` or `controlled`, then cos, sin of theta unless `pure`."""
+    angles = np.asarray(angles, dtype=np.float64)
+    ones, half = int(controlled or not pure), pure or controlled
+    out = np.empty(angles.shape + (ones + 2 * half + 2 * (not pure),))
+    if ones:
+        out[..., 0] = 1.0
+    if half:
+        halves = angles / 2
+        np.cos(halves, out=out[..., ones])
+        np.sin(halves, out=out[..., ones + 1])
+    if not pure:
+        np.cos(angles, out=out[..., -2])
+        np.sin(angles, out=out[..., -1])
+    return out
+
+
+def rotation_stack(kind: str, angles, pure: bool) -> np.ndarray:
+    """The gate `kind` at each of `angles`, angles.shape + (d, d): weights times basis, each entry at most two
+    nonzero exact products, so one rounding whatever the stack: it equals the gate built alone."""
+    basis = rotation_basis(kind, pure)
+    weights = rotation_weights(angles, pure, GATE_KINDS[kind][0] == 2)
+    flat = np.dot(weights.reshape(-1, basis.shape[0]), basis.reshape(basis.shape[0], -1))
+    return flat.reshape(weights.shape[:-1] + basis.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class Prefix:
     """A compiled product-state prefix (:func:`compile_prefix`), or a head of
-    one, laid out by depth for :func:`run_prefix`.
-
-    `starts` are the read-only start states, (n, 2) statevectors or (n, 4)
-    real Bloch vectors, and `steps` the variable steps (op index, (q,),
-    after) in plan order, `after` a 2x2 unitary, a 4x4 PTM or None.
-
-    The k-th step of each qubit has depth k.  The qubits stand in `order`
-    (None for 0..n-1), by falling step count, so the qubits with a step at
-    depth k are the first `depths[k][1]` of them.  The steps stand
-    depth-major in that order, depth k from position `depths[k][0]` on,
-    and per position: `ops` holds the op index, `rows` the step's index
-    in `steps`, and `maps` the read-only products `after` @ B_t of the
-    op's :func:`rotation_basis`, (positions, T, dim, dim): the step at
-    angle theta is sum_t w_t(theta) `maps`[k, t].
+    one, laid out by depth for :func:`run_prefix`: read-only start states
+    `starts`, (n, 2) statevectors or (n, 4) Bloch vectors, and the variable
+    steps (op index, (q,), after) in plan order, `after` a 2x2 unitary, a
+    4x4 PTM or None.  The k-th step of each qubit has depth k.  The qubits
+    stand in `order` (None for 0..n-1) by falling step count, so those with
+    a step at depth k are the first `depths[k][1]`, and the steps stand
+    depth-major in that order, depth k from position `depths[k][0]` on.  Per
+    position, `ops` holds the op index, `rows` the index in `steps`, and
+    `maps` the read-only `after` @ B_t of the op's :func:`rotation_basis`,
+    (positions, T, dim, dim): the step at theta is sum_t w_t(theta) maps[k, t].
     """
 
     starts: np.ndarray
@@ -608,22 +619,18 @@ def _evolve(circuit: CircuitIR, overrides: dict, b: int) -> np.ndarray:
 def run_prefix(circuit: CircuitIR, angles: dict | np.ndarray, prefix: Prefix, shape: tuple):
     """Each row's state after the steps of a compiled product-state prefix
     (:class:`Prefix`), the rows laid out over the (probes, samples) grid
-    that `shape` and the steps' angles span: from 2x2 unitaries, the
-    (rows, 2^n) product statevectors; from PTMs, each qubit's real Bloch
-    vector, (n, rows, 4).  An angle in `angles` (op index
-    -> angle) is one angle, a (B,) array per sample, or a 2-D array that
-    broadcasts to (P, B); a step without one takes its op's own.  Or
-    `angles` is a (steps, B) array of every step's per-sample angles, the
-    steps in plan order, as a served batch's x.T gives its features.
+    that `shape` and the steps' angles span: the (rows, 2^n) product
+    statevectors from 2x2 unitaries, each qubit's Bloch vectors (n, rows,
+    4) from PTMs.  An angle in `angles` (op index -> angle) is one angle, a
+    (B,) array or a 2-D array that broadcasts to (P, B); a step without
+    one takes its op's own.  Or `angles` is a (steps, B) array of every
+    step's per-sample angles in plan order, as a served batch's x.T.
 
-    The steps run one depth at a time, and build no gate: a depth's
-    qubits, the leading ones of `order`, meet the depth's `maps` in one
-    stacked product, each row on its own, and the products' sum weighted
-    by the cosines and sines of the angles (:func:`rotation_weights`) is
-    the new states.  The states span only the grid axes the steps so far
-    vary over, so a prefix of per-sample encodings and per-probe
-    rotations runs the encodings on B rows, not P * B; the weights
-    broadcast the products out to the grid they vary over.
+    The steps run one depth at a time and build no gate: a depth's qubits,
+    the leading ones of `order`, meet its `maps` in one stacked product,
+    whose sum weighted by :func:`rotation_weights` is the new states.  The
+    states span only the grid axes the steps so far vary over, so per-sample
+    encodings before per-probe rotations run on B rows, not P * B.
     """
     n, size = prefix.starts.shape
     pure = size == 2
@@ -762,9 +769,8 @@ def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.nd
 
 def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[Prefix, tuple, set] | None:
     """The pulled-back picture's split of the compiled prefix for `grid`:
-    a head, laid out by depth (:class:`Prefix`), a lead, and the ops of
-    the lead and the rest of the circuit; or None when that picture does
-    not take the grid.
+    a head (:class:`Prefix`), a lead, and the ops of the lead and the rest
+    of the circuit; or None when that picture does not take the grid.
 
     On each qubit the head holds the steps up to its last one whose angle
     varies by sample, and the lead the steps after it.  The picture takes
@@ -772,10 +778,8 @@ def _split(circuit: CircuitIR, grid: _Grid, width: int) -> tuple[Prefix, tuple, 
     B samples alone, and the groups of rows with equal angles in the lead
     and the rest (:meth:`_Grid.groups`) pull back fewer than P * B rows of
     `width` each (:func:`pulled_back`).  The split depends on the grid only
-    through the axes each override varies over, so it is held on the
-    circuit per such pattern (`CircuitIR.splits`) and a call computes only
-    its angles.
-    """
+    through the axes each override varies over, so it is held per such
+    pattern (`CircuitIR.splits`)."""
     if grid.varies not in circuit.splits:
         circuit.splits[grid.varies] = _split_entry(circuit, grid.varies)
     entry = circuit.splits[grid.varies]
@@ -810,16 +814,13 @@ class HeldHead:
 
 
 def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead | None:
-    """The per-sample head of the split that run_circuit makes of a probes
-    x samples grid, run on all N of the grid's samples, for calls that
-    each take `batch` of them (:func:`run_circuit`'s `held`).
-
-    The head is the one a call on the first `batch` samples splits off, so
-    a call on any `batch` samples with the same probes meets its rows
-    here.  None when such a call takes another picture (:func:`_split`)
-    or has a single sample, whose angles vary by nothing.  The head runs
-    on HOLD_ROWS samples at a time, which bounds the arrays it makes; a
-    row's state does not depend on the rows run beside it.
+    """The per-sample head that run_circuit splits off a call on the first
+    `batch` samples of a probes x samples grid, run on all N of them, so a
+    call on any `batch` samples with the same probes meets its rows here
+    (:func:`run_circuit`'s `held`).  None when such a call takes another
+    picture (:func:`_split`) or has a single sample.  The head runs on
+    HOLD_ROWS samples at a time, which bounds the arrays it makes; a row's
+    state does not depend on the rows run beside it.
     """
     grid = _grid(circuit, angle_overrides)
     call = grid.samples(0, batch)
@@ -841,14 +842,12 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, split: tuple, width: i
     group's pulled-back rows.
 
     `split` is the grid's head, lead, and ops of the lead and the rest
-    (:func:`_split`).  The head runs on the B samples, as product
-    statevectors (pure) or real Bloch vectors (mixed); or, when `held` is
+    (:func:`_split`).  The head runs on the B samples, or, when `held` is
     a (:class:`HeldHead`, B row indices) pair held for this head, the B
-    samples are those rows of the held states.  The lead joins the rest
-    of the circuit, through which each group of rows with equal angles
-    there (the P probes, or one group) pulls back its `width` rows once.
-    Groups are pulled back a chunk at a time, and each chunk meets the B
-    samples in one :func:`meet` call.  A chunk holds up to
+    samples are those rows of the held states.  Through the lead and the
+    rest, each group of rows with equal angles there pulls back its
+    `width` rows once, a chunk of groups at a time, and each chunk meets
+    the B samples in one :func:`meet` call.  A chunk holds up to
     PULL_BACK_ENTRIES entries, which take every group at up to 6 qubits,
     or else fewer rows than a group has rows, and at least one group.
     """
@@ -879,32 +878,23 @@ def run_circuit(
     `angle_overrides` maps op indices of parameterized gates to angles laid
     out on a grid of P probes x B samples: one angle for every row, a (B,)
     or (1, B) array per sample, a (P, 1) array per probe or a (P, B) array
-    per row; they broadcast.  Every circuit starts with its product-state
-    prefix (the leading 1-qubit ops and channels), compiled in
-    `CircuitIR.prefix`.  The rows are grouped by their angles after the
-    prefix: the P probes when those angles are per probe or shared, one
-    group when all are shared, every row otherwise.  A group's readout is
-    `width` rows wide: the 2^n basis vectors when the circuit is
-    noise-free (pure), else its m measured Z_q (mixed).  With G groups:
+    per row; they broadcast.  Every circuit starts with its compiled
+    product-state prefix (`CircuitIR.prefix`).  The rows are grouped by
+    their angles after the prefix (:meth:`_Grid.groups`), and a group's
+    readout is `width` rows wide (:func:`_width`).  The picture is:
 
-    * the pulled-back picture (:func:`_pulled_back_picture`), when
-      :func:`_split` takes the grid: each qubit's prefix splits where its
-      per-sample steps end, no head angle varies by probe, and the G
-      groups of the lead and the later steps have G * width < P * B.  The
-      head forms the B samples' product states, and each group pulls its
-      readout back once through the lead and the later steps.  One
-      product meets the head rows with every group's pulled-back rows.
-    * pure otherwise: the state picture.  The prefix's 2-vectors form each
-      row's statevector, and each later gate is applied once per group, to
-      the group's rows in one product.
-    * mixed otherwise: Schroedinger, every row's Pauli vector evolved
-      through the whole circuit, whose Z_q coefficients are the <Z_q>.
+    * pulled-back (:func:`_pulled_back_picture`) when :func:`_split` takes
+      the grid;
+    * else, noise-free, the state picture: the prefix forms each row's
+      statevector, and each later gate is applied once per group;
+    * else Schroedinger, every row's Pauli vector evolved through the
+      whole circuit, whose Z_q coefficients are the <Z_q>.
 
     `held`, a (:class:`HeldHead`, rows) pair from :func:`hold_head`, gives
-    the B samples' head states as those rows of a data set's held states:
-    the pulled-back picture then meets them instead of running the head
-    from the samples' angles, which must be those rows' angles.  Any other
-    picture or split runs from the angles, so the result is the same.
+    the B samples' head states as those rows of a data set's held states,
+    which the pulled-back picture meets instead of running the head from
+    the samples' angles (those rows' angles); any other picture runs from
+    the angles, so the result is the same.
     """
     grid = _grid(circuit, angle_overrides)
     if held is not None and len(held[1]) != grid.b:

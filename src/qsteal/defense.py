@@ -184,6 +184,12 @@ def baseline_of(service: VictimService) -> VictimService:
     return VictimService([service.pairs[0]], [1.0], service.shots, service.seed, name="none")
 
 
+def pair_record(service: VictimService) -> dict:
+    """The template, width and device of the first pair, as reports record :func:`baseline_of`'s."""
+    template, device = service.pairs[0][0].template, service.pairs[0][1]
+    return {"template": template.id, "qubits": template.n_qubits, "device": device.name}
+
+
 # ---------------------------------------------------------------------------
 # obfuscation measurement
 # ---------------------------------------------------------------------------
@@ -199,6 +205,7 @@ class ObfuscationReport:
     shots: int | None
     policy: str
     seeds: tuple
+    baseline: dict
 
     def to_dict(self) -> dict:
         return {
@@ -208,6 +215,7 @@ class ObfuscationReport:
             "shots": self.shots,
             "policy": self.policy,
             "seeds": list(self.seeds),
+            "baseline": self.baseline,
         }
 
 
@@ -238,6 +246,7 @@ def measure_obfuscation(
         shots=policy.shots,
         policy=policy.name,
         seeds=tuple(seeds),
+        baseline=pair_record(baseline),
     )
 
 
@@ -249,6 +258,7 @@ def measure_obfuscation(
 class DefenseEvalResult:
     defended: AttackReport
     undefended: AttackReport
+    baseline: dict  # the undefended pair (pair_record)
 
     @property
     def accuracy_gap(self) -> float:
@@ -265,6 +275,7 @@ def evaluate_defended_attack(
 ) -> DefenseEvalResult:
     """Run the full theft pipeline against the defended service and against
     its undefended baseline with matched seeds; report both."""
+    baseline = baseline_of(policy)
     _, defended_report = run_attack(policy.reseeded(spec.seed), spec, **attack_kwargs)
-    _, undefended_report = run_attack(baseline_of(policy).reseeded(spec.seed), spec, **attack_kwargs)
-    return DefenseEvalResult(defended=defended_report, undefended=undefended_report)
+    _, undefended_report = run_attack(baseline.reseeded(spec.seed), spec, **attack_kwargs)
+    return DefenseEvalResult(defended=defended_report, undefended=undefended_report, baseline=pair_record(baseline))

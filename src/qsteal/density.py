@@ -7,7 +7,10 @@ row and column bits.  A gate or channel Phi acts on it as its real Pauli
 transfer matrix (PTM) R_ab = Tr(P_a Phi(P_b)) / 2^k, with the same two bits
 per qubit; an observable O is Tr(P_a O) / 2^n, so Tr(O rho) is a dot
 product, and O pulls back through Phi as R^T (Chow et al., PRL 109, 060501
-(2012); Greenbaum, arXiv:1509.02921).  A pure state is a (B, 2^n) complex
+(2012); Greenbaum, arXiv:1509.02921); every PTM, a gate's or a channel's,
+comes from one change of basis (:func:`pauli_transfer`), and a
+parameterized gate's from a fixed basis (:func:`qsteal.circuits.rotation_basis`)
+read off it.  A pure state is a (B, 2^n) complex
 statevector, one leg.  One kernel runs a list of steps on either stack: it
 contracts each step's operator, a PTM or a 2x2 / 4x4 unitary, against the
 addressed qubits' bits of every leg, so no full-register embeddings are
@@ -43,69 +46,24 @@ def pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, inv
 
 
-#: the products U_x conj(U_y) of U = [[a, b], [c, d]] a 1-qubit PTM is read
-#: from: a d*, b c*, a c*, b d*, a b*, c d*, |a|^2, |b|^2 and d a*
-_PRODUCT_X, _PRODUCT_Y = np.array([0, 1, 0, 1, 0, 2, 0, 1, 3]), np.array([3, 2, 2, 3, 1, 3, 0, 1, 0])
-#: each entry of the PTM's 3x3 block (rows and columns X, Y, Z, at _BLOCK)
-#: as plus - sign * minus of two parts of those products, product p's real
-#: part at 2p and its imaginary part at 2p + 1: XX = Re(a d*) + Re(b c*)
-_BLOCK_PLUS, _BLOCK_MINUS = np.array([0, 1, 4, 17, 0, 7, 8, 9, 12]), np.array([2, 3, 6, 3, 2, 5, 10, 11, 14])
-_BLOCK_SIGN = np.array([-1.0, 1, 1, 1, 1, 1, 1, 1, 1])
-_BLOCK = np.array([5, 6, 7, 9, 10, 11, 13, 14, 15])
-#: per (c, b), row-major, the two entries of V with a weight in
-#: Tr(P_c V P_b) / 2 = sum_ij V_ij (P_b P_c)_ji / 2, and their weights
-_MIXED_WEIGHTS = np.einsum("bjp,cpi->cbij", _PAULIS, _PAULIS).reshape(16, 4) / 2
-_MIXED_PICK = np.array([np.flatnonzero(w) for w in _MIXED_WEIGHTS])
-_MIXED_PICKED = np.take_along_axis(_MIXED_WEIGHTS, _MIXED_PICK, axis=1)
-#: the Pauli pairs (control a, control b) whose 4x4 block of a controlled
-#: gate's PTM is not zero, and which block of :func:`_controlled` it is
-_CONTROLLED_BLOCKS = ((0, 0, 0), (3, 3, 0), (3, 0, 1), (0, 3, 1), (1, 1, 2), (2, 2, 2), (2, 1, 3), (1, 2, 4))
-
-
-def _rotation(flat: np.ndarray) -> np.ndarray:
-    """The PTMs (N, 16) of N 1-qubit unitaries (N, 4), both row-major:
-    1 (+) the 3x3 rotation read from nine products of entries."""
-    parts = (np.take(flat, _PRODUCT_X, axis=1) * np.take(flat, _PRODUCT_Y, axis=1).conj()).view(np.float64)
-    out = np.zeros((flat.shape[0], 16))
-    out[:, 0] = 1.0
-    out[:, _BLOCK] = parts[:, _BLOCK_PLUS] - parts[:, _BLOCK_MINUS] * _BLOCK_SIGN
-    return out
-
-
-def _controlled(v: np.ndarray) -> np.ndarray:
-    """The PTMs (N, 16, 16) of N controlled-V gates, the control the high
-    qubit, from their target blocks V (N, 4) row-major.  With R_V the PTM
-    of V and K+, K- the real and imaginary parts of Tr(P_c V P_b) / 2, a
-    Pauli I (x) B leaves as I (x) (1 + R_V)B / 2 + Z (x) (1 - R_V)B / 2 and
-    Z (x) B the other way round, X (x) B as X (x) K+ B + Y (x) K- B and
-    Y (x) B as Y (x) K+ B - X (x) K- B: eight 4x4 blocks, each written
-    straight into the two-bits-per-qubit layout."""
-    n, eye = v.shape[0], np.eye(4)
-    rv = _rotation(v).reshape(n, 4, 4)
-    mixed = (np.take(v, _MIXED_PICK, axis=1) * _MIXED_PICKED).sum(axis=-1)
-    blocks = [(eye + rv) * 0.5, (eye - rv) * 0.5, mixed.real, mixed.imag, -mixed.imag]
-    out = np.zeros((n,) + (2,) * 8)  # the bits r1 r2 c1 c2 of the row, then of the column
-    for a, b, k in _CONTROLLED_BLOCKS:
-        out[:, a >> 1, :, a & 1, :, b >> 1, :, b & 1, :] = blocks[k].reshape(n, 2, 2, 2, 2)
-    return out.reshape(n, 16, 16)
+def pauli_transfer(kraus: np.ndarray) -> np.ndarray:
+    """The real PTM T S T^-1 (:func:`pauli_basis`) of S = sum_m K_m (x)
+    conj(K_m), the products np.kron forms summed over m in order, its
+    rounding imaginary part dropped: (..., 4^k, 4^k) for a stack of Kraus
+    operators (..., M, 2^k, 2^k), each entry the PTM of its operators
+    built alone."""
+    t, inv = pauli_basis(kraus.shape[-1].bit_length() - 1)
+    s = (kraus[..., :, :, None, :, None] * kraus.conj()[..., :, None, :, None, :]).sum(axis=-5)
+    return (t @ s.reshape(kraus.shape[:-3] + t.shape) @ inv).real
 
 
 def unitary_superop(mat: np.ndarray) -> np.ndarray:
-    """The PTM of rho -> U rho U^dag: real, (..., 4^k, 4^k) for a stack
-    (..., 2^k, 2^k), each entry the PTM of its matrix built alone.
-
-    A unitary's PTM is 1 (+) a rotation, its first row and column e_0
-    exactly.  On one qubit the rotation is read from products of entries
-    (:func:`_rotation`); on two, U must be a controlled gate, as every
-    2-qubit gate of the gate set is: the identity while its control, the
-    high qubit, is |0> (:func:`_controlled`).
-    """
-    lead, dk = mat.shape[:-2], mat.shape[-1]
-    if dk == 2:
-        return _rotation(mat.reshape(-1, 4)).reshape(lead + (4, 4))
-    if not (mat[..., :2, :] == np.eye(2, 4)).all() or mat[..., 2:, :2].any():
-        raise ValueError("a 2-qubit unitary must be a controlled gate, the identity while its control is |0>")
-    return _controlled(mat[..., 2:, 2:].reshape(-1, 4)).reshape(lead + (16, 16))
+    """The PTM of rho -> U rho U^dag, real: (..., 4^k, 4^k) for a stack
+    (..., 2^k, 2^k), the :func:`pauli_transfer` of each U alone.  A
+    unitary's PTM is 1 (+) a rotation: its first row and column are e_0."""
+    out = pauli_transfer(mat[..., None, :, :])
+    out[..., 0, :] = out[..., :, 0] = np.eye(out.shape[-1])[0]
+    return out
 
 
 def apply_superop_batch(states: np.ndarray, steps, n: int, groups: int | None = None) -> np.ndarray:

@@ -242,6 +242,9 @@ class TestReports:
             def predict(self, x):
                 raise RuntimeError("down")
 
+            def reseeded(self, seed):
+                return self
+
         specs = [AttackSpec(seed=1), AttackSpec(seed=2)]
         reports, errors = run_attack_suite(
             ExplodingService(),
@@ -255,3 +258,22 @@ class TestReports:
         )
         assert reports == []
         assert len(errors) == 2 and all("down" in msg or "source" in msg for _, msg in errors)
+
+    def test_a_shot_served_cell_reports_as_it_does_alone(self, monkeypatch):
+        # each cell is served by its own reseeded service, so the queries of earlier cells move neither its
+        # shot-sampled answers nor its report
+        from qsteal.defense import VictimService
+
+        answers = []
+        original = VictimService.predict
+        monkeypatch.setattr(VictimService, "predict", lambda self, x: answers.append(original(self, x)) or answers[-1])
+        rng = np.random.default_rng(5)
+        task = LabeledDataset(rng.uniform(0, 2 * np.pi, (40, 4)), np.arange(40) % 2, 2)
+        victim = init_model(PQCTemplate("PQC1", 2), 2, 0)
+        shared = dict(query_sources=[task], d=4, train_cfg=TrainConfig(epochs=1, batch_size=8), clone_profile=IDEAL,
+                      eval_data=task, victim_accuracy=0.9)
+        cells = [AttackSpec(da_size=n, clone_template="PQC1", clone_qubits=2, seed=n) for n in (12, 16)]
+        in_sweep, errors = run_attack_suite(no_defense(victim, IDEAL, shots=200, seed=1), cells, **shared)
+        alone, _ = run_attack_suite(no_defense(victim, IDEAL, shots=200, seed=1), cells[1:], **shared)
+        assert errors == [] and in_sweep[1] == alone[0]
+        assert len(answers) == 3 and answers[1].tobytes() == answers[2].tobytes()

@@ -51,17 +51,8 @@ STEP_BINDINGS = [
 ]
 
 
-@pytest.mark.parametrize("workload, device, with_eval, sites", STEP_BINDINGS, ids=[s[0] for s in STEP_BINDINGS])
-def test_one_training_step_calls_the_required_bindings(monkeypatch, workload, device, with_eval, sites):
-    # a change that routes around a required binding would otherwise fail only in a traced run
-    import numpy as np
-
-    from qsteal.circuits import PQCTemplate
-    from qsteal.devices import default_registry
-    from qsteal.model import init_model
-    from qsteal.training import TrainConfig, train
-
-    assert set(sites) <= set(workloads.WORKLOADS[workload].required)
+def _counted(monkeypatch, sites) -> dict:
+    """Count the calls made through each binding of `sites` from now on."""
     calls = dict.fromkeys(sites, 0)
     for site in sites:
         module, _, name = site.rpartition(".")
@@ -73,6 +64,21 @@ def test_one_training_step_calls_the_required_bindings(monkeypatch, workload, de
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("workload, device, with_eval, sites", STEP_BINDINGS, ids=[s[0] for s in STEP_BINDINGS])
+def test_one_training_step_calls_the_required_bindings(monkeypatch, workload, device, with_eval, sites):
+    # a change that routes around a required binding would otherwise fail only in a traced run
+    import numpy as np
+
+    from qsteal.circuits import PQCTemplate
+    from qsteal.devices import default_registry
+    from qsteal.model import init_model
+    from qsteal.training import TrainConfig, train
+
+    assert set(sites) <= set(workloads.WORKLOADS[workload].required)
+    calls = _counted(monkeypatch, sites)
     x = np.random.default_rng(0).uniform(0, 2 * np.pi, (8, 8))
     labels = np.arange(8) % 4
     held_out = (x, labels) if with_eval else (None, None)
@@ -110,7 +116,6 @@ def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
     from qsteal.circuits import PQCTemplate
     from qsteal.devices import default_registry
 
-    calls = dict.fromkeys(SERVE_BINDINGS, 0)
     victim = model.init_model(PQCTemplate("PQC19", 4), 4, 0)
     dev_a = default_registry().get("devA")
     x = np.random.default_rng(0).uniform(0, 2 * np.pi, 8)
@@ -119,16 +124,28 @@ def test_one_served_predict_calls_the_hooked_gate_bindings(monkeypatch):
         module, _, name = site.rpartition(".")
         hook = next(h for h in layers.HOOKS if h.name == name)
         assert _lookup(module, name) is _lookup(hook.module, hook.name)
-        owner = importlib.import_module(module)
-        original = getattr(owner, name)
-
-        def counted(*args, _site=site, _original=original, **kwargs):
-            calls[_site] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    calls = _counted(monkeypatch, SERVE_BINDINGS)
     defense.no_defense(victim, dev_a).predict(x)
     assert calls == dict.fromkeys(SERVE_BINDINGS, 0)
+
+
+def test_one_noisy_training_step_calls_no_gate_builder(monkeypatch):
+    # every gate of a forward_probes step, after the prefix too, is its held basis weighted by its angle's
+    # cosines and sines, so a traced train_noisy run reads zero gate builds per pass through the hooked bindings
+    import numpy as np
+
+    from qsteal.circuits import PQCTemplate
+    from qsteal.devices import default_registry
+    from qsteal.model import init_model
+    from qsteal.training import TrainConfig, train
+
+    x = np.random.default_rng(0).uniform(0, 2 * np.pi, (8, 8))
+    labels = np.arange(8) % 4
+    dev_a, cfg = default_registry().get("devA"), TrainConfig(epochs=1, batch_size=8, spsa_draws=1)
+    train(init_model(PQCTemplate("PQC19", 4), 4, 0), x, labels, cfg, dev_a, 0)  # holds the gate bases first
+    calls = _counted(monkeypatch, SERVE_BINDINGS + ("qsteal.training.forward_probes",))
+    train(init_model(PQCTemplate("PQC19", 4), 4, 1), x, labels, cfg, dev_a, 1)
+    assert calls == {**dict.fromkeys(SERVE_BINDINGS, 0), "qsteal.training.forward_probes": 1}
 
 
 def test_obfuscation_scores_through_the_hooked_tvd_binding(monkeypatch):

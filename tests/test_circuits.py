@@ -19,6 +19,7 @@ from qsteal.circuits import (
     TEMPLATE_IDS,
     pulled_back,
     rotation_basis,
+    rotation_stack,
     rotation_weights,
     run_circuit,
     run_prefix,
@@ -942,17 +943,20 @@ def _bytes(mats):
 
 def _alone(circuit, steps, angles: dict, pure: bool = False) -> list:
     """helpers.per_step_matrices with the package's own builders: each
-    step's gate from its own rotation_batch and unitary_superop calls, then
-    its `after`.  Equal to circuits._built byte for byte, where the
-    independent reference is equal to rounding."""
+    step's gate from its own rotation_stack call (a gate without an angle
+    from gate_matrix and unitary_superop), then its `after`.  Equal to
+    circuits._built byte for byte, where the independent reference is equal
+    to rounding."""
     out = []
     for i, _, after in steps:
         if i is None:
             out.append(after)
             continue
         op = circuit.ops[i]
-        mat = gate_matrix(op) if i not in angles else rotation_batch(op.kind, angles[i])
-        gate = mat if pure else unitary_superop(mat)
+        if op.angle is None:
+            gate = gate_matrix(op) if pure else unitary_superop(gate_matrix(op))
+        else:
+            gate = rotation_stack(op.kind, angles.get(i, op.angle), pure)
         out.append(gate if after is None else after @ gate)
     return out
 
@@ -1007,21 +1011,27 @@ class TestBuilder:
             assert _bytes(_built(circuit, steps, angles, pure)) == _bytes(_alone(circuit, steps, angles, pure))
             _close(_built(circuit, steps, angles, pure), per_step_matrices(circuit, steps, angles, pure))
 
-    def test_one_rotation_and_superop_call_per_kind_and_angle_shape(self, monkeypatch):
+    @pytest.mark.parametrize("profile", [IDEAL, DEV_A], ids=["ideal", "devA"])
+    def test_one_weighted_basis_per_kind_and_angle_shape_and_no_gate_build(self, monkeypatch, profile):
+        # once the bases are held, a call builds no gate: one rotation_stack per (kind, angle shape)
         import qsteal.circuits as circuits_mod
         import qsteal.density as density_mod
 
-        rotations = _spy(monkeypatch, "rotation_batch")
+        circuit, _ = _model_circuit("PQC6", 3, profile, 1)
+        angles = _angles(circuit, "mixed")
+        pure = not circuit.has_noise
+        circuits_mod._built(circuit, circuit.plan[0] + circuit.plan[1], angles, pure)
+        rotations, stacks = _spy(monkeypatch, "rotation_batch"), _spy(monkeypatch, "rotation_stack")
         superops = []
         original = density_mod.unitary_superop
         monkeypatch.setattr(density_mod, "unitary_superop", lambda m: superops.append(m.shape) or original(m))
-        circuit, _ = _model_circuit("PQC19", 4, DEV_A, 1)
-        angles = _angles(circuit, "mixed")
-        circuits_mod._built(circuit, circuit.plan[0] + circuit.plan[1], angles)
+        circuits_mod._built(circuit, circuit.plan[0] + circuit.plan[1], angles, pure)
         kinds = {(circuit.ops[i].kind, np.shape(a)) for i, a in angles.items()}
         kinds |= {(op.kind, ()) for i, op in enumerate(circuit.ops) if op.angle is not None and i not in angles}
-        assert sorted((kind, np.shape(a)[1:]) for kind, a in rotations) == sorted(kinds)
-        assert len(superops) == len(kinds)
+        assert {"CRX", "RX", "RZ"} <= {kind for kind, _ in kinds}
+        assert sorted((kind, np.shape(a)[1:]) for kind, a, _ in stacks) == sorted(kinds)
+        assert all(p == pure for _, _, p in stacks)
+        assert rotations == [] and superops == []
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     @pytest.mark.parametrize("profile", [None, IDEAL, DEV_A], ids=["none", "ideal", "devA"])
@@ -1103,19 +1113,31 @@ def _assert_prefix_run(run, args, got, want):
 
 
 class TestRotationBasis:
-    """Each 1-qubit rotation is its basis weighted by the cosines and sines of
-    its angle, as a 2x2 unitary and as a PTM."""
+    """Each parameterized gate is its basis weighted by 1 and the cosines
+    and sines of its angle (and half its angle), as a unitary and as a PTM,
+    within 1e-15 of the gate the independent builder gives; a stack of
+    gates is built entry for entry as each gate alone."""
 
-    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ"])
+    SHAPES = {"RX": (2, 2, 2), "RY": (2, 2, 2), "RZ": (2, 2, 2), "CRX": (3, 4, 4), "CRZ": (3, 4, 4)}
+    PTM_SHAPES = {"RX": (3, 4, 4), "RY": (3, 4, 4), "RZ": (3, 4, 4), "CRX": (5, 16, 16), "CRZ": (5, 16, 16)}
+
+    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX", "CRZ"])
     @pytest.mark.parametrize("pure", [True, False], ids=["unitary", "ptm"])
     def test_weighted_basis_is_the_built_gate(self, kind, pure):
         basis = rotation_basis(kind, pure)
-        assert basis.shape == ((2, 2, 2) if pure else (3, 4, 4))
-        assert np.isin(basis, [0, 1, -1, 1j, -1j]).all()
+        assert basis.shape == (self.SHAPES if pure else self.PTM_SHAPES)[kind]
+        assert not basis.flags.writeable
+        assert np.isin(basis, [0, 1, -1, 1j, -1j] if pure else [0, 0.5, -0.5, 1, -1]).all()
         thetas = np.array([0.0, 0.7, np.pi, 4.1, -2.3])
-        got = np.einsum("at,tij->aij", rotation_weights(thetas, pure), basis)
+        controlled = GATE_KINDS[kind][0] == 2
+        got = np.einsum("at,tij->aij", rotation_weights(thetas, pure, controlled), basis)
         gates = rotation_batch(kind, thetas)
         np.testing.assert_allclose(got, gates if pure else unitary_superop(gates), rtol=0, atol=1e-15)
+        stack = rotation_stack(kind, thetas, pure)
+        np.testing.assert_allclose(stack, got, rtol=0, atol=1e-15)
+        assert stack.tobytes() == np.array([rotation_stack(kind, t, pure) for t in thetas]).tobytes()
+        if pure:  # one product of exact trigonometric weights per entry: the unitary itself, to the last bit
+            np.testing.assert_array_equal(stack, gates)
 
 
 class TestDepthPrefix:

@@ -442,6 +442,18 @@ class TestDefendEval:
         assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads((out / "obfuscation.json").read_text())["policy"] == "havip"
 
+    @pytest.mark.parametrize("policy, want", [("hvip", ("PQC19", 2, "devA")), ("havip", ("PQC1", 2, "devA"))])
+    def test_documents_record_the_undefended_baseline_pair(self, tmp_path, policy, want):
+        # the baseline is the first-listed pair: under havip the first victim, not the mix it stands beside
+        overrides = _havip() if policy == "havip" else {}
+        cfg = _write_config(tmp_path, {**overrides, "defense.attack": TINY["attack"]})
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 0
+        want = dict(zip(("template", "qubits", "device"), want))
+        assert json.loads((out / "obfuscation.json").read_text())["baseline"] == want
+        records = [json.loads(line) for line in (out / "defense_eval.jsonl").read_text().splitlines()]
+        assert records and all(r["baseline"] == want for r in records)
+
     @pytest.mark.parametrize("policy", ["hvip", "havip"])
     def test_rerun_identical_documents(self, tmp_path, policy):
         overrides = _havip() if policy == "havip" else {}

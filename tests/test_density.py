@@ -377,18 +377,21 @@ class TestPauliTransferMatrices:
             assert abs(got[3, 0] - channel.rate) < 1e-15  # |1> decays to |0>: <Z> gains gamma
 
     def test_random_unitaries_and_controlled_unitaries(self):
+        # one formula for every unitary: random 1-qubit ones, controlled ones, SWAP and random 4x4 ones
         rng = np.random.default_rng(61)
+        swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
+        np.testing.assert_allclose(unitary_superop(swap), to_ptm(superop(swap)), rtol=0, atol=1e-15)
         for _ in range(20):
             u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             np.testing.assert_allclose(unitary_superop(u), to_ptm(superop(u)), rtol=0, atol=1e-15)
             controlled = np.eye(4, dtype=np.complex128)
             controlled[2:, 2:] = u
             np.testing.assert_allclose(unitary_superop(controlled), to_ptm(superop(controlled)), rtol=0, atol=1e-15)
-
-    def test_a_two_qubit_unitary_that_is_no_controlled_gate_is_refused(self):
-        swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]
-        with pytest.raises(ValueError, match="controlled gate"):
-            unitary_superop(np.stack([gate_matrix(GateOp("CNOT", (0, 1))), swap]))
+            full, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            got = unitary_superop(full)
+            np.testing.assert_allclose(got, to_ptm(superop(full)), rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(got[0], np.eye(16)[0])
+            np.testing.assert_array_equal(got[:, 0], np.eye(16)[0])
 
     def test_pauli_vectors_round_trip_and_read_out_z(self):
         rng = np.random.default_rng(62)
