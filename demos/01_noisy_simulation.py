@@ -26,9 +26,9 @@ registry = default_registry()
 
 
 def one_qubit(ops, channel=None) -> CircuitIR:
-    """A 1-qubit circuit measuring qubit 0, with `channel` after its last gate."""
+    """A 1-qubit circuit with `channel` after its last gate."""
     noise = (NoisePoint(len(ops) - 1, channel, (0,)),) if channel is not None else ()
-    return CircuitIR(n_qubits=1, ops=tuple(ops), measured_qubits=(0,), noise_points=noise)
+    return CircuitIR(n_qubits=1, ops=tuple(ops), noise_points=noise)
 
 
 print("== single-qubit channels ==")

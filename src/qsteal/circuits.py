@@ -36,7 +36,7 @@ from .channels import (
     phase_flip,
 )
 from .devices import DeviceProfile
-from .gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch, validate_gate
+from .gates import GATE_KINDS, H, GateOp, gate_matrix, rotation_batch
 
 TEMPLATE_IDS = ("PQC1", "PQC6", "PQC17", "PQC19")
 
@@ -54,7 +54,7 @@ CONTRACT_ROWS = 32
 HOLD_ROWS = 256
 
 #: entries of the observables one pull-back call may hold even where that is
-#: more matrices than a group has rows: 2^19 (8 MB) take every probe's m
+#: more matrices than a group has rows: 2^19 (8 MB) take every probe's n
 #: pulled-back Z_q at up to 6 qubits, and less than one probe's at 8
 PULL_BACK_ENTRIES = 2**19
 
@@ -105,9 +105,11 @@ class NoisePoint:
 
 @dataclass(frozen=True)
 class CircuitIR:
+    """An n-qubit circuit that measures Z on every qubit: its ops, where its
+    layers end, the noise woven in, and the readout confusion."""
+
     n_qubits: int
     ops: tuple[GateOp, ...]
-    measured_qubits: tuple[int, ...]
     #: op-count positions after which a layer boundary falls (encoding end, each PQC layer end)
     layer_breaks: tuple[int, ...] = ()
     noise_points: tuple[NoisePoint, ...] = ()
@@ -116,18 +118,12 @@ class CircuitIR:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
         object.__setattr__(self, "layer_breaks", tuple(self.layer_breaks))
         object.__setattr__(self, "noise_points", tuple(self.noise_points))
-        if not self.measured_qubits:
-            raise ValueError("measured_qubits must be nonempty")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise ValueError("measured_qubits must be distinct")
-        for q in self.measured_qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ValueError(f"measured qubit {q} out of range")
         for op in self.ops:
-            validate_gate(op, self.n_qubits)
+            for q in op.qubits:
+                if not 0 <= q < self.n_qubits:
+                    raise ValueError(f"{op.kind} qubit index {q} out of range for {self.n_qubits} qubits")
         for i, p in enumerate(self.noise_points):
             where = f"noise point {i} ({p.channel.name} after op {p.after_op})"
             if not 0 <= p.after_op < len(self.ops):
@@ -159,7 +155,7 @@ class CircuitIR:
         them, each act on one qubit: the part of the circuit that keeps
         |0...0> a product state."""
         for i, op in enumerate(self.ops):
-            if op.n_qubits_acted > 1 or any(len(p.qubits) > 1 for p in self.channels_after.get(i, ())):
+            if len(op.qubits) > 1 or any(len(p.qubits) > 1 for p in self.channels_after.get(i, ())):
                 return i
         return len(self.ops)
 
@@ -188,8 +184,8 @@ class CircuitIR:
 
     @cached_property
     def z_signs(self) -> np.ndarray:
-        """The diagonal of Z_q for each measured qubit q: read-only (m, 2^n) signs."""
-        signs = 1.0 - 2.0 * ((np.arange(2**self.n_qubits) >> np.array(self.measured_qubits)[:, None]) & 1)
+        """The diagonal of Z_q for each qubit q: read-only (n, 2^n) signs."""
+        signs = 1.0 - 2.0 * ((np.arange(2**self.n_qubits) >> np.arange(self.n_qubits)[:, None]) & 1)
         signs.flags.writeable = False
         return signs
 
@@ -316,22 +312,16 @@ def build_pqc(template: PQCTemplate, params) -> list[GateOp]:
     return ops
 
 
-def pqc_gates_per_layer(template: PQCTemplate) -> int:
-    dummy = build_pqc(replace(template, layers=1), np.zeros(template.params_per_layer))
-    return len(dummy)
-
-
 def assemble_circuit(features, template: PQCTemplate, params) -> CircuitIR:
     """Encoding followed by the PQC, with layer breaks at the encoding end
     and at each PQC layer end."""
     enc = encode_angles(features, template.n_qubits)
     pqc = build_pqc(template, params)
-    per_layer = pqc_gates_per_layer(template)
+    per_layer = len(pqc) // template.layers  # every layer emits the same gates
     breaks = [len(enc)] + [len(enc) + (l + 1) * per_layer for l in range(template.layers)]
     return CircuitIR(
         n_qubits=template.n_qubits,
         ops=tuple(enc + pqc),
-        measured_qubits=tuple(range(template.n_qubits)),
         layer_breaks=tuple(breaks),
     )
 
@@ -353,10 +343,8 @@ def weave_noise(circuit: CircuitIR, profile: DeviceProfile) -> CircuitIR:
     points = []
     breaks = set(circuit.layer_breaks)
     for i, op in enumerate(circuit.ops):
-        if op.n_qubits_acted == 1:
-            points.append(NoisePoint(i, depolarizing(profile.p1), op.qubits))
-        else:
-            points.append(NoisePoint(i, depolarizing_2q(profile.p2), op.qubits))
+        gate_noise = depolarizing(profile.p1) if len(op.qubits) == 1 else depolarizing_2q(profile.p2)
+        points.append(NoisePoint(i, gate_noise, op.qubits))
         if (i + 1) in breaks:
             for q in range(circuit.n_qubits):
                 points.append(NoisePoint(i, amplitude_damping(profile.gamma), (q,)))
@@ -452,11 +440,7 @@ class _Grid:
 
 
 #: PTMs of the gates that take no angle, built once
-_FIXED_SUPEROPS = {
-    kind: density.unitary_superop(gate_matrix(GateOp(kind, tuple(range(arity)))))
-    for kind, (arity, parameterized) in GATE_KINDS.items()
-    if not parameterized
-}
+_FIXED_SUPEROPS = {"H": density.unitary_superop(H)}
 
 
 def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[np.ndarray]:
@@ -481,7 +465,7 @@ def _built(circuit: CircuitIR, steps, angles: dict, pure: bool = False) -> list[
 @lru_cache(maxsize=None)
 def rotation_basis(kind: str, pure: bool) -> np.ndarray:
     """The fixed matrices B_t, read-only (T, d, d), whose sum weighted by
-    :func:`rotation_weights` is the gate `kind` (RX, RY, RZ, CRX, CRZ) at
+    :func:`rotation_weights` is the gate `kind` (RX, RZ, CRX) at
     any angle, as a unitary when `pure`, else as its PTM, whose entries are
     products of two of the unitary's (Greenbaum, arXiv:1509.02921).  Read
     off the builders at the angles k pi / 2, k < 8, over which the weights
@@ -669,9 +653,9 @@ def _kron_rows(vecs: list[np.ndarray]) -> np.ndarray:
 
 
 def z_expectations(circuit: CircuitIR, vecs: np.ndarray) -> np.ndarray:
-    """<Z_q> per measured qubit q of each statevector in a (..., R, 2^n)
-    stack: (..., R, m).  Each block of R rows meets the signs in its own
-    (R, 2^n) @ (2^n, m) product, so a row's result does not depend on the
+    """<Z_q> per qubit q of each statevector in a (..., R, 2^n)
+    stack: (..., R, n).  Each block of R rows meets the signs in its own
+    (R, 2^n) @ (2^n, n) product, so a row's result does not depend on the
     blocks beside it, as it can on the rows beside it in one BLAS product
     at 5-7 qubits."""
     return (vecs.conj() * vecs).real @ circuit.z_signs.T
@@ -703,9 +687,9 @@ def pulled_back(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.nda
     (G * width, entries), group-major.  An override is one angle for every
     group or a (G,) array of per-group angles.
 
-    A noisy circuit, Phi, pulls back each measured Z_q as Phi^dag(Z_q), a
+    A noisy circuit, Phi, pulls back each Z_q as Phi^dag(Z_q), a
     real (4^n,) Pauli vector in Kronecker order, qubit 0 the least
-    significant digit: width m.  A noise-free one, U, pulls back each basis
+    significant digit: width n.  A noise-free one, U, pulls back each basis
     vector e_k as U^dag e_k, a (2^n,) row: width 2^n.  The adjoint of a
     step is its conjugate transpose, so the rows run backwards through the
     steps (:func:`_rest`), each one fused operator, with the kernel the
@@ -716,8 +700,8 @@ def pulled_back(circuit: CircuitIR, overrides: dict, lead: tuple = ()) -> np.nda
     steps = [(op.conj().swapaxes(-1, -2), qubits) for op, qubits in reversed(_rest(circuit, overrides, lead))]
     if not circuit.has_noise:
         return density.apply_unitary_vec(np.tile(np.eye(dim, dtype=np.complex128), (g, 1)), steps, n, g)
-    obs = np.zeros((g * len(circuit.measured_qubits), dim, dim))
-    bits = np.tile(1 << np.array(circuit.measured_qubits), g)
+    obs = np.zeros((g * n, dim, dim))
+    bits = np.tile(1 << np.arange(n), g)
     obs[np.arange(obs.shape[0]), bits, bits] = 1.0  # Z_q: Pauli index 3 on qubit q, both its bits set
     obs = density.apply_superop_batch(obs, steps, n, g)
     # each qubit's bit of the first leg beside its bit of the second: Kronecker order
@@ -750,9 +734,9 @@ def contract_rows(bloch: np.ndarray, rows: np.ndarray, obs: np.ndarray) -> np.nd
 
 
 def meet(circuit: CircuitIR, states, rows: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """<Z_q> per measured qubit q for each selected row of `states`, as
+    """<Z_q> per qubit q for each selected row of `states`, as
     :func:`run_prefix` gives them, after each group's pulled-back rows in `obs`
-    (:func:`pulled_back`): (len(rows), G * m).
+    (:func:`pulled_back`): (len(rows), G * n).
 
     A mixed row rho meets the pulled-back Z_q as the dot products of their
     Pauli vectors (:func:`contract_rows`).  A pure row psi meets the pulled-back basis
@@ -838,7 +822,7 @@ def hold_head(circuit: CircuitIR, angle_overrides: dict, batch: int) -> HeldHead
 
 def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, split: tuple, width: int,
                          held: tuple | None = None) -> np.ndarray:
-    """<Z> per measured qubit for every row, from its head state and its
+    """<Z> per qubit for every row, from its head state and its
     group's pulled-back rows.
 
     `split` is the grid's head, lead, and ops of the lead and the rest
@@ -857,23 +841,23 @@ def _pulled_back_picture(circuit: CircuitIR, grid: _Grid, split: tuple, width: i
         states, rows = held[0].states, held[1]
     else:
         states, rows = run_prefix(circuit, grid.angles, head, (1, grid.b)), np.arange(grid.b)
-    m = len(circuit.measured_qubits)
+    n = circuit.n_qubits
     entries = circuit.prefix.starts.shape[1] ** circuit.n_qubits  # 2^n per statevector, 4^n per density matrix
     chunk = max(1, (grid.rows - 1) // (g * width), PULL_BACK_ENTRIES // (width * entries))
-    exps = np.empty((g, grid.b, m))
+    exps = np.empty((g, grid.b, n))
     for lo in range(0, g, chunk):
         part = {i: a if a.ndim == 0 else a[lo : lo + chunk] for i, a in angles.items()}
         obs = pulled_back(circuit, part, lead)
-        exps[lo : lo + chunk] = meet(circuit, states, rows, obs).reshape(grid.b, -1, m).swapaxes(0, 1)
+        exps[lo : lo + chunk] = meet(circuit, states, rows, obs).reshape(grid.b, -1, n).swapaxes(0, 1)
         del obs  # the next chunk's pull-back must not overlap this one's rows
-    return np.broadcast_to(exps, (grid.p, grid.b, m)).reshape(grid.rows, m)
+    return np.broadcast_to(exps, (grid.p, grid.b, n)).reshape(grid.rows, n)
 
 
 def run_circuit(
     circuit: CircuitIR, angle_overrides: dict[int, np.ndarray] | None = None, held: tuple | None = None
 ) -> np.ndarray:
-    """Execute the circuit and return exact <Z> per measured qubit, shape
-    (P * B, m), rows probe-major.
+    """Execute the circuit and return exact <Z> per qubit, shape
+    (P * B, n), rows probe-major.
 
     `angle_overrides` maps op indices of parameterized gates to angles laid
     out on a grid of P probes x B samples: one angle for every row, a (B,)
@@ -909,14 +893,14 @@ def run_circuit(
         steps = list(zip(_built(circuit, plan, angles, pure=True), [qubits for _, qubits, _ in plan]))
         vecs = run_prefix(circuit, grid.angles, circuit.prefix, (grid.p, grid.b))
         return z_expectations(circuit, density.apply_unitary_vec(vecs, steps, circuit.n_qubits, g))
-    z = 1 << np.array(circuit.measured_qubits)  # Z_q: Pauli index 3 on qubit q, both its bits set
+    z = 1 << np.arange(circuit.n_qubits)  # Z_q: Pauli index 3 on qubit q, both its bits set
     return _evolve(circuit, grid.spread((grid.p, grid.b)), grid.rows)[:, z, z]
 
 
 def _width(circuit: CircuitIR) -> int:
     """The rows a group's readout pulls back: 2^n basis vectors when the
-    circuit is noise-free, else its m measured Z_q."""
-    return len(circuit.measured_qubits) if circuit.has_noise else 2**circuit.n_qubits
+    circuit is noise-free, else its n Z_q."""
+    return circuit.n_qubits if circuit.has_noise else 2**circuit.n_qubits
 
 
 def _grid(circuit: CircuitIR, overrides: dict | None) -> _Grid:

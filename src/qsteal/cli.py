@@ -7,7 +7,9 @@ are written atomically; log lines go to stderr, result paths to stdout.
 
 Exit codes: 0 success; 1 an internal error (or, for attack, a failed
 sweep cell; for report, no documents); 2 a config or device-registry
-error, naming the offending field; 3 a config file that cannot be read.
+error, naming the offending field; 3 a config file that cannot be read,
+or a malformed report document, naming the file (and the line of a
+.jsonl file).
 """
 
 from __future__ import annotations
@@ -459,18 +461,44 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
 # report aggregation
 # ---------------------------------------------------------------------------
 
+#: the fields an attack record's ratio summary groups by
+_RATIO_KEY = ("mode", "query_kind", "da_size", "clone_template", "clone_qubits")
+
+
+def _report_objects(path: Path) -> list[tuple[str, dict]]:
+    """The JSON objects of a result document, each with where it stands: the
+    file, or for .jsonl the file and the line of each nonblank line."""
+    raw = path.read_bytes()
+    if path.suffix == ".jsonl":
+        parts = [(f"{path} line {n}", line) for n, line in enumerate(raw.splitlines(), 1) if line.strip()]
+    else:
+        parts = [(str(path), raw)]
+    objects = []
+    for where, part in parts:
+        try:
+            doc = json.loads(part)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not text
+            raise InputError(f"report document {where}: not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise InputError(f"report document {where}: expected a JSON object, got {type(doc).__name__}")
+        objects.append((where, doc))
+    return objects
+
+
 def cmd_report(out: Path) -> int:
     found = False
     for path in sorted(out.glob("*.jsonl")) + sorted(out.glob("*.json")):
         found = True
+        objects = _report_objects(path)
         print(f"# {path}")
         if path.suffix == ".jsonl":
-            records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-            if records and "ratio" in records[0]:
+            if objects and "ratio" in objects[0][1]:
                 groups: dict[tuple, list[float]] = {}
-                for r in records:
-                    key = (r["mode"], r["query_kind"], r["da_size"], r["clone_template"], r["clone_qubits"])
-                    groups.setdefault(key, []).append(r["ratio"])
+                for where, r in objects:
+                    missing = [f for f in (*_RATIO_KEY, "ratio") if f not in r]
+                    if missing:
+                        raise InputError(f"report document {where}: missing field {missing[0]!r}")
+                    groups.setdefault(tuple(r[f] for f in _RATIO_KEY), []).append(r["ratio"])
                 for key, ratios in sorted(groups.items()):
                     mode, kind, da, tmpl, width = key
                     print(
@@ -478,11 +506,10 @@ def cmd_report(out: Path) -> int:
                         f"mean ratio {np.mean(ratios):.3f} over {len(ratios)} seed(s)"
                     )
             else:
-                for r in records:
+                for _, r in objects:
                     print(f"  {json.dumps(r)}")
         else:
-            doc = json.loads(path.read_text())
-            summary = {k: v for k, v in doc.items() if not isinstance(v, (list, dict))}
+            summary = {k: v for k, v in objects[0][1].items() if not isinstance(v, (list, dict))}
             print(f"  {json.dumps(summary)}")
     if not found:
         _log(f"no report documents under {out}")
@@ -524,9 +551,9 @@ def _read_config(path: Path) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(Path(args.out))
     try:
+        if args.command == "report":
+            return cmd_report(Path(args.out))
         config = _section(_read_config(Path(args.config)), "", _ROOT)
         seed = _seed("seed", config["seed"])
         if args.seed_override is not None:

@@ -33,9 +33,10 @@ def selection_probs(probs: list[float] | None, n_pairs: int) -> np.ndarray:
     probs = [1.0 / n_pairs] * n_pairs if probs is None else list(probs)
     if len(probs) != n_pairs:
         raise ValueError(f"{len(probs)} selection probabilities for {n_pairs} served pairs; they must match")
-    if any(p < 0 for p in probs):
+    # inverted comparisons: a NaN entry fails both, and so does the NaN sum it makes
+    if not all(p >= 0 for p in probs):
         raise ValueError(f"selection probabilities must be nonnegative, got {probs}")
-    if abs(sum(probs) - 1.0) > 1e-9:
+    if not abs(sum(probs) - 1.0) <= 1e-9:
         raise ValueError(f"selection probabilities sum to {sum(probs)}, expected 1")
     return np.array(probs, dtype=np.float64)
 

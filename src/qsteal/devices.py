@@ -7,7 +7,6 @@ document and are looked up by name in a read-only registry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,7 +41,6 @@ class DeviceProfile:
     p_bit: float = 0.0
     #: single 2x2 matrix broadcast to all qubits, or one matrix per qubit
     readout: tuple = ()
-    basis_gates: tuple[str, ...] = ()
 
     def __post_init__(self):
         for fname in _RATE_FIELDS:
@@ -63,7 +61,6 @@ class DeviceProfile:
             ReadoutConfusion(tuple(arr))  # validates row sums and ranges
             mats = tuple(tuple(tuple(float(v) for v in row) for row in m) for m in arr)
         object.__setattr__(self, "readout", mats)
-        object.__setattr__(self, "basis_gates", tuple(self.basis_gates))
 
     def readout_for(self, n_qubits: int) -> ReadoutConfusion:
         """Readout confusion sized to a register, broadcasting a single matrix."""
@@ -101,7 +98,7 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
         raise RegistryError(f"{path}: expected a mapping, got {type(entry).__name__}")
     if "name" not in entry:
         raise RegistryError(f"{path}.name: missing")
-    known = {"name", *_RATE_FIELDS, "readout", "basis_gates"}
+    known = {"name", *_RATE_FIELDS, "readout"}
     for key in entry:
         if key not in known:
             raise RegistryError(f"{path}.{key}: unknown field")
@@ -114,8 +111,6 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
             kwargs[fname] = float(value)
     if "readout" in entry:
         kwargs["readout"] = entry["readout"]
-    if "basis_gates" in entry:
-        kwargs["basis_gates"] = tuple(str(g) for g in entry["basis_gates"])
     try:
         return DeviceProfile(**kwargs)
     except (RegistryError, ValueError) as exc:
@@ -126,31 +121,16 @@ def _parse_profile(entry: dict, path: str) -> DeviceProfile:
         raise RegistryError(f"{path}: {message}") from exc
 
 
-def load_registry(source) -> DeviceRegistry:
-    """Load and validate a registry.
-
-    The argument's type decides how it is read, and the filesystem is never
-    probed to guess: a ``dict`` is an already-parsed document, an
-    ``os.PathLike`` (such as ``Path``) is a YAML file to read, and a ``str``
-    is always YAML text, even if it happens to name a file.
-    """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        if isinstance(source, os.PathLike):
-            origin = f"registry file {os.fspath(source)}"
-            try:
-                raw = Path(source).read_bytes()
-            except OSError as exc:
-                raise RegistryError(f"{origin}: cannot be read ({exc.strerror or exc})") from exc
-        elif isinstance(source, str):
-            origin, raw = "registry document", source
-        else:
-            raise TypeError(f"expected a dict, a path or YAML text, got {type(source).__name__}")
-        try:
-            doc = yaml.load(raw, Loader=YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise RegistryError(f"{origin} does not parse: {exc}") from exc
+def load_registry(path: Path) -> DeviceRegistry:
+    """Load and validate the registry in the YAML file at `path`."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise RegistryError(f"registry file {path}: cannot be read ({exc.strerror or exc})") from exc
+    try:
+        doc = yaml.load(raw, Loader=YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise RegistryError(f"registry file {path} does not parse: {exc}") from exc
     if not isinstance(doc, dict) or "devices" not in doc:
         raise RegistryError("devices: missing top-level list")
     entries = doc["devices"]
@@ -170,7 +150,6 @@ DEV_A = DeviceProfile(
     p_phase=0.002,
     p_bit=0.002,
     readout=[[0.97, 0.03], [0.05, 0.95]],
-    basis_gates=("rz", "sx", "x", "cx"),
 )
 
 DEV_B = DeviceProfile(
@@ -181,7 +160,6 @@ DEV_B = DeviceProfile(
     p_phase=0.01,
     p_bit=0.01,
     readout=[[0.93, 0.07], [0.10, 0.90]],
-    basis_gates=("rz", "sx", "x", "cx"),
 )
 
 

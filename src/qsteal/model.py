@@ -6,7 +6,7 @@ circuit is split at the end of its product-state prefix once per (feature
 count, device) and both parts are held on the model: the prefix compiled
 with the PQC angles pinned, so a row runs only its feature gates, and the
 rest pulled back, the 2^n basis vectors when the circuit is noise-free,
-else the measured observables.  Several parameter vectors (a training
+else each qubit's Z pulled back.  Several parameter vectors (a training
 step's SPSA probes) run as one probes x samples grid through run_circuit.
 Checkpoints round-trip bitwise through JSON.
 """
@@ -140,8 +140,8 @@ def _readout(model: HybridModel, d: int, profile: DeviceProfile | None) -> tuple
     back (:func:`pulled_back`), read-only.  A noise-free circuit holds its
     prefix as 2x2 unitaries and the rest as the pulled-back basis vectors
     U^dag e_k, (2^n, 2^n), 1 MB at the 8-qubit cap; a noisy one its prefix
-    as PTMs and Phi^dag(Z_q) for each measured qubit q, Phi the rest, as
-    real (m, 4^n) Pauli vectors, at most 4 MB.  Held on the model."""
+    as PTMs and Phi^dag(Z_q) for each qubit q, Phi the rest, as
+    real (n, 4^n) Pauli vectors, at most 4 MB.  Held on the model."""
     entry = model._readouts.get((d, profile))
     if entry is None:
         circuit, slots = _prepared_circuit(model.template, d, profile)

@@ -229,6 +229,9 @@ def train(
     segment of two or more steps holds every sample's head states once
     (:func:`hold_features`), and each step meets its batch's rows there.
     """
+    if (eval_features is None) != (eval_labels is None):
+        missing = "eval_labels" if eval_labels is None else "eval_features"
+        raise ValueError(f"an eval set needs eval_features and eval_labels; {missing} is missing")
     seed = checked_seed(seed, "training")
     features = np.asarray(features, dtype=np.float64)
     targets = _check_targets(cfg, features, targets, model.k)
@@ -265,7 +268,7 @@ def train(
             probe_losses.append(probe_mean)
         test_acc = float("nan")
         test_loss = float("nan")
-        if eval_features is not None and eval_labels is not None:
+        if eval_features is not None:
             current = model.with_flat_params(params)
             probs = forward_batch(
                 current, eval_features, profile, cfg.shots, stream(seed, epoch, 0, _EVAL)

@@ -15,7 +15,6 @@ from qsteal.circuits import (
     encode_angles,
     encode_layout,
     final_states,
-    pqc_gates_per_layer,
     TEMPLATE_IDS,
     pulled_back,
     rotation_basis,
@@ -49,8 +48,7 @@ def _rz_slots(d):
 
 def _encoding_circuit(features, n_qubits):
     ops = encode_angles(features, n_qubits)
-    return CircuitIR(n_qubits=n_qubits, ops=tuple(ops), measured_qubits=tuple(range(n_qubits)),
-                     layer_breaks=(len(ops),))
+    return CircuitIR(n_qubits=n_qubits, ops=tuple(ops), layer_breaks=(len(ops),))
 
 
 class TestEncoding:
@@ -215,10 +213,10 @@ class TestNoisePointValidation:
         ids=["after-end", "after-negative", "qubit-high", "qubit-negative", "repeated", "arity-1q", "arity-2q"],
     )
     def test_bad_point_names_itself(self, point, message):
-        ops = (GateOp("H", (0,)), GateOp("CNOT", (0, 1)))
+        ops = (GateOp("H", (0,)), GateOp("CRX", (0, 1), 0.5))
         good = NoisePoint(0, bit_flip(0.2), (0,))
         with pytest.raises(ValueError, match=rf"noise point 1 \({point.channel.name} after op {point.after_op}\): {message}"):
-            CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=(good, point))
+            CircuitIR(n_qubits=2, ops=ops, noise_points=(good, point))
 
 
 class TestExecutor:
@@ -231,7 +229,7 @@ class TestExecutor:
         assert not circuit.has_noise
         fast = run_circuit(circuit)  # statevector route
         states = final_states(circuit)  # density route
-        slow = np.stack([exp_z_batch(states, q, 3) for q in circuit.measured_qubits], axis=1)
+        slow = np.stack([exp_z_batch(states, q, 3) for q in range(3)], axis=1)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_angle_overrides_batch(self):
@@ -302,11 +300,11 @@ def _flat(overrides, n_probes, b):
 
 
 def _z(states, circuit):
-    return np.stack([exp_z_batch(states, q, circuit.n_qubits) for q in circuit.measured_qubits], axis=1)
+    return np.stack([exp_z_batch(states, q, circuit.n_qubits) for q in range(circuit.n_qubits)], axis=1)
 
 
 def _unfused_reference(circuit, overrides):
-    """<Z> per measured qubit from density matrices evolved gate by gate and
+    """<Z> per qubit from density matrices evolved gate by gate and
     channel by channel, without the circuit's compiled plan."""
     return _z(unfused_states(circuit, overrides), circuit)
 
@@ -351,12 +349,12 @@ class TestPictures:
         from qsteal.circuits import _evolve
 
         circuit, overrides = _model_circuit("PQC19", 4, DEV_A, 1)
-        z = [1 << q for q in circuit.measured_qubits]
+        z = [1 << q for q in range(circuit.n_qubits)]
         assert run_circuit(circuit, overrides).tobytes() == _evolve(circuit, overrides, 1)[:, z, z].tobytes()
 
     @pytest.mark.parametrize("tid", TEMPLATE_IDS)
     def test_schroedinger_rows_read_out_alone_and_near_the_per_qubit_readout(self, monkeypatch, tid):
-        # each row's result is what it is alone; against one (rows, 2^n) @ (2^n,) product per measured
+        # each row's result is what it is alone; against one (rows, 2^n) @ (2^n,) product per
         # qubit, the readout this one replaced, the drift stays within 1e-12
         pulled, used = _spy(monkeypatch, "_pulled_back_picture"), set()
         for n in range(2 if tid != "PQC1" else 1, 6):
@@ -379,7 +377,7 @@ class TestPictures:
         # a 2-qubit channel after a 1-qubit gate keeps the gate out of the prefix
         ops = (GateOp("H", (0,)), GateOp("RX", (1,), 0.3), GateOp("RZ", (0,), 0.0))
         points = (NoisePoint(0, depolarizing_2q(0.2), (0, 1)), NoisePoint(2, bit_flip(0.1), (0,)))
-        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+        circuit = CircuitIR(n_qubits=2, ops=ops, noise_points=points)
         overrides = {2: np.linspace(0, 3, 9)}
         np.testing.assert_allclose(run_circuit(circuit, overrides), _unfused_reference(circuit, overrides),
                                    rtol=0, atol=1e-12)
@@ -677,24 +675,24 @@ def _hand_built(case):
     """Circuits whose channels fold into a step other than the op they follow."""
     if case == "damping_on_crx_target":
         # damping of qubit 1 after the RZ on qubit 0 moves back into the CRX
-        ops = (GateOp("H", (0,)), GateOp("RY", (1,), 0.4), GateOp("CRX", (0, 1), 1.1), GateOp("RZ", (0,), 0.3),
+        ops = (GateOp("H", (0,)), GateOp("RX", (1,), 0.4), GateOp("CRX", (0, 1), 1.1), GateOp("RZ", (0,), 0.3),
                GateOp("RX", (1,), 0.8))
         points = (NoisePoint(2, amplitude_damping(0.4), (1,)), NoisePoint(3, amplitude_damping(0.25), (1,)),
                   NoisePoint(3, bit_flip(0.1), (0,)))
-        return CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+        return CircuitIR(n_qubits=2, ops=ops, noise_points=points)
     if case == "reversed_two_qubit_channel":
-        ops = (GateOp("H", (0,)), GateOp("RY", (2,), 0.2), GateOp("RX", (1,), 0.7), GateOp("CRX", (0, 2), 1.3),
-               GateOp("CNOT", (2, 1)), GateOp("RY", (0,), 0.5))
+        ops = (GateOp("H", (0,)), GateOp("RX", (2,), 0.2), GateOp("RX", (1,), 0.7), GateOp("CRX", (0, 2), 1.3),
+               GateOp("CRX", (2, 1), np.pi), GateOp("RX", (0,), 0.5))
         points = (NoisePoint(3, _product_channel(), (2, 0)), NoisePoint(4, _product_channel(), (1, 2)),
                   NoisePoint(5, _product_channel(), (2, 1)))
-        return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), noise_points=points)
+        return CircuitIR(n_qubits=3, ops=ops, noise_points=points)
     assert case == "standalone_steps"
     # qubit 2 has no op in the prefix before its first channel, and none after the prefix
-    ops = (GateOp("H", (0,)), GateOp("RX", (2,), 0.6), GateOp("H", (1,)), GateOp("CNOT", (0, 1)),
+    ops = (GateOp("H", (0,)), GateOp("RX", (2,), 0.6), GateOp("H", (1,)), GateOp("CRX", (0, 1), np.pi),
            GateOp("RZ", (1,), 0.9))
     points = (NoisePoint(0, amplitude_damping(0.3), (2,)), NoisePoint(3, amplitude_damping(0.35), (2,)),
               NoisePoint(4, bit_flip(0.15), (2,)), NoisePoint(4, phase_flip(0.05), (0,)))
-    return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), noise_points=points)
+    return CircuitIR(n_qubits=3, ops=ops, noise_points=points)
 
 
 class TestPlan:
@@ -724,7 +722,7 @@ class TestPlan:
     def test_a_channel_wider_than_the_latest_step_starts_a_standalone_step(self):
         ops = (GateOp("H", (0,)), GateOp("RX", (1,), 0.3), GateOp("RZ", (0,), 0.0))
         points = (NoisePoint(0, depolarizing_2q(0.2), (0, 1)), NoisePoint(2, bit_flip(0.1), (0,)))
-        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1), noise_points=points)
+        circuit = CircuitIR(n_qubits=2, ops=ops, noise_points=points)
         prefix, rest = circuit.plan
         assert prefix == ()
         assert [(i, q, after is not None) for i, q, after in rest] == [(0, (0,), False), (None, (0, 1), True),
@@ -741,7 +739,7 @@ class TestPlan:
             for one, want in zip(got, stack, strict=True):
                 np.testing.assert_array_equal(one, _embed(want, qubits, into))
         # a gate on one qubit of a pair: U (x) I with the first listed qubit as the high bit
-        u = rotation_batch("RY", 0.7)
+        u = rotation_batch("RX", 0.7)
         np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (0, 1)), to_ptm(superop(np.kron(u, np.eye(2)))),
                                    rtol=0, atol=1e-15)
         np.testing.assert_allclose(_embed(unitary_superop(u), (0,), (1, 0)), to_ptm(superop(np.kron(np.eye(2), u))),
@@ -819,10 +817,10 @@ class TestCompiledPrefix:
 
 
 def _demo_circuit():
-    """The demo-01 shape: H and an RZ per qubit, a CNOT chain, then a rotation."""
+    """The demo-01 shape: H and an RZ per qubit, a CRX(pi) chain, then a rotation."""
     ops = (GateOp("H", (0,)), GateOp("H", (1,)), GateOp("RZ", (0,), 0.4), GateOp("RZ", (1,), 1.1),
-           GateOp("CNOT", (0, 1)), GateOp("CNOT", (1, 2)), GateOp("RX", (2,), 0.7))
-    return CircuitIR(n_qubits=3, ops=ops, measured_qubits=(0, 1, 2), layer_breaks=(4, len(ops)))
+           GateOp("CRX", (0, 1), np.pi), GateOp("CRX", (1, 2), np.pi), GateOp("RX", (2,), 0.7))
+    return CircuitIR(n_qubits=3, ops=ops, layer_breaks=(4, len(ops)))
 
 
 class TestGrid:
@@ -865,8 +863,8 @@ class TestGrid:
 
     def test_empty_prefix_matches_final_states(self):
         # the first op is 2-qubit, so every op runs on the statevectors
-        ops = (GateOp("CRX", (0, 1), 0.0), GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("RY", (1,), 0.2))
-        circuit = CircuitIR(n_qubits=2, ops=ops, measured_qubits=(0, 1))
+        ops = (GateOp("CRX", (0, 1), 0.0), GateOp("H", (0,)), GateOp("CRX", (0, 1), np.pi), GateOp("RX", (1,), 0.2))
+        circuit = CircuitIR(n_qubits=2, ops=ops)
         assert circuit.product_prefix_end == 0
         overrides = {0: np.linspace(0.1, 3.0, 4)[:, None], 3: np.linspace(-1.0, 2.0, 5)}
         got = run_circuit(circuit, overrides)
@@ -1118,10 +1116,10 @@ class TestRotationBasis:
     within 1e-15 of the gate the independent builder gives; a stack of
     gates is built entry for entry as each gate alone."""
 
-    SHAPES = {"RX": (2, 2, 2), "RY": (2, 2, 2), "RZ": (2, 2, 2), "CRX": (3, 4, 4), "CRZ": (3, 4, 4)}
-    PTM_SHAPES = {"RX": (3, 4, 4), "RY": (3, 4, 4), "RZ": (3, 4, 4), "CRX": (5, 16, 16), "CRZ": (5, 16, 16)}
+    SHAPES = {"RX": (2, 2, 2), "RZ": (2, 2, 2), "CRX": (3, 4, 4)}
+    PTM_SHAPES = {"RX": (3, 4, 4), "RZ": (3, 4, 4), "CRX": (5, 16, 16)}
 
-    @pytest.mark.parametrize("kind", ["RX", "RY", "RZ", "CRX", "CRZ"])
+    @pytest.mark.parametrize("kind", ["RX", "RZ", "CRX"])
     @pytest.mark.parametrize("pure", [True, False], ids=["unitary", "ptm"])
     def test_weighted_basis_is_the_built_gate(self, kind, pure):
         basis = rotation_basis(kind, pure)

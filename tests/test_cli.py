@@ -423,11 +423,13 @@ class TestDefendEval:
         [({"defense.probs": [0.7, 0.7]}, "defense.probs"),
          ({"defense.probs": [1.0]}, "defense.probs"),
          ({"defense.probs": [1.5, -0.5]}, "defense.probs"),
+         ({"defense.probs": [float("nan"), 1.0]}, "defense.probs"),
          ({"defense.probs": ["half", 0.5]}, "defense.probs[0]"),
          ({**_havip(), "defense.probs": [0.2, 0.2, 0.6]}, "defense.probs"),
          ({"defense.devices": ["devA", "devA"]}, "defense.devices"),
          ({"defense.devices": ["devA", "devB", "ideal"], "defense.probs": [0.4, 0.3, 0.3]}, "defense.devices")],
-        ids=["sum", "length", "negative", "type", "havip-length", "repeated-device", "three-devices-unscheduled"],
+        ids=["sum", "length", "negative", "nan", "type", "havip-length", "repeated-device",
+             "three-devices-unscheduled"],
     )
     def test_serving_fields_checked_before_training(self, tmp_path, capsys, no_training, overrides, field):
         cfg = _write_config(tmp_path, overrides)
@@ -558,3 +560,21 @@ class TestReport:
 
     def test_empty_directory_nonzero(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "name, text, where, message",
+        [("history.json", '{"epochs": [', "history.json", "not valid JSON"),
+         ("history.json", "[1, 2]", "history.json", "expected a JSON object, got list"),
+         ("attack_reports.jsonl",
+          '{"mode": "topk", "query_kind": "random", "da_size": 16, "clone_template": "PQC19", '
+          '"clone_qubits": 2, "ratio": 0.5}\n\n{"mode": "topk", "ratio": 0.4}\n',
+          "attack_reports.jsonl line 3", "missing field 'query_kind'"),
+         ("defense_eval.jsonl", '{"seed": 1}\n{"seed": \n', "defense_eval.jsonl line 2", "not valid JSON")],
+        ids=["bad-json", "not-an-object", "jsonl-missing-field", "jsonl-bad-line"],
+    )
+    def test_malformed_document_is_an_input_error_naming_it(self, tmp_path, capsys, name, text, where, message):
+        (tmp_path / name).write_text(text)
+        assert main(["report", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: report document {tmp_path / where}: {message}")
+        assert "Traceback" not in err

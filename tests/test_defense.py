@@ -15,6 +15,7 @@ from qsteal.defense import (
     hvip,
     measure_obfuscation,
     no_defense,
+    selection_probs,
 )
 from qsteal.devices import DEV_A, DEV_B, IDEAL
 from qsteal.model import init_model
@@ -55,6 +56,15 @@ class TestServiceConstruction:
     def test_negative_probability_rejected(self, model):
         with pytest.raises(ValueError, match="nonnegative"):
             hvip(model, [DEV_A, DEV_B], probs=[1.5, -0.5])
+
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.inf]],
+                             ids=["nan-first", "all-nan", "inf"])
+    def test_non_finite_probability_rejected(self, model, probs):
+        # a NaN entry passes both `p < 0` and `abs(sum - 1) > tol`; unchecked, every query drew pair 0
+        with pytest.raises(ValueError, match="selection probabilities"):
+            selection_probs(probs, 2)
+        with pytest.raises(ValueError, match="selection probabilities"):
+            hvip(model, [DEV_A, DEV_B], probs=probs)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_seed_must_be_a_nonnegative_integer(self, model, seed):

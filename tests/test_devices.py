@@ -9,6 +9,7 @@ from qsteal.devices import (
     DEV_A,
     DEV_B,
     IDEAL,
+    DeviceProfile,
     RegistryError,
     default_registry,
     load_registry,
@@ -29,8 +30,19 @@ devices:
     p_phase: 0.01
     p_bit: 0.01
     readout: [[0.9, 0.1], [0.2, 0.8]]
-    basis_gates: [rz, sx, cx]
 """
+
+
+@pytest.fixture
+def load(tmp_path):
+    """Load a registry document, YAML text or a dict, from a file under tmp_path."""
+
+    def _load(doc):
+        path = tmp_path / "devices.yaml"
+        path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
+        return load_registry(path)
+
+    return _load
 
 
 def _woven(profile):
@@ -39,20 +51,20 @@ def _woven(profile):
 
 
 class TestLoading:
-    def test_zero_rate_profile_is_noiseless(self):
-        reg = load_registry(GOOD_DOC)
+    def test_zero_rate_profile_is_noiseless(self, load):
+        reg = load(GOOD_DOC)
         assert not _woven(reg.get("quiet")).has_noise
         assert _woven(reg.get("loud")).has_noise
 
-    def test_duplicate_name_rejected(self):
+    def test_duplicate_name_rejected(self, load):
         doc = {"devices": [{"name": "a"}, {"name": "a"}]}
         with pytest.raises(RegistryError, match="duplicate device name 'a'"):
-            load_registry(doc)
+            load(doc)
 
-    def test_out_of_range_rate_names_field(self):
+    def test_out_of_range_rate_names_field(self, load):
         doc = {"devices": [{"name": "bad", "p2": 1.5}]}
         with pytest.raises(RegistryError, match=r"devices\[0\].p2"):
-            load_registry(doc)
+            load(doc)
 
     @pytest.mark.parametrize(
         "entry, message",
@@ -61,33 +73,35 @@ class TestLoading:
          ({"name": "x", "readout": [[0.9, 0.1]]}, r"devices\[1\]\.readout: expected a 2x2 matrix")],
         ids=["rate", "dotted-name", "readout"],
     )
-    def test_profile_errors_name_the_entry_field(self, entry, message):
+    def test_profile_errors_name_the_entry_field(self, load, entry, message):
         with pytest.raises(RegistryError, match=f"^{message}"):
-            load_registry({"devices": [{"name": "ok"}, entry]})
+            load({"devices": [{"name": "ok"}, entry]})
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_field_rejected(self, load):
         doc = {"devices": [{"name": "x", "p9": 0.1}]}
         with pytest.raises(RegistryError, match=r"devices\[0\].p9"):
-            load_registry(doc)
+            load(doc)
 
-    def test_missing_devices_key(self):
+    def test_basis_gates_is_an_unknown_field(self, load):
+        doc = {"devices": [{"name": "ok"}, {"name": "x", "basis_gates": ["rz", "sx", "cx"]}]}
+        with pytest.raises(RegistryError, match=r"^devices\[1\]\.basis_gates: unknown field$"):
+            load(doc)
+
+    def test_missing_devices_key(self, load):
         with pytest.raises(RegistryError, match="devices"):
-            load_registry("other: 1")
+            load("other: 1")
 
-    def test_bad_readout_shape(self):
+    def test_bad_readout_shape(self, load):
         doc = {"devices": [{"name": "x", "readout": [[0.9, 0.1]]}]}
         with pytest.raises(RegistryError, match="readout"):
-            load_registry(doc)
+            load(doc)
 
-    def test_file_dict_and_text_load_equal_profiles(self, tmp_path):
-        path = tmp_path / "devices.yaml"
-        path.write_text(GOOD_DOC)
-        loaded = [load_registry(source) for source in (path, yaml.safe_load(GOOD_DOC), GOOD_DOC)]
-        for name in ("quiet", "loud"):
-            assert loaded[0].get(name) == loaded[1].get(name) == loaded[2].get(name)
-        loud = loaded[0].get("loud")
+    def test_file_loads_its_profiles(self, load):
+        reg = load(GOOD_DOC)
+        assert reg.get("quiet") == DeviceProfile(name="quiet")
+        loud = reg.get("loud")
         assert (loud.p1, loud.p2, loud.gamma, loud.p_phase, loud.p_bit) == (0.01, 0.05, 0.02, 0.01, 0.01)
-        assert loud.readout == (((0.9, 0.1), (0.2, 0.8)),) and loud.basis_gates == ("rz", "sx", "cx")
+        assert loud.readout == (((0.9, 0.1), (0.2, 0.8)),)
 
     @pytest.mark.parametrize("name", ["absent.yaml", ""], ids=["missing", "directory"])
     def test_unreadable_path_names_path(self, tmp_path, name):
@@ -97,14 +111,7 @@ class TestLoading:
         assert str(path) in str(info.value)
         assert "missing top-level list" not in str(info.value)
 
-    def test_str_naming_a_file_is_yaml_text(self, tmp_path, monkeypatch):
-        (tmp_path / "devices.yaml").write_text(GOOD_DOC)
-        monkeypatch.chdir(tmp_path)
-        # parsed as the YAML scalar "devices.yaml", which has no devices list
-        with pytest.raises(RegistryError, match="missing top-level list"):
-            load_registry("devices.yaml")
-
-    def test_per_qubit_readout_list(self):
+    def test_per_qubit_readout_list(self, load):
         doc = {
             "devices": [
                 {
@@ -116,7 +123,7 @@ class TestLoading:
                 }
             ]
         }
-        prof = load_registry(doc).get("x")
+        prof = load(doc).get("x")
         conf = prof.readout_for(2)
         assert conf.matrix(1)[0, 1] == 0.1
         with pytest.raises(RegistryError, match="per-qubit"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsteal import gates
+from qsteal.circuits import TEMPLATE_IDS, CircuitIR, PQCTemplate, build_pqc, encode_angles
 from qsteal.gates import GATE_KINDS, GateOp, gate_matrix, rotation_batch
 
 
@@ -32,23 +32,20 @@ class TestGateMatrices:
 
     def test_rotation_addition(self):
         rng = np.random.default_rng(5)
-        for kind in ("RX", "RY", "RZ"):
+        for kind in ("RX", "RZ"):
             a, b = rng.uniform(-np.pi, np.pi, 2)
             np.testing.assert_allclose(
                 rotation_batch(kind, a) @ rotation_batch(kind, b), rotation_batch(kind, a + b),
                 atol=1e-12,
             )
 
-    def test_sx_squares_to_x(self):
-        np.testing.assert_allclose(gates.SX @ gates.SX, gates.X, atol=1e-14)
-
-    def test_cnot_control_is_high_bit(self):
-        # |10> (control=1, target=0) -> |11>
-        cnot = gate_matrix(GateOp("CNOT", (1, 0)))
+    def test_crx_control_is_high_bit(self):
+        # CRX(pi) flips the target up to a phase: |10> (control=1, target=0) -> -i|11>
+        crx = gate_matrix(GateOp("CRX", (1, 0), np.pi))
         vec = np.zeros(4)
         vec[0b10] = 1.0
-        out = cnot @ vec
-        assert abs(out[0b11] - 1.0) < 1e-15
+        out = crx @ vec
+        assert abs(out[0b11] + 1j) < 1e-15
 
     def test_crx_reduces_to_identity_on_control_zero(self):
         crx = gate_matrix(GateOp("CRX", (0, 1), 1.3))
@@ -61,7 +58,7 @@ FIXED = [kind for kind, (_, parameterized) in GATE_KINDS.items() if not paramete
 
 class TestRotationBatch:
     def test_covers_every_parameterized_kind(self):
-        assert set(PARAMETERIZED) == {"RX", "RY", "RZ", "CRX", "CRZ"}
+        assert set(PARAMETERIZED) == {"RX", "RZ", "CRX"}
 
     @pytest.mark.parametrize("kind", PARAMETERIZED)
     def test_rows_equal_matrices_built_alone(self, kind):
@@ -82,11 +79,20 @@ class TestRotationBatch:
             rotation_batch(kind, 0.3)
 
     def test_controlled_kinds_embed_their_rotation(self):
-        for kind, base in (("CRX", "RX"), ("CRZ", "RZ")):
-            mat = rotation_batch(kind, 0.9)
-            np.testing.assert_array_equal(mat[:2, :2], np.eye(2))
-            np.testing.assert_array_equal(mat[:2, 2:], np.zeros((2, 2)))
-            np.testing.assert_array_equal(mat[2:, 2:], rotation_batch(base, 0.9))
+        mat = rotation_batch("CRX", 0.9)
+        np.testing.assert_array_equal(mat[:2, :2], np.eye(2))
+        np.testing.assert_array_equal(mat[:2, 2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(mat[2:, 2:], rotation_batch("RX", 0.9))
+
+
+class TestVocabulary:
+    def test_every_kind_is_emitted_by_the_encoding_or_a_template(self):
+        # a kind no circuit the program builds uses is dead vocabulary
+        emitted = {op.kind for op in encode_angles(np.zeros(4), 2)}
+        for tid in TEMPLATE_IDS:
+            template = PQCTemplate(tid, 3)
+            emitted |= {op.kind for op in build_pqc(template, np.zeros(template.param_count))}
+        assert emitted == set(GATE_KINDS)
 
 
 class TestGateOpValidation:
@@ -100,17 +106,16 @@ class TestGateOpValidation:
 
     def test_duplicate_qubits(self):
         with pytest.raises(ValueError, match="distinct"):
-            GateOp("CNOT", (1, 1))
+            GateOp("CRX", (1, 1), 0.4)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="qubit"):
-            GateOp("CZ", (0,))
+            GateOp("CRX", (0,), 0.4)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             GateOp("SWAP", (0, 1))
 
     def test_out_of_range_index(self):
-        op = GateOp("X", (3,))
-        with pytest.raises(ValueError, match="out of range"):
-            gates.validate_gate(op, 2)
+        with pytest.raises(ValueError, match="H qubit index 3 out of range for 2 qubits"):
+            CircuitIR(n_qubits=2, ops=(GateOp("H", (3,)),))

@@ -120,7 +120,7 @@ class TestReadoutCache:
         circuit, slots = model_mod._prepared_circuit(m.template, x.shape[1], profile)
         overrides = dict(zip(slots, [*x.T, *m.theta], strict=True))
         states = unfused_states(circuit, overrides)
-        return np.stack([exp_z_batch(states, q, m.n_qubits) for q in circuit.measured_qubits], axis=1)
+        return np.stack([exp_z_batch(states, q, m.n_qubits) for q in range(m.n_qubits)], axis=1)
 
     @pytest.mark.parametrize("tid", ["PQC1", "PQC6", "PQC17", "PQC19"])
     def test_cached_readout_matches_evolved_density_matrices(self, tid):

@@ -338,6 +338,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"row {row} is not a probability vector"):
             train(m, x, np.array(targets), TrainConfig(epochs=1, loss="kl_topk"), IDEAL, seed=0)
 
+    @pytest.mark.parametrize("given, missing", [("eval_features", "eval_labels"), ("eval_labels", "eval_features")])
+    def test_half_an_eval_set_names_the_missing_argument(self, given, missing):
+        # one without the other used to record NaN test fields silently
+        x, y = _tiny_task()
+        m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
+        half = {"eval_features": x, "eval_labels": y}
+        with pytest.raises(ValueError, match=f"{missing} is missing"):
+            train(m, x, y, TrainConfig(epochs=1), IDEAL, seed=0, **{given: half[given]})
+
     def test_empty_dataset_rejected(self):
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
         with pytest.raises(ValueError, match="empty"):
