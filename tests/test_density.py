@@ -339,7 +339,7 @@ class TestBatchedKernels:
 
 #: a gate of every kind, the parameterized ones at several angles, and every channel at several rates
 GATES = [gate_matrix(GateOp(kind, tuple(range(arity)), a)) for kind, (arity, angled) in GATE_KINDS.items()
-         for a in ((0.0, 0.7, np.pi, 4.1) if angled else (None,))]
+         for a in ((0.0, 0.7, np.pi / 2, np.pi, 4.1, -2.3, 2 * np.pi, 11.0) if angled else (None,))]
 CHANNELS = [build(p) for build in (bit_flip, phase_flip, depolarizing, amplitude_damping, depolarizing_2q)
             for p in (0.0, 0.05, 0.3, 1.0)]
 

@@ -111,6 +111,11 @@ class TestLoading:
         assert str(path) in str(info.value)
         assert "missing top-level list" not in str(info.value)
 
+    def test_str_naming_a_file_is_read_as_a_path(self, tmp_path, monkeypatch):
+        (tmp_path / "devices.yaml").write_text(GOOD_DOC)
+        monkeypatch.chdir(tmp_path)
+        assert load_registry("devices.yaml").get("loud") == load_registry(tmp_path / "devices.yaml").get("loud")
+
     def test_per_qubit_readout_list(self, load):
         doc = {
             "devices": [

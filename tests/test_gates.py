@@ -54,6 +54,8 @@ class TestGateMatrices:
 
 PARAMETERIZED = [kind for kind, (_, parameterized) in GATE_KINDS.items() if parameterized]
 FIXED = [kind for kind, (_, parameterized) in GATE_KINDS.items() if not parameterized]
+#: kinds the gate set no longer has; each must be refused, never built
+REMOVED = ["X", "SX", "RY", "CNOT", "CZ", "CRZ"]
 
 
 class TestRotationBatch:
@@ -75,6 +77,11 @@ class TestRotationBatch:
 
     @pytest.mark.parametrize("kind", FIXED)
     def test_fixed_kind_raises(self, kind):
+        with pytest.raises(ValueError, match="not a parameterized gate"):
+            rotation_batch(kind, 0.3)
+
+    @pytest.mark.parametrize("kind", REMOVED)
+    def test_removed_kind_raises(self, kind):
         with pytest.raises(ValueError, match="not a parameterized gate"):
             rotation_batch(kind, 0.3)
 
@@ -115,6 +122,12 @@ class TestGateOpValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             GateOp("SWAP", (0, 1))
+
+    @pytest.mark.parametrize("kind", REMOVED)
+    def test_removed_kind_is_unknown(self, kind):
+        arity = 2 if kind in ("CNOT", "CZ", "CRZ") else 1
+        with pytest.raises(ValueError, match=f"unknown gate kind '{kind}'"):
+            GateOp(kind, tuple(range(arity)), 0.3 if kind in ("RY", "CRZ") else None)
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError, match="H qubit index 3 out of range for 2 qubits"):
