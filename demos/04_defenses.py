@@ -11,9 +11,9 @@ from qsteal import (
     AttackSpec,
     PQCTemplate,
     TrainConfig,
+    accuracy,
     baseline_of,
     default_registry,
-    evaluate_defended_attack,
     havip,
     hvip,
     init_model,
@@ -21,6 +21,7 @@ from qsteal import (
     make_npd_sources,
     measure_obfuscation,
     mixed_query_set,
+    run_attack_suite,
     train,
     train_test_split,
 )
@@ -58,15 +59,14 @@ for name, svc in (("HVIP", hvip_service), ("HAVIP", havip_service)):
 
 print("\ncloning through each defense (Top-k, 700 mixed queries):")
 spec = AttackSpec(mode="topk", da_size=700, query_kind="mixed", seed=1)
-shared = dict(query_sources=sources, d=8, train_cfg=cfg, clone_profile=ideal, eval_data=test_ds)
-for name, svc, ref_model, ref_dev in (
-    ("HVIP", hvip_service, hvip_victim, devA),
-    ("HAVIP", havip_service, havip_a, devA),
-):
-    from qsteal import accuracy
-
-    vacc = accuracy(ref_model, test_ds, ref_dev)
-    result = evaluate_defended_attack(svc, spec, victim_accuracy=vacc, **shared)
-    print(f"  {name}: clone acc {result.defended.clone_accuracy:.3f} defended "
-          f"vs {result.undefended.clone_accuracy:.3f} undefended "
-          f"(gap {result.accuracy_gap:+.3f})")
+for name, svc in (("HVIP", hvip_service), ("HAVIP", havip_service)):
+    # the same cell against the defended service and against its undefended baseline
+    baseline = baseline_of(svc)
+    [(ref_model, ref_dev)] = baseline.pairs
+    shared = dict(query_sources=sources, d=8, train_cfg=cfg, clone_profile=ideal, eval_data=test_ds,
+                  victim_accuracy=accuracy(ref_model, test_ds, ref_dev))
+    (defended,), _ = run_attack_suite(svc, [spec], **shared)
+    (undefended,), _ = run_attack_suite(baseline, [spec], **shared)
+    print(f"  {name}: clone acc {defended.clone_accuracy:.3f} defended "
+          f"vs {undefended.clone_accuracy:.3f} undefended "
+          f"(gap {undefended.clone_accuracy - defended.clone_accuracy:+.3f})")

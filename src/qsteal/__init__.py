@@ -43,7 +43,6 @@ from .defense import (
     ObfuscationReport,
     VictimService,
     baseline_of,
-    evaluate_defended_attack,
     havip,
     hvip,
     measure_obfuscation,

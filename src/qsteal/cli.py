@@ -5,11 +5,11 @@ subcommand, config path, output directory, and an optional seed override.
 Subcommands: train-victim, attack, defend-eval, report.  Result documents
 are written atomically; log lines go to stderr, result paths to stdout.
 
-Exit codes: 0 success; 1 an internal error (or, for attack, a failed
-sweep cell; for report, no documents); 2 a config or device-registry
-error, naming the offending field; 3 a config file that cannot be read,
-or a malformed report document, naming the file (and the line of a
-.jsonl file).
+Exit codes: 0 success; 1 an internal error (or, for attack and
+defend-eval, a failed sweep cell; for report, no documents); 2 a config
+or device-registry error, naming the offending field; 3 a config file
+that cannot be read, or a malformed report document, naming the file
+(and the line of a .jsonl file).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .data import (
     DatasetError, LabeledDataset, load_csv, make_blobs, make_npd_sources, scale_features, train_test_split,
 )
 from .defense import (
-    baseline_of, evaluate_defended_attack, havip, hvip, measure_obfuscation, no_defense, selection_probs,
+    DefenseEvalResult, baseline_of, havip, hvip, measure_obfuscation, no_defense, pair_record, selection_probs,
 )
 from .devices import YAML_LOADER, DeviceRegistry, RegistryError, default_registry, load_registry
 from .metrics import accuracy
@@ -128,13 +128,21 @@ def _seed(here: str, value) -> int:
     return value
 
 
+def _distinct(values: list, path: str) -> list:
+    """`values`, the list at `path`; a value that repeats an earlier one is an error at its index."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{path}[{i}]", f"repeats {path}[{values.index(value)}] ({value!r})")
+    return values
+
+
 def _seeds(seeds, path: str, seed: int) -> list[int]:
-    """The nonempty seed list `seeds` of the section at `path`; [seed] when unset."""
+    """The nonempty list of distinct seeds `seeds` of the section at `path`; [seed] when unset."""
     if seeds is None:
         return [seed]
     if not seeds:
         raise ConfigError(f"{path}.seeds", "needs at least one seed")
-    return [_seed(f"{path}.seeds[{i}]", s) for i, s in enumerate(seeds)]
+    return _distinct([_seed(f"{path}.seeds[{i}]", s) for i, s in enumerate(seeds)], f"{path}.seeds")
 
 
 def _registry(path) -> DeviceRegistry:
@@ -318,7 +326,7 @@ def _attack_section(values: dict, path: str, registry, shots, seed: int):
         for i, value in enumerate(points):
             here = f"{path}.sweep.{axis}[{i}]"
             _respec(base, here, **{field: _check(here, value, kind)})
-        axes.append(points)
+        axes.append(_distinct(points, f"{path}.sweep.{axis}"))
     # a sweep over modes sets each cell's loss from its mode
     if sweep["modes"]:
         _unread(values["train"] or {}, f"{path}.train", ("loss",), "under a sweep over modes")
@@ -333,12 +341,26 @@ def _attack_section(values: dict, path: str, registry, shots, seed: int):
     return specs, cfg, clone_device
 
 
+def _run_cells(services: list, attack: tuple, sources: list, train_ds, test_ds, shots, seed: int):
+    """Each of `services`' reports on the cells of `attack` (from :func:`_attack_section`),
+    scored against the victim accuracy of the first service's :func:`baseline_of`; each
+    failed cell is logged.  Returns the report lists and whether any cell failed."""
+    specs, cfg, clone_device = attack
+    [(victim, device)] = baseline_of(services[0]).pairs
+    shared = dict(query_sources=sources, d=train_ds.d, train_cfg=cfg, clone_profile=clone_device, eval_data=test_ds,
+                  victim_accuracy=accuracy(victim, test_ds, device, shots, seed=seed))
+    runs = [run_attack_suite(service, specs, **shared) for service in services]
+    for spec, message in (error for _, errors in runs for error in errors):
+        _log(f"cell {spec.label()} failed: {message}")
+    return [reports for reports, _ in runs], any(errors for _, errors in runs)
+
+
 def cmd_attack(config: dict, out: Path, seed: int) -> int:
     registry = _registry(config["devices_file"])
     shots = _shots(config["shots"])
     train_ds, test_ds, sources = _task(config["task"])
     values = _section(config["attack"], "attack", _ATTACK)
-    specs, cfg, clone_device = _attack_section(values, "attack", registry, shots, seed)
+    attack = _attack_section(values, "attack", registry, shots, seed)
     victim_device = _device(registry, values["victim_device"], "attack.victim_device")
     ckpt_path = values["victim_checkpoint"]
     if ckpt_path:
@@ -354,27 +376,15 @@ def cmd_attack(config: dict, out: Path, seed: int) -> int:
             raise ConfigError("attack.victim_checkpoint", "checkpoint class count does not match the task")
     else:
         victim, _ = _train_victim(_victim(config["victim"], "victim", registry, shots), train_ds, test_ds, seed)
-    victim_acc = accuracy(victim, test_ds, victim_device, shots, seed=seed)
     service = no_defense(victim, victim_device, shots, seed=seed)
-    reports, errors = run_attack_suite(
-        service,
-        specs,
-        query_sources=sources(),
-        d=train_ds.d,
-        train_cfg=cfg,
-        clone_profile=clone_device,
-        eval_data=test_ds,
-        victim_accuracy=victim_acc,
-    )
-    for spec, message in errors:
-        _log(f"cell {spec.label()} failed: {message}")
+    (reports,), failed = _run_cells([service], attack, sources(), train_ds, test_ds, shots, seed)
     for r in reports:
         _log(f"cell done: mode={r.mode} kind={r.query_kind} |D_A|={r.da_size} "
              f"width={r.clone_qubits} seed={r.seed} ratio={r.ratio:.3f}")
     path = out / "attack_reports.jsonl"
     save_reports(reports, path)
     print(path)
-    return 0 if not errors else 1
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -428,29 +438,21 @@ def cmd_defend_eval(config: dict, out: Path, seed: int) -> int:
 
     query_sources = sources()
     qs = build_queries(queries, query_sources, train_ds.d)
-    obf = measure_obfuscation(service, baseline_of(service), qs, seeds=service_seeds)
+    baseline = baseline_of(service)
+    obf = measure_obfuscation(service, baseline, qs, seeds=service_seeds)
     _log(f"obfuscation: mean TVD {obf.mean_tvd:.4f}, top-1 mismatch {obf.top1_mismatch_rate:.4f}")
     obf_path = out / "obfuscation.json"
     atomic_write(obf_path, json.dumps(obf.to_dict(), indent=1))
     print(obf_path)
 
     if attack:
-        specs, cfg, clone_device = attack
-        victim_acc = accuracy(service.pairs[0][0], test_ds, service.pairs[0][1], shots, seed=seed)
-        results = []
-        for spec in specs:
-            result = evaluate_defended_attack(
-                service,
-                spec,
-                query_sources=query_sources,
-                d=train_ds.d,
-                train_cfg=cfg,
-                clone_profile=clone_device,
-                eval_data=test_ds,
-                victim_accuracy=victim_acc,
-            )
-            _log(f"defended attack seed {spec.seed}: gap {result.accuracy_gap:+.3f}")
-            results.append(result)
+        (defended, undefended), failed = _run_cells(
+            [service, baseline], attack, query_sources, train_ds, test_ds, shots, seed)
+        if failed:
+            return 1
+        results = [DefenseEvalResult(d, u, pair_record(baseline)) for d, u in zip(defended, undefended)]
+        for result in results:
+            _log(f"defended attack seed {result.defended.seed}: gap {result.accuracy_gap:+.3f}")
         eval_path = out / "defense_eval.jsonl"
         atomic_write(eval_path, "\n".join(json.dumps(r.to_dict()) for r in results) + "\n")
         print(eval_path)

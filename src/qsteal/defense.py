@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import model
-from .attack import AttackReport, AttackSpec, run_attack
+from .attack import AttackReport
 from .data import QuerySet
 from .devices import DeviceProfile
 from .metrics import mismatch_rate, tvd
@@ -83,6 +83,7 @@ class VictimService:
         ks = {m.k for m, _ in pairs}
         if len(ks) != 1:
             raise ValueError("all served models must share the class count")
+        (self.k,) = ks
         self.pairs = list(pairs)
         self.probs = selection_probs(probs, len(pairs))
         self.cdf = self.probs.cumsum() / self.probs.cumsum()[-1]  # as Generator.choice makes it
@@ -93,10 +94,6 @@ class VictimService:
         # the pairs of queries block_start .. block_start + len(block) - 1
         self._block_start = 0
         self._block = np.zeros(0, np.intp)
-
-    @property
-    def k(self) -> int:
-        return self.pairs[0][0].k
 
     def reseeded(self, seed: int) -> "VictimService":
         return VictimService(self.pairs, self.probs.tolist(), self.shots, seed, self.name)
@@ -181,14 +178,15 @@ def havip(
 
 
 def baseline_of(service: VictimService) -> VictimService:
-    """The undefended reference: the first-listed pair served deterministically."""
+    """The undefended reference: the first-listed pair served deterministically.
+    The one place that chooses it; every report's baseline and victim accuracy come from here."""
     return VictimService([service.pairs[0]], [1.0], service.shots, service.seed, name="none")
 
 
 def pair_record(service: VictimService) -> dict:
-    """The template, width and device of the first pair, as reports record :func:`baseline_of`'s."""
-    template, device = service.pairs[0][0].template, service.pairs[0][1]
-    return {"template": template.id, "qubits": template.n_qubits, "device": device.name}
+    """The template, width and device of a one-pair service, as reports record :func:`baseline_of`'s."""
+    [(served, device)] = service.pairs
+    return {"template": served.template.id, "qubits": served.template.n_qubits, "device": device.name}
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +207,10 @@ class ObfuscationReport:
     baseline: dict
 
     def to_dict(self) -> dict:
-        return {
-            "top1_mismatch_rate": self.top1_mismatch_rate,
-            "mean_tvd": self.mean_tvd,
-            "n_queries": self.n_queries,
-            "shots": self.shots,
-            "policy": self.policy,
-            "seeds": list(self.seeds),
-            "baseline": self.baseline,
-        }
+        """Every field but the per-query TVDs, which the mean summarises."""
+        doc = asdict(self)
+        del doc["per_query_tvd"]
+        return doc
 
 
 def measure_obfuscation(
@@ -257,6 +250,8 @@ def measure_obfuscation(
 
 @dataclass(frozen=True)
 class DefenseEvalResult:
+    """One attack cell run against the defended service and against its :func:`baseline_of`."""
+
     defended: AttackReport
     undefended: AttackReport
     baseline: dict  # the undefended pair (pair_record)
@@ -268,15 +263,3 @@ class DefenseEvalResult:
     def to_dict(self) -> dict:
         return {**asdict(self), "accuracy_gap": self.accuracy_gap}
 
-
-def evaluate_defended_attack(
-    policy: VictimService,
-    spec: AttackSpec,
-    **attack_kwargs,
-) -> DefenseEvalResult:
-    """Run the full theft pipeline against the defended service and against
-    its undefended baseline with matched seeds; report both."""
-    baseline = baseline_of(policy)
-    _, defended_report = run_attack(policy.reseeded(spec.seed), spec, **attack_kwargs)
-    _, undefended_report = run_attack(baseline.reseeded(spec.seed), spec, **attack_kwargs)
-    return DefenseEvalResult(defended=defended_report, undefended=undefended_report, baseline=pair_record(baseline))

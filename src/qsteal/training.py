@@ -162,26 +162,48 @@ def _probe_losses(cfg: TrainConfig, probs: np.ndarray, targets: np.ndarray) -> n
     return np.ascontiguousarray(terms).mean(axis=-1)
 
 
+def _check_finite(features: np.ndarray, what: str) -> None:
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(f"{what} row {row}, column {col} is not finite: {features[row, col]}")
+
+
+def _check_labels(labels: np.ndarray, k: int, where: str = "") -> np.ndarray:
+    """Nonempty 1-d `labels` as int64, each a whole number in [0, k); an error starts with `where`."""
+    fractional = labels[labels != np.round(labels)]
+    if fractional.size:
+        raise ValueError(f"{where}label {fractional[0]} is not a whole number")
+    if labels.max() >= k:
+        raise ValueError(f"{where}label {labels.max()} out of range for {k} classes")
+    if labels.min() < 0:
+        raise ValueError(f"{where}label {labels.min()} is negative")
+    return labels.astype(np.int64)
+
+
+def _check_eval(features: np.ndarray, labels, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A finite (M, d) eval_features with M >= 1 and (M,) eval_labels of classes in [0, k)."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] != d:
+        raise ValueError(f"eval_features must be (M, {d}) with M >= 1, like the training features; "
+                         f"got shape {features.shape}")
+    _check_finite(features, "eval_features")
+    labels = np.asarray(labels)
+    if labels.shape != features.shape[:1]:
+        raise ValueError(f"eval_labels must be ({features.shape[0]},), one per eval row; got shape {labels.shape}")
+    return features, _check_labels(labels, k, "eval_labels: ")
+
+
 def _check_targets(cfg: TrainConfig, features: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("training set is empty")
-    if not np.isfinite(features).all():
-        row, col = np.argwhere(~np.isfinite(features))[0]
-        raise ValueError(f"feature row {row}, column {col} is not finite: {features[row, col]}")
+    _check_finite(features, "feature")
     if targets.shape[0] != features.shape[0]:
         raise ValueError("features and targets disagree on sample count")
     if cfg.loss == "nll_top1":
         targets = np.asarray(targets)
         if targets.ndim != 1:
             raise ValueError("nll_top1 expects a 1-d array of class labels")
-        fractional = targets[targets != np.round(targets)]
-        if fractional.size:
-            raise ValueError(f"label {fractional[0]} is not a whole number")
-        if targets.max() >= k:
-            raise ValueError(f"label {targets.max()} out of range for {k} classes")
-        if targets.min() < 0:
-            raise ValueError(f"label {targets.min()} is negative")
-        return targets.astype(np.int64)
+        return _check_labels(targets, k)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != k:
         raise ValueError(f"kl_topk expects (N, {k}) probability targets")
@@ -224,6 +246,7 @@ def train(
     kl_topk.  `schedule` assigns a device profile to each epoch.  History
     records per-epoch train loss (mean of the two SPSA probe losses),
     test accuracy, and test NLL; test fields are NaN without an eval set.
+    An eval set is checked before the first epoch (:func:`_check_eval`).
 
     The feature gates do not depend on the parameters, so each device
     segment of two or more steps holds every sample's head states once
@@ -235,6 +258,8 @@ def train(
     seed = checked_seed(seed, "training")
     features = np.asarray(features, dtype=np.float64)
     targets = _check_targets(cfg, features, targets, model.k)
+    if eval_features is not None:
+        eval_features, eval_labels = _check_eval(eval_features, eval_labels, features.shape[1], model.k)
     n = features.shape[0]
     segments = [(profile, count) for profile, count in normalize_schedule(schedule, cfg.epochs) if count]
     profiles = [profile for profile, count in segments for _ in range(count)]
@@ -275,6 +300,6 @@ def train(
             )
             predicted = probs.argmax(axis=1)
             test_acc = float(np.mean(predicted == eval_labels))
-            test_loss = mean_nll(probs, np.asarray(eval_labels, dtype=np.int64))
+            test_loss = mean_nll(probs, eval_labels)
         history.epochs.append(EpochStats(float(np.mean(probe_losses)), test_acc, test_loss))
     return model.with_flat_params(params), history

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from qsteal.attack import AttackSpec
-from qsteal.cli import _ATTACK, _attack_section, _section, _train_cfg, main
+from qsteal.cli import _ATTACK, _DEFENSE_ATTACK, _attack_section, _section, _train_cfg, main
 from qsteal.devices import IDEAL, default_registry
 from qsteal.training import TrainConfig
 
@@ -46,6 +46,20 @@ def no_training(monkeypatch):
         raise AssertionError("a victim was trained")
 
     monkeypatch.setattr("qsteal.cli.train", refuse)
+
+
+def _fail_queries(monkeypatch, when):
+    """Make each attack query that `when(service, query_set)` picks fail, as a down endpoint would."""
+    import qsteal.attack
+
+    original = qsteal.attack.query_victim
+
+    def query(service, qs, mode):
+        if when(service, qs):
+            raise RuntimeError("endpoint down")
+        return original(service, qs, mode)
+
+    monkeypatch.setattr(qsteal.attack, "query_victim", query)
 
 
 def _write_config(tmp_path, overrides=None, **merge):
@@ -86,6 +100,14 @@ class TestSections:
         cfg = _write_config(tmp_path, {key: value})
         assert main(["train-victim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["reference", "attack_sweep", "defense_hvip", "defense_havip"])
+    def test_shipped_configs_make_distinct_cells(self, name):
+        config = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml").read_text())
+        path, table, doc = ("attack", _ATTACK, config["attack"]) if "attack" in config else (
+            "defense.attack", _DEFENSE_ATTACK, config["defense"]["attack"])
+        specs, _, _ = _attack_section(_section(doc, path, table), path, default_registry(), None, config["seed"])
+        assert len(set(specs)) == len(specs) >= 1
 
 
 #: havip victims for TINY, each with its own device
@@ -339,6 +361,16 @@ class TestAttack:
         ]
         assert cells == list(itertools.product(*axes.values()))
 
+    def test_a_failed_cell_exits_1_and_keeps_the_other_cells(self, tmp_path, capsys, monkeypatch):
+        _fail_queries(monkeypatch, lambda service, qs: qs.m == 16)
+        cfg = _write_config(tmp_path, {"attack.sweep": {"da_sizes": [16, 12]}})
+        out = tmp_path / "out"
+        assert main(["attack", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cell topk-random-m16-pqc19x2-s1 failed: endpoint down" in err and "internal error:" not in err
+        records = [json.loads(line) for line in (out / "attack_reports.jsonl").read_text().splitlines()]
+        assert [r["da_size"] for r in records] == [12]
+
     def test_rerun_identical_reports(self, tmp_path):
         cfg = _write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -466,6 +498,18 @@ class TestDefendEval:
         for name in ("obfuscation.json", "defense_eval.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("side", ["defended", "both"])
+    def test_a_failed_cell_exits_1_and_writes_no_evaluation(self, tmp_path, capsys, monkeypatch, side):
+        # a cell that raises against either service is a failed cell, as in attack: logged, not a traceback
+        _fail_queries(monkeypatch, lambda service, qs: side == "both" or service.name == "hvip")
+        cfg = _write_config(tmp_path, {"defense.attack": TINY["attack"]})
+        out = tmp_path / "out"
+        assert main(["defend-eval", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "cell topk-random-m16-pqc19x2-s1 failed: endpoint down" in err
+        assert "internal error:" not in err
+        assert (out / "obfuscation.json").exists() and not (out / "defense_eval.jsonl").exists()
+
     def test_none_policy_reports_zero_tvd(self, tmp_path):
         cfg = _write_config(tmp_path, _policy("none"))
         out = tmp_path / "out"
@@ -526,6 +570,26 @@ class TestExitCodes:
         cfg = _write_config(tmp_path, overrides)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
         assert f"config error: {field}: expected a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, overrides, field",
+        [("attack", {"attack.seeds": [1, 2, 1]}, "attack.seeds[2]: repeats attack.seeds[0] (1)"),
+         ("attack", {"attack.sweep": {"da_sizes": [16, 16]}}, "attack.sweep.da_sizes[1]"),
+         ("attack", {"attack.sweep": {"modes": ["top1", "top1"]}, "attack.train": {"epochs": 1}},
+          "attack.sweep.modes[1]"),
+         ("attack", {"attack.sweep": {"query_kinds": ["random", "mixed", "random"]}}, "attack.sweep.query_kinds[2]"),
+         ("attack", {"attack.sweep": {"widths": [2, 2]}}, "attack.sweep.widths[1]"),
+         ("defend-eval", {"defense.seeds": [3, 3]}, "defense.seeds[1]"),
+         ("defend-eval", {"defense.attack": {**TINY["attack"], "seeds": [4, 4]}}, "defense.attack.seeds[1]")],
+        ids=["attack-seeds", "da-sizes", "modes", "query-kinds", "widths", "defense-seeds", "defense-attack-seeds"],
+    )
+    def test_a_repeated_value_is_a_config_error_naming_the_repeat(self, tmp_path, capsys, no_training, command,
+                                                                 overrides, field):
+        # a repeat made identical cells, which report then averaged as if over several seeds
+        cfg = _write_config(tmp_path, overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}" in err and "repeats" in err
 
     def test_module_entry_point_runs_the_cli(self, tmp_path):
         cfg = _write_config(tmp_path, {"seed": -3})

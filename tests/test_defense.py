@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from qsteal.attack import AttackSpec
+from qsteal.attack import AttackSpec, run_attack_suite
 from qsteal.circuits import PQCTemplate
 from qsteal.data import make_blobs, random_query_set, train_test_split
 from qsteal.defense import (
+    DefenseEvalResult,
+    ObfuscationReport,
     VictimService,
     baseline_of,
     draw_pairs,
-    evaluate_defended_attack,
     havip,
     hvip,
     measure_obfuscation,
     no_defense,
+    pair_record,
     selection_probs,
 )
 from qsteal.devices import DEV_A, DEV_B, IDEAL
@@ -313,6 +315,27 @@ class TestObfuscation:
         report = measure_obfuscation(svc, baseline_of(svc), qs, seeds=[2])
         assert report.mean_tvd == 0.0 and report.top1_mismatch_rate == 0.0
 
+    def test_document_holds_every_field_but_the_per_query_tvds(self, model):
+        svc = hvip(model, [DEV_A, DEV_B], seed=6)
+        report = measure_obfuscation(svc, baseline_of(svc), random_query_set(5, 8, seed=7), seeds=[0, 3])
+        doc = report.to_dict()
+        fields = [name for name in ObfuscationReport.__dataclass_fields__ if name != "per_query_tvd"]
+        assert list(doc) == fields
+        assert list(doc["seeds"]) == [0, 3] and doc["baseline"] == {"template": "PQC19", "qubits": 4, "device": "devA"}
+
+
+class TestBaseline:
+    def test_the_baseline_serves_the_first_listed_pair_alone(self, model, other_model):
+        svc = havip([(other_model, DEV_B), (model, DEV_A)], probs=[0.3, 0.7], shots=50, seed=9)
+        baseline = baseline_of(svc)
+        assert baseline.pairs == [(other_model, DEV_B)] and baseline.probs.tolist() == [1.0]
+        assert (baseline.shots, baseline.seed, baseline.name) == (50, 9, "none")
+        assert pair_record(baseline) == {"template": "PQC1", "qubits": 4, "device": "devB"}
+
+    def test_pair_record_refuses_a_service_of_several_pairs(self, model):
+        with pytest.raises(ValueError):
+            pair_record(hvip(model, [DEV_A, DEV_B]))
+
 
 class TestDefendedAttack:
     def test_no_defense_vs_itself_zero_gap(self, model):
@@ -320,15 +343,11 @@ class TestDefendedAttack:
         train_ds, test_ds = train_test_split(task, seed=1, train_fraction=0.7)
         svc = no_defense(model, IDEAL, seed=2)
         spec = AttackSpec(mode="topk", da_size=24, clone_qubits=2, seed=3)
-        result = evaluate_defended_attack(
-            svc,
-            spec,
-            query_sources=[train_ds],
-            d=8,
-            train_cfg=TrainConfig(epochs=1, batch_size=8, spsa_draws=1),
-            clone_profile=IDEAL,
-            eval_data=test_ds,
-            victim_accuracy=0.9,
-        )
+        shared = dict(query_sources=[train_ds], d=8, train_cfg=TrainConfig(epochs=1, batch_size=8, spsa_draws=1),
+                      clone_profile=IDEAL, eval_data=test_ds, victim_accuracy=0.9)
+        (defended,), errors = run_attack_suite(svc, [spec], **shared)
+        (undefended,), baseline_errors = run_attack_suite(baseline_of(svc), [spec], **shared)
+        assert errors == baseline_errors == []
+        result = DefenseEvalResult(defended, undefended, pair_record(baseline_of(svc)))
         assert result.accuracy_gap == 0.0
         assert result.defended == result.undefended

@@ -347,6 +347,31 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{missing} is missing"):
             train(m, x, y, TrainConfig(epochs=1), IDEAL, seed=0, **{given: half[given]})
 
+    @pytest.mark.parametrize(
+        "eval_x, eval_y, match",
+        [(np.zeros((10, 8)), np.zeros(1), r"eval_labels must be \(10,\)"),
+         (np.zeros((10, 5)), np.zeros(10), r"eval_features must be \(M, 8\)"),
+         (np.zeros((4, 8)), np.array([0, 1, 5, 2]), "eval_labels: label 5 out of range for 3 classes"),
+         (np.zeros((2, 8)), np.array([0.5, 1.0]), "eval_labels: label 0.5 is not a whole number"),
+         (np.zeros((2, 8)), np.array([0, -1]), "eval_labels: label -1 is negative"),
+         (np.zeros((0, 8)), np.zeros(0), "eval_features must be"),
+         (np.array([[0.0] * 8, [0.0] * 7 + [np.nan]]), np.zeros(2), "eval_features row 1, column 7 is not finite")],
+        ids=["one-label-for-ten-rows", "five-columns-beside-eight", "label-past-k", "fractional-label",
+             "negative-label", "empty", "nan"],
+    )
+    def test_a_malformed_eval_set_is_refused_before_the_first_epoch(self, monkeypatch, eval_x, eval_y, match):
+        # it used to score a broadcast or a different encoding, or raise a bare IndexError
+        import qsteal.training
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an epoch ran")
+
+        monkeypatch.setattr(qsteal.training, "forward_probes", refuse)
+        x, y = _tiny_task(n=6, d=8, k=3)
+        m = init_model(PQCTemplate("PQC19", 2), k=3, seed=0)
+        with pytest.raises(ValueError, match=match):
+            train(m, x, y, TrainConfig(epochs=1), IDEAL, seed=0, eval_features=eval_x, eval_labels=eval_y)
+
     def test_empty_dataset_rejected(self):
         m = init_model(PQCTemplate("PQC19", 2), k=2, seed=0)
         with pytest.raises(ValueError, match="empty"):
